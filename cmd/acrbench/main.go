@@ -1,9 +1,9 @@
 // Command acrbench measures the live checkpoint commit path — replica
 // capture, buddy comparison, and the full round — at several machine
-// shapes, each in two variants: the pinned serial baseline
-// (core.Config.SerialCommitPath, the pre-fast-path behavior) and the
-// default fast path (concurrent replica capture, size-hint single-pass
-// packing, pooled checkpoint buffers, parallel compare). It emits the
+// shapes, each in two variants: a frozen serial yardstick (the
+// pre-fast-path behavior, kept only inside internal/core/bench.go) and the
+// controller's round body (size-hint single-pass packing, pooled checkpoint
+// buffers, dirty splice, stage widths sized from the machine). It emits the
 // results as a JSON report, the repo's benchmark trajectory.
 //
 // Usage:
@@ -18,8 +18,10 @@
 // baseline itself showed a speedup), or its fast-path allocs/op grow by
 // more than -tolerance. Ratios, not absolute nanoseconds, so the gate is
 // meaningful across machines. Cases present only on one side are never
-// silently dropped: current-run cases missing from the baseline and
-// baseline cases missing from the current run are both logged to stderr.
+// silently dropped: a case this run produced that the baseline lacks
+// fails the check (an ungated case is a hole in the gate — regenerate the
+// baseline), while baseline cases this run did not produce (a full
+// baseline checked by a -quick run) are logged to stderr and skipped.
 //
 // Unless -fleet=false, the run also covers the fleet layer
 // (internal/fleet): the fleet-scale case measures wall-clock per committed
@@ -137,17 +139,14 @@ func main() {
 		if err != nil {
 			fatalf("baseline: %v", err)
 		}
-		baselineRegressions, skippedCur, skippedBase := check(base, report, *tolerance)
+		baselineRegressions, skippedBase := check(base, report, *tolerance)
 		regressions = append(regressions, baselineRegressions...)
-		for _, s := range skippedCur {
-			logf("acrbench: case %s not in baseline %s, skipped (regenerate the baseline to gate it)", s, *against)
-		}
 		for _, s := range skippedBase {
 			logf("acrbench: baseline case %s not produced by this run, skipped (full baseline vs -quick run, or a removed shape)", s)
 		}
 		if len(regressions) == 0 {
-			logf("acrbench: no regressions vs %s (tolerance %.0f%%, %d cases checked, %d skipped)",
-				*against, *tolerance*100, len(report.Cases)-len(skippedCur), len(skippedCur)+len(skippedBase))
+			logf("acrbench: no regressions vs %s (tolerance %.0f%%, %d cases checked, %d baseline cases skipped)",
+				*against, *tolerance*100, len(report.Cases), len(skippedBase))
 		}
 	}
 	if len(regressions) > 0 {
@@ -203,11 +202,11 @@ func readReport(path string) (*core.BenchReport, error) {
 //     absolute slack for one-off warmup allocations.
 //
 // A case missing from the baseline (a shape added after the baseline was
-// generated) cannot be gated, and neither can a baseline case this run did
-// not produce (a full baseline checked by a -quick run, or a shape that was
-// removed); both are returned so the caller reports them loudly instead of
-// silently passing them.
-func check(base, cur *core.BenchReport, tol float64) (regressions, skippedCur, skippedBase []string) {
+// generated) cannot be gated, so it fails the check until the baseline is
+// regenerated. A baseline case this run did not produce (a full baseline
+// checked by a -quick run, or a shape that was removed) is returned as
+// skipped so the caller reports it loudly instead of silently passing it.
+func check(base, cur *core.BenchReport, tol float64) (regressions, skippedBase []string) {
 	for i := range base.Cases {
 		if cur.Find(base.Cases[i].Name) == nil {
 			skippedBase = append(skippedBase, base.Cases[i].Name)
@@ -217,7 +216,8 @@ func check(base, cur *core.BenchReport, tol float64) (regressions, skippedCur, s
 		c := &cur.Cases[i]
 		b := base.Find(c.Name)
 		if b == nil {
-			skippedCur = append(skippedCur, c.Name)
+			regressions = append(regressions, fmt.Sprintf(
+				"%s: not in the baseline, so nothing gates it (regenerate the baseline: go run ./cmd/acrbench)", c.Name))
 			continue
 		}
 		if b.Speedup > 1.05 && c.Speedup < b.Speedup*(1-tol) {
@@ -232,7 +232,7 @@ func check(base, cur *core.BenchReport, tol float64) (regressions, skippedCur, s
 				c.Name, c.Fast.AllocsPerOp, b.Fast.AllocsPerOp, allowedAllocs))
 		}
 	}
-	return regressions, skippedCur, skippedBase
+	return regressions, skippedBase
 }
 
 func fatalf(format string, args ...any) {

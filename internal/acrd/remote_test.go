@@ -282,6 +282,21 @@ func TestJournalCompactionAcrossLives(t *testing.T) {
 	}
 	rec1, _ := s1.lookup(id)
 	waitDurable(t, rec1, 2)
+	// The durable window retains two epochs, so compaction only has a
+	// stale claim to drop once a third flush has been journaled.
+	for deadline := time.Now().Add(60 * time.Second); ; {
+		recs, _, err := readJournal(jpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) >= 4 { // submit + three flush claims
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("life 1 journaled only %d records", len(recs))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	s1.Close()
 	before, _, err := readJournal(jpath)
 	if err != nil {

@@ -2,17 +2,24 @@ package apps
 
 import (
 	"bytes"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"acr/internal/chaos/point"
 	"acr/internal/core"
 	"acr/internal/runtime"
 )
 
-// acrRun executes an app under full ACR protection, optionally injecting
-// failures, and returns the final packed states of replica 0 plus the run
-// stats.
-func acrRun(t *testing.T, factory runtime.Factory, scheme core.Scheme, perturb func(*core.Controller)) ([][]byte, core.Stats) {
+// acrRun executes an app under full ACR protection and returns the final
+// packed states of replica 0 plus the run stats. With faulty set the run
+// suffers one SDC — injected into replica 1 at the first compared round,
+// which must detect it and roll back — and one hard error: node (0, 1) is
+// killed from the commit hook of the first checkpoint that commits. The
+// kill is paced by the protocol, not the wall clock: it lands while the
+// consensus cut still holds every task parked mid-run, so the job can
+// neither finish before it nor miss it, whatever the scheduler load.
+func acrRun(t *testing.T, factory runtime.Factory, scheme core.Scheme, faulty bool) ([][]byte, core.Stats) {
 	t.Helper()
 	const nodes, tasks = 2, 2
 	cfg := core.Config{
@@ -26,12 +33,21 @@ func acrRun(t *testing.T, factory runtime.Factory, scheme core.Scheme, perturb f
 		HeartbeatInterval:  time.Millisecond,
 		HeartbeatTimeout:   8 * time.Millisecond,
 	}
+	var ctrl *core.Controller
+	if faulty {
+		var killed atomic.Bool
+		cfg.Chaos = point.HookFunc(func(id point.ID, _ *point.Info) {
+			if id == point.CoreCommit && ctrl.Progress().Checkpoints >= 1 && killed.CompareAndSwap(false, true) {
+				ctrl.KillNode(0, 1)
+			}
+		})
+	}
 	ctrl, err := core.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if perturb != nil {
-		perturb(ctrl)
+	if faulty {
+		ctrl.InjectSDCAtNextCheckpoint(runtime.Addr{Replica: 1, Node: 0, Task: 1})
 	}
 	stats, err := ctrl.Run()
 	if err != nil {
@@ -61,17 +77,11 @@ func TestAllAppsSurviveFailures(t *testing.T) {
 		t.Run(spec.Name+"/"+scheme.String(), func(t *testing.T) {
 			t.Parallel()
 			const iters = 1200
-			clean, cleanStats := acrRun(t, spec.Factory(iters), scheme, nil)
+			clean, cleanStats := acrRun(t, spec.Factory(iters), scheme, false)
 			if cleanStats.HardErrors != 0 {
 				t.Fatal("clean run saw failures")
 			}
-			faulty, stats := acrRun(t, spec.Factory(iters), scheme, func(ctrl *core.Controller) {
-				ctrl.InjectSDCAtNextCheckpoint(runtime.Addr{Replica: 1, Node: 0, Task: 1})
-				go func() {
-					time.Sleep(15 * time.Millisecond)
-					ctrl.KillNode(0, 1)
-				}()
-			})
+			faulty, stats := acrRun(t, spec.Factory(iters), scheme, true)
 			if stats.SDCDetected == 0 {
 				t.Error("injected SDC was not detected")
 			}

@@ -40,13 +40,18 @@ type armedFault struct {
 	executed bool
 }
 
-// pendingFlip remembers a Both-mode corruption so the buddy's write of the
-// same {node, task, epoch} gets the identical bit flip.
-type pendingFlip struct {
+// flipKey addresses the buddy write a Both-mode corruption is mirrored
+// onto: replica 1's store write of the same {node, task, epoch}.
+type flipKey struct {
 	node, task int
 	epoch      uint64
-	offEnd     int // byte offset counted back from the payload end (1..8)
-	bit        int
+}
+
+// pendingFlip remembers a Both-mode corruption so the buddy's write gets
+// the identical bit flip.
+type pendingFlip struct {
+	offEnd int // byte offset counted back from the payload end (1..8)
+	bit    int
 }
 
 // Engine arms a resolved fault schedule against the injection points and
@@ -84,7 +89,10 @@ type Engine struct {
 	iterGen    map[[3]int]int
 	liveViol   []Violation
 
-	pending *pendingFlip
+	// pending is keyed per buddy write, not a single slot: at capture-stage
+	// width N other tasks' writes interleave between a replica-0 write and
+	// its buddy's.
+	pending map[flipKey]pendingFlip
 }
 
 // NewEngine resolves the scenario's fault schedule with the seed and
@@ -98,6 +106,7 @@ func NewEngine(scn *Scenario, seed int64, tl *trace.Timeline) *Engine {
 		rng:           rng,
 		coverage:      make(map[point.ID]int, len(point.All())),
 		corruptEpochs: make(map[uint64]bool),
+		pending:       make(map[flipKey]pendingFlip),
 		lastIter:      make(map[[3]int]int),
 		iterGen:       make(map[[3]int]int),
 	}
@@ -326,7 +335,7 @@ func (e *Engine) corruptCheckpoint(f *armedFault, info *point.Info) (func(), boo
 	offEnd := 1 + e.rng.Intn(8)
 	bit := e.rng.Intn(8)
 	if f.Both {
-		e.pending = &pendingFlip{node: info.Node, task: info.Task, epoch: info.Epoch, offEnd: offEnd, bit: bit}
+		e.pending[flipKey{info.Node, info.Task, info.Epoch}] = pendingFlip{offEnd: offEnd, bit: bit}
 	}
 	e.mark("inject ckpt corruption r%d/n%d/t%d@e%d byte -%d bit %d (both=%v)",
 		info.Replica, info.Node, info.Task, info.Epoch, offEnd, bit, f.Both)
@@ -336,13 +345,14 @@ func (e *Engine) corruptCheckpoint(f *armedFault, info *point.Info) (func(), boo
 // applyPendingFlip mirrors a Both-mode corruption onto the buddy write of
 // the same {node, task, epoch}. Engine mutex held.
 func (e *Engine) applyPendingFlip(info *point.Info) func() {
-	p := e.pending
-	if p == nil || info.Replica != 1 || info.Node != p.node || info.Task != p.task || info.Epoch != p.epoch {
+	key := flipKey{info.Node, info.Task, info.Epoch}
+	p, ok := e.pending[key]
+	if !ok || info.Replica != 1 {
 		return nil
 	}
-	e.pending = nil
+	delete(e.pending, key)
 	e.mark("mirror ckpt corruption onto buddy r1/n%d/t%d@e%d byte -%d bit %d",
-		p.node, p.task, p.epoch, p.offEnd, p.bit)
+		key.node, key.task, key.epoch, p.offEnd, p.bit)
 	return e.flipStored(info, p.offEnd, p.bit)
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"acr/internal/ckptstore"
+	"acr/internal/consensus"
 	"acr/internal/pup"
 	"acr/internal/runtime"
 )
@@ -15,11 +18,12 @@ import (
 // This file is the live benchmark harness behind cmd/acrbench: it measures
 // the checkpoint commit path — capture, buddy comparison, and the full
 // round — on a real Machine + Controller, in two variants per machine
-// shape: the pinned serial baseline (SerialCommitPath: the pre-fast-path
-// behavior) and the fast path (concurrent replica capture, size-hint
-// single-pass packing, pooled buffers, parallel compare). The harness
-// lives in package core so it can drive checkpointRound/compare directly,
-// without the event loop's timers adding noise.
+// shape: a frozen serial yardstick (the pre-fast-path behavior, which
+// exists only in this file) and the controller's round body (size-hint
+// single-pass packing, pooled buffers, dirty splice, stage widths from
+// stageWidths). The harness lives in package core so it can drive
+// checkpointRound/runRound directly, without the event loop's timers
+// adding noise.
 
 // benchParticle is one MD-style particle: six doubles piped field by
 // field. The per-object Pup traversal is deliberate — it is the shape
@@ -124,21 +128,21 @@ type BenchSpec struct {
 	// LinkLatencyMs > 0 (or LinkLossPct > 0) selects the pipeline axis:
 	// live rounds ship every task's checkpoint through a hardened
 	// exchange link with this one-way latency and loss percentage
-	// (ExchangeConfig.ShipCheckpoints). Both legs then run the default
-	// fast commit path over the same program — the "serial" leg with the
-	// barrier schedule (PipelineOff: capture all, ship every task one
-	// after the other, compare all) and the "fast" leg with the per-task
-	// pipeline — so the measured difference is stage overlap alone.
-	// Combines with Dirty (both legs tracked: delta-aware shipping).
+	// (ExchangeConfig.ShipCheckpoints). Both legs run the same program
+	// through the same kind of link — the "serial" leg as the yardstick
+	// (capture all, ship every task one after the other, compare all) and
+	// the "fast" leg as the controller's round with its exchange stage 32
+	// wide — so the measured difference is mostly link flight time
+	// overlapped. Combines with Dirty (delta-aware shipping on both legs).
 	// Only the round op is measured.
 	LinkLatencyMs int     `json:"link_latency_ms,omitempty"`
 	LinkLossPct   float64 `json:"link_loss_pct,omitempty"`
 	// RemoteLatencyMs > 0 selects the remote-flush axis: every committed
 	// round additionally uploads its epoch to a simulated object store
 	// with this per-op latency (no fault injection — the axis isolates
-	// latency absorption, not resilience). The "serial" leg uploads
-	// synchronously on the commit path (SyncRemoteFlush) and pays the
-	// store's latency per round; the "fast" leg is the default background
+	// latency absorption, not resilience). The "serial" leg is the
+	// yardstick uploading inline on the commit path, paying the store's
+	// latency per round; the "fast" leg is the controller's background
 	// remote writer, which overlaps uploads with computation. Only the
 	// round op is measured.
 	RemoteLatencyMs int `json:"remote_latency_ms,omitempty"`
@@ -146,6 +150,11 @@ type BenchSpec struct {
 
 // linked reports whether the spec runs on the pipeline (lossy-link) axis.
 func (s BenchSpec) linked() bool { return s.LinkLatencyMs > 0 || s.LinkLossPct > 0 }
+
+// yardstickLeg reports whether the spec's "serial" leg is the yardstick. On
+// the pure dirty axis it is not: there both legs run the controller's round
+// and the serial leg only swaps in the untracked program.
+func (s BenchSpec) yardstickLeg() bool { return s.Dirty == 0 || s.linked() }
 
 // DefaultBenchSpecs returns the benchmarked shapes. Quick mode keeps the
 // subset CI smoke-runs; names are stable, so a quick run can be checked
@@ -171,9 +180,9 @@ func DefaultBenchSpecs(quick bool) []BenchSpec {
 			BenchSpec{Name: "2x4nodes-16tasks-192KB", Nodes: 4, Tasks: 4, Particles: 4096},
 			BenchSpec{Name: "2x8nodes-8tasks-384KB", Nodes: 8, Tasks: 1, Particles: 8192},
 			// Large-state compare shape: 4 tasks of ~1MB. Above the
-			// parallel-compare crossover, so this is the case where the
-			// parallel walk must beat serial on a multicore box (on one
-			// core the heuristic now pins serial and the ratio is ~1x).
+			// stageWorkerBytes crossover, so this is the case where a wide
+			// compare stage must beat the serial walk on a multicore box
+			// (on one core every stage is width 1 and the ratio is ~1x).
 			BenchSpec{Name: "2x2nodes-4tasks-4MB", Nodes: 2, Tasks: 2, Particles: 21845},
 		)
 	}
@@ -190,8 +199,8 @@ type BenchMeasurement struct {
 // BenchPhases is one round-op variant's mean per-round phase split:
 // wall-clock span and summed per-task busy time for capture, exchange,
 // and compare (core.Stats busy arrays, averaged over the measured
-// rounds). On a barrier leg busy == wall per phase and the wall spans sum
-// to roughly the round; on a pipelined leg the spans overlap, which is
+// rounds). On the yardstick leg busy == wall per phase and the wall spans
+// sum to roughly the round; on a wide leg the spans overlap, which is
 // exactly what the breakdown exists to show.
 type BenchPhases struct {
 	CaptureWallNs  int64 `json:"capture_wall_ns"`
@@ -206,9 +215,8 @@ type BenchPhases struct {
 // (shape, operation) pair.
 type BenchCase struct {
 	Name string `json:"name"` // "<spec>/<op>"
-	// Serial is the pinned pre-fast-path behavior (SerialCommitPath), or
-	// the barrier schedule on the pipeline axis; Fast is the default
-	// commit path.
+	// Serial is the yardstick (or, on the dirty axis, the untracked
+	// program); Fast is the controller's commit path.
 	Serial BenchMeasurement `json:"serial"`
 	Fast   BenchMeasurement `json:"fast"`
 	// Speedup is Serial ns / Fast ns; AllocRatio is Serial allocs / Fast
@@ -352,86 +360,214 @@ func benchDirtyFactory(floats, dirtyPct int, tracked bool) runtime.Factory {
 	}
 }
 
+// yardstick is the frozen serial commit round the "serial" legs measure:
+// the commit path as it was before any fast path, kept only as a benchmark
+// reference and reachable from no Config field. Two-pass PackTask and a
+// fresh ckptstore.Capture per task (no pooling, no size hint, no dirty
+// splice), replicas one after the other, link transfers and remote uploads
+// inline one task at a time, every buddy pair compared in one serial walk.
+// It deliberately shares no scheduling code with runRound, so a change to
+// the round body cannot move both legs of a ratio at once. The controller
+// lends its machine, consensus cut, link and store — a plain caller-style
+// Mem, so nothing is recycled under it.
+type yardstick struct {
+	c *Controller
+	// upload, if non-nil, receives every round's epoch inline.
+	upload ckptstore.Store
+	// capture / exchange / compare accumulate phase wall time over rounds.
+	capture, exchange, compare time.Duration
+	rounds                     int
+}
+
+// each walks the machine in dense (node, task) order.
+func (y *yardstick) each(fn func(n, t int) error) error {
+	for n := 0; n < y.c.cfg.NodesPerReplica; n++ {
+		for t := 0; t < y.c.cfg.TasksPerNode; t++ {
+			if err := fn(n, t); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func (y *yardstick) captureReplica(rep int, epoch uint64) error {
+	c := y.c
+	return y.each(func(n, t int) error {
+		data, err := c.machine.PackTask(runtime.Addr{Replica: rep, Node: n, Task: t})
+		if err != nil {
+			return err
+		}
+		return c.store.Put(c.key(rep, n, t, epoch), ckptstore.Capture(data, c.cfg.ChunkSize, 1))
+	})
+}
+
+func (y *yardstick) compareEpoch(epoch uint64) error {
+	c := y.c
+	return y.each(func(n, t int) error {
+		k0, k1 := c.key(0, n, t, epoch), c.key(1, n, t, epoch)
+		if c.cfg.Comparison == ChecksumCompare {
+			res, err := c.store.Compare(k0, k1)
+			if err == nil && !res.Match {
+				err = fmt.Errorf("yardstick: checksum %v at n%d/t%d", res, n, t)
+			}
+			return err
+		}
+		a, err := c.store.Get(k0)
+		if err != nil {
+			return err
+		}
+		b, err := c.store.Get(k1)
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			return fmt.Errorf("yardstick: byte mismatch at n%d/t%d", n, t)
+		}
+		return nil
+	})
+}
+
+// round is one full serial commit round against the running machine.
+func (y *yardstick) round() error {
+	c := y.c
+	ready, err := c.coord.Request(consensus.BothReplicas)
+	if err != nil {
+		return err
+	}
+	<-ready
+	defer c.coord.Release()
+	epoch := c.nextEpoch()
+	began := time.Now()
+	for rep := 0; rep < 2; rep++ {
+		if err := y.captureReplica(rep, epoch); err != nil {
+			return err
+		}
+	}
+	captured := time.Now()
+	if c.exch != nil {
+		if err := y.each(func(n, t int) error { return c.shipTask(epoch, n, t) }); err != nil {
+			return err
+		}
+	}
+	shipped := time.Now()
+	if err := y.compareEpoch(epoch); err != nil {
+		return err
+	}
+	y.capture += captured.Sub(began)
+	y.exchange += shipped.Sub(captured)
+	y.compare += time.Since(shipped)
+	y.rounds++
+	if c.exch != nil {
+		if err := c.exch.shipResult(epoch, false); err != nil {
+			return err
+		}
+	}
+	c.committedEpoch = epoch
+	c.store.Evict(epoch)
+	if y.upload == nil {
+		return nil
+	}
+	for rep := 0; rep < 2; rep++ {
+		err := y.each(func(n, t int) error {
+			ck, err := c.store.Get(c.key(rep, n, t, epoch))
+			if err != nil {
+				return err
+			}
+			return y.upload.Put(c.key(rep, n, t, epoch), ck)
+		})
+		if err != nil {
+			return err
+		}
+	}
+	y.upload.Evict(epoch)
+	return nil
+}
+
+// phases is the yardstick's mean per-round phase split (busy == wall: the
+// phases neither overlap each other nor themselves).
+func (y *yardstick) phases() *BenchPhases {
+	if y.rounds == 0 {
+		return nil
+	}
+	n := time.Duration(y.rounds)
+	c, x, m := int64(y.capture/n), int64(y.exchange/n), int64(y.compare/n)
+	return &BenchPhases{CaptureWallNs: c, CaptureBusyNs: c, ExchangeWallNs: x, ExchangeBusyNs: x, CompareWallNs: m, CompareBusyNs: m}
+}
+
 // benchController builds an idle controller for the spec. The machine is
 // not started: every task sits quiescent at its factory state, which
 // satisfies the capture/compare quiescence contract without consensus.
-// On the dirty axis the serial flag selects the untracked program rather
-// than SerialCommitPath — both legs run the default commit path, so the
-// measured difference is dirty-chunk splice versus full re-pack alone.
-// On the pipeline (link) axis both legs run the same program and the same
-// default commit path through the same kind of lossy link; the serial
-// flag only selects the barrier schedule versus the per-task pipeline.
+// serial selects the leg: on the pure dirty axis it swaps in the untracked
+// program (both legs run the controller's round, so the measured
+// difference is dirty-chunk splice versus full re-pack alone); on every
+// other axis it hands the controller a plain Mem store for the yardstick
+// to drive and leaves the remote tier to the yardstick's inline upload.
 func benchController(spec BenchSpec, serial bool) (*Controller, error) {
-	if spec.RemoteLatencyMs > 0 {
-		return New(Config{
-			NodesPerReplica: spec.Nodes,
-			TasksPerNode:    spec.Tasks,
-			Factory:         benchFactory(spec.Particles),
-			Comparison:      ChecksumCompare,
-			RemoteStore: ckptstore.NewRemote(ckptstore.RemoteOptions{
-				Latency: time.Duration(spec.RemoteLatencyMs) * time.Millisecond,
-			}),
-			RemoteFlushEvery: 1,
-			SyncRemoteFlush:  serial,
-		})
+	yard := serial && spec.yardstickLeg()
+	cfg := Config{
+		NodesPerReplica: spec.Nodes,
+		TasksPerNode:    spec.Tasks,
+		Factory:         benchFactory(spec.Particles),
+		Comparison:      ChecksumCompare,
 	}
-	if spec.linked() {
-		factory := benchFactory(spec.Particles)
+	switch {
+	case spec.RemoteLatencyMs > 0:
+		if !yard {
+			cfg.RemoteStore = benchRemote(spec)
+			cfg.RemoteFlushEvery = 1
+		}
+	case spec.linked():
 		if spec.Dirty > 0 {
-			factory = benchDirtyFactory(spec.Particles, spec.Dirty, true)
+			cfg.Factory = benchDirtyFactory(spec.Particles, spec.Dirty, true)
 		}
-		mode := PipelineAuto
-		if serial {
-			mode = PipelineOff
+		cfg.Exchange = &ExchangeConfig{
+			Latency:         time.Duration(spec.LinkLatencyMs) * time.Millisecond,
+			Loss:            spec.LinkLossPct / 100,
+			Seed:            42,
+			ShipCheckpoints: true,
 		}
-		return New(Config{
-			NodesPerReplica: spec.Nodes,
-			TasksPerNode:    spec.Tasks,
-			Factory:         factory,
-			Comparison:      ChecksumCompare,
-			Pipeline:        mode,
-			Exchange: &ExchangeConfig{
-				Latency:         time.Duration(spec.LinkLatencyMs) * time.Millisecond,
-				Loss:            spec.LinkLossPct / 100,
-				Seed:            42,
-				ShipCheckpoints: true,
-			},
-		})
+	case spec.Dirty > 0:
+		cfg.Factory = benchDirtyFactory(spec.Particles, spec.Dirty, !serial)
+	default:
+		cfg.Comparison = FullCompare
 	}
-	if spec.Dirty > 0 {
-		return New(Config{
-			NodesPerReplica: spec.Nodes,
-			TasksPerNode:    spec.Tasks,
-			Factory:         benchDirtyFactory(spec.Particles, spec.Dirty, !serial),
-			Comparison:      ChecksumCompare,
-		})
+	if yard {
+		cfg.Store = ckptstore.NewMem()
 	}
-	return New(Config{
-		NodesPerReplica:  spec.Nodes,
-		TasksPerNode:     spec.Tasks,
-		Factory:          benchFactory(spec.Particles),
-		Comparison:       FullCompare,
-		SerialCommitPath: serial,
-	})
+	return New(cfg)
+}
+
+func benchRemote(spec BenchSpec) ckptstore.Store {
+	return ckptstore.NewRemote(ckptstore.RemoteOptions{Latency: time.Duration(spec.RemoteLatencyMs) * time.Millisecond})
 }
 
 // benchCapture measures one steady-state replica capture: capture under a
 // fresh epoch, then evict the previous epoch — exactly the commit path's
-// lifecycle, so on the fast path eviction feeds the pool that the next
+// lifecycle, so on the fast leg eviction feeds the pool that the next
 // capture draws from (the zero-allocation steady state).
 func benchCapture(spec BenchSpec, serial bool) (testing.BenchmarkResult, *BenchPhases, error) {
 	ctrl, err := benchController(spec, serial)
 	if err != nil {
 		return testing.BenchmarkResult{}, nil, err
 	}
-	opts := ctrl.captureOptions()
+	// The fast leg is the round body at one-replica scope with no exchange
+	// stage: exactly the capture stage the controller runs.
+	capture := func(epoch uint64) error {
+		_, _, err := ctrl.runRound(epoch, consensus.OnlyReplica(0), nil, nil)
+		return err
+	}
+	if serial {
+		y := &yardstick{c: ctrl}
+		capture = func(epoch uint64) error { return y.captureReplica(0, epoch) }
+	}
 	epoch := uint64(0)
 	var benchErr error
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			epoch++
-			if err := ctrl.machine.CaptureReplica(0, epoch, ctrl.store, opts); err != nil {
+			if err := capture(epoch); err != nil {
 				benchErr = fmt.Errorf("capture: %w", err)
 				b.FailNow()
 			}
@@ -442,25 +578,43 @@ func benchCapture(spec BenchSpec, serial bool) (testing.BenchmarkResult, *BenchP
 }
 
 // benchCompare measures the buddy comparison of one committed epoch, both
-// replicas captured once up front.
+// replicas captured once up front: the yardstick's serial walk against
+// the round body's compare stage.
 func benchCompare(spec BenchSpec, serial bool) (testing.BenchmarkResult, *BenchPhases, error) {
 	ctrl, err := benchController(spec, serial)
 	if err != nil {
 		return testing.BenchmarkResult{}, nil, err
 	}
-	opts := ctrl.captureOptions()
+	y := &yardstick{c: ctrl}
 	for rep := 0; rep < 2; rep++ {
-		if err := ctrl.machine.CaptureReplica(rep, 1, ctrl.store, opts); err != nil {
+		if err := y.captureReplica(rep, 1); err != nil {
 			return testing.BenchmarkResult{}, nil, err
 		}
+	}
+	tasks := spec.Tasks
+	compare := func() error {
+		w := ctrl.stageWidths()
+		runStages(ctrl.outcomes, stage{width: w.compare, run: func(i int) error {
+			mismatch, _, err := ctrl.compareTask(i/tasks, i%tasks, 1)
+			if err == nil && mismatch != "" {
+				err = errors.New(mismatch)
+			}
+			return err
+		}})
+		if f := firstFailure(ctrl.outcomes); f != nil {
+			return f.err
+		}
+		return nil
+	}
+	if serial {
+		compare = func() error { return y.compareEpoch(1) }
 	}
 	var benchErr error
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			mismatch, _, err := ctrl.compare(1)
-			if err != nil || mismatch != "" {
-				benchErr = fmt.Errorf("compare: mismatch=%q err=%v", mismatch, err)
+			if err := compare(); err != nil {
+				benchErr = fmt.Errorf("compare: %w", err)
 				b.FailNow()
 			}
 		}
@@ -476,6 +630,14 @@ func benchRound(spec BenchSpec, serial bool) (testing.BenchmarkResult, *BenchPha
 	if err != nil {
 		return testing.BenchmarkResult{}, nil, err
 	}
+	round, phases := ctrl.checkpointRound, func() *BenchPhases { return roundPhases(&ctrl.stats) }
+	if serial && spec.yardstickLeg() {
+		y := &yardstick{c: ctrl}
+		if spec.RemoteLatencyMs > 0 {
+			y.upload = benchRemote(spec)
+		}
+		round, phases = y.round, y.phases
+	}
 	ctrl.start = time.Now()
 	ctrl.machine.Start()
 	defer ctrl.machine.Stop()
@@ -483,16 +645,19 @@ func benchRound(spec BenchSpec, serial bool) (testing.BenchmarkResult, *BenchPha
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := ctrl.checkpointRound(); err != nil {
+			if err := round(); err != nil {
 				benchErr = err
 				b.FailNow()
 			}
 		}
 	})
+	// The fast leg's background writers must not outlive the measurement.
+	ctrl.flushWG.Wait()
+	ctrl.remoteWG.Wait()
 	if benchErr == nil && ctrl.stats.SDCDetected > 0 {
 		benchErr = fmt.Errorf("round: spurious SDC detected (%d)", ctrl.stats.SDCDetected)
 	}
-	return res, roundPhases(&ctrl.stats), benchErr
+	return res, phases(), benchErr
 }
 
 // roundPhases averages the controller's per-round phase arrays (every

@@ -89,36 +89,6 @@ func (c Comparison) String() string {
 	return fmt.Sprintf("Comparison(%d)", int(c))
 }
 
-// PipelineMode selects how a live checkpoint round schedules its capture,
-// exchange, and compare work across tasks.
-type PipelineMode int
-
-// Pipeline modes.
-const (
-	// PipelineAuto pipelines whenever a hardened-exchange link is
-	// attached (Config.Exchange != nil) — the configuration where phase
-	// barriers turn link latency into dead time — and keeps the barrier
-	// schedule otherwise. The default.
-	PipelineAuto PipelineMode = iota
-	// PipelineOff always runs the three-phase barrier schedule.
-	PipelineOff
-	// PipelineOn always pipelines (still overridden by the chaos /
-	// SerialCommitPath / SemiBlocking pins).
-	PipelineOn
-)
-
-func (p PipelineMode) String() string {
-	switch p {
-	case PipelineAuto:
-		return "auto"
-	case PipelineOff:
-		return "off"
-	case PipelineOn:
-		return "on"
-	}
-	return fmt.Sprintf("PipelineMode(%d)", int(p))
-}
-
 // Estimator selects the failure-rate model behind the adaptive interval
 // (§2.2: "fit the actual observed failures during application execution to
 // a certain distribution").
@@ -179,8 +149,8 @@ type Config struct {
 	// Estimator selects how the current MTBF is derived from the failure
 	// history in Adaptive mode.
 	Estimator Estimator
-	// SemiBlocking releases the application as soon as the local
-	// checkpoint capture completes and performs the inter-replica
+	// SemiBlocking releases the application as soon as the round's capture
+	// stage has drained and performs the exchange and the inter-replica
 	// comparison while the application runs — the asynchronous
 	// checkpointing optimization of §4.2 [27]. Corruption found by the
 	// overlapped comparison still rolls both replicas back to the
@@ -204,26 +174,28 @@ type Config struct {
 	// checksumming and corruption localization; <= 0 selects
 	// checksum.DefaultChunkSize (64 KiB).
 	ChunkSize int
-	// ChecksumWorkers bounds the per-replica capture worker pool (the
-	// outer, task-parallel level); <= 0 selects GOMAXPROCS.
+	// ChecksumWorkers is the round's capture-stage width (task-parallel:
+	// each worker packs both replicas of one task); <= 0 sizes it from
+	// GOMAXPROCS, the task count and the state size (see stageWidths).
 	ChecksumWorkers int
 	// ChunkChecksumWorkers bounds the inner chunk-checksum parallelism of
-	// each task capture; <= 0 auto-sizes against the outer pool (1 when
-	// the outer pool saturates GOMAXPROCS, more for single-task-per-node
+	// each task capture; <= 0 auto-sizes against the capture stage (1 when
+	// the stage saturates GOMAXPROCS, more for single-task-per-node
 	// shapes). See runtime.CaptureOptions.
 	ChunkChecksumWorkers int
-	// CompareWorkers bounds the parallel buddy-comparison worker pool;
-	// <= 0 selects GOMAXPROCS. The parallel compare cancels early on the
-	// first mismatch but always reports the lowest (node, task) mismatch,
-	// so its outcome is identical to the serial walk.
+	// CompareWorkers is the round's compare-stage width; <= 0 sizes it like
+	// the capture stage. Every buddy pair is always compared and the lowest
+	// (node, task) mismatch is the one reported, so the verdict does not
+	// depend on the width.
 	CompareWorkers int
 	// FlushEvery, when positive, flushes every K-th committed epoch to a
 	// durable second tier — the escalation target when a buddy-pair double
 	// fault destroys both in-memory copies of a node's checkpoints. The
 	// flush clones the committed checkpoints synchronously (so the hot
 	// commit path's buffer recycling is unaffected) and writes them on a
-	// background goroutine; chaos runs write synchronously for
-	// deterministic reports. Zero disables the durable tier.
+	// background goroutine, joined before any ladder walk and at Run end
+	// (and, under a chaos hook, before the next round starts). Zero
+	// disables the durable tier.
 	FlushEvery int
 	// FlushRetain bounds how many complete flushed epochs the durable
 	// tier keeps (older ones are evicted after each successful flush);
@@ -251,11 +223,6 @@ type Config struct {
 	// (older ones evicted after each successful remote flush); <= 0
 	// selects 2.
 	RemoteRetain int
-	// SyncRemoteFlush forces remote uploads to run inline on the commit
-	// path instead of on the background writer. Chaos runs and the pinned
-	// serial commit path already imply it; the knob exists for benchmarks
-	// that baseline the cost of absorbing remote latency synchronously.
-	SyncRemoteFlush bool
 	// ResumeEpochs, when non-empty, warm-starts the job from durable
 	// checkpoints instead of factory state: Run restores both replicas
 	// from the newest usable epoch in the list (read from ResumeStore,
@@ -288,22 +255,6 @@ type Config struct {
 	// exponential backoff, and idempotent receive. Nil keeps the direct
 	// in-process store path.
 	Exchange *ExchangeConfig
-	// Pipeline selects whether live checkpoint rounds run as three barrier
-	// phases (capture all → exchange all → compare all) or as a bounded
-	// per-task pipeline where each (node, task) flows into exchange and
-	// compare as soon as its own capture finishes. PipelineAuto (the zero
-	// value) pipelines exactly when an Exchange link is attached — that is
-	// where barrier stalls are link latency, the cost overlap recovers.
-	// Chaos runs, SerialCommitPath, and SemiBlocking always pin the
-	// barrier path regardless of this setting (see Controller.pipelined).
-	Pipeline PipelineMode
-	// SerialCommitPath pins the pre-fast-path commit behavior: replicas
-	// captured one after the other with two-pass packing and no buffer
-	// recycling, and buddies compared serially. It exists as the measured
-	// baseline for the benchmark harness (cmd/acrbench) and as an escape
-	// hatch. Chaos runs (Chaos != nil) pin the serial schedule implicitly
-	// so fault-injection campaign reports stay byte-identical.
-	SerialCommitPath bool
 	// Chaos, if non-nil, receives fault-injection point firings at the
 	// controller's protocol-phase boundaries (consensus, capture,
 	// recovery, restart, commit) and is forwarded to the runtime and the
@@ -382,28 +333,31 @@ type Stats struct {
 	Predicted       int             `json:"predicted"`      // checkpoints taken on failure predictions (§2.2)
 	FinalInterval   time.Duration   `json:"final_interval_ns"`
 	CheckpointTimes []time.Duration `json:"checkpoint_times_ns"` // wall duration of each committed round
-	// BlockedTimes is the wall duration the application was actually
-	// paused per round; equals CheckpointTimes when blocking, and only
-	// the capture time under SemiBlocking.
+	// BlockedTimes has one entry per committed compared round (trusted
+	// recovery rounds, which park one replica only, add none): the wall time
+	// from the consensus request to the round's verdict — the last stage
+	// draining — or, under SemiBlocking, to the capture stage draining. The
+	// verdict message, commit and the flush clone that follow also keep a
+	// blocking round's application parked until the cut is released; they
+	// are not counted here.
 	BlockedTimes []time.Duration `json:"blocked_times_ns"`
-	// CaptureTimes / ExchangeTimes / CompareTimes split each committed
-	// round's cost into its phases (parallel arrays with CheckpointTimes):
-	// packing+checksumming the replicas, moving checkpoint bytes through
-	// the store (Get/Put on the compare and recovery-mirror paths), and
-	// deciding match/mismatch. Exchange time is also contained in compare
-	// time when the exchange happens inside the comparison loop.
+	// CaptureTimes / ExchangeTimes / CompareTimes are each committed round's
+	// stage spans (parallel arrays with CheckpointTimes): first task
+	// entering the stage to last task leaving it — packing+checksumming the
+	// replicas, moving checkpoints over the link (live-round shipping or the
+	// recovery mirror; zero when the round has no exchange stage), and
+	// deciding match/mismatch. At stage width 1 the spans follow one another;
+	// wider, they overlap, so their sum can exceed the round's wall time.
 	CaptureTimes  []time.Duration `json:"capture_times_ns"`
 	ExchangeTimes []time.Duration `json:"exchange_times_ns"`
 	CompareTimes  []time.Duration `json:"compare_times_ns"`
 	// CaptureBusyTimes / ExchangeBusyTimes / CompareBusyTimes record, per
-	// round, each phase's summed per-task time (parallel arrays with the
-	// wall spans above). Under the pipelined round the wall arrays become
-	// first-entry→last-exit spans that overlap each other, so per-phase
-	// busy > wall means tasks overlapped inside the phase, and
-	// wall(capture)+wall(exchange)+wall(compare) > round wall means the
-	// phases themselves overlapped — the two signatures of pipelining. On
-	// the barrier path busy simply mirrors the wall entries, so existing
-	// consumers of the wall arrays see unchanged numbers.
+	// round, each stage's summed per-task time (parallel arrays with the
+	// spans above). busy > span means tasks overlapped inside the stage. At
+	// width 1 busy is the span minus the gaps between tasks. Exchange busy
+	// additionally includes the store fetches the comparison makes (the
+	// bytes a real machine ships between buddies), which also sit inside
+	// compare busy.
 	CaptureBusyTimes  []time.Duration `json:"capture_busy_times_ns"`
 	ExchangeBusyTimes []time.Duration `json:"exchange_busy_times_ns"`
 	CompareBusyTimes  []time.Duration `json:"compare_busy_times_ns"`
@@ -492,8 +446,7 @@ type Controller struct {
 	coord   *consensus.Coordinator
 	store   ckptstore.Store
 	// pool recycles retired checkpoints from Evict back into capture; nil
-	// when the store does not support recycling or the serial path is
-	// pinned.
+	// when the store is caller-supplied or does not support recycling.
 	pool *ckptstore.Pool
 
 	// flushStore is the hooked durable tier behind Config.FlushEvery; nil
@@ -529,18 +482,15 @@ type Controller struct {
 	// Config.Exchange is nil.
 	exch *exchanger
 
-	// roundCapture / roundCompare accumulate the current round's phase
-	// wall times; roundExchange totals store Get/Put time observed inside
-	// capture-adjacent paths (recovery mirroring) and the comparison loop.
-	// They are reset as each phase starts and harvested by commit.
-	roundCapture  time.Duration
-	roundCompare  time.Duration
-	roundExchange atomicDuration
-	// roundBusy holds the pipelined round's overlap-aware phase
-	// accounting (wall spans + summed per-task busy time). Barrier rounds
-	// leave it unset and commit mirrors the wall times into the busy
-	// arrays instead. Reset alongside the fields above.
-	roundBusy *pipePhaseTimes
+	// clocks time the current round's capture / exchange / compare stages
+	// (wall span and summed per-task busy time); roundFetch totals the store
+	// fetch time compareTask spends inside the compare stage. Reset as each
+	// round passes its cut (resetPhases), harvested by commit.
+	clocks     [3]stageClock
+	roundFetch atomicDuration
+	// outcomes is the round body's dense per-(node, task) scratch, reused
+	// by every runStages call on the controller goroutine.
+	outcomes []taskOutcome
 
 	// committedEpoch is the last verified (or trusted) checkpoint epoch in
 	// the store; 0 = job start, nothing committed. epochSeq is the last
@@ -608,11 +558,9 @@ func New(cfg Config) (*Controller, error) {
 		// path can hold Bytes() of an evictable epoch. A caller-supplied
 		// store is left unpooled — the caller may retain checkpoint views —
 		// but can opt in through ckptstore.Recycler before passing it.
-		if !cfg.SerialCommitPath {
-			if rec, ok := st.(ckptstore.Recycler); ok {
-				pool = ckptstore.NewPool(0)
-				rec.SetPool(pool)
-			}
+		if rec, ok := st.(ckptstore.Recycler); ok {
+			pool = ckptstore.NewPool(0)
+			rec.SetPool(pool)
 		}
 	}
 	// Interpose the injection hook on the store's read/write paths so
@@ -629,6 +577,7 @@ func New(cfg Config) (*Controller, error) {
 		waitErr:    make(chan error, 1),
 		predictCh:  make(chan struct{}, 8),
 		opCh:       make(chan func()),
+		outcomes:   make([]taskOutcome, cfg.NodesPerReplica*cfg.TasksPerNode),
 	}
 	if cfg.FlushEvery > 0 {
 		fs := cfg.FlushStore
@@ -672,10 +621,14 @@ func (c *Controller) Machine() *runtime.Machine { return c.machine }
 func (c *Controller) Store() ckptstore.Store { return c.store }
 
 // InjectSDCAtNextCheckpoint schedules a single-bit corruption of the given
-// task's user data at the next checkpoint round (applied at the quiescent
-// point just before packing, which makes the injection race-free while
-// preserving the paper's semantics: corrupted state enters the local
-// checkpoint and is caught — or missed — by the comparison).
+// task's user data at the next compared checkpoint round (applied at the
+// quiescent point just before packing, which makes the injection race-free
+// while preserving the paper's semantics: corrupted state enters the local
+// checkpoint and is caught — or missed — by the comparison). A medium/weak
+// recovery checkpoint in between does not consume the injection: that round
+// is trusted without comparison, so firing there would be the §2.3 escape
+// by construction rather than a test of detection. The address stays queued
+// until a round that compares buddies.
 func (c *Controller) InjectSDCAtNextCheckpoint(addr runtime.Addr) {
 	c.sdcMu.Lock()
 	c.pendingSDC = append(c.pendingSDC, addr)
@@ -694,11 +647,13 @@ func (c *Controller) mark(k trace.Kind, detail string) {
 	}
 }
 
-// fire notifies the chaos hook of a protocol-phase injection point.
-func (c *Controller) fire(id point.ID, info point.Info) {
+// fire notifies the chaos hook of a protocol-phase injection point and
+// returns the info as the hook left it (hooks answer through it, e.g. Drop).
+func (c *Controller) fire(id point.ID, info point.Info) point.Info {
 	if c.cfg.Chaos != nil {
 		c.cfg.Chaos.Fire(id, &info)
 	}
+	return info
 }
 
 // Run executes the job to completion, handling failures per the configured

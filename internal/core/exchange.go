@@ -63,17 +63,17 @@ type ExchangeConfig struct {
 	RoundDeadline time.Duration
 	// Latency is the modeled one-way frame propagation delay: a reliable
 	// delivery costs one full round trip (data frame out, ack back) per
-	// attempt. Zero keeps the link instantaneous — the pre-latency
-	// behavior every chaos campaign is pinned to. A positive latency is
-	// what the pipelined commit path overlaps across tasks; on the serial
-	// path it is dead time for every task behind the one in flight.
+	// attempt. Zero keeps the link instantaneous — what every chaos
+	// campaign runs with. A positive latency is what the exchange stage's
+	// width overlaps across tasks; at width 1 it is dead time for every
+	// task behind the one in flight.
 	Latency time.Duration
 	// ShipCheckpoints routes every live round's buddy checkpoints through
 	// the link as well — per task, delta-aware against the last committed
 	// epoch — instead of only recovery mirrors and compare-result
 	// messages. The shipped copy is root-verified against the source, so
 	// comparison outcomes are unchanged; the link cost (and its overlap
-	// under the pipelined round) becomes part of every round.
+	// across the exchange stage's workers) becomes part of every round.
 	ShipCheckpoints bool
 }
 
@@ -125,11 +125,10 @@ type assemblyKey struct {
 	task  int
 }
 
-// exchanger drives the ack/retry protocol over one lossy link. Chaos runs
-// drive it from the controller's event-loop goroutine alone (the serial
-// pin), but the pipelined commit path runs several transfers in flight at
-// once, so the protocol state is mutex-guarded: map mutations and frame
-// arbitration serialize on mu (the wire is serial), while propagation
+// exchanger drives the ack/retry protocol over one lossy link. At exchange
+// stage width 1 (chaos runs) one transfer is in flight at a time; wider,
+// several are, so the protocol state is mutex-guarded: map mutations and
+// frame arbitration serialize on mu (the wire is serial), while propagation
 // delay and backoff sleeps happen outside it (flight time is concurrent).
 type exchanger struct {
 	c    *Controller
@@ -156,7 +155,7 @@ type exchanger struct {
 	// chunks that crossed the link versus chunks reconstructed from the
 	// receiver's retained base (matching per-chunk sums). frames / retries
 	// mirror Stats.ExchangeFrames / ExchangeRetries; all four are atomics
-	// because pipelined transfers update them concurrently, and are
+	// because concurrent transfers update them, and are
 	// harvested into Stats at Run end.
 	chunksShipped atomic.Int64
 	chunksReused  atomic.Int64
@@ -286,7 +285,7 @@ func (x *exchanger) sendReliable(f frame, deadline time.Time, retries *int64) er
 		if x.cfg.Latency > 0 {
 			// One round trip per attempt: the data frame propagates out,
 			// the ack propagates back. This flight time is what the
-			// pipelined round overlaps across concurrent transfers — the
+			// exchange stage overlaps across concurrent transfers — the
 			// sleep deliberately happens outside mu.
 			time.Sleep(2 * x.cfg.Latency)
 		}
@@ -315,12 +314,9 @@ func (x *exchanger) transmit(f frame) {
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		info := point.Info{Replica: -1, Node: cur.id.node, Task: cur.id.task, Epoch: cur.id.epoch, Iter: cur.id.chunk}
-		if x.c.cfg.Chaos != nil {
-			// Chaos campaigns are pinned to the serial commit path, so Fire
-			// never races here even though it runs under mu.
-			x.c.cfg.Chaos.Fire(point.NetFrame, &info)
-		}
+		// Fired under mu: the wire is serial, so frame firings are totally
+		// ordered even when several transfers are in flight.
+		info := x.c.fire(point.NetFrame, point.Info{Replica: -1, Node: cur.id.node, Task: cur.id.task, Epoch: cur.id.epoch, Iter: cur.id.chunk})
 		x.frames.Add(1)
 		if info.Drop {
 			// An injected drop: the frame dies before the link sees it.

@@ -112,7 +112,9 @@ func TestPredictedCheckpoint(t *testing.T) {
 }
 
 func TestPredictionCoalesces(t *testing.T) {
-	ctrl, err := New(baseConfig(1, 1, 100))
+	// Long enough that the job cannot finish before the event loop first
+	// looks at the queued predictions, however the scheduler is loaded.
+	ctrl, err := New(baseConfig(1, 1, 20000))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,11 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 
 	"acr/internal/ckptstore"
+	"acr/internal/consensus"
 	"acr/internal/runtime"
 )
 
@@ -28,121 +28,6 @@ func fastpathController(t *testing.T, nodes, tasks int, comparison Comparison, r
 	return ctrl
 }
 
-func captureBoth(t *testing.T, ctrl *Controller, epoch uint64) {
-	t.Helper()
-	opts := ctrl.captureOptions()
-	for rep := 0; rep < 2; rep++ {
-		if err := ctrl.machine.CaptureReplica(rep, epoch, ctrl.store, opts); err != nil {
-			t.Fatalf("capture replica %d: %v", rep, err)
-		}
-	}
-}
-
-// corrupt replaces the stored checkpoint at (rep, n, task) with a copy whose
-// payload has one flipped exponent bit in the last float — non-structural,
-// outside any length prefix — and returns a restore function.
-func corrupt(t *testing.T, ctrl *Controller, rep, n, task int, epoch uint64) func() {
-	t.Helper()
-	key := ctrl.key(rep, n, task, epoch)
-	orig, err := ctrl.store.Get(key)
-	if err != nil {
-		t.Fatalf("get %v: %v", key, err)
-	}
-	data := append([]byte(nil), orig.Bytes()...)
-	data[len(data)-1] ^= 0x40
-	if err := ctrl.store.Put(key, ckptstore.Capture(data, ctrl.cfg.ChunkSize, 1)); err != nil {
-		t.Fatalf("put corrupted %v: %v", key, err)
-	}
-	return func() {
-		if err := ctrl.store.Put(key, orig); err != nil {
-			t.Fatalf("restore %v: %v", key, err)
-		}
-	}
-}
-
-// TestCompareParallelMatchesSerial plants an SDC at every single (node,
-// task) in turn and checks that the parallel comparison reproduces the
-// serial walk's outcome bit for bit — same mismatch string, same localized
-// chunk — at several worker counts and for every comparison mode.
-func TestCompareParallelMatchesSerial(t *testing.T) {
-	const nodes, tasks = 3, 2
-	modes := []struct {
-		name       string
-		comparison Comparison
-		relTol     float64
-	}{
-		{"full", FullCompare, 0},
-		{"checksum", ChecksumCompare, 0},
-		{"reltol", FullCompare, 1e-12},
-	}
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
-			ctrl := fastpathController(t, nodes, tasks, mode.comparison, mode.relTol)
-			captureBoth(t, ctrl, 1)
-
-			// Clean store: both paths must agree there is nothing to find.
-			sMsg, sChunk, sErr := ctrl.compareSerial(1)
-			if sMsg != "" || sErr != nil {
-				t.Fatalf("clean compare: %q, %v", sMsg, sErr)
-			}
-			for _, workers := range []int{2, 8} {
-				pMsg, pChunk, pErr := ctrl.compareParallel(1, workers)
-				if pMsg != sMsg || pChunk != sChunk || !errEq(pErr, sErr) {
-					t.Fatalf("clean parallel(%d) = (%q, %d, %v), serial = (%q, %d, %v)",
-						workers, pMsg, pChunk, pErr, sMsg, sChunk, sErr)
-				}
-			}
-
-			for n := 0; n < nodes; n++ {
-				for task := 0; task < tasks; task++ {
-					restore := corrupt(t, ctrl, 0, n, task, 1)
-					sMsg, sChunk, sErr := ctrl.compareSerial(1)
-					if sMsg == "" {
-						t.Fatalf("serial compare missed corruption at n%d/t%d", n, task)
-					}
-					for _, workers := range []int{2, 8} {
-						pMsg, pChunk, pErr := ctrl.compareParallel(1, workers)
-						if pMsg != sMsg || pChunk != sChunk || !errEq(pErr, sErr) {
-							t.Fatalf("corruption at n%d/t%d, %d workers: parallel = (%q, %d, %v), serial = (%q, %d, %v)",
-								n, task, workers, pMsg, pChunk, pErr, sMsg, sChunk, sErr)
-						}
-					}
-					restore()
-				}
-			}
-		})
-	}
-}
-
-// TestCompareParallelLowestIndexWins corrupts several buddy pairs at once:
-// regardless of which worker finds which mismatch first, the reported one
-// must be the lowest (node, task) — the serial walk's answer.
-func TestCompareParallelLowestIndexWins(t *testing.T) {
-	const nodes, tasks = 4, 2
-	ctrl := fastpathController(t, nodes, tasks, FullCompare, 0)
-	captureBoth(t, ctrl, 1)
-	for _, spot := range [][2]int{{0, 1}, {1, 0}, {3, 1}} {
-		defer corrupt(t, ctrl, 0, spot[0], spot[1], 1)()
-	}
-	sMsg, sChunk, sErr := ctrl.compareSerial(1)
-	if sErr != nil || sMsg == "" {
-		t.Fatalf("serial compare: (%q, %v)", sMsg, sErr)
-	}
-	want := fmt.Sprintf("at n%d/t%d", 0, 1)
-	if !bytes.Contains([]byte(sMsg), []byte(want)) {
-		t.Fatalf("serial compare reported %q, want the lowest pair %s", sMsg, want)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		for round := 0; round < 20; round++ { // rerun: racy schedules must not leak through
-			pMsg, pChunk, pErr := ctrl.compareParallel(1, workers)
-			if pMsg != sMsg || pChunk != sChunk || !errEq(pErr, sErr) {
-				t.Fatalf("%d workers round %d: parallel = (%q, %d, %v), serial = (%q, %d, %v)",
-					workers, round, pMsg, pChunk, pErr, sMsg, sChunk, sErr)
-			}
-		}
-	}
-}
-
 func errEq(a, b error) bool {
 	if (a == nil) != (b == nil) {
 		return false
@@ -150,50 +35,49 @@ func errEq(a, b error) bool {
 	return a == nil || a.Error() == b.Error()
 }
 
-// TestFastCaptureMatchesSerialCapture checks the whole fast path —
+// TestFastCaptureMatchesSerialCapture checks the round body's capture —
 // size-hint single-pass packing, pooled buffers, recycled sum slices —
-// against the pinned two-pass baseline, byte for byte.
+// against an independent reference built from Machine.PackTask and
+// ckptstore.Capture, byte for byte.
 func TestFastCaptureMatchesSerialCapture(t *testing.T) {
 	const nodes, tasks = 3, 2
 	ctrl := fastpathController(t, nodes, tasks, FullCompare, 0)
 	if ctrl.pool == nil {
 		t.Fatalf("controller-owned store did not get a recycling pool")
 	}
-	serialOpts := runtime.CaptureOptions{ForceTwoPass: true, ChunkWorkers: 1}
-	fastOpts := ctrl.captureOptions()
-	if err := ctrl.machine.CaptureReplica(0, 1, ctrl.store, serialOpts); err != nil {
-		t.Fatalf("serial capture: %v", err)
+	capture := func(epoch uint64) {
+		t.Helper()
+		if _, _, err := ctrl.runRound(epoch, consensus.OnlyReplica(0), nil, nil); err != nil {
+			t.Fatalf("capture epoch %d: %v", epoch, err)
+		}
 	}
-	if err := ctrl.machine.CaptureReplica(0, 2, ctrl.store, fastOpts); err != nil {
-		t.Fatalf("fast capture: %v", err)
-	}
+	capture(1)
 	snapshot := make(map[ckptstore.Key][]byte)
 	for n := 0; n < nodes; n++ {
 		for task := 0; task < tasks; task++ {
-			ref, err := ctrl.store.Get(ctrl.key(0, n, task, 1))
+			data, err := ctrl.machine.PackTask(runtime.Addr{Replica: 0, Node: n, Task: task})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ctrl.store.Get(ctrl.key(0, n, task, 2))
+			ref := ckptstore.Capture(data, ctrl.cfg.ChunkSize, 1)
+			got, err := ctrl.store.Get(ctrl.key(0, n, task, 1))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(ref.Bytes(), got.Bytes()) {
-				t.Fatalf("n%d/t%d: fast capture bytes differ from two-pass capture", n, task)
+				t.Fatalf("n%d/t%d: fast capture bytes differ from the PackTask reference", n, task)
 			}
 			if ref.Root != got.Root || !reflect.DeepEqual(ref.Sums, got.Sums) {
-				t.Fatalf("n%d/t%d: fast capture checksums differ from two-pass capture", n, task)
+				t.Fatalf("n%d/t%d: fast capture checksums differ from the ckptstore.Capture reference", n, task)
 			}
-			// Copy: epoch 1/2 buffers are about to be recycled.
-			snapshot[ctrl.key(0, n, task, 3)] = append([]byte(nil), ref.Bytes()...)
+			snapshot[ctrl.key(0, n, task, 3)] = data
 		}
 	}
-	// Retire both epochs into the pool and capture again through recycled
+	// Retire two epochs into the pool and capture again through recycled
 	// buffers: contents must still be exact, nothing may alias.
+	capture(2)
 	ctrl.store.Evict(3)
-	if err := ctrl.machine.CaptureReplica(0, 3, ctrl.store, fastOpts); err != nil {
-		t.Fatalf("recycled capture: %v", err)
-	}
+	capture(3)
 	for key, want := range snapshot {
 		got, err := ctrl.store.Get(key)
 		if err != nil {

@@ -2,10 +2,7 @@ package core
 
 import (
 	"fmt"
-	stdruntime "runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"acr/internal/chaos/point"
 	"acr/internal/ckptstore"
@@ -46,9 +43,8 @@ type flushClone struct {
 // and hands them to the durable writer. Cloning is synchronous — the
 // commit path's buffer recycling (the next commit's Evict) must never
 // race the flush — but the durable Puts run on a background goroutine so
-// the hot path does not absorb disk latency. Chaos runs and the pinned
-// serial path flush synchronously: campaign reports depend on a
-// deterministic hook order.
+// the hot path does not absorb disk latency (see settleWriters for where
+// it is joined).
 func (c *Controller) maybeFlush(epoch uint64) {
 	if c.flushStore == nil {
 		return
@@ -64,21 +60,28 @@ func (c *Controller) maybeFlush(epoch uint64) {
 		c.mark(trace.Store, fmt.Sprintf("flush of epoch %d aborted: %v", epoch, err))
 		return
 	}
-	write := func() {
+	c.flushWG.Add(1)
+	go func() {
+		defer c.flushWG.Done()
 		if err := c.writeFlush(epoch, clones); err != nil {
 			c.flushErrs.Add(1)
 			c.mark(trace.Store, fmt.Sprintf("flush of epoch %d failed: %v", epoch, err))
 		}
-	}
-	if c.cfg.Chaos != nil || c.cfg.SerialCommitPath {
-		write()
-		return
-	}
-	c.flushWG.Add(1)
-	go func() {
-		defer c.flushWG.Done()
-		write()
 	}()
+}
+
+// settleWriters joins the background flush and remote writers when a chaos
+// hook is attached. Both writers fire injection points (store.write,
+// core.flush, remote.put) from their own goroutines; a fault campaign
+// counts those firings, so every one of them must land before the
+// controller fires its next point. Called before a round's first point and
+// before a ladder walk; Run joins unconditionally at its end. Without a
+// hook the writers simply overlap the following rounds.
+func (c *Controller) settleWriters() {
+	if c.cfg.Chaos != nil {
+		c.flushWG.Wait()
+		c.remoteWG.Wait()
+	}
 }
 
 // maybeFlushRemote is maybeFlush's remote-tier counterpart, running on
@@ -101,76 +104,40 @@ func (c *Controller) maybeFlushRemote(epoch uint64) {
 		c.mark(trace.Remote, fmt.Sprintf("remote flush of epoch %d aborted: %v", epoch, err))
 		return
 	}
-	write := func() {
+	c.remoteWG.Add(1)
+	go func() {
+		defer c.remoteWG.Done()
 		if err := c.writeRemote(epoch, clones); err != nil {
 			c.remoteErrs.Add(1)
 			c.mark(trace.Remote, fmt.Sprintf("remote flush of epoch %d failed: %v", epoch, err))
 		}
-	}
-	if c.cfg.Chaos != nil || c.cfg.SerialCommitPath || c.cfg.SyncRemoteFlush {
-		write()
-		return
-	}
-	c.remoteWG.Add(1)
-	go func() {
-		defer c.remoteWG.Done()
-		write()
 	}()
 }
 
 // cloneEpoch deep-copies every task checkpoint of the epoch out of the hot
 // store, detaching the flush from the commit path's buffer recycling. The
-// copies are independent, so under the pipelined commit path they run on a
-// bounded worker pool — the clone barrier is commit-path latency exactly
-// like the phases pipeline.go overlaps. Output order (and therefore the
-// durable Put order downstream) stays the serial walk's: workers fill a
-// dense pre-indexed slice, first error in index order wins.
+// copies are independent, so they run through runStages at the capture
+// stage's width — the clone barrier is commit-path latency over the same
+// bytes. Output order (and therefore the durable Put order downstream) is
+// the serial walk's whatever the width: workers fill a dense pre-indexed
+// slice, first error in index order wins. Runs on the controller goroutine
+// between rounds, so it may reuse the round body's outcome scratch.
 func (c *Controller) cloneEpoch(epoch uint64) ([]flushClone, error) {
 	nodes, tasks := c.cfg.NodesPerReplica, c.cfg.TasksPerNode
-	total := 2 * nodes * tasks
-	cloneAt := func(i int) (flushClone, error) {
-		rep, n, t := i/(nodes*tasks), i/tasks%nodes, i%tasks
-		ck, err := c.store.Get(c.key(rep, n, t, epoch))
-		if err != nil {
-			return flushClone{}, err
-		}
-		return flushClone{rep, n, t, ck.Clone()}, nil
-	}
-	clones := make([]flushClone, total)
-	if !c.pipelined() || total == 1 {
-		for i := 0; i < total; i++ {
-			var err error
-			if clones[i], err = cloneAt(i); err != nil {
-				return nil, err
+	clones := make([]flushClone, 2*nodes*tasks)
+	runStages(c.outcomes, stage{width: c.stageWidths().capture, run: func(i int) error {
+		n, t := i/tasks, i%tasks
+		for rep := 0; rep < 2; rep++ {
+			ck, err := c.store.Get(c.key(rep, n, t, epoch))
+			if err != nil {
+				return err
 			}
+			clones[rep*nodes*tasks+i] = flushClone{rep, n, t, ck.Clone()}
 		}
-		return clones, nil
-	}
-	workers := stdruntime.GOMAXPROCS(0)
-	if workers > total {
-		workers = total
-	}
-	errs := make([]error, total)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= total {
-					return
-				}
-				clones[i], errs[i] = cloneAt(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		return nil
+	}})
+	if f := firstFailure(c.outcomes); f != nil {
+		return nil, f.err
 	}
 	return clones, nil
 }
@@ -281,6 +248,7 @@ func (c *Controller) recordLadderRestore(tier int, epoch uint64) {
 // storage tier — the restart path, like commit and compare, goes
 // exclusively through stores.
 func (c *Controller) restartFromCommitted(rep int) error {
+	c.settleWriters()
 	c.fire(point.CoreRestart, point.Info{Replica: rep, Node: -1, Task: -1, Epoch: c.committedEpoch})
 	if c.committedEpoch == 0 {
 		if err := c.machine.RestartReplica(rep, emptySet(c.cfg.NodesPerReplica, c.cfg.TasksPerNode)); err != nil {

@@ -150,9 +150,17 @@ func TestOnDemandFlushAndRestore(t *testing.T) {
 	if got := ctrl.DurableEpochs(); len(got) != 1 || got[0] != epoch {
 		t.Fatalf("durable epochs = %v, want [%d]", got, epoch)
 	}
-	// Idempotent: a second forced flush of the same epoch is a no-op.
-	if again, err := ctrl.FlushCommitted(10 * time.Second); err != nil || again != epoch {
+	// Idempotent: a second forced flush of the same epoch is a no-op. (A
+	// periodic round may commit between the two calls; the second flush
+	// then follows the newer epoch, which is not what is under test.)
+	again, err := ctrl.FlushCommitted(10 * time.Second)
+	if err != nil || again < epoch {
 		t.Fatalf("second FlushCommitted = (%d, %v), want (%d, nil)", again, err, epoch)
+	}
+	if again == epoch {
+		if got := ctrl.DurableEpochs(); len(got) != 1 || got[0] != epoch {
+			t.Fatalf("durable epochs after the repeated flush = %v, want [%d]", got, epoch)
+		}
 	}
 
 	if err := ctrl.RestoreEpoch(epoch+999, 10*time.Second); err == nil {

@@ -8,41 +8,34 @@ import (
 	"sync/atomic"
 	"time"
 
+	"acr/internal/chaos/point"
 	"acr/internal/ckptstore"
+	"acr/internal/consensus"
 	"acr/internal/runtime"
 	"acr/internal/trace"
 )
 
-// This file implements the pipelined live checkpoint round. The barrier
-// schedule in rounds.go runs capture → exchange → compare as three strict
-// phases over the whole machine, so with a hardened exchange link every
-// task behind the one in flight spends the link's round trips idle. The
-// pipeline keeps the same three stages but connects them with channels and
-// bounded worker pools: each (node, task) flows into exchange the moment
-// both of its replica captures land in the store, and into compare the
-// moment its shipped copy is verified — capture CPU, link flight time, and
-// compare CPU for different tasks overlap.
+// This file is the one checkpoint-round body. Every round — the compared
+// two-replica round and the trusted one-replica recovery round — pushes
+// each (node, task) through capture → exchange → compare (runRound), and
+// the only thing that varies is how wide each stage runs (stageWidths):
 //
-// Determinism contract: the pipeline never runs under chaos hooks,
-// SerialCommitPath, or SemiBlocking (Controller.pipelined pins those to
-// the barrier path), and its commit/mismatch decisions are bit-identical
-// to the serial walk anyway — per-task outcomes are recorded in a dense
-// array and resolved in (node, task) order after the stages drain, with no
-// early cancellation, so the lowest-(node, task) outcome wins exactly as
-// in compareSerial. Shipped checkpoints are root-verified against their
-// source and then discarded; comparison always reads the store's
-// canonical bytes.
-
-// pipePhaseTimes is one round's overlap-aware phase accounting: per phase,
-// the wall-clock span from its first task entering to its last task
-// leaving, and the summed per-task busy time. Spans of different phases
-// overlap each other under the pipeline; busy > wall within a phase means
-// tasks overlapped inside it.
-type pipePhaseTimes struct {
-	captureWall, captureBusy   time.Duration
-	exchangeWall, exchangeBusy time.Duration
-	compareWall, compareBusy   time.Duration
-}
+//   - at width 1 everywhere the stages run inline on the controller
+//     goroutine, one after the other in dense (node, task) order — the
+//     paper's barrier round, with no goroutine or channel per round;
+//   - at any larger width the stages are channel-connected worker pools
+//     and a task enters exchange the moment its capture lands and compare
+//     the moment its shipped copy verifies, so capture CPU, link flight
+//     time and compare CPU of different tasks overlap.
+//
+// The verdict does not depend on the width: there is no early
+// cancellation, every task's outcome lands in a dense array, and the array
+// is resolved in stage order and then (node, task) order, so the lowest
+// failing stage's lowest (node, task) wins exactly as in a serial walk.
+// Shipped checkpoints are root-verified against their source and then
+// discarded; comparison always reads the store's canonical bytes.
+// Semi-blocking (§4.2 [27]) is the same round with an earlier release
+// point: the cut is released when the capture stage has drained.
 
 // stageClock accumulates one stage's busy time and wall span from
 // concurrent workers. first/last hold nanosecond offsets from the round
@@ -53,7 +46,8 @@ type stageClock struct {
 	last  atomic.Int64
 }
 
-func (s *stageClock) init() {
+func (s *stageClock) reset() {
+	s.busy.Reset()
 	s.first.Store(math.MaxInt64)
 	s.last.Store(math.MinInt64)
 }
@@ -86,206 +80,260 @@ func (s *stageClock) wall() time.Duration {
 	return time.Duration(l - f)
 }
 
-// pipelined reports whether live rounds (and the recovery mirror) run the
-// per-task pipeline. Chaos campaigns and SerialCommitPath pin the barrier
-// path unconditionally — hook firing order, store-op order, and frame
-// schedules are part of their byte-identical-report contract. SemiBlocking
-// pins too: its release point is "after capture, before compare", a
-// boundary the pipeline deliberately dissolves.
-func (c *Controller) pipelined() bool {
-	if c.cfg.Chaos != nil || c.cfg.SerialCommitPath || c.cfg.SemiBlocking {
-		return false
-	}
-	switch c.cfg.Pipeline {
-	case PipelineOff:
-		return false
-	case PipelineOn:
-		return true
-	default:
-		return c.exch != nil
-	}
-}
+// stageWorkerBytes is the payload a CPU-bound stage worker needs to
+// amortize its share of the fan-out (goroutine spin-up, channel hops).
+// Measured on the 96KB–4MB acrbench shapes: a parallel compare that gave
+// each worker only a few tens of KiB ran at 0.82–0.99x of the serial walk,
+// and the crossover sat near half a MiB per worker.
+const stageWorkerBytes = 512 << 10
 
-// pipeOutcome records one (node, task)'s results across the stages. An
-// item that fails a stage never enters the next one; its later fields
-// stay zero.
-type pipeOutcome struct {
-	capErr   error
-	exErr    error
-	mismatch string
-	chunk    int
-	cmpErr   error
-}
-
-// pipelineExchangeWorkers bounds the exchange stage's concurrency. The
+// exchangeWidth bounds the exchange stage when a link is attached. The
 // stage is latency-bound, not CPU-bound — its workers spend their time in
 // link round-trip sleeps — so the bound is about not flooding the wire
 // arbitration mutex, not about cores.
-const pipelineExchangeWorkers = 32
+const exchangeWidth = 32
 
-// pipelinedRound runs capture → exchange → compare for every (node, task)
-// as a channel-connected pipeline and returns the round's verdict with
-// the exact semantics of the barrier path: first (lowest node, task)
-// mismatch or error wins. It fills the controller's phase accumulators
-// (roundCapture/roundExchange/roundCompare as wall spans, roundBusy with
-// the busy sums) before returning.
-func (c *Controller) pipelinedRound(epoch uint64) (string, int, error) {
-	nodes, tasks := c.cfg.NodesPerReplica, c.cfg.TasksPerNode
-	total := nodes * tasks
-	out := make([]pipeOutcome, total)
-	base := time.Now()
-	var capClock, exClock, cmpClock stageClock
-	capClock.init()
-	exClock.init()
-	cmpClock.init()
+// stageWidths is one round's worker count per stage, plus the inner
+// chunk-checksum parallelism of each task capture.
+type stageWidths struct {
+	capture, exchange, compare, chunk int
+}
 
-	opts := c.captureOptions()
-	ship := c.exch != nil && c.cfg.Exchange.ShipCheckpoints
+// testStageWidth, when positive, forces every stage to that width, chaos
+// runs included. It is a test seam: nothing outside _test files stores it.
+var testStageWidth atomic.Int32
 
-	capWorkers := c.cfg.ChecksumWorkers
-	if capWorkers <= 0 {
-		capWorkers = stdruntime.GOMAXPROCS(0)
+// stageWidths sizes the round's stages from GOMAXPROCS, the task count and
+// the replica state-size hint. A chaos hook pins every stage to 1 — the
+// single scheduling pin in the controller: fault campaigns count hook
+// firings per (point, node, task), and the inline dense-order walk is what
+// makes those counts a function of the seed alone.
+func (c *Controller) stageWidths() stageWidths {
+	total := c.cfg.NodesPerReplica * c.cfg.TasksPerNode
+	clamp := func(w int) int { return max(1, min(w, total)) }
+	if w := int(testStageWidth.Load()); w > 0 {
+		return stageWidths{clamp(w), clamp(w), clamp(w), 1}
 	}
-	if capWorkers > total {
-		capWorkers = total
+	if c.cfg.Chaos != nil {
+		return stageWidths{1, 1, 1, 1}
 	}
-	cmpWorkers := c.compareWorkers()
-	if cmpWorkers > total {
-		cmpWorkers = total
-	}
-
-	toCmp := make(chan int, total)
-	capOut := toCmp
-	var toEx chan int
-	if ship {
-		toEx = make(chan int, total)
-		capOut = toEx
-	}
-
-	// Stage 1: capture. Workers claim dense item indices and capture both
-	// replicas of the task back to back — once the consensus cut parked
-	// everything, the two replicas of one task share nothing, and the
-	// runtime's capture path is already safe for concurrent distinct
-	// addresses (CaptureReplica's own pool does the same).
-	var capWG sync.WaitGroup
-	var next atomic.Int64
-	capWG.Add(capWorkers)
-	for w := 0; w < capWorkers; w++ {
-		go func() {
-			defer capWG.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= total {
-					return
-				}
-				n, t := i/tasks, i%tasks
-				began := time.Now()
-				err := c.machine.CaptureTask(runtime.Addr{Replica: 0, Node: n, Task: t}, epoch, c.store, opts)
-				if err == nil {
-					err = c.machine.CaptureTask(runtime.Addr{Replica: 1, Node: n, Task: t}, epoch, c.store, opts)
-				}
-				capClock.observe(base, began)
-				if err != nil {
-					out[i].capErr = err
-					continue
-				}
-				capOut <- i
-			}
-		}()
-	}
-	go func() {
-		capWG.Wait()
-		close(capOut)
-	}()
-
-	// Stage 2: exchange (only when checkpoints ride the link). Each item
-	// ships its freshly captured checkpoint chunk-by-chunk with acks and
-	// retries; the workers overlap their round-trip sleeps, which is
-	// where the pipeline's speedup lives.
-	if ship {
-		exWorkers := pipelineExchangeWorkers
-		if exWorkers > total {
-			exWorkers = total
+	procs := stdruntime.GOMAXPROCS(0)
+	// Before the first capture the state size is unknown (hint 0) and the
+	// round stays narrow; every later round sizes against the real bytes.
+	hint := c.machine.ReplicaStateHint(0)
+	cpuBound := func(explicit, bytes int) int {
+		if explicit > 0 {
+			return clamp(explicit)
 		}
-		var exWG sync.WaitGroup
-		exWG.Add(exWorkers)
-		for w := 0; w < exWorkers; w++ {
+		return clamp(min(procs, bytes/stageWorkerBytes))
+	}
+	w := stageWidths{
+		capture:  cpuBound(c.cfg.ChecksumWorkers, 2*hint), // both replicas' bytes
+		exchange: 1,
+		compare:  cpuBound(c.cfg.CompareWorkers, hint),
+		chunk:    c.cfg.ChunkChecksumWorkers,
+	}
+	if c.exch != nil {
+		w.exchange = clamp(exchangeWidth)
+	}
+	if w.chunk <= 0 {
+		// The two capture levels split the same cores: chunk-level
+		// parallelism only pays where the task pool cannot use them all
+		// and one task's buffer is big enough to share out
+		// (single-task-per-node shapes with one big buffer).
+		w.chunk = max(1, min(procs/w.capture, hint/total/stageWorkerBytes))
+	}
+	return w
+}
+
+// taskOutcome records one (node, task)'s result across the stages. A task
+// that fails a stage never enters the next one.
+type taskOutcome struct {
+	stage    int   // index of the stage that failed (valid when err != nil)
+	err      error // first stage error
+	mismatch string
+	chunk    int
+}
+
+// stage is one step of a round. run(i) processes dense item i (node
+// i/TasksPerNode, task i%TasksPerNode); a non-nil error stops the item.
+type stage struct {
+	width int
+	clock *stageClock // nil = untimed
+	run   func(i int) error
+	// drained, if non-nil, runs once when every item has left the stage.
+	drained func()
+}
+
+// runStages pushes items 0..len(out)-1 through the stages and records each
+// item's first failure in out. With every stage at width 1 it runs inline
+// on the calling goroutine, stage by stage in dense item order, starting
+// no goroutine and making no channel. Otherwise each stage is a pool of
+// width workers fed by a channel: the first stage's channel is pre-filled
+// in dense order, every later one carries the items that survived the
+// stage before it. Nothing is cancelled early — the caller resolves out in
+// stage-then-index order, which is what makes the result independent of
+// the widths.
+func runStages(out []taskOutcome, stages ...stage) {
+	total := len(out)
+	clear(out)
+	base := time.Now()
+	step := func(si int, i int) bool {
+		s, o := &stages[si], &out[i]
+		began := time.Now()
+		err := s.run(i)
+		if s.clock != nil {
+			s.clock.observe(base, began)
+		}
+		if err != nil {
+			o.stage, o.err = si, err
+		}
+		return err == nil
+	}
+	inline := true
+	for _, s := range stages {
+		inline = inline && s.width <= 1
+	}
+	if inline {
+		for si, s := range stages {
+			for i := 0; i < total; i++ {
+				if out[i].err == nil {
+					step(si, i)
+				}
+			}
+			if s.drained != nil {
+				s.drained()
+			}
+		}
+		return
+	}
+	// Every channel is sized to the number of sends it can ever see, so no
+	// stage blocks on its successor and workers need no select.
+	in := make(chan int, total)
+	for i := 0; i < total; i++ {
+		in <- i
+	}
+	close(in)
+	var last sync.WaitGroup
+	for si := range stages {
+		s, src := &stages[si], in
+		var dst chan int
+		wg := &last
+		if si < len(stages)-1 {
+			dst = make(chan int, total)
+			wg = new(sync.WaitGroup)
+		}
+		wg.Add(s.width)
+		for w := 0; w < s.width; w++ {
 			go func() {
-				defer exWG.Done()
-				for i := range toEx {
-					began := time.Now()
-					err := c.shipTask(epoch, i/tasks, i%tasks)
-					exClock.observe(base, began)
-					if err != nil {
-						out[i].exErr = err
-						continue
+				defer wg.Done()
+				for i := range src {
+					if step(si, i) && dst != nil {
+						dst <- i
 					}
-					toCmp <- i
 				}
 			}()
 		}
-		go func() {
-			exWG.Wait()
-			close(toCmp)
-		}()
+		if dst != nil {
+			go func() {
+				wg.Wait()
+				if s.drained != nil {
+					s.drained()
+				}
+				close(dst)
+			}()
+		}
+		in = dst
 	}
+	last.Wait()
+	if d := stages[len(stages)-1].drained; d != nil {
+		d()
+	}
+}
 
-	// Stage 3: compare. No early cancellation — every forwarded item is
-	// compared and its outcome recorded; order resolution happens below.
-	var cmpWG sync.WaitGroup
-	cmpWG.Add(cmpWorkers)
-	for w := 0; w < cmpWorkers; w++ {
-		go func() {
-			defer cmpWG.Done()
-			for i := range toCmp {
-				began := time.Now()
-				mismatch, chunk, err := c.compareTask(i/tasks, i%tasks, epoch)
-				cmpClock.observe(base, began)
-				out[i].mismatch, out[i].chunk, out[i].cmpErr = mismatch, chunk, err
+// firstFailure resolves the outcomes the way a serial walk would have
+// met them: the earliest stage that failed anywhere outranks later stages
+// (a capture error aborts the round before any exchange error could
+// matter), and within a stage the lowest (node, task) wins.
+func firstFailure(out []taskOutcome) *taskOutcome {
+	var best *taskOutcome
+	for i := range out {
+		if o := &out[i]; o.err != nil && (best == nil || o.stage < best.stage) {
+			best = o
+		}
+	}
+	return best
+}
+
+// runRound is the round body shared by normalRound and recoveryCheckpoint:
+// capture every replica in scope, run the exchange stage if the round has
+// one, compare buddies when both replicas are in scope. exchange is the
+// round's per-task exchange step (nil = none); captureDrained, if non-nil,
+// runs once when the last capture has landed. It returns the round's
+// verdict — first mismatch ("" when clean) with its localized chunk, or
+// the first error — and leaves the phase clocks filled for commit.
+func (c *Controller) runRound(epoch uint64, scope consensus.Scope, exchange func(n, t int) error, captureDrained func()) (string, int, error) {
+	tasks := c.cfg.TasksPerNode
+	w := c.stageWidths()
+	opts := runtime.CaptureOptions{
+		ChunkSize:    c.cfg.ChunkSize,
+		ChunkWorkers: w.chunk,
+		Pool:         c.pool,
+		// A non-nil pool means the controller created the store and owns
+		// its eviction lifecycle exclusively — the same ownership guarantee
+		// patch-in-place capture needs (no reader retains Bytes() of an
+		// evicted epoch). A caller-supplied store gets neither.
+		PatchCapture: c.pool != nil,
+	}
+	for rep := 0; rep < 2; rep++ {
+		if scope[rep] {
+			// Quiescent: every task in scope is parked, so hooks may mutate
+			// task state here and the corruption lands in this capture.
+			c.fire(point.CoreCapture, point.Info{Replica: rep, Node: -1, Task: -1, Epoch: epoch})
+		}
+	}
+	// Once the consensus cut has parked everything, the two replicas of a
+	// task share nothing: a capture worker packs them back to back, and
+	// replica 0's store write always precedes replica 1's for the same
+	// (node, task) — the order Both-mode corruption hooks rely on.
+	stages := []stage{{width: w.capture, clock: &c.clocks[0], drained: captureDrained, run: func(i int) error {
+		for rep := 0; rep < 2; rep++ {
+			if !scope[rep] {
+				continue
 			}
-		}()
-	}
-	cmpWG.Wait()
-
-	// Harvest overlap-aware phase times. compareTask billed its store
-	// fetches to roundExchange (the bytes a real machine ships between
-	// buddies); fold that into exchange busy and let the wall arrays
-	// carry the true stage spans.
-	storeExch := c.roundExchange.Load()
-	c.roundCapture = capClock.wall()
-	c.roundCompare = cmpClock.wall()
-	c.roundExchange.Reset()
-	c.roundExchange.Add(exClock.wall())
-	c.roundBusy = &pipePhaseTimes{
-		captureWall:  capClock.wall(),
-		captureBusy:  capClock.busy.Load(),
-		exchangeWall: exClock.wall(),
-		exchangeBusy: exClock.busy.Load() + storeExch,
-		compareWall:  cmpClock.wall(),
-		compareBusy:  cmpClock.busy.Load() + storeExch,
-	}
-	c.mark(trace.Pipeline, fmt.Sprintf(
-		"pipelined round e%d: capture %v/%v exchange %v/%v compare %v/%v (busy/wall, %d tasks)",
-		epoch, c.roundBusy.captureBusy, c.roundBusy.captureWall,
-		c.roundBusy.exchangeBusy, c.roundBusy.exchangeWall,
-		c.roundBusy.compareBusy, c.roundBusy.compareWall, total))
-
-	// Resolve outcomes in (node, task) order — identical verdict to the
-	// serial walk. Capture errors outrank exchange errors outrank compare
-	// outcomes, mirroring the barrier phases' abort order.
-	for i := range out {
-		if out[i].capErr != nil {
-			return "", -1, fmt.Errorf("core: capture n%d/t%d: %w", i/tasks, i%tasks, out[i].capErr)
+			addr := runtime.Addr{Replica: rep, Node: i / tasks, Task: i % tasks}
+			if err := c.machine.CaptureTask(addr, epoch, c.store, opts); err != nil {
+				return fmt.Errorf("core: capture replica %d: %w", rep, err)
+			}
 		}
+		return nil
+	}}}
+	if exchange != nil {
+		stages = append(stages, stage{width: w.exchange, clock: &c.clocks[1], run: func(i int) error {
+			return exchange(i/tasks, i%tasks)
+		}})
 	}
-	for i := range out {
-		if out[i].exErr != nil {
-			return "", -1, out[i].exErr
-		}
+	if scope[0] && scope[1] {
+		stages = append(stages, stage{width: w.compare, clock: &c.clocks[2], run: func(i int) error {
+			var err error
+			c.outcomes[i].mismatch, c.outcomes[i].chunk, err = c.compareTask(i/tasks, i%tasks, epoch)
+			return err
+		}})
 	}
-	for i := range out {
-		if out[i].mismatch != "" || out[i].cmpErr != nil {
-			return out[i].mismatch, out[i].chunk, out[i].cmpErr
+	runStages(c.outcomes, stages...)
+	if c.cfg.Timeline != nil {
+		wall, busy := c.phaseTimes()
+		c.mark(trace.Pipeline, fmt.Sprintf(
+			"round e%d: capture %v/%v exchange %v/%v compare %v/%v (busy/wall, %d tasks, widths %d/%d/%d)",
+			epoch, busy[0], wall[0], busy[1], wall[1], busy[2], wall[2],
+			len(c.outcomes), w.capture, w.exchange, w.compare))
+	}
+	if f := firstFailure(c.outcomes); f != nil {
+		return "", -1, f.err
+	}
+	for i := range c.outcomes {
+		if o := &c.outcomes[i]; o.mismatch != "" {
+			return o.mismatch, o.chunk, nil
 		}
 	}
 	return "", -1, nil
@@ -316,96 +364,30 @@ func (c *Controller) shipTask(epoch uint64, n, t int) error {
 	return nil
 }
 
-// shipEpochBarrier is the barrier path's exchange phase when live rounds
-// ship checkpoints over the link (ExchangeConfig.ShipCheckpoints) but the
-// pipeline is off: every task ships serially, one after the other — the
-// schedule whose dead time the pipeline exists to reclaim. Billed to the
-// round's exchange phase.
-func (c *Controller) shipEpochBarrier(epoch uint64) error {
-	if c.exch == nil || !c.cfg.Exchange.ShipCheckpoints {
-		return nil
+// mirrorTask is the recovery round's exchange step for one task: the
+// healthy replica's stored checkpoint is mirrored under the crashed
+// replica's key — through the hardened link (delta-aware, reassembled copy
+// stored) when one is attached, by shared reference otherwise.
+func (c *Controller) mirrorTask(crashed int, epoch uint64, n, t int) error {
+	ck, err := c.store.Get(c.key(1-crashed, n, t, epoch))
+	if err != nil {
+		return fmt.Errorf("core: mirror recovery checkpoint: %w", err)
 	}
-	began := time.Now()
-	defer func() { c.roundExchange.Add(time.Since(began)) }()
-	for n := 0; n < c.cfg.NodesPerReplica; n++ {
-		for t := 0; t < c.cfg.TasksPerNode; t++ {
-			if err := c.shipTask(epoch, n, t); err != nil {
-				return err
-			}
+	if c.exch != nil {
+		// The crashed side usually still holds the last committed epoch's
+		// checkpoint for this task; chunks whose sums match need not cross
+		// the lossy link again. A miss (nil base) degrades to a full ship.
+		var base *ckptstore.Checkpoint
+		if c.committedEpoch > 0 {
+			base, _ = c.store.Get(c.key(crashed, n, t, c.committedEpoch))
 		}
-	}
-	return nil
-}
-
-// mirrorEpoch implements the recovery round's exchange phase: the healthy
-// replica's stored checkpoints are mirrored under the crashed replica's
-// keys — through the hardened link (delta-aware, reassembled copy stored)
-// when one is attached, by shared reference otherwise. When the pipeline
-// is enabled the per-task transfers run on a bounded worker pool so their
-// link round trips overlap; error resolution is by lowest (node, task),
-// matching the serial walk.
-func (c *Controller) mirrorEpoch(crashed, healthy int, epoch uint64) error {
-	nodes, tasks := c.cfg.NodesPerReplica, c.cfg.TasksPerNode
-	total := nodes * tasks
-	mirrorOne := func(n, t int) error {
-		ck, err := c.store.Get(c.key(healthy, n, t, epoch))
+		ck, err = c.exch.shipCheckpoint(epoch, n, t, ck, base)
 		if err != nil {
-			return fmt.Errorf("core: mirror recovery checkpoint: %w", err)
+			return fmt.Errorf("core: exchange recovery checkpoint: %w", err)
 		}
-		if c.exch != nil {
-			// The crashed side usually still holds the last committed
-			// epoch's checkpoint for this task; chunks whose sums match
-			// need not cross the lossy link again. A miss (nil base)
-			// degrades to a full ship.
-			var base *ckptstore.Checkpoint
-			if c.committedEpoch > 0 {
-				base, _ = c.store.Get(c.key(crashed, n, t, c.committedEpoch))
-			}
-			ck, err = c.exch.shipCheckpoint(epoch, n, t, ck, base)
-			if err != nil {
-				return fmt.Errorf("core: exchange recovery checkpoint: %w", err)
-			}
-		}
-		if err := c.store.Put(c.key(crashed, n, t, epoch), ck); err != nil {
-			return fmt.Errorf("core: mirror recovery checkpoint: %w", err)
-		}
-		return nil
 	}
-	if !c.pipelined() || total == 1 {
-		for n := 0; n < nodes; n++ {
-			for t := 0; t < tasks; t++ {
-				if err := mirrorOne(n, t); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	workers := pipelineExchangeWorkers
-	if workers > total {
-		workers = total
-	}
-	errs := make([]error, total)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= total {
-					return
-				}
-				errs[i] = mirrorOne(i/tasks, i%tasks)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err := c.store.Put(c.key(crashed, n, t, epoch), ck); err != nil {
+		return fmt.Errorf("core: mirror recovery checkpoint: %w", err)
 	}
 	return nil
 }

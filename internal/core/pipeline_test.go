@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
+	stdruntime "runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,152 +16,166 @@ import (
 	"acr/internal/runtime"
 )
 
-// TestPipelinePins asserts the determinism contract: chaos hooks,
-// SerialCommitPath, and SemiBlocking pin the barrier path no matter what
-// Pipeline mode says, and Auto engages the pipeline exactly when a
-// hardened exchange link is attached. Chaos campaigns' byte-identical
-// reports depend on this — a regression here silently reorders their
-// hook firings.
-func TestPipelinePins(t *testing.T) {
+// TestStageWidths pins the one width function: a chaos hook is the single
+// scheduling pin, an unknown or small state keeps the round inline, a link
+// widens only the latency-bound exchange stage, and CPU-bound stages fan
+// out only when every worker gets stageWorkerBytes of state.
+func TestStageWidths(t *testing.T) {
+	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(4))
 	noop := point.HookFunc(func(point.ID, *point.Info) {})
-	exch := func() *ExchangeConfig { return &ExchangeConfig{} }
+	const small, big = 64, 16384 // particles per task: ~3 KB, ~768 KB
 	cases := []struct {
-		name string
-		mut  func(*Config)
-		want bool
+		name      string
+		particles int
+		mut       func(*Config)
+		warm      bool // run one capture first so the state-size hint is known
+		want      stageWidths
 	}{
-		{"auto with exchange", func(c *Config) { c.Exchange = exch() }, true},
-		{"auto without exchange", func(c *Config) {}, false},
-		{"forced on without exchange", func(c *Config) { c.Pipeline = PipelineOn }, true},
-		{"forced off with exchange", func(c *Config) { c.Exchange = exch(); c.Pipeline = PipelineOff }, false},
-		{"chaos pins", func(c *Config) { c.Exchange = exch(); c.Pipeline = PipelineOn; c.Chaos = noop }, false},
-		{"serial commit path pins", func(c *Config) { c.Exchange = exch(); c.Pipeline = PipelineOn; c.SerialCommitPath = true }, false},
-		{"semi-blocking pins", func(c *Config) { c.Exchange = exch(); c.Pipeline = PipelineOn; c.SemiBlocking = true }, false},
+		{"unknown size stays inline", big, func(c *Config) {}, false, stageWidths{1, 1, 1, 1}},
+		{"small state stays inline", small, func(c *Config) {}, true, stageWidths{1, 1, 1, 1}},
+		{"big state fans out the cpu-bound stages", big, func(c *Config) {}, true, stageWidths{4, 1, 4, 1}},
+		{"one big task fans out its chunk checksums instead", 4 * big, func(c *Config) {
+			c.NodesPerReplica, c.TasksPerNode = 1, 1
+		}, true, stageWidths{1, 1, 1, 4}},
+		{"a link widens only the exchange stage", small, func(c *Config) { c.Exchange = &ExchangeConfig{} }, true, stageWidths{1, 6, 1, 1}},
+		{"explicit widths are honored, clamped to the task count", small, func(c *Config) {
+			c.ChecksumWorkers, c.CompareWorkers, c.ChunkChecksumWorkers = 2, 64, 3
+		}, true, stageWidths{2, 1, 6, 3}},
+		{"a chaos hook pins every stage", big, func(c *Config) {
+			c.Chaos, c.Exchange, c.ChecksumWorkers = noop, &ExchangeConfig{}, 4
+		}, true, stageWidths{1, 1, 1, 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := baseConfig(2, 2, 1000)
+			cfg := Config{NodesPerReplica: 3, TasksPerNode: 2, Factory: benchFactory(tc.particles), Comparison: ChecksumCompare}
 			tc.mut(&cfg)
 			ctrl, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := ctrl.pipelined(); got != tc.want {
-				t.Errorf("pipelined() = %v, want %v", got, tc.want)
+			if tc.warm {
+				if _, _, err := ctrl.runRound(1, consensus.BothReplicas, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := ctrl.stageWidths(); got != tc.want {
+				t.Errorf("stageWidths() = %+v, want %+v", got, tc.want)
 			}
 		})
 	}
 }
 
-// pipelinePair builds two idle controllers over the same quiescent bench
-// workload: one pinned to the barrier path, one running the per-task
-// pipeline, both shipping live-round checkpoints through the same seeded
-// lossy link geometry. The machines are never started, so both hold
-// bit-identical factory state.
-func pipelinePair(t *testing.T, nodes, tasks int, comparison Comparison) (barrier, piped *Controller) {
-	t.Helper()
-	mk := func(mode PipelineMode) *Controller {
-		ctrl, err := New(Config{
-			NodesPerReplica: nodes,
-			TasksPerNode:    tasks,
-			Factory:         benchFactory(64),
-			Comparison:      comparison,
-			Exchange:        &ExchangeConfig{Loss: 0.05, Dup: 0.05, Reorder: 0.1, Seed: 11, ShipCheckpoints: true},
-			Pipeline:        mode,
-		})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		return ctrl
-	}
-	barrier, piped = mk(PipelineOff), mk(PipelineAuto)
-	if barrier.pipelined() {
-		t.Fatal("PipelineOff controller reports pipelined")
-	}
-	if !piped.pipelined() {
-		t.Fatal("exchange-attached Auto controller not pipelined")
-	}
-	return barrier, piped
+// roundOutcome is everything a round body leaves behind that must not
+// depend on the stage widths.
+type roundOutcome struct {
+	mismatch string
+	chunk    int
+	err      error
+	stored   map[ckptstore.Key][]byte
 }
 
-// barrierVerdict runs one barrier-path round body (capture, serial ship,
-// compare) and returns its verdict.
-func barrierVerdict(t *testing.T, ctrl *Controller, epoch uint64) (string, int, error) {
+// bodyAtWidth builds an idle controller over the quiescent bench workload
+// (the machine is never started, so every controller holds bit-identical
+// factory state), plants seeded SDC at the given (node, task) spots of
+// replica 0, and runs one compared round body at the given stage width,
+// shipping every checkpoint through a seeded lossy link.
+func bodyAtWidth(t *testing.T, width, nodes, tasks int, comparison Comparison, relTol float64, semi bool, spots [][2]int) roundOutcome {
 	t.Helper()
+	testStageWidth.Store(int32(width)) // the package's unexported scheduling seam
+	ctrl, err := New(Config{
+		NodesPerReplica: nodes,
+		TasksPerNode:    tasks,
+		Factory:         benchFactory(64),
+		Comparison:      comparison,
+		RelTol:          relTol,
+		SemiBlocking:    semi,
+		Exchange:        &ExchangeConfig{Loss: 0.05, Dup: 0.05, Reorder: 0.1, Seed: 11, ShipCheckpoints: true},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for _, spot := range spots {
+		ctrl.InjectSDCAtNextCheckpoint(runtime.Addr{Replica: 0, Node: spot[0], Task: spot[1]})
+	}
+	ctrl.applyPendingSDC()
 	ctrl.resetPhases()
-	if err := ctrl.captureScope(consensus.BothReplicas, epoch); err != nil {
-		t.Fatalf("captureScope: %v", err)
+	var drained atomic.Int32
+	ship := func(n, task int) error { return ctrl.shipTask(1, n, task) }
+	out := roundOutcome{stored: make(map[ckptstore.Key][]byte)}
+	out.mismatch, out.chunk, out.err = ctrl.runRound(1, consensus.BothReplicas, ship, func() { drained.Add(1) })
+	if got := drained.Load(); got != 1 {
+		t.Fatalf("width %d: capture-drained callback ran %d times, want exactly once", width, got)
 	}
-	if err := ctrl.shipEpochBarrier(epoch); err != nil {
-		t.Fatalf("shipEpochBarrier: %v", err)
+	if ctrl.clocks[0].busy.Load() == 0 {
+		t.Fatalf("width %d: round recorded no capture busy time", width)
 	}
-	return ctrl.compare(epoch)
+	for rep := 0; rep < 2; rep++ {
+		for n := 0; n < nodes; n++ {
+			for task := 0; task < tasks; task++ {
+				ck, err := ctrl.store.Get(ctrl.key(rep, n, task, 1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				out.stored[ctrl.key(rep, n, task, 1)] = append([]byte(nil), ck.Bytes()...)
+			}
+		}
+	}
+	return out
 }
 
-// TestPipelinedRoundMatchesBarrierVerdict plants identical seeded SDC into
-// the live task state of a barrier-path controller and a pipelined one
-// (same injection seed, same quiescent factory state), runs one round body
-// on each, and requires bit-identical verdicts: same mismatch string, same
-// localized chunk, same error — with the corruption at every (node, task)
-// in turn, and on a clean machine. This is the equivalence the pipeline's
-// in-order outcome resolution exists to preserve.
+// TestPipelinedRoundMatchesBarrierVerdict is the equivalence the one
+// schedule rests on: the round body at width 1 (the inline barrier walk)
+// and at widths 2, 3 and 8 (channel-connected worker pools) must leave the
+// same mismatch string, the same localized chunk, the same error and the
+// same stored bytes — for every comparison mode, blocking and
+// semi-blocking, with seeded SDC at every (node, task) in turn, at several
+// at once (the lowest pair must win however the workers race), and on a
+// clean machine.
 func TestPipelinedRoundMatchesBarrierVerdict(t *testing.T) {
+	defer testStageWidth.Store(0)
 	const nodes, tasks = 2, 2
-	for _, mode := range []struct {
+	modes := []struct {
 		name       string
 		comparison Comparison
-	}{{"checksum", ChecksumCompare}, {"full", FullCompare}} {
+		relTol     float64
+	}{{"checksum", ChecksumCompare, 0}, {"full", FullCompare, 0}, {"reltol", FullCompare, 1e-12}}
+	type spotCase struct {
+		name  string
+		spots [][2]int
+	}
+	cases := []spotCase{{"clean", nil}}
+	for n := 0; n < nodes; n++ {
+		for task := 0; task < tasks; task++ {
+			cases = append(cases, spotCase{fmt.Sprintf("sdc-n%d-t%d", n, task), [][2]int{{n, task}}})
+		}
+	}
+	cases = append(cases, spotCase{"sdc-multi", [][2]int{{1, 1}, {0, 1}, {1, 0}}})
+	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
-			// spot {-1,-1} is the clean round: both paths must agree
-			// there is nothing to find.
-			spots := [][2]int{{-1, -1}}
-			for n := 0; n < nodes; n++ {
-				for task := 0; task < tasks; task++ {
-					spots = append(spots, [2]int{n, task})
-				}
-			}
-			for _, spot := range spots {
-				name := "clean"
-				if spot[0] >= 0 {
-					name = fmt.Sprintf("sdc-n%d-t%d", spot[0], spot[1])
-				}
-				t.Run(name, func(t *testing.T) {
-					barrier, piped := pipelinePair(t, nodes, tasks, mode.comparison)
-					if spot[0] >= 0 {
-						for _, ctrl := range []*Controller{barrier, piped} {
-							ctrl.InjectSDCAtNextCheckpoint(runtime.Addr{Replica: 0, Node: spot[0], Task: spot[1]})
-							ctrl.applyPendingSDC(consensus.BothReplicas)
+			for _, sc := range cases {
+				t.Run(sc.name, func(t *testing.T) {
+					for _, semi := range []bool{false, true} {
+						ref := bodyAtWidth(t, 1, nodes, tasks, mode.comparison, mode.relTol, semi, sc.spots)
+						if ref.err != nil {
+							t.Fatalf("semi=%v width 1: %v", semi, ref.err)
 						}
-					}
-					sMsg, sChunk, sErr := barrierVerdict(t, barrier, 1)
-					piped.resetPhases()
-					pMsg, pChunk, pErr := piped.pipelinedRound(1)
-					if pMsg != sMsg || pChunk != sChunk || !errEq(pErr, sErr) {
-						t.Fatalf("pipelined = (%q, %d, %v), barrier = (%q, %d, %v)",
-							pMsg, pChunk, pErr, sMsg, sChunk, sErr)
-					}
-					if spot[0] >= 0 && sMsg == "" {
-						t.Fatal("barrier path missed the injected corruption")
-					}
-					if piped.roundBusy == nil {
-						t.Fatal("pipelined round recorded no busy-time accounting")
-					}
-					// Both paths must also have stored identical checkpoint
-					// bytes — the pipeline's per-task capture is the same
-					// capture, just scheduled differently.
-					for n := 0; n < nodes; n++ {
-						for task := 0; task < tasks; task++ {
-							for rep := 0; rep < 2; rep++ {
-								b, err := barrier.store.Get(barrier.key(rep, n, task, 1))
-								if err != nil {
-									t.Fatal(err)
+						if (ref.mismatch != "") != (len(sc.spots) > 0) {
+							t.Fatalf("semi=%v width 1: mismatch %q with %d injected SDC", semi, ref.mismatch, len(sc.spots))
+						}
+						if sc.name == "sdc-multi" && !strings.Contains(ref.mismatch, "at n0/t1") {
+							t.Fatalf("semi=%v width 1 reported %q, want the lowest corrupted pair n0/t1", semi, ref.mismatch)
+						}
+						for _, width := range []int{2, 3, 8} {
+							for rerun := 0; rerun < 3; rerun++ { // racy schedules must not leak through
+								got := bodyAtWidth(t, width, nodes, tasks, mode.comparison, mode.relTol, semi, sc.spots)
+								if got.mismatch != ref.mismatch || got.chunk != ref.chunk || !errEq(got.err, ref.err) {
+									t.Fatalf("semi=%v width %d = (%q, %d, %v), width 1 = (%q, %d, %v)",
+										semi, width, got.mismatch, got.chunk, got.err, ref.mismatch, ref.chunk, ref.err)
 								}
-								p, err := piped.store.Get(piped.key(rep, n, task, 1))
-								if err != nil {
-									t.Fatal(err)
-								}
-								if !bytes.Equal(b.Bytes(), p.Bytes()) {
-									t.Fatalf("stored checkpoint r%d/n%d/t%d differs between paths", rep, n, task)
+								for key, want := range ref.stored {
+									if !bytes.Equal(got.stored[key], want) {
+										t.Fatalf("semi=%v width %d: stored checkpoint %v differs from width 1", semi, width, key)
+									}
 								}
 							}
 						}
@@ -169,8 +186,8 @@ func TestPipelinedRoundMatchesBarrierVerdict(t *testing.T) {
 	}
 }
 
-// TestPipelinedRunEndToEnd drives a full live run through the pipelined
-// path — hardened exchange with live-round checkpoint shipping, an
+// TestPipelinedRunEndToEnd drives a full live run through a wide exchange
+// stage — hardened exchange with live-round checkpoint shipping, an
 // injected SDC, and the resulting rollback — and checks the round verdicts
 // and final state match the serial semantics, with the overlap-aware phase
 // accounting filled in.
@@ -181,8 +198,8 @@ func TestPipelinedRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ctrl.pipelined() {
-		t.Fatal("exchange-attached run not pipelined")
+	if w := ctrl.stageWidths(); w.exchange <= 1 {
+		t.Fatalf("exchange-attached run has exchange stage width %d, want > 1", w.exchange)
 	}
 	ctrl.InjectSDCAtNextCheckpoint(runtime.Addr{Replica: 1, Node: 1, Task: 0})
 	stats, err := ctrl.Run()

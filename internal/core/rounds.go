@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	stdruntime "runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"acr/internal/chaos/point"
@@ -53,6 +50,7 @@ func (c *Controller) key(rep, n, t int, epoch uint64) ckptstore.Key {
 
 // normalRound checkpoints both replicas and cross-checks buddies.
 func (c *Controller) normalRound() error {
+	c.settleWriters()
 	began := time.Now()
 	c.fire(point.CorePreConsensus, point.Info{Replica: -1, Node: -1, Task: -1})
 	ready, err := c.coord.Request(consensus.BothReplicas)
@@ -64,71 +62,45 @@ func (c *Controller) normalRound() error {
 		return err
 	}
 	// All tasks are parked (or done): apply any scheduled SDC
-	// injections, then capture both replicas into the store under a
+	// injections, then run both replicas through the round body under a
 	// fresh epoch — chunked, checksummed, one key per task.
 	c.fire(point.CorePostConsensus, point.Info{Replica: -1, Node: -1, Task: -1})
-	c.applyPendingSDC(consensus.BothReplicas)
+	c.applyPendingSDC()
 	c.resetPhases()
 	epoch := c.nextEpoch()
+	semi := c.cfg.SemiBlocking
 	var blocked time.Duration
-	var mismatch string
-	var chunk int
-	if c.pipelined() {
-		// Per-task pipeline: each (node, task) flows through capture →
-		// exchange → compare as soon as its predecessor stage completes
-		// (pipeline.go). Never taken under SemiBlocking, so the whole
-		// round blocks the application.
-		var perr error
-		mismatch, chunk, perr = c.pipelinedRound(epoch)
-		if perr != nil {
+	var captureDrained func()
+	if semi {
+		// Asynchronous checkpointing (§4.2 [27]): the application resumes
+		// as soon as the local capture is done; exchange and comparison
+		// overlap with execution. The tolerance-aware live-state comparison
+		// is unavailable then (the state is moving again), so compareTask
+		// compares the captured bytes directly.
+		captureDrained = func() {
+			blocked = time.Since(began)
 			c.coord.Release()
-			return perr
-		}
-		blocked = time.Since(began)
-	} else {
-		if err := c.captureScope(consensus.BothReplicas, epoch); err != nil {
-			c.coord.Release()
-			return err
-		}
-		blocked = time.Since(began)
-		if c.cfg.SemiBlocking {
-			// Asynchronous checkpointing (§4.2 [27]): the application
-			// resumes as soon as the local capture is done; the exchange
-			// and comparison overlap with execution. The tolerance-aware
-			// live-state comparison is unavailable here (the state is
-			// moving again), so the captured bytes are compared directly.
-			c.coord.Release()
-		}
-		// When live rounds ship checkpoints over the link, the barrier
-		// path pays for every task's transfer serially before any
-		// comparison starts.
-		if err := c.shipEpochBarrier(epoch); err != nil {
-			if !c.cfg.SemiBlocking {
-				c.coord.Release()
-			}
-			return err
-		}
-		var err error
-		mismatch, chunk, err = c.compare(epoch)
-		if err != nil {
-			if !c.cfg.SemiBlocking {
-				c.coord.Release()
-			}
-			return err
 		}
 	}
-	if c.exch != nil {
+	var exchange func(n, t int) error
+	if c.exch != nil && c.cfg.Exchange.ShipCheckpoints {
+		exchange = func(n, t int) error { return c.shipTask(epoch, n, t) }
+	}
+	mismatch, chunk, err := c.runRound(epoch, consensus.BothReplicas, exchange, captureDrained)
+	if !semi {
+		blocked = time.Since(began)
+	}
+	if err == nil && c.exch != nil {
 		// The round's verdict is itself a message between the replicas
 		// (§4.2's result exchange): under the hardened exchange it must
 		// cross the lossy link reliably before either side acts on it.
 		if rerr := c.exch.shipResult(epoch, mismatch != ""); rerr != nil {
-			if !c.cfg.SemiBlocking {
-				c.coord.Release()
-			}
-			return fmt.Errorf("core: exchange compare result: %w", rerr)
+			err = fmt.Errorf("core: exchange compare result: %w", rerr)
 		}
 	}
-	if mismatch != "" {
+	switch {
+	case err != nil: // nothing to book: release the cut and report it
+	case mismatch != "":
 		// Silent data corruption: both replicas roll back to the
 		// previous safely stored checkpoint (§2.1). Under semi-blocking
 		// the application also loses the overlap window it just ran.
@@ -136,102 +108,38 @@ func (c *Controller) normalRound() error {
 		c.prog.sdcDetected.Add(1)
 		c.stats.LocalizedChunks = append(c.stats.LocalizedChunks, chunk)
 		c.mark(trace.Failure, "sdc detected: "+mismatch)
-		if !c.cfg.SemiBlocking {
-			c.coord.Release()
-		}
-		return c.rollbackBoth()
+	default:
+		c.commit(epoch, began)
+		c.stats.BlockedTimes = append(c.stats.BlockedTimes, blocked)
 	}
-	c.commit(epoch, began)
-	c.stats.BlockedTimes = append(c.stats.BlockedTimes, blocked)
-	if !c.cfg.SemiBlocking {
+	if !semi {
 		c.coord.Release()
 	}
-	return nil
-}
-
-// captureScope captures every replica in scope into the store under the
-// epoch, through the chunked-parallel capture path. Once the consensus cut
-// has parked every task, the two replicas share nothing — their captures
-// run concurrently on the fast path. Chaos runs and SerialCommitPath pin
-// the original one-after-the-other schedule: hook firing order (capture
-// points, store writes) is part of a fault campaign's deterministic
-// contract, and the Both-mode corruption hooks rely on replica 0's store
-// writes preceding replica 1's.
-func (c *Controller) captureScope(scope consensus.Scope, epoch uint64) error {
-	began := time.Now()
-	defer func() { c.roundCapture = time.Since(began) }()
-	opts := c.captureOptions()
-	if scope[0] && scope[1] && c.cfg.Chaos == nil && !c.cfg.SerialCommitPath {
-		var wg sync.WaitGroup
-		var errs [2]error
-		for rep := 0; rep < 2; rep++ {
-			rep := rep
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[rep] = c.machine.CaptureReplica(rep, epoch, c.store, opts)
-			}()
-		}
-		wg.Wait()
-		for rep, err := range errs {
-			if err != nil {
-				return fmt.Errorf("core: capture replica %d: %w", rep, err)
-			}
-		}
-		return nil
+	if err == nil && mismatch != "" {
+		return c.rollbackBoth()
 	}
-	for rep := 0; rep < 2; rep++ {
-		if !scope[rep] {
-			continue
-		}
-		// Quiescent: every task in scope is parked, so hooks may mutate
-		// task state here and the corruption lands in this capture.
-		c.fire(point.CoreCapture, point.Info{Replica: rep, Node: -1, Task: -1, Epoch: epoch})
-		if err := c.machine.CaptureReplica(rep, epoch, c.store, opts); err != nil {
-			return fmt.Errorf("core: capture replica %d: %w", rep, err)
-		}
-	}
-	return nil
-}
-
-// captureOptions derives the runtime capture parameters from the config:
-// the fast path recycles buffers through the pool and packs single-pass;
-// the pinned serial path reproduces the original two-pass, inner-serial
-// behavior exactly.
-func (c *Controller) captureOptions() runtime.CaptureOptions {
-	opts := runtime.CaptureOptions{
-		ChunkSize:    c.cfg.ChunkSize,
-		Workers:      c.cfg.ChecksumWorkers,
-		ChunkWorkers: c.cfg.ChunkChecksumWorkers,
-	}
-	if c.cfg.SerialCommitPath {
-		opts.ForceTwoPass = true
-		opts.ChunkWorkers = 1
-	} else {
-		opts.Pool = c.pool
-		// A non-nil pool means the controller created the store and owns
-		// its eviction lifecycle exclusively — the same ownership guarantee
-		// patch-in-place capture needs (no reader retains Bytes() of an
-		// evicted epoch). A caller-supplied store gets neither.
-		opts.PatchCapture = c.pool != nil
-	}
-	return opts
+	return err
 }
 
 // resetPhases clears the per-round phase accumulators; called when a round
 // passes its consensus cut.
 func (c *Controller) resetPhases() {
-	c.roundCapture, c.roundCompare = 0, 0
-	c.roundExchange.Reset()
-	c.roundBusy = nil
+	for i := range c.clocks {
+		c.clocks[i].reset()
+	}
+	c.roundFetch.Reset()
 }
 
 // recoveryCheckpoint is the weak-scheme recovery: the healthy replica
 // checkpoints, and the crashed replica is restored from it (Figure 5d).
 // The same path implements the medium scheme's forced checkpoint when
-// called directly from handleFailure (Figure 5c).
+// called directly from handleFailure (Figure 5c). It is the round body at
+// one-replica scope: the mirror is its exchange stage and it has no compare
+// stage — which is why queued InjectSDCAtNextCheckpoint addresses are not
+// applied here but stay queued for the next compared round.
 func (c *Controller) recoveryCheckpoint(crashed int) error {
 	healthy := 1 - crashed
+	c.settleWriters()
 	began := time.Now()
 	// The recovery window of §2.3 opens here: what happens between this
 	// point and the trusted commit is invisible to SDC detection. A hook
@@ -247,28 +155,20 @@ func (c *Controller) recoveryCheckpoint(crashed int) error {
 	if err != nil || !ok {
 		return err
 	}
-	c.applyPendingSDC(consensus.OnlyReplica(healthy))
+	defer c.coord.Release()
 	c.resetPhases()
 	epoch := c.nextEpoch()
-	if err := c.captureScope(consensus.OnlyReplica(healthy), epoch); err != nil {
-		c.coord.Release()
-		return err
-	}
 	// The healthy node's local checkpoint is simultaneously the remote
 	// checkpoint of its buddy in the crashed replica: "sends the
-	// checkpoint to the crashed replica" (§2.3). Mirror the stored
-	// checkpoints under the crashed replica's keys; on the direct path
-	// the chunked capture is shared, not recomputed, while the hardened
-	// exchange ships it chunk-by-chunk through the lossy link and stores
-	// the reassembled copy. This mirroring is the recovery round's
-	// exchange phase; under the pipeline the per-task transfers overlap
-	// their link round trips (see mirrorEpoch).
-	exchBegan := time.Now()
-	if err := c.mirrorEpoch(crashed, healthy, epoch); err != nil {
-		c.coord.Release()
+	// checkpoint to the crashed replica" (§2.3). The exchange stage mirrors
+	// each stored checkpoint under the crashed replica's key; on the direct
+	// path the chunked capture is shared, not recomputed, while the
+	// hardened exchange ships it chunk-by-chunk through the lossy link and
+	// stores the reassembled copy.
+	mirror := func(n, t int) error { return c.mirrorTask(crashed, epoch, n, t) }
+	if _, _, err := c.runRound(epoch, consensus.OnlyReplica(healthy), mirror, nil); err != nil {
 		return err
 	}
-	c.roundExchange.Add(time.Since(exchBegan))
 	// This checkpoint is trusted without comparison: SDC that struck the
 	// healthy replica since the last verified checkpoint is undetectable
 	// here — the medium/weak vulnerability window of §2.3 and Figure 7b.
@@ -276,12 +176,10 @@ func (c *Controller) recoveryCheckpoint(crashed int) error {
 	c.mark(trace.Checkpoint, fmt.Sprintf("recovery checkpoint by replica %d", healthy))
 	// Restore the crashed replica from the fresh checkpoint.
 	if err := c.restartReplicaFromEpoch(crashed, epoch); err != nil {
-		c.coord.Release()
 		return err
 	}
 	c.mark(trace.Restart, fmt.Sprintf("replica %d restored from replica %d's checkpoint", crashed, healthy))
 	c.pendingWeak[crashed] = false
-	c.coord.Release()
 	return nil
 }
 
@@ -318,149 +216,6 @@ func (c *Controller) awaitReady(ready <-chan int) (bool, error) {
 	}
 }
 
-// compare cross-checks the buddy checkpoints stored under the epoch and
-// returns a description of the first mismatch ("" when clean) plus the
-// chunk index the mismatch was localized to (-1 when not localized).
-// "First" means lowest (node, task) in the serial walk order, regardless
-// of how many workers ran the comparison — the parallel path cancels
-// early but reproduces the serial outcome bit for bit (see DESIGN.md §10).
-func (c *Controller) compare(epoch uint64) (string, int, error) {
-	began := time.Now()
-	defer func() { c.roundCompare = time.Since(began) }()
-	workers := c.compareWorkers()
-	if workers <= 1 {
-		return c.compareSerial(epoch)
-	}
-	return c.compareParallel(epoch, workers)
-}
-
-// parallelCompareThreshold is the replica state size below which the
-// parallel comparison path loses to the serial walk outright: goroutine
-// spin-up, the claim counter, and cancellation checks cost more than
-// comparing a few hundred KiB of bytes. Measured on the
-// 2x2nodes-4tasks-96KB bench shape, where the parallel path ran at 0.82x
-// of serial.
-const parallelCompareThreshold = 1 << 20
-
-// parallelComparePerWorkerBytes is the payload each comparison worker
-// needs to amortize its share of the fan-out overhead. Above the absolute
-// threshold the pool is shrunk so every worker compares at least this
-// much — the 96KB and 192KB committed bench cases showed 0.87–0.99x when
-// GOMAXPROCS workers each got only a few tens of KiB.
-const parallelComparePerWorkerBytes = 512 << 10
-
-// compareWorkers sizes the comparison pool. Chaos runs pin the serial
-// walk: the hooked store fires a StoreRead point per fetched checkpoint,
-// and a campaign's occurrence-counted faults depend on those firings'
-// order and count, which early cancellation would perturb. Small states
-// pin it too — fan-out overhead dominates below the threshold — as does a
-// single-core box, where parallel compare is pure scheduling overhead.
-// Explicit Config.CompareWorkers bypasses the heuristics (not the pins).
-func (c *Controller) compareWorkers() int {
-	if c.cfg.SerialCommitPath || c.cfg.Chaos != nil {
-		return 1
-	}
-	total := c.cfg.NodesPerReplica * c.cfg.TasksPerNode
-	if w := c.cfg.CompareWorkers; w > 0 {
-		if w > total {
-			w = total
-		}
-		return w
-	}
-	procs := stdruntime.GOMAXPROCS(0)
-	if procs <= 1 {
-		return 1
-	}
-	hint := c.machine.ReplicaStateHint(0)
-	if hint > 0 && hint < parallelCompareThreshold {
-		return 1
-	}
-	w := procs
-	if hint > 0 {
-		// Shrink until every worker has a crossover-sized share of the
-		// replica's bytes; comparing 2MB across 16 workers is slower than
-		// across 4.
-		if byBytes := hint / parallelComparePerWorkerBytes; byBytes < w {
-			w = byBytes
-		}
-		if w < 1 {
-			w = 1
-		}
-	}
-	if w > total {
-		w = total
-	}
-	return w
-}
-
-func (c *Controller) compareSerial(epoch uint64) (string, int, error) {
-	for n := 0; n < c.cfg.NodesPerReplica; n++ {
-		for t := 0; t < c.cfg.TasksPerNode; t++ {
-			mismatch, chunk, err := c.compareTask(n, t, epoch)
-			if mismatch != "" || err != nil {
-				return mismatch, chunk, err
-			}
-		}
-	}
-	return "", -1, nil
-}
-
-// compareParallel fans compareTask over a bounded worker pool with early
-// cancellation. Determinism argument: workers claim dense indices from an
-// atomic counter, so when some index i yields an outcome (mismatch or
-// error), every j < i has already been claimed; those comparisons run to
-// completion and report before the pool drains, and the lowest-index
-// outcome wins. cutoff only ever decreases to a new outcome's index, so
-// no comparison below the winner is skipped — skipping starts strictly
-// above it, where outcomes can't win anyway.
-func (c *Controller) compareParallel(epoch uint64, workers int) (string, int, error) {
-	tasks := c.cfg.TasksPerNode
-	total := c.cfg.NodesPerReplica * tasks
-	var next atomic.Int64
-	var cutoff atomic.Int64
-	cutoff.Store(int64(total))
-	var (
-		mu        sync.Mutex
-		bestIdx   = total
-		bestMsg   string
-		bestChunk int
-		bestErr   error
-	)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= total || int64(i) >= cutoff.Load() {
-					return
-				}
-				mismatch, chunk, err := c.compareTask(i/tasks, i%tasks, epoch)
-				if mismatch == "" && err == nil {
-					continue
-				}
-				mu.Lock()
-				if i < bestIdx {
-					bestIdx, bestMsg, bestChunk, bestErr = i, mismatch, chunk, err
-				}
-				mu.Unlock()
-				for {
-					cur := cutoff.Load()
-					if int64(i) >= cur || cutoff.CompareAndSwap(cur, int64(i)) {
-						break
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if bestIdx == total {
-		return "", -1, nil
-	}
-	return bestMsg, bestChunk, bestErr
-}
-
 // compareTask cross-checks one buddy pair. Store fetches are counted as
 // exchange time — the bytes a real machine would ship between buddies.
 func (c *Controller) compareTask(n, t int, epoch uint64) (string, int, error) {
@@ -471,7 +226,7 @@ func (c *Controller) compareTask(n, t int, epoch uint64) (string, int, error) {
 		// only on mismatch, which names the corrupted chunk.
 		exchBegan := time.Now()
 		res, err := c.store.Compare(c.key(0, n, t, epoch), c.key(1, n, t, epoch))
-		c.roundExchange.Add(time.Since(exchBegan))
+		c.roundFetch.Add(time.Since(exchBegan))
 		if err != nil {
 			return "", -1, fmt.Errorf("core: checksum compare n%d/t%d: %w", n, t, err)
 		}
@@ -481,7 +236,7 @@ func (c *Controller) compareTask(n, t int, epoch uint64) (string, int, error) {
 	case FullCompare:
 		exchBegan := time.Now()
 		remote, err := c.store.Get(c.key(0, n, t, epoch)) // buddy's checkpoint, shipped over
-		c.roundExchange.Add(time.Since(exchBegan))
+		c.roundFetch.Add(time.Since(exchBegan))
 		if err != nil {
 			return "", -1, fmt.Errorf("core: fetch remote checkpoint n%d/t%d: %w", n, t, err)
 		}
@@ -492,7 +247,7 @@ func (c *Controller) compareTask(n, t int, epoch uint64) (string, int, error) {
 			// compares captures.
 			exchBegan := time.Now()
 			local, err := c.store.Get(c.key(1, n, t, epoch)) // replica 2's local checkpoint
-			c.roundExchange.Add(time.Since(exchBegan))
+			c.roundFetch.Add(time.Since(exchBegan))
 			if err != nil {
 				return "", -1, fmt.Errorf("core: fetch local checkpoint n%d/t%d: %w", n, t, err)
 			}
@@ -577,23 +332,28 @@ func (c *Controller) commitTrusted(epoch uint64, began time.Time) {
 }
 
 // appendPhaseTimes records the committed round's capture/exchange/compare
-// split, keeping the phase arrays parallel with CheckpointTimes. Barrier
-// rounds mirror their wall times into the busy arrays (the phases neither
-// overlap each other nor themselves); pipelined rounds supply real
-// overlap-aware accounting via roundBusy.
+// split from the stage clocks, keeping the phase arrays parallel with
+// CheckpointTimes. compareTask's store fetches — the bytes a real machine
+// ships between buddies — happen inside the compare stage's span and are
+// billed to exchange busy as well.
 func (c *Controller) appendPhaseTimes() {
-	c.stats.CaptureTimes = append(c.stats.CaptureTimes, c.roundCapture)
-	c.stats.ExchangeTimes = append(c.stats.ExchangeTimes, c.roundExchange.Load())
-	c.stats.CompareTimes = append(c.stats.CompareTimes, c.roundCompare)
-	if b := c.roundBusy; b != nil {
-		c.stats.CaptureBusyTimes = append(c.stats.CaptureBusyTimes, b.captureBusy)
-		c.stats.ExchangeBusyTimes = append(c.stats.ExchangeBusyTimes, b.exchangeBusy)
-		c.stats.CompareBusyTimes = append(c.stats.CompareBusyTimes, b.compareBusy)
-		return
+	wall, busy := c.phaseTimes()
+	c.stats.CaptureTimes = append(c.stats.CaptureTimes, wall[0])
+	c.stats.ExchangeTimes = append(c.stats.ExchangeTimes, wall[1])
+	c.stats.CompareTimes = append(c.stats.CompareTimes, wall[2])
+	c.stats.CaptureBusyTimes = append(c.stats.CaptureBusyTimes, busy[0])
+	c.stats.ExchangeBusyTimes = append(c.stats.ExchangeBusyTimes, busy[1])
+	c.stats.CompareBusyTimes = append(c.stats.CompareBusyTimes, busy[2])
+}
+
+// phaseTimes reads the current round's capture / exchange / compare spans
+// and busy sums off the stage clocks.
+func (c *Controller) phaseTimes() (wall, busy [3]time.Duration) {
+	for i := range c.clocks {
+		wall[i], busy[i] = c.clocks[i].wall(), c.clocks[i].busy.Load()
 	}
-	c.stats.CaptureBusyTimes = append(c.stats.CaptureBusyTimes, c.roundCapture)
-	c.stats.ExchangeBusyTimes = append(c.stats.ExchangeBusyTimes, c.roundExchange.Load())
-	c.stats.CompareBusyTimes = append(c.stats.CompareBusyTimes, c.roundCompare)
+	busy[1] += c.roundFetch.Load()
+	return wall, busy
 }
 
 // markStore emits a trace.Store event carrying the store's counters.
@@ -750,23 +510,13 @@ func emptySet(nodes, tasks int) [][][]byte {
 // applyPendingSDC flips one random bit in each scheduled task's user data.
 // Injection happens at the quiescent point just before packing, emulating
 // the paper's injector (§6.1) without racing the application.
-func (c *Controller) applyPendingSDC(scope consensus.Scope) {
+func (c *Controller) applyPendingSDC() {
 	c.sdcMu.Lock()
 	pending := c.pendingSDC
 	c.pendingSDC = nil
 	c.sdcMu.Unlock()
-	var rest []runtime.Addr
 	for _, addr := range pending {
-		if !scope[addr.Replica] {
-			rest = append(rest, addr)
-			continue
-		}
 		c.corruptTask(addr)
-	}
-	if len(rest) > 0 {
-		c.sdcMu.Lock()
-		c.pendingSDC = append(rest, c.pendingSDC...)
-		c.sdcMu.Unlock()
 	}
 }
 

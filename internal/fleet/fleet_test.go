@@ -215,7 +215,9 @@ func TestRemoteTierThroughFleet(t *testing.T) {
 	}
 	defer s.Close()
 	j := mustSubmit(t, s, JobSpec{
-		Name: "remote", Nodes: 2, Tasks: 1, Iters: 4000,
+		// Long enough for several commits whatever the host speed: the
+		// remote cadence needs at least two before anything uploads.
+		Name: "remote", Nodes: 2, Tasks: 1, Iters: 16000,
 		FlushEvery: 2, RemoteEvery: 2,
 	})
 	stats := drain(t, s)

@@ -40,10 +40,6 @@ type CaptureOptions struct {
 	// Pool, if non-nil, supplies retired checkpoints whose buffers are
 	// reused for packing and checksumming (zero-allocation steady state).
 	Pool *ckptstore.Pool
-	// ForceTwoPass disables the size-hint single-pass packing fast path,
-	// pinning the original Sizing+Packing behavior. Used by the benchmark
-	// harness's serial baseline.
-	ForceTwoPass bool
 	// PatchCapture lets write-tracked tasks patch their two-epochs-ago
 	// capture buffer in place instead of memcpy'ing every clean byte from
 	// the previous stream. Only set it when the caller owns the store's
@@ -121,10 +117,10 @@ func (m *Machine) CaptureReplica(rep int, epoch uint64, st ckptstore.Store, opts
 }
 
 // CaptureTask packs one task's state and stores its chunked, checksummed
-// checkpoint under the epoch — the per-(node, task) capture hook the
-// pipelined commit path in internal/core drives, where task checkpoints
-// flow into exchange and comparison as soon as they exist instead of
-// waiting for the whole replica. Quiescence rules match CaptureReplica:
+// checkpoint under the epoch — the per-(node, task) capture step the round
+// body in internal/core drives, where a task's checkpoint can flow into
+// exchange and comparison as soon as it exists instead of waiting for the
+// whole replica. Quiescence rules match CaptureReplica:
 // the task must be parked, completed, or its replica stopped. Safe to call
 // concurrently for distinct tasks; opts.ChunkWorkers <= 0 selects 1 (the
 // caller is assumed to already be task-parallel).
@@ -139,28 +135,16 @@ func (m *Machine) CaptureTask(addr Addr, epoch uint64, st ckptstore.Store, opts 
 // captureAndStore is the shared per-task capture body behind
 // CaptureReplica's worker pool and the exported CaptureTask hook.
 func (m *Machine) captureAndStore(addr Addr, epoch uint64, st ckptstore.Store, opts CaptureOptions, chunkWorkers int) error {
-	var ck *ckptstore.Checkpoint
-	if opts.ForceTwoPass {
-		// The pinned serial baseline: two-pass pack, full checksum, no
-		// splice base retained.
-		data, err := m.PackTask(addr)
-		if err != nil {
-			return fmt.Errorf("runtime: capture %v: %w", addr, err)
-		}
-		ck = ckptstore.CaptureInto(nil, data, opts.ChunkSize, chunkWorkers)
-	} else {
-		hint := m.sizeHint(addr)
-		var buf []byte
-		var recycled *ckptstore.Checkpoint
-		if opts.Pool != nil {
-			recycled = opts.Pool.Get(hint)
-			buf = recycled.Scratch()
-		}
-		var err error
-		ck, err = m.captureTaskInto(addr, recycled, buf, hint, opts.ChunkSize, chunkWorkers, opts.PatchCapture)
-		if err != nil {
-			return fmt.Errorf("runtime: capture %v: %w", addr, err)
-		}
+	hint := m.sizeHint(addr)
+	var buf []byte
+	var recycled *ckptstore.Checkpoint
+	if opts.Pool != nil {
+		recycled = opts.Pool.Get(hint)
+		buf = recycled.Scratch()
+	}
+	ck, err := m.captureTaskInto(addr, recycled, buf, hint, opts.ChunkSize, chunkWorkers, opts.PatchCapture)
+	if err != nil {
+		return fmt.Errorf("runtime: capture %v: %w", addr, err)
 	}
 	key := ckptstore.Key{Replica: addr.Replica, Node: addr.Node, Task: addr.Task, Epoch: epoch}
 	if err := st.Put(key, ck); err != nil {
