@@ -266,12 +266,8 @@ func (s *Server) handleInventory(w http.ResponseWriter, r *http.Request) {
 		ctrl = job.Controller()
 	}
 	if ctrl != nil {
-		resp.Tiers = append(resp.Tiers, tierView(ctrl.Store(), rec.want))
-		if fs := ctrl.FlushStore(); fs != nil {
-			resp.Tiers = append(resp.Tiers, tierView(fs, rec.want))
-		}
-		if rs := ctrl.RemoteStore(); rs != nil {
-			resp.Tiers = append(resp.Tiers, tierView(rs, rec.want))
+		for _, st := range ctrl.LadderStores() {
+			resp.Tiers = append(resp.Tiers, tierView(st, rec.want))
 		}
 		resp.DurableEpochs = ctrl.DurableEpochs()
 	} else {

@@ -1,6 +1,7 @@
 package acrd
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -247,8 +248,18 @@ func TestRemoteBreakerLifecycleInMetrics(t *testing.T) {
 	}
 	inv := readAll(t, resp)
 	resp.Body.Close()
-	if !strings.Contains(inv, "resilient(") {
-		t.Fatalf("inventory missing the remote tier: %s", inv)
+	var census struct {
+		Tiers []struct {
+			Name string `json:"name"`
+		} `json:"tiers"`
+	}
+	if err := json.Unmarshal([]byte(inv), &census); err != nil {
+		t.Fatal(err)
+	}
+	// Ladder order: hot store, flush tier, remote tier.
+	if ts := census.Tiers; len(ts) != 3 || ts[0].Name != "mem" ||
+		!strings.Contains(ts[1].Name, "(tracked)") || !strings.Contains(ts[2].Name, "resilient(") {
+		t.Fatalf("inventory tiers = %+v, want hot, flush, remote in ladder order", census.Tiers)
 	}
 }
 

@@ -14,10 +14,11 @@ import (
 // succeeds, so a journaled epoch was really accepted by the store.
 //
 // It sits between the fleet's bandwidth arbiter and the disk tier
-// (core → hooked → arbiter → tracker → disk) and forwards the Enumerator
-// capability so inventory endpoints still see through to the disk.
+// (core → hooked → arbiter → tracker → disk); ckptstore.Layer forwards
+// everything it does not change, including the Enumerator capability the
+// inventory endpoints read the disk through.
 type flushTracker struct {
-	inner      ckptstore.Store
+	ckptstore.Layer
 	want       int
 	onComplete func(epoch uint64)
 
@@ -28,7 +29,7 @@ type flushTracker struct {
 
 func newFlushTracker(inner ckptstore.Store, want int, onComplete func(uint64)) *flushTracker {
 	return &flushTracker{
-		inner:      inner,
+		Layer:      ckptstore.Layer{Store: inner},
 		want:       want,
 		onComplete: onComplete,
 		seen:       make(map[uint64]map[ckptstore.Key]struct{}),
@@ -37,7 +38,7 @@ func newFlushTracker(inner ckptstore.Store, want int, onComplete func(uint64)) *
 }
 
 func (t *flushTracker) Put(k ckptstore.Key, ck *ckptstore.Checkpoint) error {
-	if err := t.inner.Put(k, ck); err != nil {
+	if err := t.Store.Put(k, ck); err != nil {
 		return err
 	}
 	var fire bool
@@ -62,14 +63,6 @@ func (t *flushTracker) Put(k ckptstore.Key, ck *ckptstore.Checkpoint) error {
 	return nil
 }
 
-func (t *flushTracker) Get(k ckptstore.Key) (*ckptstore.Checkpoint, error) {
-	return t.inner.Get(k)
-}
-
-func (t *flushTracker) Compare(a, b ckptstore.Key) (ckptstore.CompareResult, error) {
-	return t.inner.Compare(a, b)
-}
-
 // Evict forwards retention eviction. Journaled flush records for evicted
 // epochs become stale claims on purpose — resume's disk scan is what
 // weeds them out.
@@ -86,17 +79,7 @@ func (t *flushTracker) Evict(olderThan uint64) int {
 		}
 	}
 	t.mu.Unlock()
-	return t.inner.Evict(olderThan)
+	return t.Store.Evict(olderThan)
 }
 
-func (t *flushTracker) Counters() ckptstore.Counters { return t.inner.Counters() }
-
-func (t *flushTracker) Name() string { return t.inner.Name() + "(tracked)" }
-
-// Keys forwards enumeration when the inner tier supports it.
-func (t *flushTracker) Keys() []ckptstore.Key {
-	if e, ok := t.inner.(ckptstore.Enumerator); ok {
-		return e.Keys()
-	}
-	return nil
-}
+func (t *flushTracker) Name() string { return t.Store.Name() + "(tracked)" }

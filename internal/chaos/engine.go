@@ -373,14 +373,10 @@ func (e *Engine) flipStored(info *point.Info, offEnd, bit int) func() {
 	return nil
 }
 
-// diskTier unwraps the controller's store down to a *ckptstore.Disk, nil
-// when the run uses another tier.
+// diskTier finds the *ckptstore.Disk under the controller's store, through
+// whatever wrappers sit on it; nil when the run uses another tier.
 func (e *Engine) diskTier() *ckptstore.Disk {
-	st := e.ctrl.Store()
-	if h, ok := st.(*ckptstore.Hooked); ok {
-		st = h.Inner()
-	}
-	d, _ := st.(*ckptstore.Disk)
+	d, _ := ckptstore.As[*ckptstore.Disk](e.ctrl.Store())
 	return d
 }
 

@@ -1,9 +1,7 @@
 package ckptstore
 
-// Benchmarks backing the tentpole claims: chunked-parallel checksum
-// capture beats the serial Fletcher64Writer on multi-MiB checkpoints, and
-// the delta tier stores a fraction of the bytes a full-checkpoint tier
-// stores for iterative states that only touch part of their footprint.
+// Benchmarks backing the tentpole claim: chunked-parallel checksum
+// capture beats the serial Fletcher64Writer on multi-MiB checkpoints.
 
 import (
 	"testing"
@@ -55,38 +53,4 @@ func BenchmarkCompareTwoPhaseMatch(b *testing.B) {
 			b.Fatalf("compare: %v %v", res, err)
 		}
 	}
-}
-
-// Delta versus full storage bytes across epochs where 1/64 of the state
-// changes per epoch — the iterative-application shape. Reported metrics:
-// bytes written per epoch by each tier.
-func BenchmarkDeltaVsFullBytes(b *testing.B) {
-	const size = 4 << 20
-	const epochs = 8
-	data := randData(b, 3, size)
-	run := func(st Store) Counters {
-		buf := append([]byte(nil), data...)
-		for e := uint64(1); e <= epochs; e++ {
-			// Touch one chunk-aligned 64th of the state per epoch.
-			lo := (int(e) % 64) * (size / 64)
-			buf[lo] ^= byte(e)
-			st.Put(Key{Epoch: e}, Capture(append([]byte(nil), buf...), 0, 0))
-		}
-		return st.Counters()
-	}
-	b.Run("full", func(b *testing.B) {
-		var c Counters
-		for i := 0; i < b.N; i++ {
-			c = run(NewMem())
-		}
-		b.ReportMetric(float64(c.BytesWritten)/epochs, "bytes/epoch")
-	})
-	b.Run("delta", func(b *testing.B) {
-		var c Counters
-		for i := 0; i < b.N; i++ {
-			c = run(NewDelta())
-		}
-		b.ReportMetric(float64(c.BytesWritten)/epochs, "bytes/epoch")
-		b.ReportMetric(float64(c.ChunksReused), "chunks-reused")
-	})
 }

@@ -5,12 +5,12 @@ import "acr/internal/chaos/point"
 // Hooked interposes a fault-injection hook on a Store's read and write
 // paths: point.StoreWrite fires after every accepted Put (the hook may
 // corrupt the stored copy — at-rest corruption), point.StoreRead after
-// every successful Get. Compare and Evict pass through untouched: the
-// two-phase compare works on resident metadata, which real at-rest
+// every successful Get. Compare and Evict pass through untouched (Layer):
+// the two-phase compare works on resident metadata, which real at-rest
 // corruption does not reach.
 type Hooked struct {
-	inner Store
-	hook  point.Hook
+	Layer
+	hook point.Hook
 }
 
 // WithHook wraps the store; a nil hook returns the store unchanged.
@@ -18,20 +18,13 @@ func WithHook(inner Store, hook point.Hook) Store {
 	if hook == nil {
 		return inner
 	}
-	return &Hooked{inner: inner, hook: hook}
+	return &Hooked{Layer: Layer{inner}, hook: hook}
 }
-
-// Inner returns the wrapped store (for tests and tier-specific access such
-// as Disk.Dir).
-func (s *Hooked) Inner() Store { return s.inner }
-
-// Name implements Store.
-func (s *Hooked) Name() string { return s.inner.Name() }
 
 // Put implements Store: store first, then expose the stored checkpoint to
 // the hook so corruption lands on the at-rest copy.
 func (s *Hooked) Put(k Key, ck *Checkpoint) error {
-	if err := s.inner.Put(k, ck); err != nil {
+	if err := s.Store.Put(k, ck); err != nil {
 		return err
 	}
 	s.hook.Fire(point.StoreWrite, &point.Info{Replica: k.Replica, Node: k.Node, Task: k.Task, Epoch: k.Epoch, Payload: ck})
@@ -40,41 +33,13 @@ func (s *Hooked) Put(k Key, ck *Checkpoint) error {
 
 // Get implements Store.
 func (s *Hooked) Get(k Key) (*Checkpoint, error) {
-	ck, err := s.inner.Get(k)
+	ck, err := s.Store.Get(k)
 	if err != nil {
 		return nil, err
 	}
 	s.hook.Fire(point.StoreRead, &point.Info{Replica: k.Replica, Node: k.Node, Task: k.Task, Epoch: k.Epoch, Payload: ck})
 	return ck, nil
 }
-
-// Compare implements Store.
-func (s *Hooked) Compare(a, b Key) (CompareResult, error) { return s.inner.Compare(a, b) }
-
-// Evict implements Store.
-func (s *Hooked) Evict(olderThan uint64) int { return s.inner.Evict(olderThan) }
-
-// DropNode forwards the Volatile capability when the wrapped tier has it;
-// on a non-volatile inner tier it reports zero drops (node death does not
-// lose durable checkpoints).
-func (s *Hooked) DropNode(replica, node int) int {
-	if v, ok := s.inner.(Volatile); ok {
-		return v.DropNode(replica, node)
-	}
-	return 0
-}
-
-// Keys forwards the Enumerator capability when the wrapped tier has it;
-// a non-enumerable inner tier yields nil.
-func (s *Hooked) Keys() []Key {
-	if e, ok := s.inner.(Enumerator); ok {
-		return e.Keys()
-	}
-	return nil
-}
-
-// Counters implements Store.
-func (s *Hooked) Counters() Counters { return s.inner.Counters() }
 
 // MutableBytes exposes a checkpoint's stored payload for in-place
 // corruption by injection hooks. It exists solely for fault injection:

@@ -36,7 +36,6 @@ func TestEpochInventory(t *testing.T) {
 		mk   func(t *testing.T) Store
 	}{
 		{"mem", func(t *testing.T) Store { return NewMem() }},
-		{"delta", func(t *testing.T) Store { return NewDelta() }},
 		{"disk", func(t *testing.T) Store {
 			d, err := NewDisk(t.TempDir(), nil)
 			if err != nil {
@@ -62,15 +61,6 @@ func TestEpochInventory(t *testing.T) {
 				t.Fatalf("complete epochs = %v, want [3 5]", complete)
 			}
 		})
-	}
-}
-
-func TestHookedForwardsKeys(t *testing.T) {
-	mem := NewMem()
-	putEpoch(t, mem, 1, 1, 1)
-	h := &Hooked{inner: mem}
-	if got := len(h.Keys()); got != 2 {
-		t.Fatalf("hooked keys = %d, want 2", got)
 	}
 }
 

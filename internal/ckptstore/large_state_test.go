@@ -44,7 +44,7 @@ func storesUnderTest(t *testing.T) map[string]ckptstore.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]ckptstore.Store{"mem": ckptstore.NewMem(), "disk": disk, "delta": ckptstore.NewDelta()}
+	return map[string]ckptstore.Store{"mem": ckptstore.NewMem(), "disk": disk}
 }
 
 func TestLargeStateRoundTripThroughChunkedCapture(t *testing.T) {

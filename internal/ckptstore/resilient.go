@@ -29,7 +29,7 @@ import (
 //
 // Resilient is safe for concurrent use. Close stops the background prober.
 type Resilient struct {
-	inner Store
+	Layer // Inner and Counters come from here; everything else is policy
 	opts  ResilientOptions
 
 	mu     sync.Mutex
@@ -156,38 +156,29 @@ type ResilientReporter interface {
 	ResilientStats() ResilientStats
 }
 
-// ResilientStatsOf unwraps hooked/arbitrated/other layered stores (via
-// their Inner() accessors) looking for a ResilientReporter.
+// ResilientStatsOf looks through a wrapper stack (As) for a
+// ResilientReporter and returns its counter snapshot.
 func ResilientStatsOf(s Store) (ResilientStats, bool) {
-	for s != nil {
-		if r, ok := s.(ResilientReporter); ok {
-			return r.ResilientStats(), true
-		}
-		u, ok := s.(interface{ Inner() Store })
-		if !ok {
-			return ResilientStats{}, false
-		}
-		s = u.Inner()
+	r, ok := As[ResilientReporter](s)
+	if !ok {
+		return ResilientStats{}, false
 	}
-	return ResilientStats{}, false
+	return r.ResilientStats(), true
 }
 
 // NewResilient wraps inner.
 func NewResilient(inner Store, opts ResilientOptions) *Resilient {
 	opts.normalize()
 	return &Resilient{
-		inner:    inner,
+		Layer:    Layer{inner},
 		opts:     opts,
 		rng:      rand.New(rand.NewSource(opts.JitterSeed)),
 		lastRoot: make(map[Key]uint64),
 	}
 }
 
-// Inner returns the wrapped store.
-func (r *Resilient) Inner() Store { return r.inner }
-
 // Name implements Store.
-func (r *Resilient) Name() string { return "resilient(" + r.inner.Name() + ")" }
+func (r *Resilient) Name() string { return "resilient(" + r.Store.Name() + ")" }
 
 // Close stops the background prober. The wrapper stays usable (the
 // breaker just never half-opens again).
@@ -284,12 +275,12 @@ func (r *Resilient) probe() {
 	r.probes.Add(1)
 
 	var err error
-	if p, ok := r.inner.(prober); ok {
+	if p, ok := r.Store.(prober); ok {
 		err = p.Probe()
 	} else {
 		// No probe capability: a Get of an impossible key doubles as the
 		// health check. Absence is health; only transport failure is not.
-		_, gerr := r.inner.Get(Key{Replica: -1, Node: -1, Task: -1, Epoch: 0})
+		_, gerr := r.Store.Get(Key{Replica: -1, Node: -1, Task: -1, Epoch: 0})
 		if gerr != nil && !errors.Is(gerr, ErrNotFound) && !errors.Is(gerr, ErrCorrupt) {
 			err = gerr
 		}
@@ -374,7 +365,7 @@ func (r *Resilient) Put(k Key, ck *Checkpoint) error {
 		r.dedupedPuts.Add(1)
 		return nil
 	}
-	err := r.attempt(func() error { return r.inner.Put(k, ck) })
+	err := r.attempt(func() error { return r.Store.Put(k, ck) })
 	if err != nil {
 		r.noteFailure()
 		if r.open() {
@@ -412,7 +403,7 @@ func (r *Resilient) Get(k Key) (*Checkpoint, error) {
 	var ck *Checkpoint
 	err := r.attempt(func() error {
 		var e error
-		ck, e = r.inner.Get(k)
+		ck, e = r.Store.Get(k)
 		return e
 	})
 	if err != nil {
@@ -459,7 +450,7 @@ func (r *Resilient) Compare(a, b Key) (CompareResult, error) {
 func (r *Resilient) Evict(olderThan uint64) int {
 	n := 0
 	if !r.open() {
-		n += r.inner.Evict(olderThan)
+		n += r.Store.Evict(olderThan)
 	}
 	if r.opts.Fallback != nil {
 		n += r.opts.Fallback.Evict(olderThan)
@@ -491,12 +482,9 @@ func (r *Resilient) Keys() []Key {
 			}
 		}
 	}
-	add(r.inner)
+	add(r.Store)
 	if r.opts.Fallback != nil {
 		add(r.opts.Fallback)
 	}
 	return out
 }
-
-// Counters implements Store.
-func (r *Resilient) Counters() Counters { return r.inner.Counters() }

@@ -18,10 +18,11 @@
 //   - Storage is pluggable behind the Store interface, keyed by
 //     {replica, node, task, epoch}: an in-memory buddy tier (Mem), a
 //     disk tier wired to the parallel-file-system cost model of
-//     internal/model (Disk), and a delta tier that keeps a base epoch
-//     plus per-chunk diffs (Delta).
+//     internal/model (Disk), and a simulated remote object store (Remote).
+//     Wrappers that change one or two methods embed Layer; As looks
+//     through a wrapper stack for a backend or a capability.
 //
-// Every backend maintains Counters (bytes written/read, chunks reused,
+// Every backend maintains Counters (bytes written/read, chunks stored,
 // compare time, last localized chunk) that internal/core surfaces through
 // core.Stats and trace events.
 package ckptstore
@@ -49,14 +50,6 @@ type Key struct {
 func (k Key) String() string {
 	return fmt.Sprintf("r%d/n%d/t%d@e%d", k.Replica, k.Node, k.Task, k.Epoch)
 }
-
-// ident is the epoch-less task identity, used by backends that track
-// per-task history (the delta tier).
-type ident struct {
-	Replica, Node, Task int
-}
-
-func (k Key) ident() ident { return ident{k.Replica, k.Node, k.Task} }
 
 // ErrNotFound reports a Get/Compare against a key the store does not hold.
 var ErrNotFound = errors.New("ckptstore: checkpoint not found")
@@ -226,8 +219,7 @@ type Store interface {
 	// checkpoints without materializing either one's data.
 	Compare(a, b Key) (CompareResult, error)
 	// Evict drops every checkpoint with epoch < olderThan and returns
-	// the number of task checkpoints removed. Backends with internal
-	// bases (the delta tier) re-anchor surviving epochs first.
+	// the number of task checkpoints removed.
 	Evict(olderThan uint64) int
 	// Counters returns a snapshot of the store's activity counters.
 	Counters() Counters
@@ -299,13 +291,11 @@ type Counters struct {
 	Gets         int64 `json:"gets"`
 	Compares     int64 `json:"compares"`
 	Mismatches   int64 `json:"mismatches"`    // compares that found a difference
-	BytesWritten int64 `json:"bytes_written"` // payload bytes accepted by Put (after dedup/delta)
+	BytesWritten int64 `json:"bytes_written"` // payload bytes accepted by Put
 	BytesRead    int64 `json:"bytes_read"`    // payload bytes materialized by Get
 	BytesEvicted int64 `json:"bytes_evicted"`
-	// ChunksStored / ChunksReused split each Put's chunks into freshly
-	// stored versus reused-from-base (delta tier; other tiers store all).
+	// ChunksStored counts the chunks every accepted Put stored.
 	ChunksStored int64 `json:"chunks_stored"`
-	ChunksReused int64 `json:"chunks_reused"`
 	// CompareTime is the cumulative wall time spent in Compare.
 	CompareTime time.Duration `json:"compare_time_ns"`
 	// LastLocalizedChunk is the chunk index of the most recent localized
@@ -317,7 +307,7 @@ type Counters struct {
 type counters struct {
 	puts, gets, compares, mismatches      atomic.Int64
 	bytesWritten, bytesRead, bytesEvicted atomic.Int64
-	chunksStored, chunksReused            atomic.Int64
+	chunksStored                          atomic.Int64
 	compareNanos                          atomic.Int64
 	lastLocalized                         atomic.Int64
 }
@@ -338,7 +328,6 @@ func (c *counters) snapshot() Counters {
 		BytesRead:          c.bytesRead.Load(),
 		BytesEvicted:       c.bytesEvicted.Load(),
 		ChunksStored:       c.chunksStored.Load(),
-		ChunksReused:       c.chunksReused.Load(),
 		CompareTime:        time.Duration(c.compareNanos.Load()),
 		LastLocalizedChunk: c.lastLocalized.Load(),
 	}

@@ -3,6 +3,7 @@ package ckptstore
 import (
 	"errors"
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 
@@ -18,9 +19,8 @@ func backends(t *testing.T) map[string]Store {
 		t.Fatal(err)
 	}
 	return map[string]Store{
-		"mem":   NewMem(),
-		"disk":  disk,
-		"delta": NewDelta(),
+		"mem":  NewMem(),
+		"disk": disk,
 	}
 }
 
@@ -32,6 +32,18 @@ func randData(t testing.TB, seed int64, n int) []byte {
 }
 
 const testChunk = 4 << 10
+
+func corruptFileByte(t *testing.T, path string, off int) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[off] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestStorePutGetRoundTrip(t *testing.T) {
 	for name, st := range backends(t) {
@@ -104,8 +116,6 @@ func TestStoreCompareLocalizesSingleBitFlip(t *testing.T) {
 			if err := st.Put(b2, Capture(append([]byte(nil), clean...), testChunk, 2)); err != nil {
 				t.Fatal(err)
 			}
-			// Delta note: replica 0 and 1 are distinct identities, so b2
-			// diffs against b (same identity), not a.
 			res, err = st.Compare(a, b2)
 			if err != nil {
 				t.Fatal(err)
@@ -156,8 +166,7 @@ func TestStoreEvict(t *testing.T) {
 					t.Fatalf("epoch %d survived eviction: %v", epoch, err)
 				}
 			}
-			// The newest epoch must still be fully retrievable — the delta
-			// tier has to re-anchor it when its base is evicted.
+			// The newest epoch must still be fully retrievable.
 			got, err := st.Get(Key{Epoch: 4})
 			if err != nil {
 				t.Fatal(err)

@@ -652,8 +652,9 @@ func benchRound(spec BenchSpec, serial bool) (testing.BenchmarkResult, *BenchPha
 		}
 	})
 	// The fast leg's background writers must not outlive the measurement.
-	ctrl.flushWG.Wait()
-	ctrl.remoteWG.Wait()
+	for _, t := range ctrl.tiers {
+		t.wg.Wait()
+	}
 	if benchErr == nil && ctrl.stats.SDCDetected > 0 {
 		benchErr = fmt.Errorf("round: spurious SDC detected (%d)", ctrl.stats.SDCDetected)
 	}

@@ -162,32 +162,16 @@ type Config struct {
 	HeartbeatTimeout  time.Duration
 	// Timeline, if non-nil, receives checkpoint/failure/restart events.
 	Timeline *trace.Timeline
-	// MailboxCap forwards to runtime.Config.
-	MailboxCap int
 	// Store is the checkpoint storage tier holding every committed (and
 	// in-flight) checkpoint, keyed by {replica, node, task, epoch}. Nil
 	// selects the in-memory buddy tier (ckptstore.NewMem), the paper's
-	// double in-memory checkpoint; a disk or delta tier composes with any
+	// double in-memory checkpoint; a disk tier composes with any
 	// scheme/comparison combination.
 	Store ckptstore.Store
 	// ChunkSize is the checkpoint chunk granularity for parallel
 	// checksumming and corruption localization; <= 0 selects
 	// checksum.DefaultChunkSize (64 KiB).
 	ChunkSize int
-	// ChecksumWorkers is the round's capture-stage width (task-parallel:
-	// each worker packs both replicas of one task); <= 0 sizes it from
-	// GOMAXPROCS, the task count and the state size (see stageWidths).
-	ChecksumWorkers int
-	// ChunkChecksumWorkers bounds the inner chunk-checksum parallelism of
-	// each task capture; <= 0 auto-sizes against the capture stage (1 when
-	// the stage saturates GOMAXPROCS, more for single-task-per-node
-	// shapes). See runtime.CaptureOptions.
-	ChunkChecksumWorkers int
-	// CompareWorkers is the round's compare-stage width; <= 0 sizes it like
-	// the capture stage. Every buddy pair is always compared and the lowest
-	// (node, task) mismatch is the one reported, so the verdict does not
-	// depend on the width.
-	CompareWorkers int
 	// FlushEvery, when positive, flushes every K-th committed epoch to a
 	// durable second tier — the escalation target when a buddy-pair double
 	// fault destroys both in-memory copies of a node's checkpoints. The
@@ -201,8 +185,9 @@ type Config struct {
 	// tier keeps (older ones are evicted after each successful flush);
 	// <= 0 selects 2. Deeper retention buys deeper rollback at more disk.
 	FlushRetain int
-	// FlushStore is the durable tier behind FlushEvery. Nil with
-	// FlushEvery > 0 selects a controller-owned ckptstore.Disk in a
+	// FlushStore is the store behind the durable tier. The tier exists iff
+	// FlushEvery > 0: a FlushStore with FlushEvery zero is ignored, and nil
+	// with FlushEvery > 0 selects a controller-owned ckptstore.Disk in a
 	// temporary directory, removed at Run end.
 	FlushStore ckptstore.Store
 	// RemoteStore, when non-nil, attaches a remote checkpoint tier — tier 3
@@ -225,18 +210,15 @@ type Config struct {
 	RemoteRetain int
 	// ResumeEpochs, when non-empty, warm-starts the job from durable
 	// checkpoints instead of factory state: Run restores both replicas
-	// from the newest usable epoch in the list (read from ResumeStore,
-	// falling back to FlushStore), walking to older epochs when a restore
-	// fails — the same escalation the recovery ladder uses, applied at
-	// job start. Epochs that turn out corrupt or incomplete are skipped;
-	// if every one is unusable the job falls back to a cold start. When
-	// resuming from the flush tier itself, the epochs also seed the
-	// ladder's durable-epoch index so later double faults can land on
-	// them. The outcome is reported in Stats.ResumedEpoch.
+	// from the newest usable epoch in the list, read from the durable flush
+	// tier (so FlushEvery must be positive), walking to older epochs when a
+	// restore fails — the same escalation the recovery ladder uses, applied
+	// at job start. Epochs that turn out corrupt or incomplete are skipped;
+	// if every one is unusable the job falls back to a cold start. The
+	// usable epochs also seed the ladder's durable-epoch index so later
+	// double faults can land on them. The outcome is reported in
+	// Stats.ResumedEpoch.
 	ResumeEpochs []uint64
-	// ResumeStore is the durable store ResumeEpochs are read from. Nil
-	// selects FlushStore.
-	ResumeStore ckptstore.Store
 	// Degraded enables Charm++-style shrink on spare exhaustion: instead
 	// of failing with ErrUnrecoverable, the failed node's tasks are folded
 	// onto the least-loaded survivor in the same replica and the job
@@ -308,8 +290,8 @@ func (c *Config) validate() error {
 			c.RemoteRetain = 2
 		}
 	}
-	if len(c.ResumeEpochs) > 0 && c.ResumeStore == nil && c.FlushEvery <= 0 {
-		return fmt.Errorf("core: ResumeEpochs set but no durable store to resume from (set ResumeStore or FlushEvery)")
+	if len(c.ResumeEpochs) > 0 && c.FlushEvery <= 0 {
+		return fmt.Errorf("core: ResumeEpochs set but no durable tier to resume from (set FlushEvery)")
 	}
 	if c.Exchange != nil {
 		if err := c.Exchange.validate(); err != nil {
@@ -391,8 +373,8 @@ type Stats struct {
 	// StoreName identifies the checkpoint-store backend the run used.
 	StoreName string `json:"store_name"`
 	// Store is the checkpoint store's counter snapshot at run end: bytes
-	// written/read, chunks reused by the delta tier, cumulative compare
-	// time, and the last localized corrupted chunk.
+	// written/read, chunks stored, cumulative compare time, and the last
+	// localized corrupted chunk.
 	Store ckptstore.Counters `json:"store"`
 	// LocalizedChunks records, per detected SDC, the chunk index the
 	// two-phase comparison attributed the corruption to (-1 when the
@@ -449,34 +431,15 @@ type Controller struct {
 	// when the store is caller-supplied or does not support recycling.
 	pool *ckptstore.Pool
 
-	// flushStore is the hooked durable tier behind Config.FlushEvery; nil
-	// when flushing is disabled. ownedFlush is set when the controller
-	// created (and must close) the tier itself.
-	flushStore ckptstore.Store
-	ownedFlush *ckptstore.Disk
-	// flushMu guards flushedEpochs (ascending, complete durable epochs);
-	// flushWG tracks in-flight asynchronous flush writes. flushedCount /
-	// flushErrs are written by the async writer, harvested at Run end.
-	flushMu       sync.Mutex
-	flushedEpochs []uint64
-	flushWG       sync.WaitGroup
-	flushedCount  atomic.Int64
-	flushErrs     atomic.Int64
-	// commitLog lists committed epochs in commit order (eventLoop only);
-	// commitsSinceFlush counts commits toward the next flush.
-	commitLog         []uint64
-	commitsSinceFlush int
-
-	// remoteStore is the remote checkpoint tier (tier 3 of the ladder);
-	// nil when Config.RemoteStore is nil. The remote flush machinery
-	// mirrors the local flush machinery above.
-	remoteStore        ckptstore.Store
-	remoteMu           sync.Mutex
-	remoteEpochs       []uint64
-	remoteWG           sync.WaitGroup
-	remoteCount        atomic.Int64
-	remoteErrs         atomic.Int64
-	commitsSinceRemote int
+	// tiers are the durable rungs of the recovery ladder below buddy
+	// memory, in ladder order; the commit path flushes to each and recovery
+	// walks them in turn (ladder.go). flush and remote are the two New can
+	// configure — control-plane operations and the stats address them by
+	// name — and an unconfigured one has a nil store and is not in tiers.
+	tiers         []*tier
+	flush, remote tier
+	// commitLog lists committed epochs in commit order (eventLoop only).
+	commitLog []uint64
 
 	// exch is the hardened exchange protocol driver; nil when
 	// Config.Exchange is nil.
@@ -541,7 +504,6 @@ func New(cfg Config) (*Controller, error) {
 		Spares:            cfg.Spares,
 		Factory:           cfg.Factory,
 		Gate:              coord,
-		MailboxCap:        cfg.MailboxCap,
 		HeartbeatInterval: cfg.HeartbeatInterval,
 		HeartbeatTimeout:  cfg.HeartbeatTimeout,
 		Chaos:             cfg.Chaos,
@@ -579,23 +541,32 @@ func New(cfg Config) (*Controller, error) {
 		opCh:       make(chan func()),
 		outcomes:   make([]taskOutcome, cfg.NodesPerReplica*cfg.TasksPerNode),
 	}
+	// The two rungs differ only in the data set here: which TierRecoveries
+	// slots a restore books (at the committed epoch / older), the trace
+	// wording, and the injection points. Only the flush tier is wrapped with
+	// the store-level corruption hook and fires core.flush once an epoch has
+	// landed; the remote tier is used as configured — it fires its own
+	// remote.put / remote.get points (ckptstore.Remote), and interposing
+	// StoreWrite on it would shift the occurrence counts existing at-rest
+	// corruption scenarios trigger on.
 	if cfg.FlushEvery > 0 {
-		fs := cfg.FlushStore
-		if fs == nil {
+		ctrl.flush = tier{store: cfg.FlushStore, every: cfg.FlushEvery, retain: cfg.FlushRetain,
+			rungs: [2]int{1, 2}, kind: trace.Store, name: "durable", verb: "flush", landed: point.CoreFlush}
+		if cfg.FlushStore == nil {
 			d, err := ckptstore.NewDisk("", nil)
 			if err != nil {
 				return nil, fmt.Errorf("core: create durable flush tier: %w", err)
 			}
-			ctrl.ownedFlush = d
-			fs = d
+			ctrl.flush.store, ctrl.flush.owned = d, d
 		}
-		ctrl.flushStore = ckptstore.WithHook(fs, cfg.Chaos)
+		ctrl.flush.store = ckptstore.WithHook(ctrl.flush.store, cfg.Chaos)
+		ctrl.tiers = append(ctrl.tiers, &ctrl.flush)
 	}
-	// The remote tier is used as configured, without the store-level
-	// corruption hook: it fires its own remote.put / remote.get points
-	// (ckptstore.Remote), and interposing StoreWrite here would shift the
-	// occurrence counts existing at-rest corruption scenarios trigger on.
-	ctrl.remoteStore = cfg.RemoteStore
+	if cfg.RemoteStore != nil {
+		ctrl.remote = tier{store: cfg.RemoteStore, every: cfg.RemoteFlushEvery, retain: cfg.RemoteRetain,
+			rungs: [2]int{3, 3}, kind: trace.Remote, name: "remote", verb: "remote flush"}
+		ctrl.tiers = append(ctrl.tiers, &ctrl.remote)
+	}
 	if cfg.Exchange != nil {
 		ctrl.exch = newExchanger(ctrl, *cfg.Exchange)
 	}
@@ -669,11 +640,12 @@ func (c *Controller) Run() (Stats, error) {
 		err = c.eventLoop()
 	}
 	c.machine.Stop()
-	c.flushWG.Wait()
-	c.remoteWG.Wait()
-	if c.ownedFlush != nil {
-		if cerr := c.ownedFlush.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("core: close durable flush tier: %w", cerr)
+	for _, t := range c.tiers {
+		t.wg.Wait()
+		if t.owned != nil {
+			if cerr := t.owned.Close(); cerr != nil && err == nil {
+				err = fmt.Errorf("core: close %s tier: %w", t.name, cerr)
+			}
 		}
 	}
 	c.stats.FinalInterval = c.interval
@@ -689,15 +661,11 @@ func (c *Controller) Run() (Stats, error) {
 	if c.pool != nil {
 		c.stats.Pool = c.pool.Counters()
 	}
-	c.stats.FlushedEpochs = int(c.flushedCount.Load())
-	c.stats.FlushErrors = int(c.flushErrs.Load())
-	c.stats.RemoteFlushedEpochs = int(c.remoteCount.Load())
-	c.stats.RemoteFlushErrors = int(c.remoteErrs.Load())
-	if c.remoteStore != nil {
-		if rs, ok := ckptstore.ResilientStatsOf(c.remoteStore); ok {
-			c.stats.Remote = rs
-		}
-	}
+	c.stats.FlushedEpochs = int(c.flush.flushed.Load())
+	c.stats.FlushErrors = int(c.flush.errs.Load())
+	c.stats.RemoteFlushedEpochs = int(c.remote.flushed.Load())
+	c.stats.RemoteFlushErrors = int(c.remote.errs.Load())
+	c.stats.Remote, _ = ckptstore.ResilientStatsOf(c.remote.store)
 	c.stats.DegradedNodes = c.machine.FoldedCount()
 	c.stats.Expands = int(c.machine.ExpandCount())
 	if c.exch != nil {

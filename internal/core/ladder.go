@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"acr/internal/chaos/point"
 	"acr/internal/ckptstore"
@@ -12,18 +14,20 @@ import (
 // This file implements the recovery escalation ladder. The buddy
 // in-memory checkpoint (tier 0) survives any single node failure, but a
 // buddy-pair double fault destroys both physical copies of a logical
-// node's checkpoints at once. The ladder adds a durable second tier:
-// every Config.FlushEvery-th committed epoch is cloned and written to a
-// background flush store (a disk tier by default), and recovery escalates
-// through the tiers in order:
+// node's checkpoints at once. Below tier 0 the ladder is data: c.tiers, the
+// durable rungs New configured, in order. Every tier.every-th committed
+// epoch is cloned and written to each tier's store on a background
+// goroutine, and recovery is tier 0 followed by each configured tier's
+// complete epochs, newest first. Stats.TierRecoveries books where a restore
+// landed:
 //
-//	tier 0  buddy in-memory checkpoint at the committed epoch
-//	tier 1  the durable flush of the committed epoch
-//	tier 2  the newest complete older durable epoch (bounded rework:
-//	        the rollback depth is recorded per restore)
-//	tier 3  the newest complete epoch on the remote tier
-//	        (Config.RemoteStore) — the last resort when the machine lost
-//	        both in-memory copies AND the local durable tier is unusable
+//	[0]  buddy in-memory checkpoint at the committed epoch
+//	[1]  the durable flush tier's copy of the committed epoch
+//	[2]  an older complete epoch of the flush tier (bounded rework: the
+//	     rollback depth is recorded per restore)
+//	[3]  a complete epoch of the remote tier (Config.RemoteStore) — the
+//	     last resort when the machine lost both in-memory copies AND the
+//	     local durable tier is unusable
 //
 // ErrUnrecoverable is reserved for a genuinely empty ladder — every tier
 // exhausted — instead of the first in-memory miss. The remote tier is
@@ -32,86 +36,111 @@ import (
 // when nothing local survives, and a dark remote can never abort a job
 // that still has a local tier to climb to.
 
-// flushClone carries one cloned task checkpoint to the durable writer.
+// tier is one durable rung of the ladder: a store, the cadence and
+// retention of the flushes into it, the index of the complete epochs it
+// holds, and its background writers. The fields up to landed are set once
+// in New and read-only afterwards.
+type tier struct {
+	store  ckptstore.Store
+	owned  *ckptstore.Disk // the store, when the controller created it and must close it
+	every  int             // flush every N-th committed epoch
+	retain int             // complete epochs kept; older ones are evicted after a flush lands
+	// rungs are the Stats.TierRecoveries slots a restore from this tier
+	// books: [0] at the committed epoch, [1] at an older one.
+	rungs [2]int
+	// kind, name and verb are the tier's trace vocabulary; landed, when
+	// set, is the injection point fired once an epoch is completely
+	// written and indexed.
+	kind       trace.Kind
+	name, verb string
+	landed     point.ID
+
+	since int // commits since the last flush (controller goroutine only)
+	// mu guards epochs (ascending, complete); wg tracks in-flight writes.
+	// flushed / errs are bumped by the writers and read live by Progress.
+	mu            sync.Mutex
+	epochs        []uint64
+	wg            sync.WaitGroup
+	flushed, errs atomic.Int64
+}
+
+// rung is the TierRecoveries slot for a restore of epoch from this tier.
+func (t *tier) rung(epoch, committed uint64) int {
+	if epoch == committed {
+		return t.rungs[0]
+	}
+	return t.rungs[1]
+}
+
+// has reports whether the tier's index lists the epoch as complete.
+func (t *tier) has(epoch uint64) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, found := slices.BinarySearch(t.epochs, epoch)
+	return found
+}
+
+// index returns the tier's complete epochs, ascending.
+func (t *tier) index() []uint64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return append([]uint64(nil), t.epochs...)
+}
+
+// flushClone carries one cloned task checkpoint to a tier's writer.
 type flushClone struct {
 	rep, n, t int
 	ck        *ckptstore.Checkpoint
 }
 
-// maybeFlush runs on the commit path: it counts the commit toward the
-// flush period and, when due, clones the committed epoch's checkpoints
-// and hands them to the durable writer. Cloning is synchronous — the
-// commit path's buffer recycling (the next commit's Evict) must never
-// race the flush — but the durable Puts run on a background goroutine so
-// the hot path does not absorb disk latency (see settleWriters for where
-// it is joined).
+// maybeFlush runs on the commit path: it counts the commit toward every
+// tier's flush period and, for each tier that is due, clones the committed
+// epoch's checkpoints and hands them to that tier's writer. Cloning is
+// synchronous — the commit path's buffer recycling (the next commit's
+// Evict) must never race the flush — but the Puts run on a background
+// goroutine so the hot path does not absorb disk or network latency (see
+// settleWriters for where it is joined). Each due tier takes its own clone:
+// at-rest corruption hooks flip stored bytes in place on memory-backed
+// tiers, so two tiers must never share a payload. A failed flush is booked
+// and traced but never propagates — a dark remote costs remote flush
+// errors, not job progress.
 func (c *Controller) maybeFlush(epoch uint64) {
-	if c.flushStore == nil {
-		return
-	}
-	c.commitsSinceFlush++
-	if c.commitsSinceFlush < c.cfg.FlushEvery {
-		return
-	}
-	c.commitsSinceFlush = 0
-	clones, err := c.cloneEpoch(epoch)
-	if err != nil {
-		c.flushErrs.Add(1)
-		c.mark(trace.Store, fmt.Sprintf("flush of epoch %d aborted: %v", epoch, err))
-		return
-	}
-	c.flushWG.Add(1)
-	go func() {
-		defer c.flushWG.Done()
-		if err := c.writeFlush(epoch, clones); err != nil {
-			c.flushErrs.Add(1)
-			c.mark(trace.Store, fmt.Sprintf("flush of epoch %d failed: %v", epoch, err))
+	for _, t := range c.tiers {
+		t.since++
+		if t.since < t.every {
+			continue
 		}
-	}()
+		t.since = 0
+		clones, err := c.cloneEpoch(epoch)
+		if err != nil {
+			t.errs.Add(1)
+			c.mark(t.kind, fmt.Sprintf("%s of epoch %d aborted: %v", t.verb, epoch, err))
+			continue
+		}
+		t.wg.Add(1)
+		go func() {
+			defer t.wg.Done()
+			if err := c.write(t, epoch, clones); err != nil {
+				t.errs.Add(1)
+				c.mark(t.kind, fmt.Sprintf("%s of epoch %d failed: %v", t.verb, epoch, err))
+			}
+		}()
+	}
 }
 
-// settleWriters joins the background flush and remote writers when a chaos
-// hook is attached. Both writers fire injection points (store.write,
-// core.flush, remote.put) from their own goroutines; a fault campaign
-// counts those firings, so every one of them must land before the
-// controller fires its next point. Called before a round's first point and
-// before a ladder walk; Run joins unconditionally at its end. Without a
-// hook the writers simply overlap the following rounds.
+// settleWriters joins the tiers' background writers when a chaos hook is
+// attached. The writers fire injection points (store.write, core.flush,
+// remote.put) from their own goroutines; a fault campaign counts those
+// firings, so every one of them must land before the controller fires its
+// next point. Called before a round's first point and before a ladder walk;
+// Run joins unconditionally at its end. Without a hook the writers simply
+// overlap the following rounds.
 func (c *Controller) settleWriters() {
 	if c.cfg.Chaos != nil {
-		c.flushWG.Wait()
-		c.remoteWG.Wait()
-	}
-}
-
-// maybeFlushRemote is maybeFlush's remote-tier counterpart, running on
-// the same commit path with its own cadence (Config.RemoteFlushEvery) and
-// retention. A remote flush failure is booked and traced but never
-// propagates: the remote tier is best-effort by design — local tiers
-// carry the recovery guarantee.
-func (c *Controller) maybeFlushRemote(epoch uint64) {
-	if c.remoteStore == nil {
-		return
-	}
-	c.commitsSinceRemote++
-	if c.commitsSinceRemote < c.cfg.RemoteFlushEvery {
-		return
-	}
-	c.commitsSinceRemote = 0
-	clones, err := c.cloneEpoch(epoch)
-	if err != nil {
-		c.remoteErrs.Add(1)
-		c.mark(trace.Remote, fmt.Sprintf("remote flush of epoch %d aborted: %v", epoch, err))
-		return
-	}
-	c.remoteWG.Add(1)
-	go func() {
-		defer c.remoteWG.Done()
-		if err := c.writeRemote(epoch, clones); err != nil {
-			c.remoteErrs.Add(1)
-			c.mark(trace.Remote, fmt.Sprintf("remote flush of epoch %d failed: %v", epoch, err))
+		for _, t := range c.tiers {
+			t.wg.Wait()
 		}
-	}()
+	}
 }
 
 // cloneEpoch deep-copies every task checkpoint of the epoch out of the hot
@@ -142,88 +171,40 @@ func (c *Controller) cloneEpoch(epoch uint64) ([]flushClone, error) {
 	return clones, nil
 }
 
-// writeFlush lands one cloned epoch on the durable tier, registers it in
-// the ladder's durable-epoch index, and applies the retention bound.
-func (c *Controller) writeFlush(epoch uint64, clones []flushClone) error {
+// write lands one cloned epoch on the tier, registers it in the tier's
+// complete-epoch index, and applies the retention bound. A resilient wrapper
+// under a remote tier may be degrading Puts to its local fallback — that
+// still counts as landed: the epoch is readable back through the same
+// wrapper.
+func (c *Controller) write(t *tier, epoch uint64, clones []flushClone) error {
 	for _, cl := range clones {
-		if err := c.flushStore.Put(c.key(cl.rep, cl.n, cl.t, epoch), cl.ck); err != nil {
+		if err := t.store.Put(c.key(cl.rep, cl.n, cl.t, epoch), cl.ck); err != nil {
 			return err
 		}
 	}
-	c.flushMu.Lock()
-	i := sort.Search(len(c.flushedEpochs), func(i int) bool { return c.flushedEpochs[i] >= epoch })
-	if i == len(c.flushedEpochs) || c.flushedEpochs[i] != epoch {
-		c.flushedEpochs = append(c.flushedEpochs, 0)
-		copy(c.flushedEpochs[i+1:], c.flushedEpochs[i:])
-		c.flushedEpochs[i] = epoch
+	t.mu.Lock()
+	if i, found := slices.BinarySearch(t.epochs, epoch); !found {
+		t.epochs = slices.Insert(t.epochs, i, epoch)
 	}
-	if keep := c.cfg.FlushRetain; len(c.flushedEpochs) > keep {
-		oldest := c.flushedEpochs[len(c.flushedEpochs)-keep]
-		c.flushedEpochs = append(c.flushedEpochs[:0], c.flushedEpochs[len(c.flushedEpochs)-keep:]...)
-		c.flushStore.Evict(oldest)
+	if n := len(t.epochs); n > t.retain {
+		t.epochs = append(t.epochs[:0], t.epochs[n-t.retain:]...)
+		t.store.Evict(t.epochs[0])
 	}
-	c.flushMu.Unlock()
-	c.flushedCount.Add(1)
-	c.fire(point.CoreFlush, point.Info{Replica: -1, Node: -1, Task: -1, Epoch: epoch})
-	c.mark(trace.Store, fmt.Sprintf("epoch %d flushed to durable tier (%s)", epoch, c.flushStore.Name()))
+	t.mu.Unlock()
+	t.flushed.Add(1)
+	if t.landed != "" {
+		c.fire(t.landed, point.Info{Replica: -1, Node: -1, Task: -1, Epoch: epoch})
+	}
+	c.mark(t.kind, fmt.Sprintf("epoch %d flushed to %s tier (%s)", epoch, t.name, t.store.Name()))
 	return nil
 }
 
-// writeRemote lands one cloned epoch on the remote tier and registers it
-// in the remote-epoch index. A resilient wrapper under us may be
-// degrading Puts to its local fallback — that still counts as landed: the
-// epoch is readable back through the same wrapper.
-func (c *Controller) writeRemote(epoch uint64, clones []flushClone) error {
-	for _, cl := range clones {
-		if err := c.remoteStore.Put(c.key(cl.rep, cl.n, cl.t, epoch), cl.ck); err != nil {
-			return err
-		}
-	}
-	c.remoteMu.Lock()
-	i := sort.Search(len(c.remoteEpochs), func(i int) bool { return c.remoteEpochs[i] >= epoch })
-	if i == len(c.remoteEpochs) || c.remoteEpochs[i] != epoch {
-		c.remoteEpochs = append(c.remoteEpochs, 0)
-		copy(c.remoteEpochs[i+1:], c.remoteEpochs[i:])
-		c.remoteEpochs[i] = epoch
-	}
-	if keep := c.cfg.RemoteRetain; len(c.remoteEpochs) > keep {
-		oldest := c.remoteEpochs[len(c.remoteEpochs)-keep]
-		c.remoteEpochs = append(c.remoteEpochs[:0], c.remoteEpochs[len(c.remoteEpochs)-keep:]...)
-		c.remoteStore.Evict(oldest)
-	}
-	c.remoteMu.Unlock()
-	c.remoteCount.Add(1)
-	c.mark(trace.Remote, fmt.Sprintf("epoch %d flushed to remote tier (%s)", epoch, c.remoteStore.Name()))
-	return nil
-}
-
-// remoteEpochsNewestFirst snapshots the complete remote epochs at or below
-// the committed epoch, newest first — the ladder's tier-3 candidates.
-func (c *Controller) remoteEpochsNewestFirst() []uint64 {
-	c.remoteMu.Lock()
-	defer c.remoteMu.Unlock()
-	out := make([]uint64, 0, len(c.remoteEpochs))
-	for i := len(c.remoteEpochs) - 1; i >= 0; i-- {
-		if e := c.remoteEpochs[i]; e <= c.committedEpoch {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// durableEpochsNewestFirst snapshots the complete durable epochs at or
-// below the committed epoch, newest first — the ladder's tier-1/tier-2
-// candidates.
-func (c *Controller) durableEpochsNewestFirst() []uint64 {
-	c.flushMu.Lock()
-	defer c.flushMu.Unlock()
-	out := make([]uint64, 0, len(c.flushedEpochs))
-	for i := len(c.flushedEpochs) - 1; i >= 0; i-- {
-		if e := c.flushedEpochs[i]; e <= c.committedEpoch {
-			out = append(out, e)
-		}
-	}
-	return out
+// epochsNewestFirst snapshots the tier's complete epochs at or below the
+// committed epoch, newest first — the ladder's candidates on that tier.
+func (c *Controller) epochsNewestFirst(t *tier) []uint64 {
+	out := t.index()
+	slices.Reverse(out)
+	return slices.DeleteFunc(out, func(e uint64) bool { return e > c.committedEpoch })
 }
 
 // recordLadderRestore books one successful ladder restore: the tier it
@@ -262,55 +243,33 @@ func (c *Controller) restartFromCommitted(rep int) error {
 		c.recordLadderRestore(0, c.committedEpoch)
 		return nil
 	}
-	if c.flushStore == nil && c.remoteStore == nil {
+	if len(c.tiers) == 0 {
 		// Wrap err0 too: an at-rest corruption verdict (ckptstore.ErrCorrupt)
 		// must stay visible to errors.Is even when the ladder has no lower
 		// tier — detection succeeded even though recovery cannot.
 		return fmt.Errorf("%w: replica %d: committed epoch %d unusable (%w) and no durable tier configured",
 			ErrUnrecoverable, rep, c.committedEpoch, err0)
 	}
-	// Escalate. Settle any in-flight flush first so the durable view is
-	// complete, then walk the durable epochs newest-first; a corrupt or
-	// incomplete durable epoch is skipped, not fatal.
-	c.flushWG.Wait()
+	// Escalate through the configured tiers in ladder order. Each tier's
+	// in-flight writes settle first so its view is complete, then its epochs
+	// are walked newest-first; a corrupt or incomplete epoch is skipped, not
+	// fatal — which is also all a dark or flaky remote can add here.
 	c.mark(trace.Restart, fmt.Sprintf("replica %d escalating past committed epoch %d: %v", rep, c.committedEpoch, err0))
-	var lastErr error
-	if c.flushStore != nil {
-		for _, epoch := range c.durableEpochsNewestFirst() {
-			if err := c.machine.RestartReplicaFromStore(rep, epoch, c.flushStore); err != nil {
+	lastErr := err0
+	for _, t := range c.tiers {
+		t.wg.Wait()
+		for _, epoch := range c.epochsNewestFirst(t) {
+			if err := c.machine.RestartReplicaFromStore(rep, epoch, t.store); err != nil {
 				lastErr = err
-				c.mark(trace.Restart, fmt.Sprintf("replica %d: durable epoch %d unusable: %v", rep, epoch, err))
+				c.mark(trace.Restart, fmt.Sprintf("replica %d: %s epoch %d unusable: %v", rep, t.name, epoch, err))
 				continue
 			}
-			tier := 1
-			if epoch != c.committedEpoch {
-				tier = 2
-			}
-			c.recordLadderRestore(tier, epoch)
-			c.mark(trace.Restart, fmt.Sprintf("replica %d restored from durable epoch %d (tier %d, rollback depth %d)",
-				rep, epoch, tier, c.stats.RollbackDepths[len(c.stats.RollbackDepths)-1]))
+			rung := t.rung(epoch, c.committedEpoch)
+			c.recordLadderRestore(rung, epoch)
+			c.mark(trace.Restart, fmt.Sprintf("replica %d restored from %s epoch %d (tier %d, rollback depth %d)",
+				rep, t.name, epoch, rung, c.stats.RollbackDepths[len(c.stats.RollbackDepths)-1]))
 			return nil
 		}
-	}
-	// Tier 3: the remote tier, last — the slowest, least reliable path.
-	// A dark or flaky remote only adds skipped candidates here; it can
-	// never make recovery worse than the local-only ladder.
-	if c.remoteStore != nil {
-		c.remoteWG.Wait()
-		for _, epoch := range c.remoteEpochsNewestFirst() {
-			if err := c.machine.RestartReplicaFromStore(rep, epoch, c.remoteStore); err != nil {
-				lastErr = err
-				c.mark(trace.Restart, fmt.Sprintf("replica %d: remote epoch %d unusable: %v", rep, epoch, err))
-				continue
-			}
-			c.recordLadderRestore(3, epoch)
-			c.mark(trace.Restart, fmt.Sprintf("replica %d restored from remote epoch %d (tier 3, rollback depth %d)",
-				rep, epoch, c.stats.RollbackDepths[len(c.stats.RollbackDepths)-1]))
-			return nil
-		}
-	}
-	if lastErr == nil {
-		lastErr = err0
 	}
 	return fmt.Errorf("%w: replica %d: recovery ladder exhausted (last tier error: %v)", ErrUnrecoverable, rep, lastErr)
 }

@@ -276,33 +276,41 @@ func TestExchangeCleanLinkTransparent(t *testing.T) {
 	verifyFinalState(t, ctrl, 2, 2, 4000)
 }
 
-// TestFlushRetention: the durable tier keeps only FlushRetain epochs; the
-// background flusher's view stays consistent with the stats.
+// TestFlushRetention: a tier keeps only its retain bound of epochs — in its
+// store and in its complete-epoch index alike — however many it flushed.
 func TestFlushRetention(t *testing.T) {
-	cfg := baseConfig(2, 2, 8000)
-	cfg.FlushEvery = 1
-	cfg.FlushRetain = 2
-	fs := ckptstore.NewMem()
-	cfg.FlushStore = fs
-	ctrl, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := ctrl.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.FlushedEpochs < 3 {
-		t.Fatalf("flushed epochs = %d, want >= 3 (raise iters?)", stats.FlushedEpochs)
-	}
-	// Only the newest FlushRetain epochs may remain in the flush store.
-	epochs := map[uint64]bool{}
-	for e := uint64(1); e < uint64(stats.FlushedEpochs)+8; e++ {
-		if _, err := fs.Get(ckptstore.Key{Replica: 0, Node: 0, Task: 0, Epoch: e}); err == nil {
-			epochs[e] = true
-		}
-	}
-	if len(epochs) > cfg.FlushRetain {
-		t.Errorf("flush store retains %d epochs %v, want <= %d", len(epochs), epochs, cfg.FlushRetain)
+	for _, tc := range []struct {
+		name    string
+		attach  func(*Config, ckptstore.Store)
+		tier    func(*Controller) *tier
+		flushed func(Stats) int
+	}{
+		{"flush", func(c *Config, st ckptstore.Store) { c.FlushEvery, c.FlushRetain, c.FlushStore = 1, 2, st },
+			func(c *Controller) *tier { return &c.flush }, func(s Stats) int { return s.FlushedEpochs }},
+		{"remote", func(c *Config, st ckptstore.Store) { c.RemoteFlushEvery, c.RemoteRetain, c.RemoteStore = 1, 2, st },
+			func(c *Controller) *tier { return &c.remote }, func(s Stats) int { return s.RemoteFlushedEpochs }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := baseConfig(2, 2, 8000)
+			st := ckptstore.NewMem()
+			tc.attach(&cfg, st)
+			ctrl, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := ctrl.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.flushed(stats) < 3 {
+				t.Fatalf("flushed epochs = %d, want >= 3 (raise iters?)", tc.flushed(stats))
+			}
+			if inv := ckptstore.EpochInventory(st); len(inv) > 2 {
+				t.Errorf("store retains %d epochs %v, want <= 2", len(inv), inv)
+			}
+			if idx := tc.tier(ctrl).index(); len(idx) > 2 {
+				t.Errorf("index lists %d epochs %v, want <= 2", len(idx), idx)
+			}
+		})
 	}
 }

@@ -23,7 +23,7 @@ import (
 //     rounds with exclusive access to the protocol state.
 //   - resumeFromDurable: Config.ResumeEpochs warm start — the recovery
 //     ladder's newest-first escalation walk applied at job start, against
-//     a durable store left behind by an earlier process.
+//     flush-tier state left behind by an earlier process.
 
 // ErrNotRunning reports a control-plane operation that could not reach the
 // controller goroutine: the event loop has exited (job finished or failed)
@@ -81,8 +81,8 @@ func (c *Controller) Progress() Progress {
 	p.HardErrors = c.prog.hardErrors.Load()
 	p.SDCDetected = c.prog.sdcDetected.Load()
 	p.Rollbacks = c.prog.rollbacks.Load()
-	p.FlushedEpochs = c.flushedCount.Load()
-	p.FlushErrors = c.flushErrs.Load()
+	p.FlushedEpochs = c.flush.flushed.Load()
+	p.FlushErrors = c.flush.errs.Load()
 	for i := range p.TierRecoveries {
 		p.TierRecoveries[i] = c.prog.tierRecoveries[i].Load()
 	}
@@ -90,48 +90,35 @@ func (c *Controller) Progress() Progress {
 	p.Expands = c.machine.ExpandCount()
 	p.DegradedNodes = c.machine.FoldedCount()
 	p.ResumedEpoch = c.prog.resumedEpoch.Load()
-	p.RemoteFlushedEpochs = c.remoteCount.Load()
-	p.RemoteFlushErrors = c.remoteErrs.Load()
-	if c.remoteStore != nil {
-		if rs, ok := ckptstore.ResilientStatsOf(c.remoteStore); ok {
-			p.RemoteRetries = rs.Retries
-			p.RemoteTrips = rs.Trips
-			p.RemoteRecloses = rs.Recloses
-			p.RemoteFailovers = rs.Failovers
-			if rs.State != ckptstore.BreakerClosed.String() {
-				p.RemoteBreakerOpen = 1
-			}
+	p.RemoteFlushedEpochs = c.remote.flushed.Load()
+	p.RemoteFlushErrors = c.remote.errs.Load()
+	if rs, ok := ckptstore.ResilientStatsOf(c.remote.store); ok {
+		p.RemoteRetries = rs.Retries
+		p.RemoteTrips = rs.Trips
+		p.RemoteRecloses = rs.Recloses
+		p.RemoteFailovers = rs.Failovers
+		if rs.State != ckptstore.BreakerClosed.String() {
+			p.RemoteBreakerOpen = 1
 		}
 	}
 	return p
 }
 
-// FlushStore exposes the durable flush tier (nil when Config.FlushEvery is
-// zero and no FlushStore was supplied). The acrd inventory endpoints
-// enumerate it through ckptstore.Enumerator.
-func (c *Controller) FlushStore() ckptstore.Store { return c.flushStore }
-
-// DurableEpochs returns the ladder's current durable-epoch index,
-// ascending. Safe to call from any goroutine.
-func (c *Controller) DurableEpochs() []uint64 {
-	c.flushMu.Lock()
-	defer c.flushMu.Unlock()
-	return append([]uint64(nil), c.flushedEpochs...)
+// LadderStores returns the recovery ladder's stores in ladder order: the
+// hot store (tier 0), then the flush tier's when Config.FlushEvery > 0,
+// then the remote tier's when Config.RemoteStore is set. The acrd inventory
+// endpoint enumerates them through ckptstore.Enumerator.
+func (c *Controller) LadderStores() []ckptstore.Store {
+	out := []ckptstore.Store{c.store}
+	for _, t := range c.tiers {
+		out = append(out, t.store)
+	}
+	return out
 }
 
-// RemoteStore exposes the remote checkpoint tier (nil when
-// Config.RemoteStore was not set). The acrd inventory endpoints enumerate
-// it through ckptstore.Enumerator; ckptstore.ResilientStatsOf reads the
-// breaker counters off it.
-func (c *Controller) RemoteStore() ckptstore.Store { return c.remoteStore }
-
-// RemoteEpochs returns the ladder's current remote-epoch index, ascending.
-// Safe to call from any goroutine.
-func (c *Controller) RemoteEpochs() []uint64 {
-	c.remoteMu.Lock()
-	defer c.remoteMu.Unlock()
-	return append([]uint64(nil), c.remoteEpochs...)
-}
+// DurableEpochs returns the flush tier's complete-epoch index, ascending
+// (nil without a flush tier). Safe to call from any goroutine.
+func (c *Controller) DurableEpochs() []uint64 { return c.flush.index() }
 
 // runOp ships an operation onto the controller goroutine and waits for it
 // to complete. The send blocks until the event loop is between rounds;
@@ -168,7 +155,7 @@ func (c *Controller) FlushCommitted(timeout time.Duration) (uint64, error) {
 	err := c.runOp(timeout, func() {
 		epoch = c.committedEpoch
 		switch {
-		case c.flushStore == nil:
+		case c.flush.store == nil:
 			opErr = fmt.Errorf("core: no durable tier configured")
 			return
 		case epoch == 0:
@@ -177,12 +164,8 @@ func (c *Controller) FlushCommitted(timeout time.Duration) (uint64, error) {
 		}
 		// Settle in-flight periodic flushes first; if one already landed
 		// this epoch, the forced flush is a no-op.
-		c.flushWG.Wait()
-		c.flushMu.Lock()
-		i := sort.Search(len(c.flushedEpochs), func(i int) bool { return c.flushedEpochs[i] >= epoch })
-		already := i < len(c.flushedEpochs) && c.flushedEpochs[i] == epoch
-		c.flushMu.Unlock()
-		if already {
+		c.flush.wg.Wait()
+		if c.flush.has(epoch) {
 			return
 		}
 		clones, err := c.cloneEpoch(epoch)
@@ -190,8 +173,8 @@ func (c *Controller) FlushCommitted(timeout time.Duration) (uint64, error) {
 			opErr = fmt.Errorf("core: clone committed epoch %d: %w", epoch, err)
 			return
 		}
-		if err := c.writeFlush(epoch, clones); err != nil {
-			c.flushErrs.Add(1)
+		if err := c.write(&c.flush, epoch, clones); err != nil {
+			c.flush.errs.Add(1)
 			opErr = fmt.Errorf("core: flush committed epoch %d: %w", epoch, err)
 			return
 		}
@@ -213,12 +196,12 @@ func (c *Controller) FlushCommitted(timeout time.Duration) (uint64, error) {
 func (c *Controller) RestoreEpoch(epoch uint64, timeout time.Duration) error {
 	var opErr error
 	err := c.runOp(timeout, func() {
-		if c.flushStore == nil {
+		if c.flush.store == nil {
 			opErr = fmt.Errorf("core: no durable tier configured")
 			return
 		}
-		c.flushWG.Wait()
-		touched, err := c.adoptEpoch(c.flushStore, epoch)
+		c.flush.wg.Wait()
+		touched, err := c.adoptEpoch(c.flush.store, epoch)
 		if err != nil {
 			if touched {
 				// Replicas were stopped mid-restore: climb the ladder back
@@ -233,11 +216,7 @@ func (c *Controller) RestoreEpoch(epoch uint64, timeout time.Duration) error {
 			opErr = fmt.Errorf("core: restore epoch %d: %w", epoch, err)
 			return
 		}
-		tier := 1
-		if epoch != c.committedEpoch {
-			tier = 2
-		}
-		c.recordLadderRestore(tier, epoch)
+		c.recordLadderRestore(c.flush.rung(epoch, c.committedEpoch), epoch)
 		c.committedEpoch = epoch
 		if c.epochSeq < epoch {
 			c.epochSeq = epoch
@@ -300,13 +279,6 @@ func (c *Controller) resumeFromDurable() error {
 	if len(c.cfg.ResumeEpochs) == 0 {
 		return nil
 	}
-	st := c.cfg.ResumeStore
-	if st == nil {
-		st = c.flushStore
-	}
-	if st == nil {
-		return fmt.Errorf("core: ResumeEpochs set but no durable store to resume from")
-	}
 	epochs := append([]uint64(nil), c.cfg.ResumeEpochs...)
 	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
 	epochs = dedupeUint64(epochs)
@@ -315,20 +287,18 @@ func (c *Controller) resumeFromDurable() error {
 	c.epochSeq = epochs[len(epochs)-1]
 	for i := len(epochs) - 1; i >= 0; i-- {
 		epoch := epochs[i]
-		touched, err := c.adoptEpoch(st, epoch)
-		if err != nil {
+		// A failed adoption may leave replicas stopped; older candidates (or
+		// the cold fallback) restart them.
+		if _, err := c.adoptEpoch(c.flush.store, epoch); err != nil {
 			c.mark(trace.Restart, fmt.Sprintf("resume: durable epoch %d unusable: %v", epoch, err))
-			_ = touched // older candidates (or the cold fallback) restart the replicas
 			continue
 		}
 		c.committedEpoch = epoch
 		c.commitLog = append(c.commitLog, epoch)
 		c.stats.ResumedEpoch = epoch
 		depth := len(epochs) - 1 - i
-		tier := 1
-		if depth > 0 {
-			tier = 2
-		}
+		// The newest candidate stands in for the committed epoch.
+		tier := c.flush.rung(epoch, epochs[len(epochs)-1])
 		c.stats.TierRecoveries[tier]++
 		c.stats.RollbackDepths = append(c.stats.RollbackDepths, depth)
 		if depth > c.stats.MaxRollbackDepth {
@@ -337,7 +307,12 @@ func (c *Controller) resumeFromDurable() error {
 		c.prog.tierRecoveries[tier].Add(1)
 		c.prog.committedEpoch.Store(epoch)
 		c.prog.resumedEpoch.Store(epoch)
-		c.seedDurableIndex(epochs[:i+1])
+		// Seed the flush tier's index with the epochs at or below the resume
+		// point: a later buddy-pair double fault can then land on the
+		// pre-resume flushes.
+		c.flush.mu.Lock()
+		c.flush.epochs = append([]uint64(nil), epochs[:i+1]...)
+		c.flush.mu.Unlock()
 		c.mark(trace.Restart, fmt.Sprintf("warm resume from durable epoch %d (tier %d, %d newer epoch(s) skipped)", epoch, tier, depth))
 		return nil
 	}
@@ -353,23 +328,6 @@ func (c *Controller) resumeFromDurable() error {
 		}
 	}
 	return nil
-}
-
-// seedDurableIndex registers resumed epochs in the ladder's durable-epoch
-// index, but only when the job resumes from its own flush tier — a later
-// buddy-pair double fault can then land on the pre-resume flushes. Resuming
-// from a foreign store seeds nothing: that store is not the escalation
-// target.
-func (c *Controller) seedDurableIndex(epochs []uint64) {
-	if c.flushStore == nil {
-		return
-	}
-	if c.cfg.ResumeStore != nil && c.cfg.ResumeStore != c.cfg.FlushStore {
-		return
-	}
-	c.flushMu.Lock()
-	c.flushedEpochs = append([]uint64(nil), epochs...)
-	c.flushMu.Unlock()
 }
 
 func dedupeUint64(sorted []uint64) []uint64 {

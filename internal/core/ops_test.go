@@ -44,9 +44,11 @@ func TestWarmResumeFromDurable(t *testing.T) {
 		t.Fatalf("durable epochs after run = %v, want >= 2", epochs)
 	}
 
+	// The resumed job reads its candidates from — and keeps flushing to —
+	// the same durable tier.
 	resume := baseConfig(nodes, tasks, iters)
 	resume.ResumeEpochs = epochs
-	resume.ResumeStore = d2
+	resume.FlushEvery, resume.FlushRetain, resume.FlushStore = 1, 4, d2
 	ctrl2, err := New(resume)
 	if err != nil {
 		t.Fatal(err)
@@ -65,13 +67,18 @@ func TestWarmResumeFromDurable(t *testing.T) {
 
 	// Corrupt the newest durable epoch at rest: the resume walk must skip
 	// it (detection via the payload root) and land on the next candidate.
+	// The second life flushed (and evicted) too, so take the census again.
+	epochs = ckptstore.CompleteEpochs(d2, want)
+	if len(epochs) < 2 {
+		t.Fatalf("durable epochs after resumed run = %v, want >= 2", epochs)
+	}
 	newest := epochs[len(epochs)-1]
 	if err := d2.CorruptAtRest(ckptstore.Key{Replica: 0, Node: 0, Task: 0, Epoch: newest}, 16, 2); err != nil {
 		t.Fatal(err)
 	}
 	resume2 := baseConfig(nodes, tasks, iters)
 	resume2.ResumeEpochs = epochs
-	resume2.ResumeStore = d2
+	resume2.FlushEvery, resume2.FlushRetain, resume2.FlushStore = 1, 4, d2
 	ctrl3, err := New(resume2)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +103,7 @@ func TestResumeAllUnusableColdStarts(t *testing.T) {
 	const nodes, tasks, iters = 1, 2, 4000
 	cfg := baseConfig(nodes, tasks, iters)
 	cfg.ResumeEpochs = []uint64{41, 42}
-	cfg.ResumeStore = ckptstore.NewMem() // empty: every Get fails
+	cfg.FlushEvery, cfg.FlushStore = 1, ckptstore.NewMem() // empty: every Get fails
 	ctrl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -121,28 +121,20 @@ func (c *Controller) stageWidths() stageWidths {
 	// Before the first capture the state size is unknown (hint 0) and the
 	// round stays narrow; every later round sizes against the real bytes.
 	hint := c.machine.ReplicaStateHint(0)
-	cpuBound := func(explicit, bytes int) int {
-		if explicit > 0 {
-			return clamp(explicit)
-		}
-		return clamp(min(procs, bytes/stageWorkerBytes))
-	}
+	cpuBound := func(bytes int) int { return clamp(min(procs, bytes/stageWorkerBytes)) }
 	w := stageWidths{
-		capture:  cpuBound(c.cfg.ChecksumWorkers, 2*hint), // both replicas' bytes
+		capture:  cpuBound(2 * hint), // both replicas' bytes
 		exchange: 1,
-		compare:  cpuBound(c.cfg.CompareWorkers, hint),
-		chunk:    c.cfg.ChunkChecksumWorkers,
+		compare:  cpuBound(hint),
 	}
 	if c.exch != nil {
 		w.exchange = clamp(exchangeWidth)
 	}
-	if w.chunk <= 0 {
-		// The two capture levels split the same cores: chunk-level
-		// parallelism only pays where the task pool cannot use them all
-		// and one task's buffer is big enough to share out
-		// (single-task-per-node shapes with one big buffer).
-		w.chunk = max(1, min(procs/w.capture, hint/total/stageWorkerBytes))
-	}
+	// The two capture levels split the same cores: chunk-level parallelism
+	// only pays where the task pool cannot use them all and one task's
+	// buffer is big enough to share out (single-task-per-node shapes with
+	// one big buffer).
+	w.chunk = max(1, min(procs/w.capture, hint/total/stageWorkerBytes))
 	return w
 }
 

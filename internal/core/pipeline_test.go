@@ -38,11 +38,8 @@ func TestStageWidths(t *testing.T) {
 			c.NodesPerReplica, c.TasksPerNode = 1, 1
 		}, true, stageWidths{1, 1, 1, 4}},
 		{"a link widens only the exchange stage", small, func(c *Config) { c.Exchange = &ExchangeConfig{} }, true, stageWidths{1, 6, 1, 1}},
-		{"explicit widths are honored, clamped to the task count", small, func(c *Config) {
-			c.ChecksumWorkers, c.CompareWorkers, c.ChunkChecksumWorkers = 2, 64, 3
-		}, true, stageWidths{2, 1, 6, 3}},
 		{"a chaos hook pins every stage", big, func(c *Config) {
-			c.Chaos, c.Exchange, c.ChecksumWorkers = noop, &ExchangeConfig{}, 4
+			c.Chaos, c.Exchange = noop, &ExchangeConfig{}
 		}, true, stageWidths{1, 1, 1, 1}},
 	}
 	for _, tc := range cases {

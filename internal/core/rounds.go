@@ -109,7 +109,7 @@ func (c *Controller) normalRound() error {
 		c.stats.LocalizedChunks = append(c.stats.LocalizedChunks, chunk)
 		c.mark(trace.Failure, "sdc detected: "+mismatch)
 	default:
-		c.commit(epoch, began)
+		c.commit(epoch, began, false)
 		c.stats.BlockedTimes = append(c.stats.BlockedTimes, blocked)
 	}
 	if !semi {
@@ -172,7 +172,7 @@ func (c *Controller) recoveryCheckpoint(crashed int) error {
 	// This checkpoint is trusted without comparison: SDC that struck the
 	// healthy replica since the last verified checkpoint is undetectable
 	// here — the medium/weak vulnerability window of §2.3 and Figure 7b.
-	c.commitTrusted(epoch, began)
+	c.commit(epoch, began, true)
 	c.mark(trace.Checkpoint, fmt.Sprintf("recovery checkpoint by replica %d", healthy))
 	// Restore the crashed replica from the fresh checkpoint.
 	if err := c.restartReplicaFromEpoch(crashed, epoch); err != nil {
@@ -295,10 +295,12 @@ func firstDiffChunk(a, b []byte, chunkSize int) int {
 	return -1
 }
 
-// commit marks the epoch as the verified checkpoint, evicts every older
-// epoch (including ones burnt by aborted rounds), and publishes the
-// store's counters to the timeline.
-func (c *Controller) commit(epoch uint64, began time.Time) {
+// commit makes the epoch the committed checkpoint — verified by the buddy
+// comparison, or, for a medium/weak recovery checkpoint, trusted without
+// one — evicts every older epoch (including ones burnt by aborted rounds),
+// flushes to the tiers that are due, and publishes the store's counters to
+// the timeline.
+func (c *Controller) commit(epoch uint64, began time.Time, trusted bool) {
 	c.committedEpoch = epoch
 	c.commitLog = append(c.commitLog, epoch)
 	c.stats.Checkpoints++
@@ -307,27 +309,11 @@ func (c *Controller) commit(epoch uint64, began time.Time) {
 	c.stats.CheckpointTimes = append(c.stats.CheckpointTimes, time.Since(began))
 	c.appendPhaseTimes()
 	c.store.Evict(epoch)
-	c.mark(trace.Checkpoint, fmt.Sprintf("checkpoint %d committed (epoch %d)", c.stats.Checkpoints, epoch))
+	if !trusted {
+		c.mark(trace.Checkpoint, fmt.Sprintf("checkpoint %d committed (epoch %d)", c.stats.Checkpoints, epoch))
+	}
 	c.fire(point.CoreCommit, point.Info{Replica: -1, Node: -1, Task: -1, Epoch: epoch})
 	c.maybeFlush(epoch)
-	c.maybeFlushRemote(epoch)
-	c.markStore()
-}
-
-// commitTrusted is commit for recovery checkpoints, which are trusted
-// without buddy comparison (medium/weak schemes).
-func (c *Controller) commitTrusted(epoch uint64, began time.Time) {
-	c.committedEpoch = epoch
-	c.commitLog = append(c.commitLog, epoch)
-	c.stats.Checkpoints++
-	c.prog.checkpoints.Add(1)
-	c.prog.committedEpoch.Store(epoch)
-	c.stats.CheckpointTimes = append(c.stats.CheckpointTimes, time.Since(began))
-	c.appendPhaseTimes()
-	c.store.Evict(epoch)
-	c.fire(point.CoreCommit, point.Info{Replica: -1, Node: -1, Task: -1, Epoch: epoch})
-	c.maybeFlush(epoch)
-	c.maybeFlushRemote(epoch)
 	c.markStore()
 }
 
@@ -363,8 +349,8 @@ func (c *Controller) markStore() {
 	}
 	ctr := c.store.Counters()
 	c.mark(trace.Store, fmt.Sprintf(
-		"store=%s written=%dB read=%dB chunks-stored=%d chunks-reused=%d compares=%d compare-time=%s localized-chunk=%d",
-		c.store.Name(), ctr.BytesWritten, ctr.BytesRead, ctr.ChunksStored, ctr.ChunksReused,
+		"store=%s written=%dB read=%dB chunks-stored=%d compares=%d compare-time=%s localized-chunk=%d",
+		c.store.Name(), ctr.BytesWritten, ctr.BytesRead, ctr.ChunksStored,
 		ctr.Compares, ctr.CompareTime, ctr.LastLocalizedChunk))
 }
 

@@ -11,8 +11,7 @@ import (
 // configured store backend, and surface its counters in Stats.
 func TestRunThroughConfiguredStoreBackends(t *testing.T) {
 	backends := map[string]func(t *testing.T) ckptstore.Store{
-		"mem":   func(t *testing.T) ckptstore.Store { return ckptstore.NewMem() },
-		"delta": func(t *testing.T) ckptstore.Store { return ckptstore.NewDelta() },
+		"mem": func(t *testing.T) ckptstore.Store { return ckptstore.NewMem() },
 		"disk": func(t *testing.T) ckptstore.Store {
 			st, err := ckptstore.NewDisk(t.TempDir(), nil)
 			if err != nil {

@@ -143,49 +143,29 @@ func (a *Arbiter) Stats() ArbiterStats {
 // the value a fleet job plugs into core.Config.FlushStore so its background
 // flusher competes fairly for the shared disk tier.
 func (a *Arbiter) Wrap(inner ckptstore.Store) ckptstore.Store {
-	return &arbitratedStore{inner: inner, arb: a}
+	return &arbitratedStore{Layer: ckptstore.Layer{Store: inner}, arb: a}
 }
 
 // arbitratedStore throttles Put traffic against the shared budget and lets
-// Get (recovery) traffic bypass it. Compare, Evict, and Counters delegate
-// untouched: they are metadata operations, not disk-tier transfers.
+// Get (recovery) traffic bypass it. Everything else is ckptstore.Layer's
+// forwarding: Compare, Evict and Counters are metadata operations, not
+// disk-tier transfers, and Keys/Inner keep the tier enumerable and visible
+// to ckptstore.As through the wrapper.
 type arbitratedStore struct {
-	inner ckptstore.Store
-	arb   *Arbiter
+	ckptstore.Layer
+	arb *Arbiter
 }
 
 func (s *arbitratedStore) Put(k ckptstore.Key, ck *ckptstore.Checkpoint) error {
 	s.arb.AcquireWrite(ck.Len())
 	defer s.arb.Release()
-	return s.inner.Put(k, ck)
+	return s.Store.Put(k, ck)
 }
 
 func (s *arbitratedStore) Get(k ckptstore.Key) (*ckptstore.Checkpoint, error) {
 	s.arb.NoteRead()
 	defer s.arb.Release()
-	return s.inner.Get(k)
+	return s.Store.Get(k)
 }
 
-func (s *arbitratedStore) Compare(a, b ckptstore.Key) (ckptstore.CompareResult, error) {
-	return s.inner.Compare(a, b)
-}
-
-func (s *arbitratedStore) Evict(olderThan uint64) int { return s.inner.Evict(olderThan) }
-
-func (s *arbitratedStore) Counters() ckptstore.Counters { return s.inner.Counters() }
-
-func (s *arbitratedStore) Name() string { return "arb(" + s.inner.Name() + ")" }
-
-// Inner exposes the wrapped store so layered unwrappers (e.g.
-// ckptstore.ResilientStatsOf walking down to a Resilient) can see through
-// the arbitration wrapper.
-func (s *arbitratedStore) Inner() ckptstore.Store { return s.inner }
-
-// Keys forwards enumeration to the inner store when it supports it, so the
-// acrd inventory endpoints see through the arbitration wrapper.
-func (s *arbitratedStore) Keys() []ckptstore.Key {
-	if e, ok := s.inner.(ckptstore.Enumerator); ok {
-		return e.Keys()
-	}
-	return nil
-}
+func (s *arbitratedStore) Name() string { return "arb(" + s.Store.Name() + ")" }

@@ -113,11 +113,14 @@ func TestArbiterSlotsLimitConcurrency(t *testing.T) {
 	}
 }
 
-// TestArbitratedStoreDelegates: the wrapper must deliver identical bytes
-// and advertise itself in the store name.
+// TestArbitratedStoreDelegates: the wrapper must deliver identical bytes,
+// advertise itself in the store name, and stay transparent to enumeration
+// and ckptstore.As (the forwarding itself is ckptstore.Layer's, tested
+// there).
 func TestArbitratedStoreDelegates(t *testing.T) {
 	a := NewArbiter(0, 0)
-	st := a.Wrap(ckptstore.NewMem())
+	mem := ckptstore.NewMem()
+	st := a.Wrap(mem)
 	if st.Name() != "arb(mem)" {
 		t.Fatalf("name = %q, want arb(mem)", st.Name())
 	}
@@ -139,5 +142,11 @@ func TestArbitratedStoreDelegates(t *testing.T) {
 	}
 	if stats.ReadBypasses != 1 {
 		t.Errorf("read bypasses = %d, want 1", stats.ReadBypasses)
+	}
+	if got := len(st.(ckptstore.Enumerator).Keys()); got != 1 {
+		t.Errorf("keys through the arbiter = %d, want 1", got)
+	}
+	if m, ok := ckptstore.As[*ckptstore.Mem](st); !ok || m != mem {
+		t.Error("ckptstore.As does not see the Mem under the arbiter")
 	}
 }

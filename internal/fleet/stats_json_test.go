@@ -22,7 +22,7 @@ func TestStatsJSONSchemaGolden(t *testing.T) {
 		{
 			name: "core.Stats",
 			v:    core.Stats{},
-			want: `{"checkpoints":0,"sdc_detected":0,"hard_errors":0,"rollbacks":0,"spares_used":0,"aborted_rounds":0,"predicted":0,"final_interval_ns":0,"checkpoint_times_ns":null,"blocked_times_ns":null,"capture_times_ns":null,"exchange_times_ns":null,"compare_times_ns":null,"capture_busy_times_ns":null,"exchange_busy_times_ns":null,"compare_busy_times_ns":null,"pack_fast_path":0,"pack_slow_path":0,"capture_chunks_packed":0,"capture_chunks_reused":0,"capture_bytes_reused":0,"dirty_ratio":0,"exchange_chunks_shipped":0,"exchange_chunks_reused":0,"pool":{"gets":0,"puts":0,"hits":0,"misses":0,"drops":0,"bytes_recycled":0},"elapsed_ns":0,"store_name":"","store":{"puts":0,"gets":0,"compares":0,"mismatches":0,"bytes_written":0,"bytes_read":0,"bytes_evicted":0,"chunks_stored":0,"chunks_reused":0,"compare_time_ns":0,"last_localized_chunk":0},"localized_chunks":null,"tier_recoveries":[0,0,0,0],"rollback_depths":null,"max_rollback_depth":0,"flushed_epochs":0,"flush_errors":0,"buddy_pair_losses":0,"remote_flushed_epochs":0,"remote_flush_errors":0,"remote":{"retries":0,"transients":0,"deadlines":0,"trips":0,"recloses":0,"probes":0,"probe_failures":0,"failovers":0,"deduped_puts":0,"state":""},"folds":0,"expands":0,"degraded_nodes":0,"resumed_epoch":0,"exchange_frames":0,"exchange_retries":0,"link":{"sent":0,"delivered":0,"lost":0,"duplicated":0,"reordered":0}}`,
+			want: `{"checkpoints":0,"sdc_detected":0,"hard_errors":0,"rollbacks":0,"spares_used":0,"aborted_rounds":0,"predicted":0,"final_interval_ns":0,"checkpoint_times_ns":null,"blocked_times_ns":null,"capture_times_ns":null,"exchange_times_ns":null,"compare_times_ns":null,"capture_busy_times_ns":null,"exchange_busy_times_ns":null,"compare_busy_times_ns":null,"pack_fast_path":0,"pack_slow_path":0,"capture_chunks_packed":0,"capture_chunks_reused":0,"capture_bytes_reused":0,"dirty_ratio":0,"exchange_chunks_shipped":0,"exchange_chunks_reused":0,"pool":{"gets":0,"puts":0,"hits":0,"misses":0,"drops":0,"bytes_recycled":0},"elapsed_ns":0,"store_name":"","store":{"puts":0,"gets":0,"compares":0,"mismatches":0,"bytes_written":0,"bytes_read":0,"bytes_evicted":0,"chunks_stored":0,"compare_time_ns":0,"last_localized_chunk":0},"localized_chunks":null,"tier_recoveries":[0,0,0,0],"rollback_depths":null,"max_rollback_depth":0,"flushed_epochs":0,"flush_errors":0,"buddy_pair_losses":0,"remote_flushed_epochs":0,"remote_flush_errors":0,"remote":{"retries":0,"transients":0,"deadlines":0,"trips":0,"recloses":0,"probes":0,"probe_failures":0,"failovers":0,"deduped_puts":0,"state":""},"folds":0,"expands":0,"degraded_nodes":0,"resumed_epoch":0,"exchange_frames":0,"exchange_retries":0,"link":{"sent":0,"delivered":0,"lost":0,"duplicated":0,"reordered":0}}`,
 		},
 		{
 			name: "fleet.FleetStats",

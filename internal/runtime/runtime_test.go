@@ -321,7 +321,10 @@ func TestHeartbeatDetection(t *testing.T) {
 		Spares:            1,
 		Factory:           ringFactory(1 << 30),
 		HeartbeatInterval: 2 * time.Millisecond,
-		HeartbeatTimeout:  10 * time.Millisecond,
+		// Far above the 5ms floor asserted below: a heartbeat sender starved
+		// for a few ms on a loaded 1-CPU box must not look like an
+		// instantaneous detection.
+		HeartbeatTimeout: 50 * time.Millisecond,
 	})
 	m.Start()
 	time.Sleep(15 * time.Millisecond) // let heartbeats establish
