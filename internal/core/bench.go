@@ -165,7 +165,7 @@ func DefaultBenchSpecs(quick bool) []BenchSpec {
 		{Name: "2x1node-1task-16MB-dirty10", Nodes: 1, Tasks: 1, Particles: 2097152, Dirty: 10},
 		// The pipeline case: 8 tasks of 256KB each rewriting a quarter of
 		// their state per round, shipped over a 2ms / 1%-loss link. The
-		// barrier leg pays every task's round trips serially; the
+		// barrier leg pays the tasks' round trips one after the other; the
 		// pipelined leg overlaps them, and the dirty tracking keeps the
 		// steady-state frame count low enough that capture and compare
 		// meaningfully overlap the flight time too.
@@ -459,9 +459,10 @@ func (y *yardstick) round() error {
 	y.compare += time.Since(shipped)
 	y.rounds++
 	if c.exch != nil {
-		if err := c.exch.shipResult(epoch, false); err != nil {
+		if err := c.exch.shipResult(epoch); err != nil {
 			return err
 		}
+		c.exch.prune(epoch)
 	}
 	c.committedEpoch = epoch
 	c.store.Evict(epoch)

@@ -669,6 +669,9 @@ func (c *Controller) Run() (Stats, error) {
 	c.stats.DegradedNodes = c.machine.FoldedCount()
 	c.stats.Expands = int(c.machine.ExpandCount())
 	if c.exch != nil {
+		// Frames still held for reordering come out the far end now, so
+		// Sent + Duplicated == Delivered + Lost in the harvested counters.
+		c.exch.link.Flush()
 		c.stats.Link = c.exch.link.Stats()
 		c.stats.ExchangeChunksShipped = c.exch.chunksShipped.Load()
 		c.stats.ExchangeChunksReused = c.exch.chunksReused.Load()

@@ -23,12 +23,14 @@ import (
 // and reorders them, and a small ack/retry protocol makes the exchange
 // reliable again:
 //
-//   - checkpoints are shipped chunk by chunk; every data frame is
-//     identified by (epoch, node, task, chunk) and acknowledged per chunk,
-//     and acks themselves cross the same lossy link;
-//   - unacknowledged frames are resent with capped exponential backoff
-//     plus deterministic jitter, bounded by MaxAttempts per frame and a
-//     per-round deadline;
+//   - a checkpoint is one frame per chunk, identified by (epoch, node,
+//     task, chunk) and acknowledged per chunk, the acks crossing the same
+//     lossy link; the whole transfer is one selective-repeat window: every
+//     unacknowledged frame goes out back to back, then one round trip is
+//     waited for all of them (sendWindow);
+//   - only the frames still unacknowledged after a pass are resent, after
+//     a capped exponential backoff plus deterministic jitter, bounded by
+//     MaxAttempts per frame and a per-round deadline;
 //   - the receive side is idempotent: duplicate or late deliveries are
 //     deduplicated by frame id, and payload bytes are copied into the
 //     frame at send time, so a straggler delivered after its transfer
@@ -61,12 +63,12 @@ type ExchangeConfig struct {
 	// 5s). It exists so a pathological link fails the round visibly
 	// rather than tripping the campaign watchdog.
 	RoundDeadline time.Duration
-	// Latency is the modeled one-way frame propagation delay: a reliable
-	// delivery costs one full round trip (data frame out, ack back) per
-	// attempt. Zero keeps the link instantaneous — what every chaos
-	// campaign runs with. A positive latency is what the exchange stage's
-	// width overlaps across tasks; at width 1 it is dead time for every
-	// task behind the one in flight.
+	// Latency is the modeled one-way frame propagation delay: a transfer
+	// costs one full round trip (data frames out, acks back) per pass over
+	// its unacknowledged frames — one, on a clean link. Zero keeps the link
+	// instantaneous — what every chaos campaign runs with. A positive
+	// latency is what the exchange stage's width overlaps across tasks; at
+	// width 1 it is dead time for every task behind the one in flight.
 	Latency time.Duration
 	// ShipCheckpoints routes every live round's buddy checkpoints through
 	// the link as well — per task, delta-aware against the last committed
@@ -109,6 +111,10 @@ type frameID struct {
 	chunk int
 }
 
+func (id frameID) String() string {
+	return fmt.Sprintf("n%d/t%d@e%d chunk %d", id.node, id.task, id.epoch, id.chunk)
+}
+
 // frame is what crosses the link: a chunk payload (copied at send time)
 // or an acknowledgement for one.
 type frame struct {
@@ -141,10 +147,13 @@ type exchanger struct {
 	mu  sync.Mutex
 	rng *rand.Rand // backoff jitter
 	// seen deduplicates delivered data frames; acked records received
-	// acks. Both persist across transfers so late duplicates of a
-	// finished transfer stay inert.
+	// acks. Both outlive their transfer so late duplicates of a finished
+	// one stay inert, and are pruned below floor — the committed epoch —
+	// where transmit drops a straggler before it could touch either map
+	// (it could never find an assembly buffer: epochs are not reused).
 	seen  map[frameID]bool
 	acked map[frameID]bool
+	floor uint64
 	// assembling maps in-flight reassemblies to their destination
 	// buffers; a data frame whose transfer already finalized finds no
 	// buffer and is dropped (counted, never written). Distinct transfers
@@ -161,6 +170,7 @@ type exchanger struct {
 	chunksReused  atomic.Int64
 	frames        atomic.Int64
 	retries       atomic.Int64
+	passes        atomic.Int64 // sendWindow passes; read by tests only
 }
 
 func newExchanger(c *Controller, cfg ExchangeConfig) *exchanger {
@@ -189,10 +199,30 @@ func (x *exchanger) shipCheckpoint(epoch uint64, node, task int, src, base *ckpt
 	buf := make([]byte, src.Len())
 	baseOK := base != nil && base.ChunkSize == src.ChunkSize &&
 		base.Len() == src.Len() && len(base.Sums) == len(src.Sums)
-	if baseOK {
-		// Prefill from the base; shipped chunks overwrite their slots.
-		copy(buf, base.Bytes())
+	// Reused chunks are filled from the base and never cross the link;
+	// every other slot is written by its frame.
+	var ship []int
+	for i := 0; i < src.NumChunks(); i++ {
+		if baseOK && src.Sums[i] == base.Sums[i] {
+			copy(buf[i*src.ChunkSize:], base.Chunk(i))
+		} else {
+			ship = append(ship, i)
+		}
 	}
+	// Copy the payloads out of the store-owned buffer, into one allocation
+	// per transfer: a duplicate of a frame may be delivered after the
+	// transfer (and the source epoch) is long gone.
+	wire := make([]byte, 0, len(ship)*src.ChunkSize)
+	frames := make([]frame, len(ship))
+	for j, i := range ship {
+		wire = append(wire, src.Chunk(i)...)
+		frames[j] = frame{
+			id:      frameID{epoch: epoch, node: node, task: task, chunk: i},
+			payload: wire[len(wire)-len(src.Chunk(i)):],
+			off:     i * src.ChunkSize,
+		}
+	}
+	shipped, reused := len(ship), src.NumChunks()-len(ship)
 	x.mu.Lock()
 	x.assembling[key] = buf
 	x.mu.Unlock()
@@ -201,27 +231,9 @@ func (x *exchanger) shipCheckpoint(epoch uint64, node, task int, src, base *ckpt
 		delete(x.assembling, key)
 		x.mu.Unlock()
 	}()
-	var transferRetries int64
-	shipped, reused := 0, 0
-	for i := 0; i < src.NumChunks(); i++ {
-		if baseOK && src.Sums[i] == base.Sums[i] {
-			reused++
-			continue
-		}
-		shipped++
-		chunk := src.Chunk(i)
-		// Copy the payload out of the store-owned buffer: a duplicate of
-		// this frame may be delivered after the transfer (and the source
-		// epoch) is long gone.
-		payload := append([]byte(nil), chunk...)
-		f := frame{
-			id:      frameID{epoch: epoch, node: node, task: task, chunk: i},
-			payload: payload,
-			off:     i * src.ChunkSize,
-		}
-		if err := x.sendReliable(f, deadline, &transferRetries); err != nil {
-			return nil, fmt.Errorf("transfer r?/n%d/t%d@e%d chunk %d/%d: %w", node, task, epoch, i, src.NumChunks(), err)
-		}
+	resent, err := x.sendWindow(frames, deadline)
+	if err != nil {
+		return nil, fmt.Errorf("transfer of %d/%d chunks: %w", shipped, src.NumChunks(), err)
 	}
 	x.chunksShipped.Add(int64(shipped))
 	x.chunksReused.Add(int64(reused))
@@ -233,67 +245,90 @@ func (x *exchanger) shipCheckpoint(epoch uint64, node, task int, src, base *ckpt
 		// check catches it — loud error, not silent SDC.
 		return nil, fmt.Errorf("%w: reassembled checkpoint n%d/t%d@e%d root mismatch", ErrExchange, node, task, epoch)
 	}
-	if transferRetries > 0 {
-		x.c.mark(trace.Net, fmt.Sprintf("exchange n%d/t%d@e%d: %d chunks shipped, %d reused, %d retransmissions", node, task, epoch, shipped, reused, transferRetries))
+	if resent > 0 {
+		x.c.mark(trace.Net, fmt.Sprintf("exchange n%d/t%d@e%d: %d chunks shipped, %d reused, %d retransmissions", node, task, epoch, shipped, reused, resent))
 	}
 	return ck, nil
 }
 
-// shipResult sends the round's compare-result message (match/mismatch)
-// reliably through the link. The receiving side of the protocol acts on
-// the result only after this returns, so a lossy link can delay a commit
-// or rollback but never desynchronize the replicas' view of it.
-func (x *exchanger) shipResult(epoch uint64, mismatch bool) error {
-	deadline := time.Now().Add(x.cfg.RoundDeadline)
+// shipResult sends the round's compare-result message reliably through
+// the link. The frame carries agreement, not the verdict: the verdict rides
+// in the controller, and both sides act on it only after this returns, so
+// a lossy link can delay a commit or rollback but never desynchronize the
+// replicas' view of it.
+func (x *exchanger) shipResult(epoch uint64) error {
 	f := frame{id: frameID{epoch: epoch, node: -1, task: -1, chunk: -1}}
-	_ = mismatch // the verdict rides in the controller; the frame carries agreement
-	var retries int64
-	if err := x.sendReliable(f, deadline, &retries); err != nil {
+	if _, err := x.sendWindow([]frame{f}, time.Now().Add(x.cfg.RoundDeadline)); err != nil {
 		return fmt.Errorf("compare-result message e%d: %w", epoch, err)
 	}
 	return nil
 }
 
-// sendReliable transmits one frame until it is acknowledged, with capped
-// exponential backoff plus jitter between attempts. retries accumulates
-// this transfer's retransmission count (for the caller's trace mark);
-// the exchanger-wide total lands in x.retries.
-func (x *exchanger) sendReliable(f frame, deadline time.Time, retries *int64) error {
+// sendWindow delivers one transfer's frames (in chunk order) reliably: a
+// selective-repeat window as wide as the transfer — the receiver has
+// preallocated the whole assembly buffer, so nothing bounds it. Each pass
+// transmits every still-unacknowledged frame back to back, waits one round
+// trip for all of them, and keeps only the unacknowledged for the next
+// pass, which follows after a capped exponential backoff plus jitter. A
+// frame is transmitted in every pass until it is acknowledged, so the pass
+// number is its attempt count. resent counts retransmitted frames (for the
+// caller's trace mark); the exchanger-wide total lands in x.retries.
+func (x *exchanger) sendWindow(pending []frame, deadline time.Time) (resent int64, err error) {
 	backoff := x.cfg.BaseBackoff
-	for attempt := 0; ; attempt++ {
-		if attempt >= x.cfg.MaxAttempts {
-			return fmt.Errorf("%w: frame %+v unacknowledged after %d attempts", ErrExchange, f.id, attempt)
+	for pass := 0; len(pending) > 0; pass++ {
+		if pass >= x.cfg.MaxAttempts {
+			return resent, fmt.Errorf("%w: frame %v unacknowledged after %d attempts", ErrExchange, pending[0].id, pass)
 		}
 		if !time.Now().Before(deadline) {
-			return fmt.Errorf("%w: frame %+v missed the round deadline", ErrExchange, f.id)
+			return resent, fmt.Errorf("%w: frame %v missed the round deadline", ErrExchange, pending[0].id)
 		}
-		if attempt > 0 {
-			x.retries.Add(1)
-			*retries++
+		if pass > 0 {
+			x.retries.Add(int64(len(pending)))
+			resent += int64(len(pending))
 			// Full jitter on the capped exponential: sleep in
 			// [backoff/2, backoff), deterministically from the seed.
 			x.mu.Lock()
 			jitter := time.Duration(x.rng.Int63n(int64(backoff/2) + 1))
 			x.mu.Unlock()
 			time.Sleep(backoff/2 + jitter)
-			backoff *= 2
-			if backoff > x.cfg.MaxBackoff {
-				backoff = x.cfg.MaxBackoff
-			}
+			backoff = min(2*backoff, x.cfg.MaxBackoff)
 		}
-		x.transmit(f)
+		x.passes.Add(1)
+		for _, f := range pending {
+			x.transmit(f)
+		}
 		if x.cfg.Latency > 0 {
-			// One round trip per attempt: the data frame propagates out,
-			// the ack propagates back. This flight time is what the
-			// exchange stage overlaps across concurrent transfers — the
-			// sleep deliberately happens outside mu.
+			// One round trip per pass: the data frames propagate out, the
+			// acks propagate back. This flight time is what the exchange
+			// stage overlaps across concurrent transfers — the sleep
+			// deliberately happens outside mu.
 			time.Sleep(2 * x.cfg.Latency)
 		}
 		x.mu.Lock()
-		ok := x.acked[f.id]
+		unacked := pending[:0]
+		for _, f := range pending {
+			if !x.acked[f.id] {
+				unacked = append(unacked, f)
+			}
+		}
 		x.mu.Unlock()
-		if ok {
-			return nil
+		pending = unacked
+	}
+	return resent, nil
+}
+
+// prune forgets every frame below the newly committed epoch and raises the
+// floor below which transmit drops stragglers, so the dedupe maps hold one
+// round's frames however long the job runs.
+func (x *exchanger) prune(committed uint64) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	x.floor = committed
+	for _, m := range []map[frameID]bool{x.seen, x.acked} {
+		for id := range m {
+			if id.epoch < committed {
+				delete(m, id)
+			}
 		}
 	}
 }
@@ -306,7 +341,7 @@ func (x *exchanger) sendReliable(f frame, deadline time.Time, retries *int64) er
 // queue only drains, so the loop terminates. The whole exchange runs
 // under mu — the wire is serial even when many transfers are in flight —
 // and that same mutex is what publishes assembly-buffer writes to the
-// owning transfer's final ack check.
+// owning transfer's ack check at the end of its pass.
 func (x *exchanger) transmit(f frame) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -324,6 +359,9 @@ func (x *exchanger) transmit(f frame) {
 		}
 		for _, o := range x.link.Send(cur) {
 			g := o.(frame)
+			if g.id.epoch < x.floor {
+				continue // a straggler of a pruned epoch: inert
+			}
 			if g.ack {
 				x.acked[g.id] = true
 				continue

@@ -88,9 +88,9 @@ func (s *stageClock) wall() time.Duration {
 const stageWorkerBytes = 512 << 10
 
 // exchangeWidth bounds the exchange stage when a link is attached. The
-// stage is latency-bound, not CPU-bound — its workers spend their time in
-// link round-trip sleeps — so the bound is about not flooding the wire
-// arbitration mutex, not about cores.
+// stage is latency-bound, not CPU-bound — a worker spends its time in the
+// one round-trip sleep per pass of its transfer's window — so the bound is
+// about not flooding the wire arbitration mutex, not about cores.
 const exchangeWidth = 32
 
 // stageWidths is one round's worker count per stage, plus the inner
@@ -333,7 +333,8 @@ func (c *Controller) runRound(epoch uint64, scope consensus.Scope, exchange func
 
 // shipTask ships one task's freshly captured checkpoint (replica 0's
 // copy, the one compare treats as "shipped over") through the hardened
-// link, delta-aware against the receiver's retained last committed epoch.
+// link as one window (one round trip per pass over its unacknowledged
+// frames), delta-aware against the receiver's retained last committed epoch.
 // The reassembled copy is root-verified inside shipCheckpoint and then
 // discarded: the wire cost is fully modeled, while comparison keeps
 // reading the store's canonical bytes, so round verdicts stay

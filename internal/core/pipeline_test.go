@@ -75,8 +75,9 @@ type roundOutcome struct {
 // (the machine is never started, so every controller holds bit-identical
 // factory state), plants seeded SDC at the given (node, task) spots of
 // replica 0, and runs one compared round body at the given stage width,
-// shipping every checkpoint through a seeded lossy link.
-func bodyAtWidth(t *testing.T, width, nodes, tasks int, comparison Comparison, relTol float64, semi bool, spots [][2]int) roundOutcome {
+// shipping every checkpoint through a seeded lossy link in chunkSize-byte
+// frames (0 = the default, one frame per ~3 KB task).
+func bodyAtWidth(t *testing.T, width, nodes, tasks int, comparison Comparison, relTol float64, chunkSize int, semi bool, spots [][2]int) roundOutcome {
 	t.Helper()
 	testStageWidth.Store(int32(width)) // the package's unexported scheduling seam
 	ctrl, err := New(Config{
@@ -85,6 +86,7 @@ func bodyAtWidth(t *testing.T, width, nodes, tasks int, comparison Comparison, r
 		Factory:         benchFactory(64),
 		Comparison:      comparison,
 		RelTol:          relTol,
+		ChunkSize:       chunkSize,
 		SemiBlocking:    semi,
 		Exchange:        &ExchangeConfig{Loss: 0.05, Dup: 0.05, Reorder: 0.1, Seed: 11, ShipCheckpoints: true},
 	})
@@ -127,7 +129,8 @@ func bodyAtWidth(t *testing.T, width, nodes, tasks int, comparison Comparison, r
 // same stored bytes — for every comparison mode, blocking and
 // semi-blocking, with seeded SDC at every (node, task) in turn, at several
 // at once (the lowest pair must win however the workers race), and on a
-// clean machine.
+// clean machine. The multichunk mode ships every task as a 13-frame window
+// over the same lossy link, so windows of different transfers interleave.
 func TestPipelinedRoundMatchesBarrierVerdict(t *testing.T) {
 	defer testStageWidth.Store(0)
 	const nodes, tasks = 2, 2
@@ -135,7 +138,9 @@ func TestPipelinedRoundMatchesBarrierVerdict(t *testing.T) {
 		name       string
 		comparison Comparison
 		relTol     float64
-	}{{"checksum", ChecksumCompare, 0}, {"full", FullCompare, 0}, {"reltol", FullCompare, 1e-12}}
+		chunkSize  int
+	}{{"checksum", ChecksumCompare, 0, 0}, {"full", FullCompare, 0, 0}, {"reltol", FullCompare, 1e-12, 0},
+		{"checksum-multichunk", ChecksumCompare, 0, 256}}
 	type spotCase struct {
 		name  string
 		spots [][2]int
@@ -152,7 +157,7 @@ func TestPipelinedRoundMatchesBarrierVerdict(t *testing.T) {
 			for _, sc := range cases {
 				t.Run(sc.name, func(t *testing.T) {
 					for _, semi := range []bool{false, true} {
-						ref := bodyAtWidth(t, 1, nodes, tasks, mode.comparison, mode.relTol, semi, sc.spots)
+						ref := bodyAtWidth(t, 1, nodes, tasks, mode.comparison, mode.relTol, mode.chunkSize, semi, sc.spots)
 						if ref.err != nil {
 							t.Fatalf("semi=%v width 1: %v", semi, ref.err)
 						}
@@ -164,7 +169,7 @@ func TestPipelinedRoundMatchesBarrierVerdict(t *testing.T) {
 						}
 						for _, width := range []int{2, 3, 8} {
 							for rerun := 0; rerun < 3; rerun++ { // racy schedules must not leak through
-								got := bodyAtWidth(t, width, nodes, tasks, mode.comparison, mode.relTol, semi, sc.spots)
+								got := bodyAtWidth(t, width, nodes, tasks, mode.comparison, mode.relTol, mode.chunkSize, semi, sc.spots)
 								if got.mismatch != ref.mismatch || got.chunk != ref.chunk || !errEq(got.err, ref.err) {
 									t.Fatalf("semi=%v width %d = (%q, %d, %v), width 1 = (%q, %d, %v)",
 										semi, width, got.mismatch, got.chunk, got.err, ref.mismatch, ref.chunk, ref.err)

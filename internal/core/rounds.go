@@ -94,7 +94,7 @@ func (c *Controller) normalRound() error {
 		// The round's verdict is itself a message between the replicas
 		// (§4.2's result exchange): under the hardened exchange it must
 		// cross the lossy link reliably before either side acts on it.
-		if rerr := c.exch.shipResult(epoch, mismatch != ""); rerr != nil {
+		if rerr := c.exch.shipResult(epoch); rerr != nil {
 			err = fmt.Errorf("core: exchange compare result: %w", rerr)
 		}
 	}
@@ -309,6 +309,9 @@ func (c *Controller) commit(epoch uint64, began time.Time, trusted bool) {
 	c.stats.CheckpointTimes = append(c.stats.CheckpointTimes, time.Since(began))
 	c.appendPhaseTimes()
 	c.store.Evict(epoch)
+	if c.exch != nil {
+		c.exch.prune(epoch)
+	}
 	if !trusted {
 		c.mark(trace.Checkpoint, fmt.Sprintf("checkpoint %d committed (epoch %d)", c.stats.Checkpoints, epoch))
 	}

@@ -97,8 +97,9 @@ func (l *Link) Send(frame any) []any {
 	return out
 }
 
-// Flush releases every held frame (end-of-round drain, so a reordered
-// frame cannot be silently stranded).
+// Flush releases every held frame. A whole transfer window can be held at
+// once, so the owner drains the link before reading Stats at the end of a
+// run; otherwise stranded frames would be missing from Delivered.
 func (l *Link) Flush() []any {
 	l.mu.Lock()
 	defer l.mu.Unlock()

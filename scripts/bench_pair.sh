@@ -1,0 +1,96 @@
+#!/usr/bin/env bash
+# Paired benchmark comparison of a parent commit against the working tree,
+# by the choosing-metrics rule: alternating parent/change pairs of one
+# workload, then per end-to-end metric each side's median and quartiles,
+# the pair wins, and the verdict — a gain only when the change wins at
+# least 9/10 of the pairs (ties count for neither side) and the medians
+# differ by more than the parent's own inter-quartile range; a regression
+# when the change's median is worse than the parent's by more than the
+# bound BENCHMARK.json fixes.
+#
+# Usage: scripts/bench_pair.sh <parent-ref> <workload> [pairs=10] [seconds=15]
+#
+# The parent is exported with `git archive` into a temporary directory (no
+# worktree is registered in .git) and both sides are built once; each pair
+# runs `bench --workload W --seed <pair index> --seconds 15 --trace 0` on
+# both builds, and which side goes first alternates from pair to pair.
+set -euo pipefail
+
+if [ $# -lt 2 ]; then
+  sed -n '2,17p' "$0" >&2
+  exit 2
+fi
+PARENT=$1
+WORKLOAD=$2
+PAIRS=${3:-10}
+SECONDS_PER_RUN=${4:-15}
+
+cd "$(dirname "$0")/.."
+ROOT=$PWD
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+
+mkdir "$TMP/parent"
+git archive "$PARENT" | tar -x -C "$TMP/parent"
+(cd "$TMP/parent" && go build -o "$TMP/bench-parent" ./bench)
+go build -o "$TMP/bench-change" ./bench
+
+# run <side> <dir> <seed>: one pass; writes "<metric> <value>" lines to
+# $TMP/<side>.<seed>, reports the pass's failed-operation count, and stops
+# on a pass whose correctness checks did not hold.
+run() {
+  local side=$1 dir=$2 seed=$3 line
+  line=$(cd "$dir" && "$TMP/bench-$side" --workload "$WORKLOAD" --seed "$seed" --seconds "$SECONDS_PER_RUN" --trace 0 2>"$TMP/log" | tail -n 1) ||
+    { cat "$TMP/log" >&2; exit 1; }
+  case $line in
+  *'"correct":true'*) ;;
+  *) cat "$TMP/log" >&2; echo "bench_pair: $side seed $seed: incorrect pass: $line" >&2; exit 1 ;;
+  esac
+  echo "$line" | grep -o '"attempted":[0-9]*,"failed":[0-9]*' | sed "s/^/$side seed $seed: /" >&2
+  echo "$line" | grep -o '"[a-z0-9_.]*":{"value":[-+0-9.eE]*' |
+    sed 's/"\([^"]*\)":{"value":/\1 /' >"$TMP/$side.$seed"
+}
+
+for i in $(seq 1 "$PAIRS"); do
+  if [ $((i % 2)) -eq 1 ]; then
+    run parent "$TMP/parent" "$i"
+    run change "$ROOT" "$i"
+  else
+    run change "$ROOT" "$i"
+    run parent "$TMP/parent" "$i"
+  fi
+done
+
+# The end-to-end metric names, directions and bounds come from the contract.
+awk '/"end_to_end"/{on=1} on&&/"name"/{gsub(/[",]/,"");n=$2} on&&/"better"/{gsub(/[",]/,"");b=$2}
+     on&&/"bound"/{gsub(/[",]/,"");print n, b, $2} on&&/\]/{exit}' BENCHMARK.json >"$TMP/metrics"
+
+printf '%s: %d pairs vs %s (seeds 1..%d, %ss per run)\n' "$WORKLOAD" "$PAIRS" "$PARENT" "$PAIRS" "$SECONDS_PER_RUN"
+printf '%-22s %-32s %-32s %-7s %s\n' metric 'parent q1/median/q3' 'change q1/median/q3' wins verdict
+while read -r name better bound; do
+  for side in parent change; do
+    for i in $(seq 1 "$PAIRS"); do
+      awk -v m="$name" '$1==m{print $2}' "$TMP/$side.$i"
+    done >"$TMP/$side.col"
+  done
+  paste "$TMP/parent.col" "$TMP/change.col" | awk -v name="$name" -v better="$better" -v bound="$bound" '
+    # Quantile by linear interpolation over the sorted sample.
+    function q(a, n, p,   h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo]) }
+    function sorted(src, dst, n,   i, j, t) { for (i = 1; i <= n; i++) dst[i] = src[i]
+      for (i = 2; i <= n; i++) { t = dst[i]; for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]; dst[j + 1] = t } }
+    { n++; p[n] = $1; c[n] = $2
+      d = (better == "lower") ? $1 - $2 : $2 - $1   # > 0: the change wins this pair
+      if (d > 0) wins++ }
+    END {
+      sorted(p, ps, n); sorted(c, cs, n)
+      pm = q(ps, n, 0.5); cm = q(cs, n, 0.5); iqr = q(ps, n, 0.75) - q(ps, n, 0.25)
+      gap = (better == "lower") ? pm - cm : cm - pm   # > 0: the change is better
+      verdict = "no change shown"
+      if (wins >= 0.9 * n && gap > iqr) verdict = "gain"
+      else if (pm != 0 && -gap / (pm < 0 ? -pm : pm) > bound) verdict = "REGRESSION beyond bound " bound
+      printf "%-22s %-32s %-32s %-7s %s (median gap %.4g, parent IQR %.4g)\n", name,
+        sprintf("%.4g/%.4g/%.4g", q(ps, n, 0.25), pm, q(ps, n, 0.75)),
+        sprintf("%.4g/%.4g/%.4g", q(cs, n, 0.25), cm, q(cs, n, 0.75)),
+        wins + 0 "/" n, verdict, gap, iqr
+    }'
+done <"$TMP/metrics"
