@@ -407,6 +407,32 @@ func DefaultCampaign() []Scenario {
 			}},
 		},
 		{
+			// A real exchange window under the oracle: the padded state is 17
+			// chunks of 32 bytes, rounds are paced 70 iterations apart, and
+			// the crash lands 60 iterations after the first commit — so the
+			// medium recovery's mirror finds every chunk changed against its
+			// base and ships each task as a 17-frame window, all in flight at
+			// once over a lossy, reordering link, with one frame in the middle
+			// of the first window dropped on top. Every other scenario that
+			// crosses the link ships one- to three-frame transfers.
+			Name: "medium-lossy-exchange-padded", Nodes: 2, Tasks: 2, Spares: 3, Iters: 150,
+			Scheme: "medium", Comparison: "checksum", Store: "mem", PaceEvery: 560,
+			PadFloats: 64, ChunkSize: 32,
+			Loss: 0.1, Reorder: 0.1,
+			Faults: []Fault{
+				{
+					Kind:    Crash,
+					Target:  Target{Replica: 0, Node: -1, Task: -1},
+					Trigger: Trigger{Point: point.RuntimeProgress, Occurrence: 130},
+				},
+				{
+					Kind:    FrameDrop,
+					Target:  Target{Replica: -1, Node: -1, Task: -1},
+					Trigger: Trigger{Point: point.NetFrame, Occurrence: 14},
+				},
+			},
+		},
+		{
 			// Deterministic frame loss on an otherwise clean link: the Nth
 			// exchange frame is discarded before the link, forcing exactly
 			// one retransmission cycle.
