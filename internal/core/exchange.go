@@ -215,10 +215,11 @@ func (x *exchanger) shipCheckpoint(epoch uint64, node, task int, src, base *ckpt
 	wire := make([]byte, 0, len(ship)*src.ChunkSize)
 	frames := make([]frame, len(ship))
 	for j, i := range ship {
+		start := len(wire)
 		wire = append(wire, src.Chunk(i)...)
 		frames[j] = frame{
 			id:      frameID{epoch: epoch, node: node, task: task, chunk: i},
-			payload: wire[len(wire)-len(src.Chunk(i)):],
+			payload: wire[start:],
 			off:     i * src.ChunkSize,
 		}
 	}

@@ -29,31 +29,32 @@ type firing struct {
 
 // frameLog is a point.NetFrame hook that logs every firing and, on a link
 // without faults of its own, kills one chunk's data frame (or its ack) for
-// that chunk's first `times` transmissions. Telling a data firing from an
-// ack firing by "an undropped data frame is followed by its ack" is exact
-// only on such a clean link, which is where the drop rows run.
+// that chunk's first `times` transmissions. Telling the victim's data
+// firing from its ack firing by "an undropped data frame is followed by
+// its ack" is exact only on such a clean link, which is where the drop
+// rows run. The zero value only logs.
 type frameLog struct {
-	log               []firing
-	victim, times     int
-	ackNotData, armed bool
-	awaitingAck       map[int]bool
+	log           []firing
+	victim, times int
+	ackNotData    bool
+	awaitingAck   bool // the victim's data frame got through: its next firing is the ack
 }
 
 func (l *frameLog) Fire(id point.ID, info *point.Info) {
 	if id != point.NetFrame {
 		return
 	}
-	c := info.Iter
-	isAck := l.awaitingAck[c]
-	delete(l.awaitingAck, c)
-	if l.armed && c == l.victim && isAck == l.ackNotData && l.times > 0 {
-		l.times--
-		info.Drop = true
+	if info.Iter == l.victim && l.times > 0 {
+		isAck := l.awaitingAck
+		l.awaitingAck = false
+		if isAck == l.ackNotData {
+			l.times--
+			info.Drop = true
+		} else if !isAck {
+			l.awaitingAck = true
+		}
 	}
-	if l.armed && !isAck && !info.Drop {
-		l.awaitingAck[c] = true
-	}
-	l.log = append(l.log, firing{chunk: c, dropped: info.Drop})
+	l.log = append(l.log, firing{chunk: info.Iter, dropped: info.Drop})
 }
 
 // newTestExchanger attaches a hardened exchange with the given link faults
@@ -249,7 +250,7 @@ func TestWindowResendsOnlyTheDroppedChunk(t *testing.T) {
 	for _, ack := range []bool{false, true} {
 		for j := 0; j <= 3; j++ {
 			t.Run(fmt.Sprintf("ack=%v/drops=%d", ack, j), func(t *testing.T) {
-				hook := &frameLog{armed: true, victim: victim, times: j, ackNotData: ack, awaitingAck: map[int]bool{}}
+				hook := &frameLog{victim: victim, times: j, ackNotData: ack}
 				x := newTestExchanger(t, ExchangeConfig{Seed: 9}, hook)
 				src := testCheckpoint(chunks, 0x5a)
 				got, err := x.shipCheckpoint(1, 0, 0, src, nil)
