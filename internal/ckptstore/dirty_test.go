@@ -169,3 +169,71 @@ func TestCaptureDirtyIntoReusesRecycledSums(t *testing.T) {
 	}
 	mustMatchFresh(t, ck, next, chunkSize)
 }
+
+// narrowProg has the two scalar widths that once packed without
+// self-checking (float32, uint16) between two bulk fields.
+type narrowProg struct {
+	Grid  []float64
+	Gain  float32
+	Step  uint16
+	Field []float32
+}
+
+func (n *narrowProg) Pup(p *pup.PUPer) {
+	p.Label("grid")
+	p.Float64s(&n.Grid)
+	p.Label("gain")
+	p.Float32(&n.Gain)
+	p.Label("step")
+	p.Uint16(&n.Step)
+	p.Label("field")
+	p.Float32s(&n.Field)
+}
+
+// Scalars of every width are self-checked (DESIGN.md §12): an unmarked
+// float32/uint16 change must land in the spliced pack's dirty set, or
+// CaptureDirtyInto carries the previous chunk's sum over the new bytes.
+func TestCaptureDirtyIntoUnmarkedNarrowScalars(t *testing.T) {
+	const chunkSize = 64
+	np := &narrowProg{Grid: make([]float64, 40), Gain: 1.5, Step: 7, Field: make([]float32, 40)}
+	for i := range np.Grid {
+		np.Grid[i], np.Field[i] = float64(i)*0.5, float32(i)*0.25
+	}
+	spans := pup.FieldSpans(np)
+	base, err := pup.Pack(np)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := Capture(base, chunkSize, 1)
+
+	np.Gain, np.Step = -8.25, 0xbeef // no mark
+	np.Field[3] = 99                 // marked: bulk elements are the trusted part
+	res, err := pup.PackDirtyInto(np, make([]byte, 0, len(base)), base,
+		[]pup.Range{spans["field"].Slice(3, 4, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Spliced {
+		t.Fatal("expected a spliced pack")
+	}
+	if fresh, _ := pup.Pack(np); string(res.Data) != string(fresh) {
+		t.Fatal("spliced stream differs from a fresh pack")
+	}
+	for i := range res.Data {
+		if res.Data[i] == base[i] {
+			continue
+		}
+		in := false
+		for _, r := range res.Dirty {
+			in = in || (r.Lo <= i && i < r.Hi)
+		}
+		if !in {
+			t.Fatalf("byte %d changed but is outside the dirty set %v", i, res.Dirty)
+		}
+	}
+	ck, reused := CaptureDirtyInto(nil, res.Data, chunkSize, 1, prev, res.Dirty)
+	if reused == 0 {
+		t.Fatal("expected the clean grid chunks to be reused")
+	}
+	mustMatchFresh(t, ck, res.Data, chunkSize)
+}

@@ -13,13 +13,13 @@
 // the ordinary full traversal (the conservative all-dirty fallback), and
 // any structural change (a length prefix that differs from the previous
 // stream, a stream that grew or shrank) disables splicing for the rest of
-// the traversal. Scalars are always re-encoded from live state and their
-// bytes compared against the previous stream, so an unmarked scalar change
-// is self-detected and folded into the dirty set. The only trust placed in
-// the application is that *unmarked bulk elements* (entries of Float64s /
-// Int64s / Ints / Bytes collections) are unchanged; a tracker that lies
-// about those produces a stale capture — the failure mode the chaos
-// oracle's blinded-tracking sensitivity check exercises.
+// the traversal. Scalars of every width are always re-encoded from live
+// state and their bytes compared against the previous stream, so an unmarked
+// scalar change is self-detected and folded into the dirty set. The only
+// trust placed in the application is that *unmarked bulk elements* (entries
+// of Float64s / Int64s / Ints / Float32s / Bytes collections) are unchanged;
+// a tracker that lies about those produces a stale capture — the failure
+// mode the chaos oracle's blinded-tracking sensitivity check exercises.
 package pup
 
 import (
@@ -38,7 +38,8 @@ const rangeMax = int(^uint(0) >> 1)
 // Slice returns the sub-range of a bulk field's span covering elements
 // [lo, hi) of elemSize-byte elements. It assumes the span starts with the
 // field's 4-byte length prefix, which holds for a field labelled
-// immediately before a Float64s/Int64s/Ints/Bytes call (FieldSpans).
+// immediately before a Float64s/Int64s/Ints/Float32s/Bytes call
+// (FieldSpans).
 func (r Range) Slice(lo, hi, elemSize int) Range {
 	base := r.Lo + 4
 	return Range{Lo: base + lo*elemSize, Hi: base + hi*elemSize}
@@ -268,17 +269,17 @@ func (p *PUPer) splicing() bool {
 	return p.mode == Packing && p.prev != nil && !p.diverged
 }
 
-// spliceBulk packs the body of a bulk collection (n elements of elemSize
-// bytes at the current offset) by copying the previous stream's body and
-// re-encoding only elements that overlap a dirty range. encode writes
-// element i into its wire window. Returns true when it handled the body
-// (including by failing on overflow); false means the caller must encode
-// every element normally.
-func (p *PUPer) spliceBulk(n, elemSize int, encode func(i int, w []byte)) bool {
+// spliceBulk packs the body of a bulk collection at the current offset —
+// view, its wire image (view.go), in elemSize-byte elements — by re-encoding
+// the elements that overlap a dirty range, one copy per range, and taking
+// every other byte from the previous stream (or, patching, leaving it be):
+// no byte is written twice. Returns true when it handled the body (including
+// by failing on overflow); false means the caller must encode all of it.
+func (p *PUPer) spliceBulk(view []byte, elemSize int) bool {
 	if !p.splicing() || p.err != nil {
 		return false
 	}
-	body := n * elemSize
+	body := len(view)
 	lo := p.off
 	hi := lo + body
 	if hi > len(p.buf) {
@@ -292,12 +293,9 @@ func (p *PUPer) spliceBulk(n, elemSize int, encode func(i int, w []byte)) bool {
 		p.diverged = true
 		return false
 	}
-	if !p.patch {
-		copy(p.buf[lo:hi], p.prev[lo:hi])
-	}
-	encoded := 0
-	last := -1 // last re-encoded element index
-	for p.dirtyIdx < len(p.dirty) {
+	clean := lo // start of the clean bytes not yet taken from prev
+	last := -1  // last re-encoded element index
+	for p.dirtyIdx < len(p.dirty) && body > 0 {
 		r := p.dirty[p.dirtyIdx]
 		if r.Hi <= lo {
 			p.dirtyIdx++
@@ -306,31 +304,23 @@ func (p *PUPer) spliceBulk(n, elemSize int, encode func(i int, w []byte)) bool {
 		if r.Lo >= hi {
 			break
 		}
-		rlo, rhi := r.Lo, r.Hi
-		if rlo < lo {
-			rlo = lo
-		}
-		if rhi > hi {
-			rhi = hi
-		}
-		first := (rlo - lo) / elemSize
-		lastEl := (rhi - 1 - lo) / elemSize
-		if first <= last {
-			first = last + 1
-		}
-		for i := first; i <= lastEl; i++ {
-			encode(i, p.buf[lo+i*elemSize:lo+(i+1)*elemSize])
-		}
-		if lastEl >= first {
-			encoded += lastEl - first + 1
-			last = lastEl
+		rlo, rhi := max(r.Lo, lo), min(r.Hi, hi)
+		first := max((rlo-lo)/elemSize, last+1)
+		last = max((rhi-1-lo)/elemSize, last)
+		if encStart, encEnd := lo+first*elemSize, lo+(last+1)*elemSize; encStart < encEnd {
+			if !p.patch {
+				copy(p.buf[clean:encStart], p.prev[clean:encStart])
+			}
+			copy(p.buf[encStart:encEnd], view[encStart-lo:])
+			clean = encEnd
+			p.reused -= encEnd - encStart
 			// Re-encoding is whole-element: where the mark cut into an
 			// element, the bytes outside the mark were rewritten too, so
 			// widen the effective dirty set to the element boundaries.
-			if encStart := lo + first*elemSize; encStart < rlo {
+			if encStart < rlo {
 				p.appendExtra(encStart, rlo)
 			}
-			if encEnd := lo + (lastEl+1)*elemSize; encEnd > rhi {
+			if encEnd > rhi {
 				p.appendExtra(rhi, encEnd)
 			}
 		}
@@ -339,8 +329,11 @@ func (p *PUPer) spliceBulk(n, elemSize int, encode func(i int, w []byte)) bool {
 		}
 		p.dirtyIdx++
 	}
+	if !p.patch {
+		copy(p.buf[clean:hi], p.prev[clean:hi])
+	}
 	p.off = hi
-	p.reused += body - encoded*elemSize
+	p.reused += body
 	return true
 }
 

@@ -18,6 +18,7 @@
 package pup
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -390,83 +391,79 @@ func (p *PUPer) length(local int) int {
 	return -1
 }
 
-// Float64s pipes a []float64, resizing on unpack.
-func (p *PUPer) Float64s(v *[]float64) {
+// checkBlock is the Checking-mode comparison unit of a bulk body: a multiple
+// of every element width, large enough that bytes.Equal runs at memcmp speed
+// and small enough that walking one differing block element by element is
+// noise.
+const checkBlock = 4096
+
+// bulk pipes a numeric slice: the length prefix, then a body whose unit of
+// work is a byte range of the slice's wire view (view.go) — one copy to pack
+// or unpack, one bytes.Equal per checkBlock to check. elem, the scalar
+// method for one element, survives as the per-element walk for exactly three
+// cases: no view (big-endian host, 32-bit int), a buffer too short for the
+// body (the walk fails on the first element that does not fit, and its error
+// is the documented one), and a Checking block whose bytes differ — only
+// floatEqual knows whether differing bytes are a mismatch (-0 == 0, NaN ==
+// NaN, relTol), and it reports each one at the offset the walk always did.
+func bulk[T numeric](p *PUPer, v *[]T, size int, elem func(*PUPer, *T)) {
 	n := p.length(len(*v))
 	if n < 0 {
 		return
 	}
 	if p.mode == Unpacking && len(*v) != n {
-		*v = make([]float64, n)
+		*v = make([]T, n)
 	}
+	body := n * size
 	if p.mode == Sizing {
-		p.off += 8 * n
+		p.off += body
 		return
 	}
-	if p.spliceBulk(n, 8, func(i int, w []byte) {
-		binary.LittleEndian.PutUint64(w, math.Float64bits((*v)[i]))
-	}) {
+	view := wireView(*v, size)
+	if p.mode == Packing && len(view) == body && p.spliceBulk(view, size) {
 		return
 	}
-	for i := range *v {
-		if p.err != nil {
+	if len(view) != body || p.off+body > len(p.buf) {
+		for i := range *v {
+			if p.err != nil {
+				return
+			}
+			elem(p, &(*v)[i])
+		}
+		return
+	}
+	w := p.raw(body)
+	switch p.mode {
+	case Packing:
+		copy(w, view)
+	case Unpacking:
+		copy(view, w)
+	case Checking:
+		if p.skipDepth > 0 {
 			return
 		}
-		p.Float64(&(*v)[i])
+		for lo := 0; lo < body; lo += checkBlock {
+			hi := min(lo+checkBlock, body)
+			if bytes.Equal(view[lo:hi], w[lo:hi]) {
+				continue
+			}
+			p.off -= body - lo
+			for i := lo / size; i < hi/size; i++ {
+				elem(p, &(*v)[i])
+			}
+			p.off += body - hi
+		}
 	}
 }
+
+// Float64s pipes a []float64, resizing on unpack.
+func (p *PUPer) Float64s(v *[]float64) { bulk(p, v, 8, (*PUPer).Float64) }
 
 // Int64s pipes a []int64, resizing on unpack.
-func (p *PUPer) Int64s(v *[]int64) {
-	n := p.length(len(*v))
-	if n < 0 {
-		return
-	}
-	if p.mode == Unpacking && len(*v) != n {
-		*v = make([]int64, n)
-	}
-	if p.mode == Sizing {
-		p.off += 8 * n
-		return
-	}
-	if p.spliceBulk(n, 8, func(i int, w []byte) {
-		binary.LittleEndian.PutUint64(w, uint64((*v)[i]))
-	}) {
-		return
-	}
-	for i := range *v {
-		if p.err != nil {
-			return
-		}
-		p.Int64(&(*v)[i])
-	}
-}
+func (p *PUPer) Int64s(v *[]int64) { bulk(p, v, 8, (*PUPer).Int64) }
 
-// Ints pipes a []int, resizing on unpack.
-func (p *PUPer) Ints(v *[]int) {
-	n := p.length(len(*v))
-	if n < 0 {
-		return
-	}
-	if p.mode == Unpacking && len(*v) != n {
-		*v = make([]int, n)
-	}
-	if p.mode == Sizing {
-		p.off += 8 * n
-		return
-	}
-	if p.spliceBulk(n, 8, func(i int, w []byte) {
-		binary.LittleEndian.PutUint64(w, uint64(int64((*v)[i])))
-	}) {
-		return
-	}
-	for i := range *v {
-		if p.err != nil {
-			return
-		}
-		p.Int(&(*v)[i])
-	}
-}
+// Ints pipes a []int (64-bit on the wire), resizing on unpack.
+func (p *PUPer) Ints(v *[]int) { bulk(p, v, 8, (*PUPer).Int) }
 
 // Bytes pipes a []byte, resizing on unpack.
 func (p *PUPer) Bytes(v *[]byte) {
@@ -474,9 +471,7 @@ func (p *PUPer) Bytes(v *[]byte) {
 	if n < 0 {
 		return
 	}
-	if p.mode == Packing && p.spliceBulk(n, 1, func(i int, w []byte) {
-		w[0] = (*v)[i]
-	}) {
+	if p.mode == Packing && p.spliceBulk(*v, 1) {
 		return
 	}
 	w := p.raw(n)

@@ -398,3 +398,55 @@ func BenchmarkCheck(b *testing.B) {
 		}
 	}
 }
+
+// floatField is a bare 4 MiB []float64 — the bulk body every internal/apps
+// port keeps its state in — for the three traversals that move it.
+type floatField struct{ V []float64 }
+
+func (f *floatField) Pup(p *PUPer) { p.Float64s(&f.V) }
+
+func newFloatField() (*floatField, []byte) {
+	f := &floatField{V: make([]float64, 4<<20/8)}
+	for i := range f.V {
+		f.V[i] = float64(i) * 0.25
+	}
+	data, err := Pack(f)
+	if err != nil {
+		panic(err)
+	}
+	return f, data
+}
+
+func BenchmarkPackFloat64s(b *testing.B) {
+	f, data := newFloatField()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, fast, err := PackInto(f, data[:0]); err != nil || !fast {
+			b.Fatal("pack failed")
+		}
+	}
+}
+
+func BenchmarkUnpackFloat64s(b *testing.B) {
+	f, data := newFloatField()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Unpack(data, f); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCheckFloat64s(b *testing.B) {
+	f, data := newFloatField()
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Check(f, data, 0)
+		if err != nil || !res.Match {
+			b.Fatal("check failed")
+		}
+	}
+}

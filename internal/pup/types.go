@@ -20,6 +20,7 @@ func (p *PUPer) Float32(v *float32) {
 	switch p.mode {
 	case Packing:
 		binary.LittleEndian.PutUint32(w, math.Float32bits(*v))
+		p.noteScalar(4)
 	case Unpacking:
 		*v = math.Float32frombits(binary.LittleEndian.Uint32(w))
 	case Checking:
@@ -33,25 +34,7 @@ func (p *PUPer) Float32(v *float32) {
 }
 
 // Float32s pipes a []float32, resizing on unpack.
-func (p *PUPer) Float32s(v *[]float32) {
-	n := p.length(len(*v))
-	if n < 0 {
-		return
-	}
-	if p.mode == Unpacking && len(*v) != n {
-		*v = make([]float32, n)
-	}
-	if p.mode == Sizing {
-		p.off += 4 * n
-		return
-	}
-	for i := range *v {
-		if p.err != nil {
-			return
-		}
-		p.Float32(&(*v)[i])
-	}
-}
+func (p *PUPer) Float32s(v *[]float32) { bulk(p, v, 4, (*PUPer).Float32) }
 
 // Uint16 pipes a uint16.
 func (p *PUPer) Uint16(v *uint16) {
@@ -62,6 +45,7 @@ func (p *PUPer) Uint16(v *uint16) {
 	switch p.mode {
 	case Packing:
 		binary.LittleEndian.PutUint16(w, *v)
+		p.noteScalar(2)
 	case Unpacking:
 		*v = binary.LittleEndian.Uint16(w)
 	case Checking:

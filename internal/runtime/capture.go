@@ -135,14 +135,7 @@ func (m *Machine) CaptureTask(addr Addr, epoch uint64, st ckptstore.Store, opts 
 // captureAndStore is the shared per-task capture body behind
 // CaptureReplica's worker pool and the exported CaptureTask hook.
 func (m *Machine) captureAndStore(addr Addr, epoch uint64, st ckptstore.Store, opts CaptureOptions, chunkWorkers int) error {
-	hint := m.sizeHint(addr)
-	var buf []byte
-	var recycled *ckptstore.Checkpoint
-	if opts.Pool != nil {
-		recycled = opts.Pool.Get(hint)
-		buf = recycled.Scratch()
-	}
-	ck, err := m.captureTaskInto(addr, recycled, buf, hint, opts.ChunkSize, chunkWorkers, opts.PatchCapture)
+	ck, err := m.captureTaskInto(addr, opts.Pool, m.sizeHint(addr), opts.ChunkSize, chunkWorkers, opts.PatchCapture)
 	if err != nil {
 		return fmt.Errorf("runtime: capture %v: %w", addr, err)
 	}

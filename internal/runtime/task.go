@@ -257,9 +257,11 @@ func (m *Machine) PackTask(addr Addr) ([]byte, error) {
 // to the ordinary full pack — correctness never depends on tracking.
 // Quiescence rules match PackTask.
 //
-// The resulting checkpoint is retained as the slot's next splice base, the
-// slot's size hint is refreshed, and the tracker (if any) is re-armed.
-func (m *Machine) captureTaskInto(addr Addr, recycled *ckptstore.Checkpoint, buf []byte, hint, chunkSize, chunkWorkers int, patch bool) (*ckptstore.Checkpoint, error) {
+// pool, if non-nil, supplies the retired checkpoint a non-patching capture
+// packs into. The resulting checkpoint is retained as the slot's next splice
+// base, the slot's size hint is refreshed, and the tracker (if any) is
+// re-armed.
+func (m *Machine) captureTaskInto(addr Addr, pool *ckptstore.Pool, hint, chunkSize, chunkWorkers int, patch bool) (*ckptstore.Checkpoint, error) {
 	m.mu.RLock()
 	s := m.slots[addr.Replica][addr.Node][addr.Task]
 	m.mu.RUnlock()
@@ -272,13 +274,6 @@ func (m *Machine) captureTaskInto(addr Addr, recycled *ckptstore.Checkpoint, buf
 	union := s.patchScratch
 	s.mu.Unlock()
 
-	if recycled != nil && recycled == prev {
-		// The pool handed back the very checkpoint we would splice from
-		// (possible only if a caller evicted the epoch the slot still
-		// trusts); packing into its buffer while reading it would corrupt
-		// both. Fall back to a full pack.
-		prev = nil
-	}
 	var prevBytes []byte
 	var dirty []pup.Range
 	tracker, _ := prog.(pup.DirtyTracker)
@@ -292,7 +287,7 @@ func (m *Machine) captureTaskInto(addr Addr, recycled *ckptstore.Checkpoint, buf
 
 	var res pup.DirtyPackResult
 	var err error
-	patched := false
+	var into *ckptstore.Checkpoint // the capture target: its struct, buffer and Sums are reused
 	if tracked && patch && base != nil && base != prev && base.Len() == prev.Len() {
 		// Patch in place: base still holds the stream from two captures
 		// ago, which differs from prev only on stale (the previous
@@ -303,17 +298,29 @@ func (m *Machine) captureTaskInto(addr Addr, recycled *ckptstore.Checkpoint, buf
 		union = append(union[:0], dirty...)
 		union = append(union, stale...)
 		res, err = pup.PackDirtyPatch(prog, base.Scratch(), prevBytes, dirty, union)
-		patched = true
+		into = base
 	} else {
+		// Only this branch packs into a pooled buffer, so only it draws one:
+		// the patch path above self-recycles the slot's own base.
+		var buf []byte
+		if pool != nil {
+			into = pool.Get(hint)
+			buf = into.Scratch()
+			if into == prev {
+				// The pool handed back the very checkpoint we would splice
+				// from (possible only if a caller evicted the epoch the slot
+				// still trusts); packing into its buffer while reading it
+				// would corrupt both. Fall back to a full pack.
+				prev, prevBytes, dirty, tracked = nil, nil, nil, false
+			}
+		}
 		if cap(buf) == 0 && hint > 0 {
 			// No pool, or a drained pool handing back an empty struct
 			// (nothing evicted yet, or every retiree retained by the patch
 			// ladder): seed the buffer from the size hint so single-pass
-			// packing and the dirty splice still engage. Allocated here,
-			// not in CaptureReplica — the patch path above never touches
-			// buf, and eagerly making a state-sized buffer per capture
-			// would spend more time zeroing it than the patch spends
-			// packing.
+			// packing and the dirty splice still engage. (The patch path
+			// above never needs one: zeroing a state-sized buffer would
+			// cost more than the patch spends packing.)
 			buf = make([]byte, 0, hint)
 		}
 		res, err = pup.PackDirtyInto(prog, buf, prevBytes, dirty)
@@ -325,14 +332,6 @@ func (m *Machine) captureTaskInto(addr Addr, recycled *ckptstore.Checkpoint, buf
 		m.packFast.Add(1)
 	} else {
 		m.packSlow.Add(1)
-	}
-	// The capture target: the patch path writes into base's buffer, so the
-	// checkpoint must reuse base's struct and Sums (recycled, if the pool
-	// supplied one, is simply left for the collector — with patching active
-	// the slot self-recycles and the pool drains to empty structs anyway).
-	into := recycled
-	if patched {
-		into = base
 	}
 	var ck *ckptstore.Checkpoint
 	if res.Spliced {
