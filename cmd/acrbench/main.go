@@ -10,7 +10,7 @@
 //
 //	go run ./cmd/acrbench                         # full matrix, writes BENCH_checkpoint.json
 //	go run ./cmd/acrbench -quick                  # CI smoke subset
-//	go run ./cmd/acrbench -quick -against BENCH_checkpoint.json -tolerance 0.25
+//	go run ./cmd/acrbench -quick -out /tmp/q.json -against BENCH_checkpoint.json -tolerance 0.25
 //
 // With -against, the run is additionally checked for regressions versus a
 // baseline report: a case fails when its speedup ratio degrades by more
@@ -21,7 +21,10 @@
 // silently dropped: a case this run produced that the baseline lacks
 // fails the check (an ungated case is a hole in the gate — regenerate the
 // baseline), while baseline cases this run did not produce (a full
-// baseline checked by a -quick run) are logged to stderr and skipped.
+// baseline checked by a -quick run) are logged to stderr and skipped. The
+// baseline is read and parsed before anything is measured or written, and
+// -out naming the same file as -against is refused: the report would
+// overwrite the baseline it is about to be checked against.
 //
 // Unless -fleet=false, the run also covers the fleet layer
 // (internal/fleet): the fleet-scale case measures wall-clock per committed
@@ -68,6 +71,10 @@ func main() {
 	}
 
 	logf := func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
+	base, err := loadBaseline(*out, *against)
+	if err != nil {
+		fatalf("baseline: %v", err)
+	}
 	logf("acrbench: GOMAXPROCS=%d quick=%v count=%d fleet=%v only=%q", stdruntime.GOMAXPROCS(0), *quick, *count, *withFleet, *only)
 
 	// The profile brackets the measurement section only and is flushed
@@ -134,11 +141,7 @@ func main() {
 			c.Name, 1/c.Speedup, fleetScaleBudget))
 	}
 
-	if *against != "" {
-		base, err := readReport(*against)
-		if err != nil {
-			fatalf("baseline: %v", err)
-		}
+	if base != nil {
 		baselineRegressions, skippedBase := check(base, report, *tolerance)
 		regressions = append(regressions, baselineRegressions...)
 		for _, s := range skippedBase {
@@ -179,16 +182,35 @@ func runBurst(seed int64, logf func(format string, args ...any)) error {
 	return nil
 }
 
-func readReport(path string) (*core.BenchReport, error) {
-	blob, err := os.ReadFile(path)
+// loadBaseline reads the -against report, nil when none was asked for. It
+// runs before the measurement, so a missing or malformed baseline costs no
+// bench run, and it refuses an -out that names the baseline itself: writing
+// the fresh report there first would compare the run with itself and destroy
+// the checked-in trajectory.
+func loadBaseline(out, against string) (*core.BenchReport, error) {
+	if against == "" {
+		return nil, nil
+	}
+	if out != "-" && sameFile(out, against) {
+		return nil, fmt.Errorf("-out %s is the -against baseline; pass -out <other file> (or -out -) to keep it", out)
+	}
+	blob, err := os.ReadFile(against)
 	if err != nil {
 		return nil, err
 	}
 	var r core.BenchReport
 	if err := json.Unmarshal(blob, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", against, err)
 	}
 	return &r, nil
+}
+
+// sameFile reports whether two paths name one existing file (links and ./
+// spellings included). A path that does not exist yet is no file's alias.
+func sameFile(a, b string) bool {
+	ia, errA := os.Stat(a)
+	ib, errB := os.Stat(b)
+	return errA == nil && errB == nil && os.SameFile(ia, ib)
 }
 
 // check compares the fresh run against the baseline case by case (by

@@ -19,6 +19,7 @@ package consensus
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"acr/internal/runtime"
 )
@@ -68,32 +69,57 @@ func OnlyReplica(rep int) Scope {
 
 // Coordinator tracks progress and coordinates checkpoint cuts. It is safe
 // for concurrent use and implements runtime.Gate.
+//
+// Progress lives in a dense table of atomics indexed by (replica, node,
+// task), so a report outside a round takes no lock: Report stores the
+// task's progress and THEN loads the deciding flag; Request stores the flag
+// and THEN reads the table. The atomics are sequentially consistent, so at
+// least one side sees the other: either the reporter sees the flag and takes
+// the round's mutex, or Request sees the report and the cut lands at least
+// one past it — the reporter parks on a later report, never beyond target.
+// Everything else (the round's state) is guarded by mu.
 type Coordinator struct {
-	mu sync.Mutex
-
 	nodesPerReplica int
 	tasksPerNode    int
 
-	phase      Phase
-	scope      Scope
-	target     int // frontier / decided checkpoint iteration
-	last       map[runtime.Addr]int
-	done       map[runtime.Addr]bool
-	parked     map[runtime.Addr]chan struct{}
-	parkedIter map[runtime.Addr]int
-	readyCh    chan int
+	last     []atomic.Int64 // last reported iteration per task; -1 = none
+	deciding atomic.Bool    // phase == Deciding, published for Report's fast path
+
+	mu        sync.Mutex
+	phase     Phase
+	scope     Scope
+	target    int             // frontier / decided checkpoint iteration
+	done      []bool          // task completed the whole job
+	parked    []chan struct{} // non-nil while the task is parked; always at target
+	quiescent [2]int          // per replica: tasks that are done or parked
+	readyCh   chan int
 }
 
 // New returns a coordinator for a machine with the given shape.
 func New(nodesPerReplica, tasksPerNode int) *Coordinator {
-	return &Coordinator{
+	n := 2 * nodesPerReplica * tasksPerNode
+	c := &Coordinator{
 		nodesPerReplica: nodesPerReplica,
 		tasksPerNode:    tasksPerNode,
-		last:            make(map[runtime.Addr]int),
-		done:            make(map[runtime.Addr]bool),
-		parked:          make(map[runtime.Addr]chan struct{}),
-		parkedIter:      make(map[runtime.Addr]int),
+		last:            make([]atomic.Int64, n),
+		done:            make([]bool, n),
+		parked:          make([]chan struct{}, n),
 	}
+	for i := range c.last {
+		c.last[i].Store(-1)
+	}
+	return c
+}
+
+// index is the task's position in the dense tables.
+func (c *Coordinator) index(addr runtime.Addr) int {
+	return (addr.Replica*c.nodesPerReplica+addr.Node)*c.tasksPerNode + addr.Task
+}
+
+// replicaRange returns the half-open index range of a replica's tasks.
+func (c *Coordinator) replicaRange(rep int) (lo, hi int) {
+	per := c.nodesPerReplica * c.tasksPerNode
+	return rep * per, (rep + 1) * per
 }
 
 // Phase returns the current protocol phase.
@@ -105,38 +131,37 @@ func (c *Coordinator) Phase() Phase {
 
 // Progress returns the last reported iteration of a task (-1 if none).
 func (c *Coordinator) Progress(addr runtime.Addr) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if it, ok := c.last[addr]; ok {
-		return it
-	}
-	return -1
+	return int(c.last[c.index(addr)].Load())
 }
 
 // MaxProgress returns the maximum reported progress within the scope (-1 if
 // nothing was reported).
 func (c *Coordinator) MaxProgress(scope Scope) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.maxProgressLocked(scope)
-}
-
-func (c *Coordinator) maxProgressLocked(scope Scope) int {
 	m := -1
-	for addr, it := range c.last {
-		if scope[addr.Replica] && it > m {
-			m = it
+	for rep := 0; rep < 2; rep++ {
+		if !scope[rep] {
+			continue
+		}
+		lo, hi := c.replicaRange(rep)
+		for i := lo; i < hi; i++ {
+			m = max(m, int(c.last[i].Load()))
 		}
 	}
 	return m
 }
 
 // Report implements runtime.Gate. Tasks report the iteration they just
-// finished (with state already advanced per the runtime contract).
+// finished (with state already advanced per the runtime contract). Outside a
+// round this is one store and one load; the order of the two is what the
+// type comment's argument rests on.
 func (c *Coordinator) Report(addr runtime.Addr, iter int) <-chan struct{} {
+	i := c.index(addr)
+	c.last[i].Store(int64(iter))
+	if !c.deciding.Load() {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.last[addr] = iter
 	if c.phase != Deciding || !c.scope[addr.Replica] {
 		return nil
 	}
@@ -144,22 +169,41 @@ func (c *Coordinator) Report(addr runtime.Addr, iter int) <-chan struct{} {
 		return nil // straggler: run on toward the cut
 	}
 	// Frontier task: park it. A report beyond the current frontier
-	// raises the target and releases everyone parked below it.
+	// raises the target and releases everyone parked below it — which is
+	// everyone, since tasks only ever park at the target.
 	if iter > c.target {
 		c.target = iter
-		for a, ch := range c.parked {
-			if c.parkedIter[a] < c.target {
-				close(ch)
-				delete(c.parked, a)
-				delete(c.parkedIter, a)
-			}
-		}
+		c.unparkAllLocked()
 	}
 	ch := make(chan struct{})
-	c.parked[addr] = ch
-	c.parkedIter[addr] = iter
+	c.setLocked(i, c.done[i], ch)
 	c.checkReadyLocked()
 	return ch
+}
+
+// setLocked is the only writer of done and parked; it keeps the per-replica
+// quiescent count (done OR parked, each task once) in step.
+func (c *Coordinator) setLocked(i int, done bool, parked chan struct{}) {
+	was := c.done[i] || c.parked[i] != nil
+	c.done[i], c.parked[i] = done, parked
+	if is := done || parked != nil; is != was {
+		rep := i / (c.nodesPerReplica * c.tasksPerNode)
+		if is {
+			c.quiescent[rep]++
+		} else {
+			c.quiescent[rep]--
+		}
+	}
+}
+
+// unparkAllLocked resumes every parked task.
+func (c *Coordinator) unparkAllLocked() {
+	for i, ch := range c.parked {
+		if ch != nil {
+			close(ch)
+			c.setLocked(i, c.done[i], nil)
+		}
+	}
 }
 
 // Done implements runtime.Gate: the task finished the whole job. Completed
@@ -167,7 +211,8 @@ func (c *Coordinator) Report(addr runtime.Addr, iter int) <-chan struct{} {
 func (c *Coordinator) Done(addr runtime.Addr) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.done[addr] = true
+	i := c.index(addr)
+	c.setLocked(i, true, c.parked[i])
 	if c.phase == Deciding {
 		c.checkReadyLocked()
 	}
@@ -177,46 +222,32 @@ func (c *Coordinator) Done(addr runtime.Addr) {
 func (c *Coordinator) Undone(rep int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for addr := range c.done {
-		if addr.Replica == rep {
-			delete(c.done, addr)
-		}
+	lo, hi := c.replicaRange(rep)
+	for i := lo; i < hi; i++ {
+		c.setLocked(i, false, c.parked[i])
 	}
 }
 
 // ForgetProgress drops recorded progress for a replica (call when rolling
 // it back, so stale frontier values do not inflate the next cut).
 func (c *Coordinator) ForgetProgress(rep int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for addr := range c.last {
-		if addr.Replica == rep {
-			delete(c.last, addr)
-		}
+	lo, hi := c.replicaRange(rep)
+	for i := lo; i < hi; i++ {
+		c.last[i].Store(-1)
 	}
 }
 
 func (c *Coordinator) checkReadyLocked() {
-	want := 0
-	have := 0
+	want, have := 0, 0
 	for rep := 0; rep < 2; rep++ {
-		if !c.scope[rep] {
-			continue
-		}
-		want += c.nodesPerReplica * c.tasksPerNode
-		for n := 0; n < c.nodesPerReplica; n++ {
-			for t := 0; t < c.tasksPerNode; t++ {
-				addr := runtime.Addr{Replica: rep, Node: n, Task: t}
-				if c.done[addr] {
-					have++
-				} else if it, ok := c.parkedIter[addr]; ok && it >= c.target {
-					have++
-				}
-			}
+		if c.scope[rep] {
+			want += c.nodesPerReplica * c.tasksPerNode
+			have += c.quiescent[rep]
 		}
 	}
 	if want > 0 && have == want {
 		c.phase = Ready
+		c.deciding.Store(false)
 		ch := c.readyCh
 		c.readyCh = nil
 		if ch != nil {
@@ -240,6 +271,10 @@ func (c *Coordinator) Request(scope Scope) (<-chan int, error) {
 	}
 	c.phase = Deciding
 	c.scope = scope
+	// Publish the round BEFORE reading the progress table (see the type
+	// comment): a report this read misses is one whose reporter sees the
+	// flag and waits for mu.
+	c.deciding.Store(true)
 	// The cut is one past the maximum reported progress. Any task is
 	// executing at most (its last report + 1) <= target, so no task is
 	// ever stranded beyond the cut waiting for input from a parked
@@ -248,7 +283,7 @@ func (c *Coordinator) Request(scope Scope) (<-chan int, error) {
 	// and parks when it reports target. (Tasks must report every
 	// iteration; sparse reporting is handled by the escalation path in
 	// Report.)
-	c.target = c.maxProgressLocked(scope) + 1
+	c.target = c.MaxProgress(scope) + 1
 	ch := make(chan int, 1)
 	c.readyCh = ch
 	// Everything may already be quiescent (all tasks done).
@@ -262,23 +297,26 @@ func (c *Coordinator) Request(scope Scope) (<-chan int, error) {
 func (c *Coordinator) Release() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for a, ch := range c.parked {
-		close(ch)
-		delete(c.parked, a)
-		delete(c.parkedIter, a)
-	}
+	c.unparkAllLocked()
 	if c.readyCh != nil {
 		close(c.readyCh)
 		c.readyCh = nil
 	}
 	c.phase = Idle
+	c.deciding.Store(false)
 }
 
 // ParkedCount returns how many tasks are currently parked.
 func (c *Coordinator) ParkedCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.parked)
+	n := 0
+	for _, ch := range c.parked {
+		if ch != nil {
+			n++
+		}
+	}
+	return n
 }
 
 var _ runtime.Gate = (*Coordinator)(nil)

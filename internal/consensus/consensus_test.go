@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"math/rand"
+	goruntime "runtime"
 	"testing"
 	"time"
 
@@ -42,9 +43,12 @@ func (s *stepProg) Run(ctx *runtime.Ctx) error {
 			return err
 		}
 		s.Acc += msg.Data.(int64)
-		// Desynchronize: occasionally dawdle.
+		// Desynchronize: occasionally dawdle, by giving up the processor a
+		// seeded number of times rather than for a duration.
 		if rng.Intn(4) == 0 {
-			time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
+			for i := rng.Intn(20); i > 0; i-- {
+				goruntime.Gosched()
+			}
 		}
 		s.Iter++
 		if err := ctx.Progress(s.Iter - 1); err != nil {
@@ -69,6 +73,22 @@ func machineWith(t *testing.T, coord *Coordinator, nodes, tasks, iters int) *run
 	}
 	t.Cleanup(m.Stop)
 	return m
+}
+
+// waitProgress blocks until the task has reported at least iteration iter:
+// the tests below wait for the application to have got somewhere, not for a
+// duration to have passed. The deadline only bounds a failure.
+func waitProgress(t *testing.T, c *Coordinator, addr runtime.Addr, iter int) {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for c.Progress(addr) < iter {
+		select {
+		case <-deadline:
+			t.Fatalf("%v never reached iteration %d (at %d)", addr, iter, c.Progress(addr))
+		default:
+			goruntime.Gosched()
+		}
+	}
 }
 
 func TestIdlePassthrough(t *testing.T) {
@@ -108,7 +128,7 @@ func TestConsistentCut(t *testing.T) {
 		m := machineWith(t, c, 2, 2, 100000)
 		m.Start()
 		// Let the app desynchronize, then request a cut.
-		time.Sleep(5 * time.Millisecond)
+		waitProgress(t, c, runtime.Addr{Replica: 1, Node: 1, Task: 1}, 20+10*trial)
 		ready, err := c.Request(BothReplicas)
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +191,7 @@ func TestSingleReplicaScope(t *testing.T) {
 	c := New(2, 1)
 	m := machineWith(t, c, 2, 1, 100000)
 	m.Start()
-	time.Sleep(2 * time.Millisecond)
+	waitProgress(t, c, runtime.Addr{Replica: 1, Node: 1, Task: 0}, 10)
 	ready, err := c.Request(OnlyReplica(1))
 	if err != nil {
 		t.Fatal(err)
@@ -182,11 +202,9 @@ func TestSingleReplicaScope(t *testing.T) {
 		t.Fatal("single-replica cut never completed")
 	}
 	// Replica 0 tasks are not parked; they keep making progress.
-	p0 := c.Progress(runtime.Addr{Replica: 0, Node: 0, Task: 0})
-	time.Sleep(5 * time.Millisecond)
-	if c.Progress(runtime.Addr{Replica: 0, Node: 0, Task: 0}) <= p0 {
-		t.Fatal("out-of-scope replica should keep running")
-	}
+	// (waitProgress fails the test if it does not.)
+	a0 := runtime.Addr{Replica: 0, Node: 0, Task: 0}
+	waitProgress(t, c, a0, c.Progress(a0)+10)
 	c.Release()
 }
 
@@ -197,7 +215,7 @@ func TestRequestValidation(t *testing.T) {
 	}
 	m := machineWith(t, c, 1, 1, 100000)
 	m.Start()
-	time.Sleep(time.Millisecond)
+	waitProgress(t, c, runtime.Addr{Replica: 1}, 5)
 	ready, err := c.Request(BothReplicas)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +260,8 @@ func TestAbortMidRound(t *testing.T) {
 	c := New(2, 2)
 	m := machineWith(t, c, 2, 2, 100000)
 	m.Start()
-	time.Sleep(2 * time.Millisecond)
+	a0 := runtime.Addr{Replica: 0, Node: 0, Task: 0}
+	waitProgress(t, c, a0, 10)
 	if _, err := c.Request(BothReplicas); err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +270,9 @@ func TestAbortMidRound(t *testing.T) {
 	if c.Phase() != Idle {
 		t.Fatal("phase after abort should be Idle")
 	}
-	p := c.Progress(runtime.Addr{Replica: 0, Node: 0, Task: 0})
-	time.Sleep(5 * time.Millisecond)
-	if c.Progress(runtime.Addr{Replica: 0, Node: 0, Task: 0}) <= p {
-		t.Fatal("tasks should resume after abort")
-	}
+	// Tasks resume after the abort: well past anything the aborted round
+	// could have let them reach (its target was within a ring's length of p).
+	waitProgress(t, c, a0, c.Progress(a0)+20)
 }
 
 func TestForgetAndUndone(t *testing.T) {
@@ -305,7 +322,8 @@ func TestRepeatedCuts(t *testing.T) {
 	m.Start()
 	lastTarget := -1
 	for round := 0; round < 10; round++ {
-		time.Sleep(time.Millisecond)
+		// Let the app run on past the previous cut before the next request.
+		waitProgress(t, c, runtime.Addr{Replica: round % 2, Node: 1, Task: 1}, lastTarget+10)
 		ready, err := c.Request(BothReplicas)
 		if err != nil {
 			t.Fatal(err)
@@ -330,7 +348,7 @@ func TestCutWithPartialCompletion(t *testing.T) {
 	factory := func(addr runtime.Addr) runtime.Program {
 		iters := 3
 		if addr.Task == 1 {
-			iters = 100000
+			iters = 1 << 40 // still running whenever the request comes; Stop ends it
 		}
 		return &stepProgNoRing{Iters: iters}
 	}
@@ -342,7 +360,14 @@ func TestCutWithPartialCompletion(t *testing.T) {
 	}
 	t.Cleanup(m.Stop)
 	m.Start()
-	time.Sleep(5 * time.Millisecond) // task 0 long done, task 1 running
+	// Task 0 done, task 1 running.
+	for rep := 0; rep < 2; rep++ {
+		waitProgress(t, c, runtime.Addr{Replica: rep, Task: 0}, 2)
+		for !m.TaskCompleted(runtime.Addr{Replica: rep, Task: 0}) {
+			goruntime.Gosched()
+		}
+		waitProgress(t, c, runtime.Addr{Replica: rep, Task: 1}, 10)
+	}
 	ready, err := c.Request(BothReplicas)
 	if err != nil {
 		t.Fatal(err)

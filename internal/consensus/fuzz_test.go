@@ -95,19 +95,18 @@ func coordinatorFuzzDriver(seed int64, nodesRaw, tasksRaw uint8) bool {
 		if target < before {
 			ok = false // invariant 2
 		}
-		// Invariant 3: every participant parked at >= target.
+		// Invariant 3: every participant parked, and parked exactly at
+		// target (its last report — a parked task reports nothing further).
 		c.mu.Lock()
-		parked := len(c.parkedIter)
-		for a, it := range c.parkedIter {
-			if it < target {
+		for i, ch := range c.parked {
+			if ch == nil || int(c.last[i].Load()) != target {
 				ok = false
 			}
-			_ = a
-		}
-		if parked != total {
-			ok = false
 		}
 		c.mu.Unlock()
+		if c.ParkedCount() != total {
+			ok = false
+		}
 		c.Release()
 	}
 	close(stop)
@@ -126,18 +125,18 @@ func TestCoordinatorTargetMonotone(t *testing.T) {
 		{Replica: 1, Node: 0, Task: 0},
 		{Replica: 1, Node: 0, Task: 1},
 	}
-	iter := make(map[runtime.Addr]int)
+	iter := make([]int, len(addrs)) // per task, by position in addrs
 	last := -1
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 20; round++ {
 		// Random quiescent progress before the request.
-		for _, a := range addrs {
+		for k, a := range addrs {
 			steps := rng.Intn(4)
 			for s := 0; s < steps; s++ {
-				if ch := c.Report(a, iter[a]); ch != nil {
+				if ch := c.Report(a, iter[k]); ch != nil {
 					t.Fatal("idle report must not park")
 				}
-				iter[a]++
+				iter[k]++
 			}
 		}
 		ready, err := c.Request(BothReplicas)
@@ -146,7 +145,7 @@ func TestCoordinatorTargetMonotone(t *testing.T) {
 		}
 		// Drive every task to the cut synchronously, respecting the gate
 		// contract: a parked task reports nothing further.
-		parked := map[runtime.Addr]bool{}
+		parked := make([]bool, len(addrs))
 		for {
 			select {
 			case target := <-ready:
@@ -158,21 +157,21 @@ func TestCoordinatorTargetMonotone(t *testing.T) {
 				goto next
 			default:
 			}
-			for _, a := range addrs {
-				if parked[a] {
+			for k, a := range addrs {
+				if parked[k] {
 					continue
 				}
-				if ch := c.Report(a, iter[a]); ch != nil {
-					parked[a] = true
+				if ch := c.Report(a, iter[k]); ch != nil {
+					parked[k] = true
 					continue
 				}
-				iter[a]++
+				iter[k]++
 			}
 		}
 	next:
 		// After release, parked tasks resume from their parked iteration.
-		for _, a := range addrs {
-			iter[a]++
+		for k := range addrs {
+			iter[k]++
 		}
 	}
 }

@@ -240,6 +240,10 @@ type Scheduler struct {
 	stopped chan struct{}
 	once    sync.Once
 	start   time.Time
+	// runners counts the per-job goroutines inside Controller.Run. Close
+	// waits for them: a stopped machine's Run is still joining its tier
+	// writers — still writing under the job's store — until it returns.
+	runners sync.WaitGroup
 
 	mu     sync.Mutex
 	closed bool
@@ -371,12 +375,15 @@ func (s *Scheduler) Drain(timeout time.Duration) (FleetStats, error) {
 // Idempotent and safe to call concurrently with Submit and Drain; Drain
 // first for a clean shutdown. The closed flag is raised before the loop is
 // stopped, so any job Submit accepted is visible to the final settle pass.
+// Close returns only after every admitted job's Controller.Run has returned,
+// so nothing of this scheduler writes to a job's stores afterwards.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	s.closed = true
 	s.mu.Unlock()
 	s.once.Do(func() { close(s.stop) })
 	<-s.stopped
+	s.runners.Wait()
 }
 
 // Stats snapshots the fleet accounting, including per-job results in
@@ -532,7 +539,9 @@ func (s *Scheduler) admit(j *Job) error {
 		spec.Name, spec.Priority, 2*spec.Nodes, spec.Spares, wait.Round(time.Microsecond),
 		s.freeNodes-2*spec.Nodes, s.freeSpares-spec.Spares)
 	close(j.admitted)
+	s.runners.Add(1)
 	go func() {
+		defer s.runners.Done()
 		stats, err := ctrl.Run()
 		s.notify(event{kind: evDone, job: j, stats: stats, err: err})
 	}()

@@ -24,6 +24,8 @@ package pup
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 	"sort"
 )
 
@@ -51,7 +53,7 @@ func NormalizeRanges(rs []Range) []Range {
 	if len(rs) == 0 {
 		return rs
 	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].Lo < rs[j].Lo })
+	slices.SortFunc(rs, func(a, b Range) int { return cmp.Compare(a.Lo, b.Lo) })
 	out := rs[:0]
 	for _, r := range rs {
 		if r.Hi <= r.Lo {
@@ -88,15 +90,33 @@ type DirtyTracker interface {
 // checkpoint-restored program is conservatively captured in full until the
 // first capture arms it. WriteSet must NOT be pupped: it is bookkeeping
 // about the stream, not part of the stream.
+//
+// The set is an append log that compacts itself: when it reaches limit
+// entries it is normalized in place and limit becomes twice what survived.
+// The survivors stay a sorted, disjoint prefix of the log, and a mark that
+// one of them already covers is dropped after a binary search — so a task
+// that marks the same few fields every iteration holds a handful of ranges
+// however long the checkpoint interval is, a mark costs amortized O(log n),
+// and the log never exceeds twice the distinct ranges (or writeSetStart).
+// Neither step can change what capture sees: NormalizeRanges of this log
+// equals NormalizeRanges of the unbounded one, because the union of
+// intervals does not depend on the order or grouping in which they are
+// merged, and a covered interval adds nothing to it.
 type WriteSet struct {
 	tracking bool
 	ranges   []Range
+	sorted   int // ranges[:sorted] is normalized: what the last compaction left
+	limit    int // compaction threshold; below writeSetStart (zero value, after reset) means writeSetStart
 }
+
+// writeSetStart is the log length at which a WriteSet first compacts.
+const writeSetStart = 32
 
 // ResetDirty implements DirtyTracker.
 func (w *WriteSet) ResetDirty() {
 	w.tracking = true
 	w.ranges = w.ranges[:0]
+	w.sorted, w.limit = 0, 0
 }
 
 // Tracking reports whether the set has been armed by ResetDirty.
@@ -104,9 +124,13 @@ func (w *WriteSet) Tracking() bool { return w.tracking }
 
 // MarkRange records a write to stream bytes [lo, hi). It is a no-op while
 // blind. Adjacent or overlapping appends merge with the previous mark, so
-// sweeping writes stay O(1) in memory.
+// sweeping writes stay O(1) in memory; everything else is bounded by the
+// compaction rule in the type comment.
 func (w *WriteSet) MarkRange(lo, hi int) {
 	if !w.tracking || hi <= lo {
+		return
+	}
+	if w.covered(lo, hi) {
 		return
 	}
 	if n := len(w.ranges); n > 0 && lo <= w.ranges[n-1].Hi && w.ranges[n-1].Lo <= hi {
@@ -116,9 +140,25 @@ func (w *WriteSet) MarkRange(lo, hi int) {
 		if lo < w.ranges[n-1].Lo {
 			w.ranges[n-1].Lo = lo
 		}
+		// A grown range may now touch its neighbours: it leaves the
+		// normalized prefix if it was its last member.
+		w.sorted = min(w.sorted, n-1)
 		return
 	}
+	if len(w.ranges) >= max(w.limit, writeSetStart) {
+		w.ranges = NormalizeRanges(w.ranges)
+		w.sorted = len(w.ranges)
+		w.limit = 2 * len(w.ranges)
+	}
 	w.ranges = append(w.ranges, Range{Lo: lo, Hi: hi})
+}
+
+// covered reports whether one range of the normalized prefix contains
+// [lo, hi): the mark of a field already marked since the last compaction.
+func (w *WriteSet) covered(lo, hi int) bool {
+	// The last prefix range starting at or before lo is the only candidate.
+	i := sort.Search(w.sorted, func(i int) bool { return w.ranges[i].Lo > lo })
+	return i > 0 && hi <= w.ranges[i-1].Hi
 }
 
 // MarkSpan marks a whole field span (prefix included).
@@ -131,6 +171,7 @@ func (w *WriteSet) MarkAll() {
 		return
 	}
 	w.ranges = append(w.ranges[:0], Range{Lo: 0, Hi: rangeMax})
+	w.sorted = 1 // one range is normalized, and covers every later mark
 }
 
 // DirtyRanges implements DirtyTracker.

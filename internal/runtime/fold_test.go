@@ -20,7 +20,7 @@ func TestFoldTieBreakDeterministic(t *testing.T) {
 	if err := m.ReplaceWithSpare(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.route[0][0]; got != 6 {
+	if got := m.physFor(0, 0).id; got != 6 {
 		t.Fatalf("after replacement logical 0 on phys %d, want 6", got)
 	}
 
@@ -34,7 +34,7 @@ func TestFoldTieBreakDeterministic(t *testing.T) {
 	if survivor != 2 {
 		t.Fatalf("fold chose logical survivor %d, want 2", survivor)
 	}
-	if got := m.route[0][1]; got != 2 {
+	if got := m.physFor(0, 1).id; got != 2 {
 		t.Fatalf("folded node routed to phys %d, want 2", got)
 	}
 	if got := m.FoldedCount(); got != 1 {
@@ -67,7 +67,7 @@ func TestTakeSpare(t *testing.T) {
 	if err := m.ReplaceWithSpare(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.route[0][0]; got != 4 {
+	if got := m.physFor(0, 0).id; got != 4 {
 		t.Fatalf("replacement used phys %d, want 4", got)
 	}
 

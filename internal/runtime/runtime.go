@@ -154,36 +154,45 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// physNode is one physical node. Fail-stop is modelled by the killed flag
-// plus a closed channel that unblocks anything waiting on the node.
-type physNode struct {
-	id     int
-	mu     sync.Mutex
-	killed bool
-	dead   chan struct{} // closed on kill
-	// lastBeat is the heartbeat timestamp, guarded by mu.
-	lastBeat time.Time
+// latch is a one-shot event with two faces: an atomic flag for the tasks
+// that poll it every iteration (checkLive) and a closed channel for whoever
+// blocks on it (Recv, a parked Progress). fire is idempotent.
+type latch struct {
+	set atomic.Bool
+	ch  chan struct{}
 }
 
-func (n *physNode) kill() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.killed {
-		n.killed = true
-		close(n.dead)
+func newLatch() latch { return latch{ch: make(chan struct{})} }
+
+func (l *latch) fire() {
+	if l.set.CompareAndSwap(false, true) {
+		close(l.ch)
 	}
 }
 
-func (n *physNode) alive() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return !n.killed
+func (l *latch) fired() bool { return l.set.Load() }
+
+// physNode is one physical node. Fail-stop is modelled by the dead latch.
+type physNode struct {
+	id   int
+	dead latch // fired on kill
+	// lastBeat is the heartbeat timestamp, guarded by mu.
+	mu       sync.Mutex
+	lastBeat time.Time
 }
+
+func newPhysNode(id int, now time.Time) *physNode {
+	return &physNode{id: id, dead: newLatch(), lastBeat: now}
+}
+
+func (n *physNode) kill() { n.dead.fire() }
+
+func (n *physNode) alive() bool { return !n.dead.fired() }
 
 func (n *physNode) beat(now time.Time) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.killed {
+	if n.alive() {
 		n.lastBeat = now
 	}
 }
@@ -194,19 +203,29 @@ func (n *physNode) lastBeatTime() time.Time {
 	return n.lastBeat
 }
 
+// incarnation is one run of a task's goroutine: the mailbox it receives on
+// and the channels that end it and report its end.
+type incarnation struct {
+	mbox  chan Message
+	abort latch         // fired to force this incarnation to exit (rollback)
+	done  chan struct{} // closed when the incarnation's goroutine has exited
+}
+
 // taskSlot is the runtime home of one logical task. The slot persists
 // across rollbacks and node replacements; the goroutine and mailbox are
 // replaced each incarnation.
 type taskSlot struct {
 	addr Addr
 
+	// cur is the current incarnation, nil before Start. It is written only
+	// under the machine write lock (Start, RestartReplica) and read without
+	// any lock by the tasks: a sender finds its destination's mailbox here,
+	// and an incarnation that is no longer cur knows it was superseded.
+	cur atomic.Pointer[incarnation]
+
 	mu        sync.Mutex
 	prog      Program
-	mbox      chan Message
-	abort     chan struct{} // closed to force this incarnation to exit
-	running   bool
 	completed bool
-	gen       uint64 // incarnation counter
 	// sizeHint is the task's packed size at the last capture; it seeds the
 	// next capture's buffer so packing can skip the Sizing traversal when
 	// the state size is stable (the common steady-state case).
@@ -246,12 +265,19 @@ type Failure struct {
 type Machine struct {
 	cfg Config
 
-	mu     sync.RWMutex
-	phys   []*physNode
-	route  [2][]int // (replica, logical node) -> physical node id
-	spares []int    // free physical node ids
-	epoch  [2]uint64
-	slots  [2][][]*taskSlot // [replica][node][task]
+	mu   sync.RWMutex
+	phys []*physNode
+	// route maps (replica, logical node) to its physical node. Written under
+	// mu (NewMachine, ReplaceWithSpare, FoldOntoSurvivor, ExpandFolded) and
+	// read without it: the tasks consult it every iteration.
+	route  [2][]atomic.Pointer[physNode]
+	spares []int // free physical node ids
+	// epoch is the replica's rollback generation, bumped by StopReplica
+	// under mu and read by Send without it.
+	epoch [2]atomic.Uint64
+	// slots is [replica][node][task]; the structure is immutable after
+	// NewMachine.
+	slots [2][][]*taskSlot
 	// folded[rep] marks logical nodes currently sharing a survivor's
 	// physical node after spare exhaustion (degraded mode).
 	folded  [2]map[int]bool
@@ -264,8 +290,7 @@ type Machine struct {
 	doneClosed bool
 
 	failures chan Failure
-	stopped  chan struct{}
-	stopOnce sync.Once
+	stopped  latch // fired by Stop, or by the first application error
 	// startMu serializes Start against Stop: Stop must not Wait on the
 	// WaitGroup while a concurrent Start is still issuing its first Adds
 	// (an external owner, e.g. a fleet scheduler shutting down, may stop a
@@ -324,19 +349,19 @@ func NewMachine(cfg Config) (*Machine, error) {
 	m := &Machine{
 		cfg:      cfg,
 		failures: make(chan Failure, 2*cfg.NodesPerReplica+cfg.Spares),
-		stopped:  make(chan struct{}),
+		stopped:  newLatch(),
 		doneCh:   make(chan struct{}),
 	}
 	total := 2*cfg.NodesPerReplica + cfg.Spares
 	now := time.Now()
 	for i := 0; i < total; i++ {
-		m.phys = append(m.phys, &physNode{id: i, dead: make(chan struct{}), lastBeat: now})
+		m.phys = append(m.phys, newPhysNode(i, now))
 	}
 	for rep := 0; rep < 2; rep++ {
-		m.route[rep] = make([]int, cfg.NodesPerReplica)
+		m.route[rep] = make([]atomic.Pointer[physNode], cfg.NodesPerReplica)
 		m.slots[rep] = make([][]*taskSlot, cfg.NodesPerReplica)
 		for n := 0; n < cfg.NodesPerReplica; n++ {
-			m.route[rep][n] = rep*cfg.NodesPerReplica + n
+			m.route[rep][n].Store(m.phys[rep*cfg.NodesPerReplica+n])
 			m.slots[rep][n] = make([]*taskSlot, cfg.TasksPerNode)
 			for t := 0; t < cfg.TasksPerNode; t++ {
 				addr := Addr{Replica: rep, Node: n, Task: t}
@@ -376,18 +401,12 @@ func (m *Machine) Failures() <-chan Failure { return m.failures }
 func (m *Machine) Start() {
 	m.startMu.Lock()
 	defer m.startMu.Unlock()
-	select {
-	case <-m.stopped:
+	if m.stopped.fired() {
 		return
-	default:
 	}
 	m.mu.Lock()
 	for rep := 0; rep < 2; rep++ {
-		for n := 0; n < m.cfg.NodesPerReplica; n++ {
-			for t := 0; t < m.cfg.TasksPerNode; t++ {
-				m.startSlotLocked(m.slots[rep][n][t])
-			}
-		}
+		m.startReplicaLocked(rep)
 	}
 	m.mu.Unlock()
 	if m.cfg.HeartbeatInterval > 0 && m.cfg.HeartbeatTimeout > 0 {
@@ -401,7 +420,7 @@ func (m *Machine) Start() {
 // acquisition orders Stop's WaitGroup wait after any in-flight Start's
 // goroutine launches, and later Starts see the closed stop channel.
 func (m *Machine) Stop() {
-	m.stopOnce.Do(func() { close(m.stopped) })
+	m.stopped.fire()
 	m.startMu.Lock()
 	m.startMu.Unlock() //nolint:staticcheck // empty section: barrier against in-flight Start
 	m.wg.Wait()
@@ -437,7 +456,7 @@ func (m *Machine) Wait() error {
 		select {
 		case <-done:
 			// Re-verify: the channel may be stale after a rollback.
-		case <-m.stopped:
+		case <-m.stopped.ch:
 			m.mu.RLock()
 			defer m.mu.RUnlock()
 			if m.appErr != nil {
@@ -451,16 +470,15 @@ func (m *Machine) Wait() error {
 	}
 }
 
-// physFor returns the physical node currently backing a logical node.
+// physFor returns the physical node currently backing a logical node. It
+// needs no lock.
 func (m *Machine) physFor(rep, node int) *physNode {
-	return m.phys[m.route[rep][node]]
+	return m.route[rep][node].Load()
 }
 
 // Alive reports whether the physical node backing the logical node is
 // alive.
 func (m *Machine) Alive(rep, node int) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	return m.physFor(rep, node).alive()
 }
 
@@ -468,9 +486,7 @@ func (m *Machine) Alive(rep, node int) bool {
 // from this instant it neither sends nor receives (§6.1's no-response
 // scheme). Returns the physical node id.
 func (m *Machine) Kill(rep, node int) int {
-	m.mu.RLock()
 	p := m.physFor(rep, node)
-	m.mu.RUnlock()
 	p.kill()
 	return p.id
 }
@@ -488,7 +504,7 @@ func (m *Machine) ReplaceWithSpare(rep, node int) error {
 	}
 	id := m.spares[0]
 	m.spares = m.spares[1:]
-	m.route[rep][node] = id
+	m.route[rep][node].Store(m.phys[id])
 	delete(m.folded[rep], node)
 	return nil
 }
@@ -540,7 +556,7 @@ func (m *Machine) FoldOntoSurvivor(rep, node int) (int, error) {
 	if best < 0 {
 		return -1, fmt.Errorf("runtime: replica %d has no live survivor to fold r%d/n%d onto", rep, rep, node)
 	}
-	m.route[rep][node] = best
+	m.route[rep][node].Store(m.phys[best])
 	if m.folded[rep] == nil {
 		m.folded[rep] = make(map[int]bool)
 	}
@@ -557,7 +573,7 @@ func (m *Machine) AddSpare() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	id := len(m.phys)
-	m.phys = append(m.phys, &physNode{id: id, dead: make(chan struct{}), lastBeat: time.Now()})
+	m.phys = append(m.phys, newPhysNode(id, time.Now()))
 	m.spares = append(m.spares, id)
 	return id
 }
@@ -595,7 +611,7 @@ func (m *Machine) ExpandFolded() int {
 			}
 			id := m.spares[0]
 			m.spares = m.spares[1:]
-			m.route[rep][node] = id
+			m.route[rep][node].Store(m.phys[id])
 			delete(m.folded[rep], node)
 			n++
 		}
@@ -633,7 +649,7 @@ func (m *Machine) recordAppError(err error) {
 		m.appErr = err
 	}
 	m.mu.Unlock()
-	m.stopOnce.Do(func() { close(m.stopped) })
+	m.stopped.fire()
 }
 
 // detectorLoop implements heartbeat failure detection: every live node's
@@ -666,7 +682,7 @@ func (m *Machine) detectorLoop() {
 						h.Fire(point.RuntimeHeartbeat, &point.Info{Replica: -1, Node: p.id, Task: -1})
 					}
 					p.beat(now)
-				case <-p.dead:
+				case <-p.dead.ch:
 					return
 				case <-beatStop:
 					return
@@ -684,7 +700,7 @@ func (m *Machine) detectorLoop() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-m.stopped:
+		case <-m.stopped.ch:
 			return
 		case now := <-tick.C:
 			m.mu.RLock()
@@ -712,7 +728,7 @@ func (m *Machine) detectorLoop() {
 				reported[h.phys] = true
 				select {
 				case m.failures <- Failure{Replica: h.rep, Node: h.node, Phys: h.phys, Time: now}:
-				case <-m.stopped:
+				case <-m.stopped.ch:
 					return
 				}
 			}

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-	"time"
 
 	"acr/internal/chaos/point"
 	"acr/internal/ckptstore"
@@ -18,8 +17,7 @@ type Ctx struct {
 	addr Addr
 
 	// Incarnation-scoped snapshot.
-	mbox  chan Message
-	abort chan struct{}
+	inc   *incarnation
 	epoch uint64
 }
 
@@ -45,28 +43,20 @@ func (c *Ctx) AddrOfGlobal(g int) Addr {
 	return Addr{Replica: c.addr.Replica, Node: g / c.m.cfg.TasksPerNode, Task: g % c.m.cfg.TasksPerNode}
 }
 
+// phys returns the physical node currently backing the task's logical node.
+func (c *Ctx) phys() *physNode { return c.m.physFor(c.addr.Replica, c.addr.Node) }
+
 // checkLive returns the error that should interrupt this incarnation, if
-// any: node death, rollback, or machine stop.
+// any: machine stop, rollback, or node death (in that order of precedence).
+// It runs several times per application iteration and takes no lock:
+// everything it reads is published atomically (DESIGN.md §17).
 func (c *Ctx) checkLive() error {
-	c.m.mu.RLock()
-	p := c.m.physFor(c.addr.Replica, c.addr.Node)
-	s := c.m.slots[c.addr.Replica][c.addr.Node][c.addr.Task]
-	m := c.m
-	c.m.mu.RUnlock()
-	s.mu.Lock()
-	moved := s.mbox != c.mbox
-	s.mu.Unlock()
-	select {
-	case <-m.stopped:
+	switch {
+	case c.m.stopped.fired():
 		return ErrStopped
-	default:
-	}
-	select {
-	case <-c.abort:
+	case c.inc.abort.fired():
 		return ErrRollback
-	default:
-	}
-	if !p.alive() || moved {
+	case !c.phys().alive() || c.slot.cur.Load() != c.inc:
 		return ErrKilled
 	}
 	return nil
@@ -92,13 +82,11 @@ func (c *Ctx) Send(to Addr, tag int, data any) error {
 		h.Fire(point.RuntimeDeliver, &info)
 		data = info.Payload
 	}
-	c.m.mu.RLock()
-	defer c.m.mu.RUnlock()
 	if to.Node < 0 || to.Node >= c.m.cfg.NodesPerReplica || to.Task < 0 || to.Task >= c.m.cfg.TasksPerNode {
 		return fmt.Errorf("runtime: send to invalid address %v", to)
 	}
 	// Stale incarnation? Drop output from the walking dead.
-	if c.m.epoch[c.addr.Replica] != c.epoch {
+	if c.m.epoch[c.addr.Replica].Load() != c.epoch {
 		return ErrRollback
 	}
 	if mc := c.m.cfg.MsgChecker; mc != nil {
@@ -109,16 +97,17 @@ func (c *Ctx) Send(to Addr, tag int, data any) error {
 	if !c.m.physFor(to.Replica, to.Node).alive() {
 		return nil // silently lost, like a message into a crashed node
 	}
-	dst := c.m.slots[to.Replica][to.Node][to.Task]
-	dst.mu.Lock()
-	mbox := dst.mbox
-	dst.mu.Unlock()
-	if mbox == nil {
+	// No lock: the destination's incarnation was published before any task
+	// of this replica's generation was launched (startReplicaLocked), and the
+	// next generation cannot be published while this sender is still running
+	// (StopReplica waits for it).
+	dst := c.m.slots[to.Replica][to.Node][to.Task].cur.Load()
+	if dst == nil {
 		return nil
 	}
 	msg := Message{From: c.addr, Tag: tag, Data: data, epoch: c.epoch}
 	select {
-	case mbox <- msg:
+	case dst.mbox <- msg:
 		return nil
 	default:
 		// A full mailbox means the application violated the bounded
@@ -130,23 +119,28 @@ func (c *Ctx) Send(to Addr, tag int, data any) error {
 // Recv blocks for the next message from any source. It returns ErrKilled /
 // ErrRollback / ErrStopped when the incarnation must end.
 func (c *Ctx) Recv() (Message, error) {
-	c.m.mu.RLock()
-	p := c.m.physFor(c.addr.Replica, c.addr.Node)
-	c.m.mu.RUnlock()
+	p := c.phys()
 	for {
+		var msg Message
 		select {
-		case msg := <-c.mbox:
-			if msg.epoch != c.epoch {
-				continue // stale epoch: discard
+		case msg = <-c.inc.mbox:
+			// A waiting message needs no four-way select: the common case
+			// of a neighbour that already sent.
+		default:
+			select {
+			case msg = <-c.inc.mbox:
+			case <-p.dead.ch:
+				return Message{}, ErrKilled
+			case <-c.inc.abort.ch:
+				return Message{}, ErrRollback
+			case <-c.m.stopped.ch:
+				return Message{}, ErrStopped
 			}
-			return msg, nil
-		case <-p.dead:
-			return Message{}, ErrKilled
-		case <-c.abort:
-			return Message{}, ErrRollback
-		case <-c.m.stopped:
-			return Message{}, ErrStopped
 		}
+		if msg.epoch == c.epoch {
+			return msg, nil
+		}
+		// Stale epoch: discard.
 	}
 }
 
@@ -170,51 +164,73 @@ func (c *Ctx) Progress(iter int) error {
 	if waitCh == nil {
 		return nil
 	}
-	c.m.mu.RLock()
-	p := c.m.physFor(c.addr.Replica, c.addr.Node)
-	c.m.mu.RUnlock()
 	select {
 	case <-waitCh:
 		return c.checkLive()
-	case <-p.dead:
+	case <-c.phys().dead.ch:
 		return ErrKilled
-	case <-c.abort:
+	case <-c.inc.abort.ch:
 		return ErrRollback
-	case <-c.m.stopped:
+	case <-c.m.stopped.ch:
 		return ErrStopped
 	}
 }
 
-// startSlotLocked launches a fresh incarnation of the slot's task. The
-// machine mutex must be held.
-func (m *Machine) startSlotLocked(s *taskSlot) {
+// startReplicaLocked launches a fresh incarnation of every task of the
+// replica, in two phases: every incarnation is published before any goroutine
+// starts. That is Send's start-up atomicity — a task whose first statement is
+// a Send always finds its neighbour's mailbox, with no lock on the send path.
+// The machine write lock must be held.
+func (m *Machine) startReplicaLocked(rep int) {
+	ctxs := make([]*Ctx, 0, m.cfg.NodesPerReplica*m.cfg.TasksPerNode)
+	for _, node := range m.slots[rep] {
+		for _, s := range node {
+			ctxs = append(ctxs, m.publishSlotLocked(s))
+		}
+	}
+	for _, ctx := range ctxs {
+		m.launch(ctx)
+	}
+}
+
+// publishSlotLocked makes a fresh incarnation the slot's current one and
+// returns its context; launch starts it. The machine write lock must be held.
+func (m *Machine) publishSlotLocked(s *taskSlot) *Ctx {
+	inc := &incarnation{
+		mbox:  make(chan Message, m.cfg.MailboxCap),
+		abort: newLatch(),
+		done:  make(chan struct{}),
+	}
 	s.mu.Lock()
-	s.mbox = make(chan Message, m.cfg.MailboxCap)
-	s.abort = make(chan struct{})
-	s.running = true
 	s.completed = false
-	s.gen++
-	ctx := &Ctx{
+	s.mu.Unlock()
+	s.cur.Store(inc)
+	return &Ctx{
 		m:     m,
 		slot:  s,
 		addr:  s.addr,
-		mbox:  s.mbox,
-		abort: s.abort,
-		epoch: m.epoch[s.addr.Replica],
+		inc:   inc,
+		epoch: m.epoch[s.addr.Replica].Load(),
 	}
+}
+
+// launch starts the goroutine of a published incarnation.
+func (m *Machine) launch(ctx *Ctx) {
+	s := ctx.slot
+	s.mu.Lock()
 	prog := s.prog
 	s.mu.Unlock()
 
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
+		// Last of all: whoever waits on done (StopReplica) may assume the
+		// incarnation has nothing left to report to the gate or the machine.
+		defer close(ctx.inc.done)
 		err := prog.Run(ctx)
 		s.mu.Lock()
-		if s.mbox == ctx.mbox { // still the current incarnation
-			s.running = false
-			if err == nil {
-				s.completed = true
-			}
+		if err == nil && s.cur.Load() == ctx.inc { // still the current incarnation
+			s.completed = true
 		}
 		s.mu.Unlock()
 		switch err {
@@ -442,16 +458,16 @@ func (m *Machine) CorruptTask(addr Addr, inject func(pup.Pupable)) {
 // message from the old incarnations is discarded on receipt.
 func (m *Machine) StopReplica(rep int) {
 	m.mu.Lock()
-	m.epoch[rep]++
-	var aborts []chan struct{}
+	m.epoch[rep].Add(1)
+	var incs []*incarnation
 	var completedNow int
 	for n := 0; n < m.cfg.NodesPerReplica; n++ {
 		for t := 0; t < m.cfg.TasksPerNode; t++ {
 			s := m.slots[rep][n][t]
-			s.mu.Lock()
-			if s.running {
-				aborts = append(aborts, s.abort)
+			if inc := s.cur.Load(); inc != nil {
+				incs = append(incs, inc)
 			}
+			s.mu.Lock()
 			if s.completed {
 				completedNow++
 			}
@@ -466,32 +482,12 @@ func (m *Machine) StopReplica(rep int) {
 		m.doneClosed = false
 	}
 	m.mu.Unlock()
-	for _, a := range aborts {
-		close(a)
+	for _, inc := range incs {
+		inc.abort.fire()
 	}
 	// Wait for the incarnations to drain.
-	m.waitQuiescent(rep)
-}
-
-// waitQuiescent blocks until no task goroutine of the replica is running.
-func (m *Machine) waitQuiescent(rep int) {
-	for {
-		busy := false
-		m.mu.RLock()
-		for n := 0; n < m.cfg.NodesPerReplica && !busy; n++ {
-			for t := 0; t < m.cfg.TasksPerNode && !busy; t++ {
-				s := m.slots[rep][n][t]
-				s.mu.Lock()
-				busy = s.running
-				s.mu.Unlock()
-			}
-		}
-		m.mu.RUnlock()
-		if !busy {
-			return
-		}
-		// Busy-wait with a yield: stops are rare, short events.
-		sleepYield()
+	for _, inc := range incs {
+		<-inc.done
 	}
 }
 
@@ -534,14 +530,6 @@ func (m *Machine) RestartReplica(rep int, ckpts [][][]byte) error {
 			s.mu.Unlock()
 		}
 	}
-	for n := 0; n < m.cfg.NodesPerReplica; n++ {
-		for t := 0; t < m.cfg.TasksPerNode; t++ {
-			m.startSlotLocked(m.slots[rep][n][t])
-		}
-	}
+	m.startReplicaLocked(rep)
 	return nil
 }
-
-// sleepYield parks briefly; it is only used while waiting for rare stop
-// events, so the fixed granularity is irrelevant.
-func sleepYield() { time.Sleep(100 * time.Microsecond) }
