@@ -95,77 +95,32 @@ func main() {
 	if len(spec.Jobs) == 0 {
 		fatalf("%s: no jobs", *specPath)
 	}
-	for _, k := range spec.Kills {
-		if k.Job < 0 || k.Job >= len(spec.Jobs) {
-			fatalf("%s: kill targets job %d of %d", *specPath, k.Job, len(spec.Jobs))
+	jobs := make([]fleet.JobSpec, len(spec.Jobs))
+	for i, fj := range spec.Jobs {
+		if jobs[i], err = toJobSpec(fj, i); err != nil {
+			fatalf("%s: job %d: %v", *specPath, i, err)
 		}
 	}
-	watchdog := 2 * time.Minute
-	if spec.WatchdogSec > 0 {
-		watchdog = time.Duration(spec.WatchdogSec * float64(time.Second))
+	kills := make([]fleet.BurstKill, len(spec.Kills))
+	for i, k := range spec.Kills {
+		kills[i] = fleet.BurstKill{Job: k.Job, Replica: k.Replica, Node: k.Node,
+			After: time.Duration(k.AfterMs * float64(time.Millisecond))}
 	}
-
 	var tl *trace.Timeline
 	if *timeline {
 		tl = &trace.Timeline{}
 	}
-	sched, err := fleet.New(fleet.Config{
+	res, err := fleet.RunCampaign(fleet.Config{
 		Nodes:         spec.Nodes,
 		Spares:        spec.Spares,
 		BytesPerSec:   spec.BytesPerSec,
 		TransferSlots: spec.TransferSlots,
 		Timeline:      tl,
-	})
+	}, jobs, kills, time.Duration(spec.WatchdogSec*float64(time.Second)))
 	if err != nil {
-		fatalf("%v", err)
+		fatalf("%s: %v", *specPath, err)
 	}
-	defer sched.Close()
-
-	start := time.Now()
-	jobs := make([]*fleet.Job, len(spec.Jobs))
-	for i, fj := range spec.Jobs {
-		js, err := toJobSpec(fj, i)
-		if err != nil {
-			fatalf("%s: job %d: %v", *specPath, i, err)
-		}
-		jobs[i], err = sched.Submit(js)
-		if err != nil {
-			fatalf("%s: job %d: %v", *specPath, i, err)
-		}
-	}
-	for _, k := range spec.Kills {
-		k := k
-		j := jobs[k.Job]
-		go func() {
-			<-j.Admitted()
-			time.Sleep(time.Duration(k.AfterMs * float64(time.Millisecond)))
-			if ctrl := j.Controller(); ctrl != nil {
-				ctrl.KillNode(k.Replica, k.Node)
-			}
-		}()
-	}
-
-	rep := report{Spec: *specPath}
-	stats, err := sched.Drain(watchdog)
-	if err != nil {
-		rep.Violations = append(rep.Violations, "no-deadlock: "+err.Error())
-	} else {
-		for i, j := range jobs {
-			res := j.Wait()
-			if !res.Completed {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("job %d (%s): did not complete: %s", i, res.Name, res.Err))
-				continue
-			}
-			for _, e := range fleet.VerifyRing(j) {
-				rep.Violations = append(rep.Violations,
-					fmt.Sprintf("golden-result: job %d (%s): %v", i, res.Name, e))
-			}
-		}
-		stats = sched.Stats()
-	}
-	rep.Stats = stats
-	rep.Elapsed = time.Since(start).Seconds()
+	rep := report{Spec: *specPath, Elapsed: res.Elapsed.Seconds(), Stats: res.Stats, Violations: res.Violations}
 
 	if tl != nil {
 		for _, e := range tl.Events() {

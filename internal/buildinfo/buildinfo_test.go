@@ -37,16 +37,16 @@ func TestWriteJSONSchema(t *testing.T) {
 
 func TestHandleFlag(t *testing.T) {
 	var sb strings.Builder
-	if HandleFlag(&sb, "acrbench", false) {
+	if HandleFlag(&sb, "acrfleet", false) {
 		t.Fatal("HandleFlag(false) asked caller to exit")
 	}
 	if sb.Len() != 0 {
 		t.Fatalf("HandleFlag(false) wrote %q", sb.String())
 	}
-	if !HandleFlag(&sb, "acrbench", true) {
+	if !HandleFlag(&sb, "acrfleet", true) {
 		t.Fatal("HandleFlag(true) did not ask caller to exit")
 	}
-	if !strings.Contains(sb.String(), "acrbench") {
+	if !strings.Contains(sb.String(), "acrfleet") {
 		t.Fatalf("version line %q missing binary name", sb.String())
 	}
 }

@@ -82,7 +82,7 @@ func (s *stageClock) wall() time.Duration {
 
 // stageWorkerBytes is the payload a CPU-bound stage worker needs to
 // amortize its share of the fan-out (goroutine spin-up, channel hops).
-// Measured on the 96KB–4MB acrbench shapes: a parallel compare that gave
+// Measured on 96 KB–4 MB machine shapes: a parallel compare that gave
 // each worker only a few tens of KiB ran at 0.82–0.99x of the serial walk,
 // and the crossover sat near half a MiB per worker.
 const stageWorkerBytes = 512 << 10

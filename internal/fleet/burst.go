@@ -13,8 +13,8 @@ import (
 
 // This file is the fleet's acceptance campaign: a seeded multi-job failure
 // burst against a fleet with almost no slack — many jobs, one shared spare —
-// verified against the serial golden reference. It is what cmd/acrbench and
-// the CI fleet-smoke job run.
+// verified against the serial golden reference. cmd/acrfleet runs the same
+// campaign body from a JSON spec (the CI fleet-smoke job).
 
 // BurstKill is one seeded failure: kill physical backing of (Replica, Node)
 // in job Job, After the job has been admitted.
@@ -74,41 +74,58 @@ func DefaultBurstSpec(seed int64) BurstSpec {
 	return spec
 }
 
-// RunBurst executes the campaign: submit every job, arm the seeded kills
-// against admitted controllers, drain under a watchdog, and verify each
-// job's final state bit-for-bit against the serial ring reference.
+// RunBurst expands the homogeneous spec into its jobs and runs them as a
+// campaign on a pool sized to fit them all at once.
 func RunBurst(spec BurstSpec) (BurstReport, error) {
-	if spec.Watchdog <= 0 {
-		spec.Watchdog = 2 * time.Minute
-	}
-	sched, err := New(Config{
-		Nodes:  2 * spec.NodesPerJob * spec.Jobs,
-		Spares: spec.SharedSpares,
-	})
-	if err != nil {
-		return BurstReport{}, err
-	}
-	defer sched.Close()
-
-	start := time.Now()
-	jobs := make([]*Job, spec.Jobs)
+	jobs := make([]JobSpec, max(spec.Jobs, 0)) // none: New rejects the empty pool
 	for i := range jobs {
-		jobs[i], err = sched.Submit(JobSpec{
+		jobs[i] = JobSpec{
 			Name:     fmt.Sprintf("burst-%02d", i),
 			Priority: i % 4,
 			Nodes:    spec.NodesPerJob,
 			Tasks:    spec.TasksPerNode,
 			Iters:    spec.Iters,
 			Interval: spec.Interval,
-		})
-		if err != nil {
-			return BurstReport{}, err
 		}
 	}
-	for _, k := range spec.Kills {
-		if k.Job < 0 || k.Job >= len(jobs) {
-			return BurstReport{}, fmt.Errorf("fleet: kill targets job %d of %d", k.Job, len(jobs))
+	cfg := Config{Nodes: 2 * spec.NodesPerJob * spec.Jobs, Spares: spec.SharedSpares}
+	return RunCampaign(cfg, jobs, spec.Kills, spec.Watchdog)
+}
+
+// RunCampaign is the one campaign body, shared by RunBurst and cmd/acrfleet:
+// check every kill against the job it names, submit every job, arm the kills
+// against admitted controllers, drain under the watchdog (<= 0 selects two
+// minutes), and verify each job's final state bit-for-bit against the serial
+// ring reference. A kill the jobs cannot take is an error, returned before
+// anything is submitted; what goes wrong afterwards is a violation in the
+// report.
+func RunCampaign(cfg Config, jobSpecs []JobSpec, kills []BurstKill, watchdog time.Duration) (BurstReport, error) {
+	for i, k := range kills {
+		if k.Job < 0 || k.Job >= len(jobSpecs) {
+			return BurstReport{}, fmt.Errorf("fleet: kill %d targets job %d of %d", i, k.Job, len(jobSpecs))
 		}
+		if nodes := jobSpecs[k.Job].Nodes; k.Replica < 0 || k.Replica > 1 || k.Node < 0 || k.Node >= nodes {
+			return BurstReport{}, fmt.Errorf("fleet: kill %d targets replica %d node %d of job %d, which has 2 replicas of %d nodes",
+				i, k.Replica, k.Node, k.Job, nodes)
+		}
+	}
+	if watchdog <= 0 {
+		watchdog = 2 * time.Minute
+	}
+	sched, err := New(cfg)
+	if err != nil {
+		return BurstReport{}, err
+	}
+	defer sched.Close()
+
+	start := time.Now()
+	jobs := make([]*Job, len(jobSpecs))
+	for i, js := range jobSpecs {
+		if jobs[i], err = sched.Submit(js); err != nil {
+			return BurstReport{}, fmt.Errorf("fleet: submit job %d: %w", i, err)
+		}
+	}
+	for _, k := range kills {
 		k := k
 		j := jobs[k.Job]
 		go func() {
@@ -120,7 +137,7 @@ func RunBurst(spec BurstSpec) (BurstReport, error) {
 		}()
 	}
 
-	stats, err := sched.Drain(spec.Watchdog)
+	stats, err := sched.Drain(watchdog)
 	report := BurstReport{Stats: stats, Elapsed: time.Since(start)}
 	if err != nil {
 		report.Violations = append(report.Violations, "no-deadlock: "+err.Error())
@@ -133,11 +150,9 @@ func RunBurst(spec BurstSpec) (BurstReport, error) {
 				fmt.Sprintf("job %d (%s): did not complete: %s", i, res.Name, res.Err))
 			continue
 		}
-		if errs := VerifyRing(j); len(errs) > 0 {
-			for _, e := range errs {
-				report.Violations = append(report.Violations,
-					fmt.Sprintf("golden-result: job %d (%s): %v", i, res.Name, e))
-			}
+		for _, e := range VerifyRing(j) {
+			report.Violations = append(report.Violations,
+				fmt.Sprintf("golden-result: job %d (%s): %v", i, res.Name, e))
 		}
 	}
 	report.Stats = sched.Stats() // re-snapshot: Wait above is settled now

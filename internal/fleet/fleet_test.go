@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	goruntime "runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -23,6 +25,25 @@ func mustSubmit(t *testing.T, s *Scheduler, spec JobSpec) *Job {
 		t.Fatalf("submit %q: %v", spec.Name, err)
 	}
 	return j
+}
+
+// awaitCheckpoint blocks until the admitted job has committed a checkpoint:
+// the kills below wait for the job to have something to recover from, not
+// for a duration to have passed. The deadline only bounds a failure. The
+// first commit lands 5-40 ms in on a loaded two-CPU host, so the victims run
+// 40,000 laps (~150 ms) to still be mid-run when their kill arrives.
+func awaitCheckpoint(t *testing.T, j *Job) {
+	t.Helper()
+	<-j.Admitted()
+	deadline := time.After(30 * time.Second)
+	for j.Controller().Progress().Checkpoints < 1 {
+		select {
+		case <-deadline:
+			t.Fatalf("job %q committed no checkpoint", j.Spec().Name)
+		default:
+			goruntime.Gosched()
+		}
+	}
 }
 
 // TestAdmissionQueuesUntilResources: a pool fitting one job at a time must
@@ -65,7 +86,9 @@ func TestAdmissionPriorityOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	first := mustSubmit(t, s, JobSpec{Name: "first", Nodes: 1, Tasks: 1, Iters: 40000})
+	// Long enough (~40 ms) to still hold the pool through the 5 ms check
+	// below: a one-task ring laps in ~100 ns.
+	first := mustSubmit(t, s, JobSpec{Name: "first", Nodes: 1, Tasks: 1, Iters: 400000})
 	<-first.Admitted()
 	low := mustSubmit(t, s, JobSpec{Name: "low", Priority: 1, Nodes: 1, Tasks: 1, Iters: 500})
 	high := mustSubmit(t, s, JobSpec{Name: "high", Priority: 5, Nodes: 1, Tasks: 1, Iters: 500})
@@ -99,9 +122,8 @@ func TestSpareBrokeringFromPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	j := mustSubmit(t, s, JobSpec{Name: "victim-of-fate", Nodes: 2, Tasks: 2, Iters: 8000})
-	<-j.Admitted()
-	time.Sleep(5 * time.Millisecond)
+	j := mustSubmit(t, s, JobSpec{Name: "victim-of-fate", Nodes: 2, Tasks: 2, Iters: 40000})
+	awaitCheckpoint(t, j)
 	j.Controller().KillNode(0, 1)
 	stats := drain(t, s)
 	res := j.Wait()
@@ -137,13 +159,12 @@ func TestLastSpareContention(t *testing.T) {
 	}
 	defer s.Close()
 	// donor holds the only spare as a dedicated one; the free pool is empty.
-	donor := mustSubmit(t, s, JobSpec{Name: "donor", Priority: 0, Nodes: 2, Tasks: 2, Iters: 9000, Spares: 1})
-	a := mustSubmit(t, s, JobSpec{Name: "contender-a", Priority: 2, Nodes: 2, Tasks: 2, Iters: 9000})
-	b := mustSubmit(t, s, JobSpec{Name: "contender-b", Priority: 1, Nodes: 2, Tasks: 2, Iters: 9000})
+	donor := mustSubmit(t, s, JobSpec{Name: "donor", Priority: 0, Nodes: 2, Tasks: 2, Iters: 40000, Spares: 1})
+	a := mustSubmit(t, s, JobSpec{Name: "contender-a", Priority: 2, Nodes: 2, Tasks: 2, Iters: 40000})
+	b := mustSubmit(t, s, JobSpec{Name: "contender-b", Priority: 1, Nodes: 2, Tasks: 2, Iters: 40000})
 	<-donor.Admitted()
-	<-a.Admitted()
-	<-b.Admitted()
-	time.Sleep(5 * time.Millisecond)
+	awaitCheckpoint(t, a)
+	awaitCheckpoint(t, b)
 	// Near-simultaneous kills in both contenders.
 	a.Controller().KillNode(0, 0)
 	b.Controller().KillNode(1, 1)
@@ -201,6 +222,29 @@ func TestBurstCampaign(t *testing.T) {
 	}
 	if report.Stats.Completed != spec.Jobs {
 		t.Fatalf("completed = %d, want %d", report.Stats.Completed, spec.Jobs)
+	}
+}
+
+// TestCampaignRejectsBadKills: a kill naming a job, replica or node the
+// campaign does not have is a spec error reported before anything runs, not
+// an index panic in the victim's machine.
+func TestCampaignRejectsBadKills(t *testing.T) {
+	jobs := []JobSpec{{Name: "only", Nodes: 2, Tasks: 1, Iters: 100}}
+	for _, tc := range []struct {
+		name string
+		kill BurstKill
+		want string
+	}{
+		{"job", BurstKill{Job: 1}, "job 1 of 1"},
+		{"replica", BurstKill{Replica: 2}, "replica 2 node 0 of job 0"},
+		{"node", BurstKill{Node: 9}, "2 replicas of 2 nodes"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := RunCampaign(Config{Nodes: 4}, jobs, []BurstKill{tc.kill}, time.Minute)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
+			}
+		})
 	}
 }
 

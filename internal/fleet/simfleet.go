@@ -1,11 +1,8 @@
 package fleet
 
 import (
-	"fmt"
 	"math/rand"
-	"testing"
 
-	"acr/internal/core"
 	"acr/internal/sim"
 )
 
@@ -19,11 +16,10 @@ import (
 // exchanged at barriers only), so shards stay race-free and the fleet clock
 // stays deterministic.
 //
-// cmd/acrbench measures wall-clock per committed epoch at 2 jobs versus 16
-// jobs (8× the job count, 131,072 simulated cores at 8,192 cores per job —
-// the paper's scale target). A single event loop would serialize all jobs
-// through one heap; sharding keeps per-epoch cost flat, which the checked-in
-// baseline gates at ≤ 1.3× growth.
+// Sixteen jobs at 8,192 cores per job are 131,072 simulated cores — the
+// paper's scale target. A single event loop would serialize all jobs through
+// one heap; one shard per job keeps the cost of a committed epoch flat as
+// the job count grows.
 
 // SimFleetSpec shapes a simulated fleet.
 type SimFleetSpec struct {
@@ -151,95 +147,4 @@ func RunSimFleet(spec SimFleetSpec) SimFleetResult {
 		res.Failures += failures[j]
 	}
 	return res
-}
-
-// FleetScaleCaseName is the acrbench case gating fleet scaling. Its
-// "speedup" is per-epoch cost at 2 jobs over per-epoch cost at 16 jobs —
-// near-linear scaling holds when it stays near 1.0; the regression gate
-// fails below 1/1.3 (per-epoch cost grew more than 1.3× at 8× the jobs).
-const FleetScaleCaseName = "fleet-scale/2to16jobs/epoch"
-
-// perEpoch divides a whole-run benchmark result down to per-committed-epoch
-// cost, the unit that is comparable across fleet sizes.
-func perEpoch(r testing.BenchmarkResult, epochs int64) core.BenchMeasurement {
-	if epochs <= 0 {
-		return core.BenchMeasurement{}
-	}
-	return core.BenchMeasurement{
-		NsPerOp:     r.NsPerOp() / epochs,
-		BytesPerOp:  r.AllocedBytesPerOp() / epochs,
-		AllocsPerOp: r.AllocsPerOp() / epochs,
-	}
-}
-
-// RunFleetScalingBench measures wall-clock per committed epoch at 2 jobs
-// ("serial" leg) and 16 jobs ("fast" leg) and packages the pair as a
-// core.BenchCase for the acrbench report. Each leg is measured count times,
-// fastest kept.
-func RunFleetScalingBench(quick bool, count int, logf func(format string, args ...any)) (core.BenchCase, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	if count < 1 {
-		count = 1
-	}
-	horizon := 400.0
-	if quick {
-		horizon = 150.0
-	}
-	measure := func(jobs int) (core.BenchMeasurement, SimFleetResult, error) {
-		spec := DefaultSimFleetSpec(jobs)
-		spec.Horizon = horizon
-		ref := RunSimFleet(spec)
-		if ref.CommittedEpochs == 0 {
-			return core.BenchMeasurement{}, ref, fmt.Errorf("fleet-scale: %d-job sim committed no epochs", jobs)
-		}
-		var best testing.BenchmarkResult
-		var benchErr error
-		for i := 0; i < count; i++ {
-			r := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for n := 0; n < b.N; n++ {
-					got := RunSimFleet(spec)
-					if got.CommittedEpochs != ref.CommittedEpochs {
-						benchErr = fmt.Errorf("fleet sim nondeterministic: %d epochs, then %d", ref.CommittedEpochs, got.CommittedEpochs)
-						b.FailNow()
-					}
-				}
-			})
-			if benchErr != nil {
-				return core.BenchMeasurement{}, ref, benchErr
-			}
-			if i == 0 || r.NsPerOp() < best.NsPerOp() {
-				best = r
-			}
-		}
-		return perEpoch(best, ref.CommittedEpochs), ref, nil
-	}
-
-	small, smallRef, err := measure(2)
-	if err != nil {
-		return core.BenchCase{}, err
-	}
-	big, bigRef, err := measure(16)
-	if err != nil {
-		return core.BenchCase{}, err
-	}
-	scale := 0.0
-	if big.NsPerOp > 0 {
-		scale = float64(small.NsPerOp) / float64(big.NsPerOp)
-	}
-	cs := core.BenchCase{
-		Name:    FleetScaleCaseName,
-		Serial:  small,
-		Fast:    big,
-		Speedup: float64(int(scale*100)) / 100,
-	}
-	if small.AllocsPerOp > 0 {
-		cs.AllocRatio = float64(int(float64(big.AllocsPerOp)/float64(small.AllocsPerOp)*100)) / 100
-	}
-	logf("%-28s 2 jobs (%d cores, %d epochs) %d ns/epoch | 16 jobs (%d cores, %d epochs) %d ns/epoch | scale %.2fx",
-		cs.Name, smallRef.SimCores, smallRef.CommittedEpochs, small.NsPerOp,
-		bigRef.SimCores, bigRef.CommittedEpochs, big.NsPerOp, cs.Speedup)
-	return cs, nil
 }

@@ -51,26 +51,3 @@ func TestSimFleetCongestionEngages(t *testing.T) {
 			b.CommittedEpochs, a.CommittedEpochs)
 	}
 }
-
-// TestFleetScalingBenchQuick exercises the acrbench case end to end at the
-// quick horizon and sanity-checks the gate quantity.
-func TestFleetScalingBenchQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench case in -short mode")
-	}
-	cs, err := RunFleetScalingBench(true, 1, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Name != FleetScaleCaseName {
-		t.Fatalf("case name = %q", cs.Name)
-	}
-	if cs.Serial.NsPerOp <= 0 || cs.Fast.NsPerOp <= 0 {
-		t.Fatalf("empty measurements: %+v", cs)
-	}
-	// The acceptance gate: per-epoch cost grows <= 1.3x at 8x job count.
-	if cs.Speedup < 1.0/1.3 {
-		t.Fatalf("per-epoch cost at 16 jobs is %.2fx the 2-job cost (scale %.2f), exceeds 1.3x budget",
-			1/cs.Speedup, cs.Speedup)
-	}
-}
