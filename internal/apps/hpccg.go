@@ -201,6 +201,7 @@ func (h *HPCCG) Run(ctx *runtime.Ctx) error {
 	}
 	// Layout is fixed once the vectors exist; spans stay valid below.
 	spans := pup.FieldSpans(h)
+	written := []pup.Range{spans["x"], spans["r"], spans["p"], spans["rtrans"], spans["iter"]}
 	for h.Iter < h.Iters {
 		below, above, err := h.exchange(r, h.P)
 		if err != nil {
@@ -232,11 +233,9 @@ func (h *HPCCG) Run(ctx *runtime.Ctx) error {
 			h.P[i] = h.R[i] + beta*h.P[i]
 		}
 		h.Iter++
-		h.MarkSpan(spans["x"])
-		h.MarkSpan(spans["r"])
-		h.MarkSpan(spans["p"])
-		h.MarkSpan(spans["rtrans"])
-		h.MarkSpan(spans["iter"])
+		for _, span := range written {
+			h.MarkSpan(span)
+		}
 		if err := r.Progress(h.Iter - 1); err != nil {
 			return err
 		}

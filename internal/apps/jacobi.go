@@ -139,6 +139,7 @@ func (j *Jacobi) Run(ctx *runtime.Ctx) error {
 	// The pup layout is fixed from here on (U never resizes), so the
 	// field spans computed once stay valid for every mark below.
 	spans := pup.FieldSpans(j)
+	written := []pup.Range{spans["u"], spans["iter"]}
 	// neighbour[dir] is the global task index across my face dir, or -1.
 	neighbour := [6]int{-1, -1, -1, -1, -1, -1}
 	if gx > 0 {
@@ -225,8 +226,9 @@ func (j *Jacobi) Run(ctx *runtime.Ctx) error {
 		}
 		j.relax(halos)
 		j.Iter++
-		j.MarkSpan(spans["u"])
-		j.MarkSpan(spans["iter"])
+		for _, span := range written {
+			j.MarkSpan(span)
+		}
 		if err := ctx.Progress(j.Iter - 1); err != nil {
 			return err
 		}
@@ -351,6 +353,7 @@ func (j *JacobiAMPI) Run(ctx *runtime.Ctx) error {
 		}
 	}
 	spans := pup.FieldSpans(j)
+	written := []pup.Range{spans["u"], spans["iter"], spans["residual"]}
 	plane := j.BX * j.BY
 	const tagDown, tagUp = 1, 2
 	for j.Iter < j.Iters {
@@ -392,9 +395,9 @@ func (j *JacobiAMPI) Run(ctx *runtime.Ctx) error {
 		}
 		j.Residual = res
 		j.Iter++
-		j.MarkSpan(spans["u"])
-		j.MarkSpan(spans["iter"])
-		j.MarkSpan(spans["residual"])
+		for _, span := range written {
+			j.MarkSpan(span)
+		}
 		if err := r.Progress(j.Iter - 1); err != nil {
 			return err
 		}

@@ -87,6 +87,7 @@ func (r *RingProg) Run(ctx *runtime.Ctx) error {
 	me := ctx.GlobalTask()
 	right := ctx.AddrOfGlobal((me + 1) % ctx.NumTasks())
 	spans := pup.FieldSpans(r)
+	valSpan, iterSpan, padSpan := spans["val"], spans["iter"], spans["pad"]
 	for r.Iter < r.Iters {
 		if err := ctx.Send(right, r.Iter, r.Val); err != nil {
 			return err
@@ -102,14 +103,14 @@ func (r *RingProg) Run(ctx *runtime.Ctx) error {
 			w := r.Iter % (n - 1)
 			r.Pad[w] += padInc(r.self, r.Iter)
 			if !r.muted {
-				r.MarkSpan(spans["pad"].Slice(w, w+1, 8))
+				r.MarkSpan(padSpan.Slice(w, w+1, 8))
 			}
 		}
 		r.Val = fold(r.Val, left, r.Iter)
 		r.Iter++ // advance before yielding, per the Progress contract
 		if !r.muted {
-			r.MarkSpan(spans["val"])
-			r.MarkSpan(spans["iter"])
+			r.MarkSpan(valSpan)
+			r.MarkSpan(iterSpan)
 		}
 		if err := ctx.Progress(r.Iter - 1); err != nil {
 			return err

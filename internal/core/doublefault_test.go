@@ -2,36 +2,46 @@ package core
 
 import (
 	"errors"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"acr/internal/chaos/point"
 )
 
-// recoveryKiller is an inline injection hook that fail-stops a node of the
-// HEALTHY replica the instant the controller opens the medium/weak
-// recovery window (point.CoreRecovery fires with the crashed replica; the
-// hook kills the other one). This is the §2.3 double-fault: the recovery
-// source itself dies mid-recovery.
+// recoveryKiller injects the §2.3 double fault into a commit-paced job. The
+// first commit fail-stops r0/n1 — the job has something to recover from and,
+// paced, most of its iterations still ahead — and the instant the controller
+// opens the medium/weak recovery window for it (point.CoreRecovery fires
+// with the crashed replica) a node of the HEALTHY replica dies too: the
+// recovery source itself is lost mid-recovery.
 type recoveryKiller struct {
-	ctrl *Controller
+	ctrl  *Controller
+	pacer *commitPacer
 
-	mu    sync.Mutex
-	armed bool
-	fired bool
+	commits atomic.Int64
+	fired   atomic.Bool
 }
 
-func (k *recoveryKiller) Fire(id point.ID, info *point.Info) {
-	if id != point.CoreRecovery {
-		return
-	}
-	k.mu.Lock()
-	fire := k.armed && !k.fired
-	k.fired = k.fired || fire
-	k.mu.Unlock()
-	if fire {
-		k.ctrl.KillNode(1-info.Replica, 0)
+// armDoubleFault paces cfg and attaches the killer; the caller sets ctrl
+// once the controller exists.
+func armDoubleFault(cfg *Config) *recoveryKiller {
+	k := &recoveryKiller{}
+	k.pacer = pace(cfg, &k.ctrl, 500, point.HookFunc(k.fire))
+	return k
+}
+
+func (k *recoveryKiller) fire(id point.ID, info *point.Info) {
+	switch id {
+	case point.CoreCommit:
+		if k.commits.Add(1) == 1 {
+			k.pacer.stop()
+			k.ctrl.KillNode(0, 1)
+		}
+	case point.CoreRecovery:
+		if k.fired.CompareAndSwap(false, true) {
+			k.ctrl.KillNode(1-info.Replica, 0)
+		}
 	}
 }
 
@@ -61,34 +71,28 @@ func runWithWatchdog(t *testing.T, ctrl *Controller) (Stats, error) {
 // inside recoveryCheckpoint. With spares available the controller must
 // fall back to a full rollback and still produce the golden result.
 func TestDoubleFaultDuringRecoveryCheckpoint(t *testing.T) {
-	const nodes, tasks, iters = 2, 2, 3000
+	// The first fault lands at iteration 500. The healthy replica must still
+	// be running when the heartbeat timeout (8 ms) reports it, or the second
+	// kill hits finished tasks and the job ends before anyone notices: 30,000
+	// iterations are several timeouts of work.
+	const nodes, tasks, iters = 2, 2, 30000
 	cfg := baseConfig(nodes, tasks, iters)
 	cfg.Scheme = Medium
 	cfg.Spares = 3
-	killer := &recoveryKiller{}
-	cfg.Chaos = killer
+	// The medium scheme answers the first fault with recoveryCheckpoint(0),
+	// whose CoreRecovery firing makes the hook kill replica 1's node 0.
+	killer := armDoubleFault(&cfg)
 	ctrl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	killer.ctrl = ctrl
-	killer.mu.Lock()
-	killer.armed = true
-	killer.mu.Unlock()
-
-	// The first fault: kill a replica-0 node mid-run; the medium scheme
-	// responds with recoveryCheckpoint(0), whose CoreRecovery firing makes
-	// the hook kill replica 1's node 0 — the double fault.
-	go func() {
-		time.Sleep(6 * time.Millisecond)
-		ctrl.KillNode(0, 1)
-	}()
 
 	stats, err := runWithWatchdog(t, ctrl)
 	if err != nil {
 		t.Fatalf("double fault with spares must recover, got: %v", err)
 	}
-	if !killer.fired {
+	if !killer.fired.Load() {
 		t.Fatal("hook never fired: the run ended before the recovery window opened")
 	}
 	if stats.HardErrors < 2 {
@@ -105,21 +109,12 @@ func TestDoubleFaultWithoutSparesIsTyped(t *testing.T) {
 	cfg := baseConfig(nodes, tasks, iters)
 	cfg.Scheme = Medium
 	cfg.Spares = 1 // consumed by the first fault; none left for the second
-	killer := &recoveryKiller{}
-	cfg.Chaos = killer
+	killer := armDoubleFault(&cfg)
 	ctrl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	killer.ctrl = ctrl
-	killer.mu.Lock()
-	killer.armed = true
-	killer.mu.Unlock()
-
-	go func() {
-		time.Sleep(6 * time.Millisecond)
-		ctrl.KillNode(0, 1)
-	}()
 
 	_, err = runWithWatchdog(t, ctrl)
 	if err == nil {

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"acr/internal/chaos/point"
 	"acr/internal/runtime"
 )
 
@@ -124,26 +126,31 @@ func TestSDCOnBothReplicas(t *testing.T) {
 // TestManySDCInjections: repeated corruption across different rounds keeps
 // being caught and rolled back.
 func TestManySDCInjections(t *testing.T) {
-	cfg := baseConfig(2, 1, 12000)
+	// Sized in commits: twelve paced rounds. Each of the first four commits
+	// queues an injection, the round after each detects it and rolls back,
+	// and the round after that commits again.
+	const iters = 12000
+	cfg := baseConfig(2, 1, iters)
+	var ctrl *Controller
+	var commits atomic.Int64
+	pace(&cfg, &ctrl, 1000, point.HookFunc(func(id point.ID, _ *point.Info) {
+		if id != point.CoreCommit {
+			return
+		}
+		if i := int(commits.Add(1)) - 1; i < 4 {
+			ctrl.InjectSDCAtNextCheckpoint(runtime.Addr{Replica: i % 2, Node: i % 2, Task: 0})
+		}
+	}))
 	ctrl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 4; i++ {
-			time.Sleep(9 * time.Millisecond)
-			ctrl.InjectSDCAtNextCheckpoint(runtime.Addr{Replica: i % 2, Node: i % 2, Task: 0})
-		}
-	}()
 	stats, err := ctrl.Run()
-	<-done
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.SDCDetected < 2 {
-		t.Fatalf("SDC detected = %d, want >= 2", stats.SDCDetected)
+	if stats.SDCDetected != 4 {
+		t.Fatalf("SDC detected = %d, want 4", stats.SDCDetected)
 	}
-	verifyFinalState(t, ctrl, 2, 1, 12000)
+	verifyFinalState(t, ctrl, 2, 1, iters)
 }

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"acr/internal/chaos/point"
 	"acr/internal/ckptstore"
@@ -16,9 +15,10 @@ import (
 // controller can be configured with, under escalating damage, and pins the
 // exact rung each restore lands on and the depth it books.
 //
-// Every row flushes each tier every 2nd commit with the default retention
-// of 2 and loses a buddy pair at commit killAt, so (no round aborts before
-// the kill — epochs equal commit numbers):
+// Every row is commit-paced (a round every 500 of its 6,000 iterations, see
+// commitPacer), flushes each tier every 2nd commit with the default
+// retention of 2 and loses a buddy pair at commit killAt, so (no round aborts
+// before the kill — epochs equal commit numbers):
 //
 //	killAt 3: committed epoch 3 is in memory only; the tiers hold {2}
 //	killAt 4: committed epoch 4 is itself flushed; the tiers hold {2, 4}
@@ -67,7 +67,6 @@ func TestLadderRungs(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := baseConfig(nodes, tasks, iters)
 			cfg.Spares = 4
-			cfg.CheckpointInterval = 2 * time.Millisecond
 			stores := map[int]*ckptstore.Disk{}
 			for _, bit := range []int{flush, remote} {
 				if row.tiers&bit == 0 {
@@ -88,8 +87,9 @@ func TestLadderRungs(t *testing.T) {
 			}
 			var ctrl *Controller
 			var commits atomic.Int64
+			var pacer *commitPacer
 			kill := killPairAtCommit(&ctrl, 1, row.killAt)
-			cfg.Chaos = point.HookFunc(func(id point.ID, info *point.Info) {
+			pacer = pace(&cfg, &ctrl, 500, point.HookFunc(func(id point.ID, info *point.Info) {
 				if id == point.CoreCommit && commits.Add(1) == int64(row.killAt) {
 					// The writers of every earlier commit have settled (a
 					// chaos hook joins them before each round), so the
@@ -105,9 +105,10 @@ func TestLadderRungs(t *testing.T) {
 							d.Evict(math.MaxUint64)
 						}
 					}
+					pacer.stop() // recovery must find no task held by the pacer
 				}
 				kill.Fire(id, info)
-			})
+			}))
 			ctrl, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	goruntime "runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"acr/internal/chaos/point"
 	"acr/internal/ckptstore"
@@ -283,27 +285,40 @@ func TestFlushRetention(t *testing.T) {
 		name    string
 		attach  func(*Config, ckptstore.Store)
 		tier    func(*Controller) *tier
-		flushed func(Stats) int
+		flushed func(Progress) int64
 	}{
 		{"flush", func(c *Config, st ckptstore.Store) { c.FlushEvery, c.FlushRetain, c.FlushStore = 1, 2, st },
-			func(c *Controller) *tier { return &c.flush }, func(s Stats) int { return s.FlushedEpochs }},
+			func(c *Controller) *tier { return &c.flush }, func(p Progress) int64 { return p.FlushedEpochs }},
 		{"remote", func(c *Config, st ckptstore.Store) { c.RemoteFlushEvery, c.RemoteRetain, c.RemoteStore = 1, 2, st },
-			func(c *Controller) *tier { return &c.remote }, func(s Stats) int { return s.RemoteFlushedEpochs }},
+			func(c *Controller) *tier { return &c.remote }, func(p Progress) int64 { return p.RemoteFlushedEpochs }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := baseConfig(2, 2, 8000)
+			// Sized in flushes, not iterations: the job is far longer than
+			// the test and is stopped once the tier has taken its third
+			// epoch, whenever that is. No chaos hook, so the tier's writer
+			// overlaps the following rounds as it does in production.
+			cfg := baseConfig(2, 2, 1<<40)
 			st := ckptstore.NewMem()
 			tc.attach(&cfg, st)
 			ctrl, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			stats, err := ctrl.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.flushed(stats) < 3 {
-				t.Fatalf("flushed epochs = %d, want >= 3 (raise iters?)", tc.flushed(stats))
+			go func() {
+				defer ctrl.Machine().Stop()
+				deadline := time.After(30 * time.Second) // bounds a failure only
+				for tc.flushed(ctrl.Progress()) < 3 {
+					select {
+					case <-deadline:
+						t.Errorf("flushed epochs = %d, want >= 3", tc.flushed(ctrl.Progress()))
+						return
+					default:
+						goruntime.Gosched()
+					}
+				}
+			}()
+			if _, err := ctrl.Run(); !errors.Is(err, runtime.ErrStopped) {
+				t.Fatalf("err = %v, want the test's own stop", err)
 			}
 			if inv := ckptstore.EpochInventory(st); len(inv) > 2 {
 				t.Errorf("store retains %d epochs %v, want <= 2", len(inv), inv)

@@ -3,9 +3,11 @@ package expt
 import (
 	"fmt"
 	"io"
+	"sync/atomic"
 	"time"
 
 	"acr/internal/apps"
+	"acr/internal/chaos/point"
 	"acr/internal/core"
 	"acr/internal/trace"
 )
@@ -38,19 +40,41 @@ type Fig5Run struct {
 
 // Fig5 runs all four scenarios of the control-flow figure.
 func Fig5() ([]Fig5Run, error) {
+	const iters = 500
 	var out []Fig5Run
 	for _, sc := range Fig5Scenarios() {
 		tl := &trace.Timeline{}
+		var ctrl *core.Controller
+		var crashed atomic.Bool
+		crash := func() {
+			if crashed.CompareAndSwap(false, true) {
+				ctrl.KillNode(1, 0) // replica 2 crashes, as in the figure
+			}
+		}
 		cfg := core.Config{
 			NodesPerReplica:   2,
 			TasksPerNode:      2,
 			Spares:            1,
-			Factory:           apps.JacobiFactory(500),
+			Factory:           apps.JacobiFactory(iters),
 			Scheme:            sc.Scheme,
 			Comparison:        core.FullCompare,
 			HeartbeatInterval: time.Millisecond,
 			HeartbeatTimeout:  8 * time.Millisecond,
 			Timeline:          tl,
+			// The crash follows the first checkpoint, as in the figure, and
+			// failing one (panel a takes none; a loaded host may be late) it
+			// comes when the node's first task is three quarters through —
+			// an iteration, not a duration the job may not last.
+			Chaos: point.HookFunc(func(id point.ID, info *point.Info) {
+				switch id {
+				case point.CoreCommit:
+					crash()
+				case point.RuntimeProgress:
+					if info.Replica == 1 && info.Node == 0 && info.Task == 0 && info.Iter == 3*iters/4 {
+						crash()
+					}
+				}
+			}),
 		}
 		if sc.Periodic {
 			cfg.CheckpointInterval = 8 * time.Millisecond
@@ -59,10 +83,6 @@ func Fig5() ([]Fig5Run, error) {
 		if err != nil {
 			return nil, err
 		}
-		go func() {
-			time.Sleep(20 * time.Millisecond)
-			ctrl.KillNode(1, 0) // replica 2 crashes, as in the figure
-		}()
 		stats, err := ctrl.Run()
 		if err != nil {
 			return nil, err

@@ -115,7 +115,9 @@ type Config struct {
 	Factory Factory
 	// Gate observes progress; nil means NopGate.
 	Gate Gate
-	// MailboxCap is the per-task mailbox capacity (default 4096).
+	// MailboxCap bounds the messages a task's mailbox may hold before Send
+	// to it returns the overflow error (default 4096). It is a bound, not an
+	// allocation: a mailbox starts empty and grows with its backlog.
 	MailboxCap int
 	// HeartbeatInterval is how often each live node refreshes its
 	// heartbeat; HeartbeatTimeout is the silence after which the failure
@@ -154,9 +156,9 @@ func (c *Config) validate() error {
 	return nil
 }
 
-// latch is a one-shot event with two faces: an atomic flag for the tasks
-// that poll it every iteration (checkLive) and a closed channel for whoever
-// blocks on it (Recv, a parked Progress). fire is idempotent.
+// latch is a one-shot event with two faces: an atomic flag for whoever polls
+// it (checkLive, every iteration) and a closed channel for whoever blocks on
+// it (Wait, the detector and its beaters). fire is idempotent.
 type latch struct {
 	set atomic.Bool
 	ch  chan struct{}
@@ -203,12 +205,92 @@ func (n *physNode) lastBeatTime() time.Time {
 	return n.lastBeat
 }
 
-// incarnation is one run of a task's goroutine: the mailbox it receives on
-// and the channels that end it and report its end.
+// mailbox is a task incarnation's message queue: a FIFO that grows with its
+// backlog, any number of senders, and the incarnation's goroutine as the only
+// receiver. The receiver parks on wake, a one-token channel; a sender drops a
+// token only when the receiver announced, under mu, that it is about to park.
+type mailbox struct {
+	mu sync.Mutex
+	// q[head:] are the queued messages. Popped slots are zeroed so a payload
+	// is not retained past its delivery.
+	q    []Message
+	head int
+	// waiting is set by the receiver, under mu, when it found the queue empty
+	// and is about to park; whoever clears it owes wake one token.
+	waiting bool
+	wake    chan struct{}
+}
+
+// push appends msg and wakes a parked receiver. It reports false, leaving the
+// queue as it was, when bound messages are already queued.
+func (b *mailbox) push(msg Message, bound int) bool {
+	b.mu.Lock()
+	if len(b.q)-b.head >= bound {
+		b.mu.Unlock()
+		return false
+	}
+	b.q = append(b.q, msg)
+	wake := b.waiting
+	b.waiting = false
+	b.mu.Unlock()
+	if wake {
+		b.token()
+	}
+	return true
+}
+
+// token makes the receiver's next (or current) park return. It never blocks:
+// a token already in the channel serves the same park.
+func (b *mailbox) token() {
+	select {
+	case b.wake <- struct{}{}:
+	default:
+	}
+}
+
+// popLocked removes the oldest message; mu must be held and the queue
+// non-empty. The dead prefix is dropped once it outgrows the live half, so a
+// queue that never drains completely still does not creep through its array.
+func (b *mailbox) popLocked() Message {
+	msg := b.q[b.head]
+	b.q[b.head] = Message{}
+	b.head++
+	switch live := len(b.q) - b.head; {
+	case live == 0:
+		b.q, b.head = b.q[:0], 0
+	case b.head > live:
+		copy(b.q, b.q[b.head:])
+		clear(b.q[live:])
+		b.q, b.head = b.q[:live], 0
+	}
+	return msg
+}
+
+// incarnation is one run of a task's goroutine: the mailbox it receives on,
+// the one interrupt that ends it, and the channel that reports its end.
 type incarnation struct {
-	mbox  chan Message
-	abort latch         // fired to force this incarnation to exit (rollback)
-	done  chan struct{} // closed when the incarnation's goroutine has exited
+	mbox mailbox
+	// abort is the rollback flag (StopReplica); checkLive reads it.
+	abort atomic.Bool
+	// intr says "stop what you are doing and ask checkLive why". Every event
+	// that ends an incarnation early sets it — see interrupt for the list —
+	// so Recv and a parked Progress watch this alone.
+	intr atomic.Bool
+	done chan struct{} // closed when the incarnation's goroutine has exited
+}
+
+// interrupt forces the incarnation out of Recv or a parked Progress: it sets
+// the flag and drops a wake token. Senders drop tokens only for a receiver
+// that announced a park, so a token that finds the task anywhere else can
+// only be this one. The caller has already stored the reason in the latch
+// checkLive reads (physNode.dead, incarnation.abort, Machine.stopped). Fired
+// by Kill for every current incarnation routed to the killed node, by
+// StopReplica, by halt (Stop, the first application error), and by
+// publishSlotLocked for an incarnation published onto a dead node or a
+// stopped machine.
+func (inc *incarnation) interrupt() {
+	inc.intr.Store(true)
+	inc.mbox.token()
 }
 
 // taskSlot is the runtime home of one logical task. The slot persists
@@ -420,7 +502,7 @@ func (m *Machine) Start() {
 // acquisition orders Stop's WaitGroup wait after any in-flight Start's
 // goroutine launches, and later Starts see the closed stop channel.
 func (m *Machine) Stop() {
-	m.stopped.fire()
+	m.halt()
 	m.startMu.Lock()
 	m.startMu.Unlock() //nolint:staticcheck // empty section: barrier against in-flight Start
 	m.wg.Wait()
@@ -485,10 +567,35 @@ func (m *Machine) Alive(rep, node int) bool {
 // Kill fail-stops the physical node currently backing the logical node:
 // from this instant it neither sends nor receives (§6.1's no-response
 // scheme). Returns the physical node id.
+//
+// It takes no lock. Every incarnation routed to the node — the logical nodes
+// folded onto it included — is interrupted after the node is marked dead;
+// publishSlotLocked stores an incarnation and then looks at its node, so an
+// incarnation published concurrently is interrupted by one side or the other.
+// A node re-routed between the mark and the scan (ReplaceWithSpare racing
+// the kill it recovers from) keeps its incarnations until the replica
+// rollback that recovery performs anyway.
 func (m *Machine) Kill(rep, node int) int {
 	p := m.physFor(rep, node)
 	p.kill()
+	for rep := range m.route {
+		for n := range m.route[rep] {
+			if m.route[rep][n].Load() == p {
+				m.interruptNode(rep, n)
+			}
+		}
+	}
 	return p.id
+}
+
+// interruptNode interrupts the current incarnation of every task of a logical
+// node. It takes no lock.
+func (m *Machine) interruptNode(rep, node int) {
+	for _, s := range m.slots[rep][node] {
+		if inc := s.cur.Load(); inc != nil {
+			inc.interrupt()
+		}
+	}
 }
 
 // ReplaceWithSpare remaps the logical node onto a spare physical node. The
@@ -596,10 +703,8 @@ func (m *Machine) TakeSpare() (int, bool) {
 
 // ExpandFolded remaps folded logical nodes back onto free spares (lowest
 // replica/node first) and returns how many nodes were re-expanded. Live
-// incarnations of a re-expanded node keep watching the survivor's
-// fail-stop channel until their next restart; a later death of the
-// survivor at worst costs those tasks a spurious kill, which the replica
-// rollback that death triggers anyway subsumes.
+// incarnations follow the route: from here on it is the spare's death that
+// kills the tasks of a re-expanded node, not the survivor's.
 func (m *Machine) ExpandFolded() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -649,7 +754,18 @@ func (m *Machine) recordAppError(err error) {
 		m.appErr = err
 	}
 	m.mu.Unlock()
+	m.halt()
+}
+
+// halt latches the machine stopped and interrupts every current incarnation.
+// An incarnation published after the scan sees the latch (publishSlotLocked).
+func (m *Machine) halt() {
 	m.stopped.fire()
+	for rep := range m.slots {
+		for n := range m.slots[rep] {
+			m.interruptNode(rep, n)
+		}
+	}
 }
 
 // detectorLoop implements heartbeat failure detection: every live node's

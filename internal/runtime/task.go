@@ -54,7 +54,7 @@ func (c *Ctx) checkLive() error {
 	switch {
 	case c.m.stopped.fired():
 		return ErrStopped
-	case c.inc.abort.fired():
+	case c.inc.abort.Load():
 		return ErrRollback
 	case !c.phys().alive() || c.slot.cur.Load() != c.inc:
 		return ErrKilled
@@ -105,43 +105,53 @@ func (c *Ctx) Send(to Addr, tag int, data any) error {
 	if dst == nil {
 		return nil
 	}
-	msg := Message{From: c.addr, Tag: tag, Data: data, epoch: c.epoch}
-	select {
-	case dst.mbox <- msg:
-		return nil
-	default:
+	if !dst.mbox.push(Message{From: c.addr, Tag: tag, Data: data, epoch: c.epoch}, c.m.cfg.MailboxCap) {
 		// A full mailbox means the application violated the bounded
 		// outstanding-message discipline; surface it loudly.
 		return fmt.Errorf("runtime: mailbox overflow at %v (cap %d)", to, c.m.cfg.MailboxCap)
 	}
+	return nil
 }
 
 // Recv blocks for the next message from any source. It returns ErrKilled /
 // ErrRollback / ErrStopped when the incarnation must end.
+//
+// A queued message is delivered even to an interrupted incarnation, as it
+// always was. No wakeup is lost: the interrupt flag is read, and waiting set,
+// under the mailbox lock, and both a sender and an interrupt publish (append
+// under the lock; set the flag) before they drop the token, so whichever of
+// them this incarnation missed leaves a token for the park below.
 func (c *Ctx) Recv() (Message, error) {
-	p := c.phys()
+	b := &c.inc.mbox
 	for {
-		var msg Message
-		select {
-		case msg = <-c.inc.mbox:
-			// A waiting message needs no four-way select: the common case
-			// of a neighbour that already sent.
-		default:
-			select {
-			case msg = <-c.inc.mbox:
-			case <-p.dead.ch:
-				return Message{}, ErrKilled
-			case <-c.inc.abort.ch:
-				return Message{}, ErrRollback
-			case <-c.m.stopped.ch:
-				return Message{}, ErrStopped
+		b.mu.Lock()
+		if b.head < len(b.q) {
+			msg := b.popLocked()
+			b.mu.Unlock()
+			if msg.epoch == c.epoch {
+				return msg, nil
 			}
+			continue // stale epoch: discard
 		}
-		if msg.epoch == c.epoch {
-			return msg, nil
+		if c.inc.intr.Load() {
+			b.mu.Unlock()
+			return Message{}, c.interrupted()
 		}
-		// Stale epoch: discard.
+		b.waiting = true
+		b.mu.Unlock()
+		<-b.wake
 	}
+}
+
+// interrupted names the reason the incarnation's interrupt fired. The node
+// that died under it may already have been re-routed to a live spare by the
+// time the task looks, which leaves checkLive nothing to report: that was a
+// kill.
+func (c *Ctx) interrupted() error {
+	if err := c.checkLive(); err != nil {
+		return err
+	}
+	return ErrKilled
 }
 
 // Progress reports that the task finished iteration iter and yields to the
@@ -167,12 +177,9 @@ func (c *Ctx) Progress(iter int) error {
 	select {
 	case <-waitCh:
 		return c.checkLive()
-	case <-c.phys().dead.ch:
-		return ErrKilled
-	case <-c.inc.abort.ch:
-		return ErrRollback
-	case <-c.m.stopped.ch:
-		return ErrStopped
+	case <-c.inc.mbox.wake:
+		// Outside Recv the only token is an interrupt's.
+		return c.interrupted()
 	}
 }
 
@@ -195,16 +202,21 @@ func (m *Machine) startReplicaLocked(rep int) {
 
 // publishSlotLocked makes a fresh incarnation the slot's current one and
 // returns its context; launch starts it. The machine write lock must be held.
+//
+// Kill and halt interrupt the incarnations they find current after setting
+// their latch; this stores the incarnation and then reads those latches. Of a
+// concurrent pair at least one sees the other, so an incarnation born onto a
+// dead node or into a stopped machine is born interrupted.
 func (m *Machine) publishSlotLocked(s *taskSlot) *Ctx {
-	inc := &incarnation{
-		mbox:  make(chan Message, m.cfg.MailboxCap),
-		abort: newLatch(),
-		done:  make(chan struct{}),
-	}
+	inc := &incarnation{done: make(chan struct{})}
+	inc.mbox.wake = make(chan struct{}, 1)
 	s.mu.Lock()
 	s.completed = false
 	s.mu.Unlock()
 	s.cur.Store(inc)
+	if m.stopped.fired() || !m.physFor(s.addr.Replica, s.addr.Node).alive() {
+		inc.interrupt()
+	}
 	return &Ctx{
 		m:     m,
 		slot:  s,
@@ -483,7 +495,8 @@ func (m *Machine) StopReplica(rep int) {
 	}
 	m.mu.Unlock()
 	for _, inc := range incs {
-		inc.abort.fire()
+		inc.abort.Store(true)
+		inc.interrupt()
 	}
 	// Wait for the incarnations to drain.
 	for _, inc := range incs {
