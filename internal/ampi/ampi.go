@@ -72,6 +72,7 @@ type Rank struct {
 	ctx     *runtime.Ctx
 	pending []runtime.Message
 	collSeq int
+	gather  []float64 // rank 0's Allreduce contributions, reused call to call
 }
 
 // New binds a Rank to the task context. The rank id is the task's dense
@@ -196,7 +197,10 @@ func (r *Rank) Allreduce(op Op, value float64) (float64, error) {
 		// floating-point reduction must be deterministic or the two
 		// replicas' states drift apart in the last bits and SDC
 		// detection would flag phantom corruption.
-		vals := make([]float64, n)
+		if len(r.gather) != n {
+			r.gather = make([]float64, n)
+		}
+		vals := r.gather
 		vals[0] = value
 		for i := 0; i < n-1; i++ {
 			m, err := r.recvColl(gatherTag)

@@ -25,6 +25,12 @@ type HPCCG struct {
 	X, R, P     []float64
 	RTrans      float64
 	Init        bool
+
+	// Scratch of the running incarnation (DESIGN.md §18): absent from Pup
+	// and built on first use, so a restored task starts with none of it.
+	ap     []float64 // A*p of the current iteration
+	zero   []float64 // one all-zero row: the input where the domain ends
+	planes planeRing // outgoing halo planes of p
 }
 
 // HPCCGBlock is the default per-task slab edge for live runs.
@@ -89,85 +95,104 @@ func rowNeighbors(i, j, gk, nx, ny, gnz int) int {
 	return c
 }
 
-// matvec computes y = A*v on the local slab, using halo planes from the
-// Z neighbours (nil when at a global boundary). A has 27 on the diagonal
-// and -1 on every in-bounds stencil neighbour.
-func (h *HPCCG) matvec(v, below, above []float64) []float64 {
-	y := make([]float64, h.n())
-	at := func(i, j, k int) float64 {
-		if i < 0 || i >= h.NX || j < 0 || j >= h.NY {
-			return 0
-		}
-		switch {
-		case k < 0:
-			if below == nil {
-				return 0
-			}
-			return below[j*h.NX+i]
-		case k >= h.NZ:
-			if above == nil {
-				return 0
-			}
-			return above[j*h.NX+i]
-		default:
-			return v[h.idx(i, j, k)]
-		}
-	}
-	for k := 0; k < h.NZ; k++ {
-		for j := 0; j < h.NY; j++ {
-			for i := 0; i < h.NX; i++ {
-				sum := 27 * v[h.idx(i, j, k)]
-				for dk := -1; dk <= 1; dk++ {
-					for dj := -1; dj <= 1; dj++ {
-						for di := -1; di <= 1; di++ {
-							if di == 0 && dj == 0 && dk == 0 {
-								continue
-							}
-							sum -= at(i+di, j+dj, k+dk)
-						}
-					}
+// matvecInto computes y = A*v on the local slab, using halo planes from
+// the Z neighbours (nil when at a global boundary). A has 27 on the
+// diagonal and -1 on every in-bounds stencil neighbour.
+//
+// It works a row at a time: each (j, k) row takes its nine input rows, in
+// (dk, dj) order, as slices once — a row of v, a row of a halo plane where
+// the slab ends, the shared all-zero row where the domain ends (x - 0.0 is
+// exact, so subtracting it is the boundary branch's no-op) — and apply27Row
+// runs over them.
+func (h *HPCCG) matvecInto(y, v, below, above []float64) {
+	nx, ny, nz := h.NX, h.NY, h.NZ
+	zero := fit(&h.zero, nx)
+	var rows [9][]float64
+	for k := 0; k < nz; k++ {
+		for j := 0; j < ny; j++ {
+			for dk := -1; dk <= 1; dk++ {
+				src, sk := v, k+dk // the plane the three rows come from
+				switch {
+				case sk < 0:
+					src, sk = below, 0
+				case sk >= nz:
+					src, sk = above, 0
 				}
-				y[h.idx(i, j, k)] = sum
+				for dj := -1; dj <= 1; dj++ {
+					row := zero
+					if sj := j + dj; src != nil && sj >= 0 && sj < ny {
+						o := (sk*ny + sj) * nx
+						row = src[o : o+nx]
+					}
+					rows[(dk+1)*3+dj+1] = row
+				}
 			}
+			o := h.idx(0, j, k)
+			apply27Row(y[o:o+nx], &rows)
 		}
 	}
-	return y
 }
 
-// exchange swaps boundary planes of v with the Z neighbours.
-func (h *HPCCG) exchange(r *ampi.Rank, v []float64) (below, above []float64, err error) {
-	rank, size := r.Rank(), r.Size()
-	pl := h.plane()
-	const tagDown, tagUp = 3, 4
-	if rank > 0 {
-		bottom := make([]float64, pl)
-		copy(bottom, v[:pl])
-		if err := r.Send(rank-1, tagDown, bottom); err != nil {
-			return nil, nil, err
+// apply27Row writes one row of the 27-point operator from its nine input
+// rows (rows[4] is the row itself) with the operation order every result
+// bit depends on: 27*v, then the 26 neighbours subtracted in dk, dj, di
+// order. The conversion keeps an FMA-capable target from fusing the
+// product into the first subtraction. The two X-edge cells go the general
+// way.
+func apply27Row(out []float64, rows *[9][]float64) {
+	n := len(out)
+	r0, r1, r2 := rows[0][:n], rows[1][:n], rows[2][:n]
+	r3, r4, r5 := rows[3][:n], rows[4][:n], rows[5][:n]
+	r6, r7, r8 := rows[6][:n], rows[7][:n], rows[8][:n]
+	for i := 1; i < n-1; i++ {
+		s := float64(27 * r4[i])
+		s -= r0[i-1]
+		s -= r0[i]
+		s -= r0[i+1]
+		s -= r1[i-1]
+		s -= r1[i]
+		s -= r1[i+1]
+		s -= r2[i-1]
+		s -= r2[i]
+		s -= r2[i+1]
+		s -= r3[i-1]
+		s -= r3[i]
+		s -= r3[i+1]
+		s -= r4[i-1]
+		s -= r4[i+1]
+		s -= r5[i-1]
+		s -= r5[i]
+		s -= r5[i+1]
+		s -= r6[i-1]
+		s -= r6[i]
+		s -= r6[i+1]
+		s -= r7[i-1]
+		s -= r7[i]
+		s -= r7[i+1]
+		s -= r8[i-1]
+		s -= r8[i]
+		s -= r8[i+1]
+		out[i] = s
+	}
+	out[0] = edge27(rows, 0)
+	if n > 1 {
+		out[n-1] = edge27(rows, n-1)
+	}
+}
+
+// edge27 is the operator at one cell the general way: every neighbour
+// behind a bounds test, out-of-row ones contributing nothing.
+func edge27(rows *[9][]float64, i int) float64 {
+	sum := 27 * rows[4][i]
+	for r, row := range rows {
+		for di := -1; di <= 1; di++ {
+			if (r == 4 && di == 0) || i+di < 0 || i+di >= len(row) {
+				continue
+			}
+			sum -= row[i+di]
 		}
 	}
-	if rank < size-1 {
-		top := make([]float64, pl)
-		copy(top, v[len(v)-pl:])
-		if err := r.Send(rank+1, tagUp, top); err != nil {
-			return nil, nil, err
-		}
-	}
-	if rank > 0 {
-		d, _, err := r.Recv(rank-1, tagUp)
-		if err != nil {
-			return nil, nil, err
-		}
-		below = d.([]float64)
-	}
-	if rank < size-1 {
-		d, _, err := r.Recv(rank+1, tagDown)
-		if err != nil {
-			return nil, nil, err
-		}
-		above = d.([]float64)
-	}
-	return below, above, nil
+	return sum
 }
 
 // Run implements runtime.Program: Iters CG iterations.
@@ -203,11 +228,13 @@ func (h *HPCCG) Run(ctx *runtime.Ctx) error {
 	spans := pup.FieldSpans(h)
 	written := []pup.Range{spans["x"], spans["r"], spans["p"], spans["rtrans"], spans["iter"]}
 	for h.Iter < h.Iters {
-		below, above, err := h.exchange(r, h.P)
+		const tagDown, tagUp = 3, 4
+		below, above, err := h.planes.exchange(r, h.Iter, h.P, h.plane(), tagDown, tagUp)
 		if err != nil {
 			return err
 		}
-		ap := h.matvec(h.P, below, above)
+		ap := fit(&h.ap, h.n())
+		h.matvecInto(ap, h.P, below, above)
 		localPAp := 0.0
 		for i := range ap {
 			localPAp += h.P[i] * ap[i]

@@ -30,6 +30,12 @@ type Jacobi struct {
 	Iter, Iters int
 	BX, BY, BZ  int
 	U           []float64
+
+	// Scratch of the running incarnation (DESIGN.md §18): absent from Pup
+	// and built on first use, so a restored task starts with none of it.
+	next  []float64       // the sweep's output grid; swapped with U
+	zero  []float64       // one all-zero row: the halo where the domain ends
+	faces [6][2][]float64 // outgoing face payloads, two deep per direction
 }
 
 // JacobiBlock is the default per-task block edge for live runs.
@@ -82,45 +88,39 @@ func (j *Jacobi) Norm() float64 {
 	return s
 }
 
-// faceVals extracts the face of U in direction dir.
+// faceVals extracts the face of U in direction dir into the payload ring:
+// iteration it's face lives in slot it&1, so the slot is next written two
+// iterations later — after the neighbour's face of it+1 arrived, which it
+// sent once it had finished reading this one (DESIGN.md §18).
 func (j *Jacobi) faceVals(dir int) []float64 {
-	var out []float64
-	switch dir {
-	case 0, 1: // X faces: by*bz values
+	bx, by, bz := j.BX, j.BY, j.BZ
+	far := dir&1 == 1 // odd directions are the + faces
+	f := fit(&j.faces[dir][j.Iter&1], [3]int{by * bz, bx * bz, bx * by}[dir/2])
+	switch dir / 2 {
+	case 0: // X faces: by*bz values, one per row
 		i := 0
-		if dir == 1 {
-			i = j.BX - 1
+		if far {
+			i = bx - 1
 		}
-		out = make([]float64, 0, j.BY*j.BZ)
-		for l := 0; l < j.BZ; l++ {
-			for k := 0; k < j.BY; k++ {
-				out = append(out, j.U[j.idx(i, k, l)])
-			}
+		for r := range f {
+			f[r] = j.U[r*bx+i]
 		}
-	case 2, 3: // Y faces: bx*bz values
+	case 1: // Y faces: bz rows of bx values
 		k := 0
-		if dir == 3 {
-			k = j.BY - 1
+		if far {
+			k = by - 1
 		}
-		out = make([]float64, 0, j.BX*j.BZ)
-		for l := 0; l < j.BZ; l++ {
-			for i := 0; i < j.BX; i++ {
-				out = append(out, j.U[j.idx(i, k, l)])
-			}
+		for l := 0; l < bz; l++ {
+			copy(f[l*bx:(l+1)*bx], j.U[j.idx(0, k, l):])
 		}
-	case 4, 5: // Z faces: bx*by values
+	case 2: // Z faces: one bx*by plane
 		l := 0
-		if dir == 5 {
-			l = j.BZ - 1
+		if far {
+			l = bz - 1
 		}
-		out = make([]float64, 0, j.BX*j.BY)
-		for k := 0; k < j.BY; k++ {
-			for i := 0; i < j.BX; i++ {
-				out = append(out, j.U[j.idx(i, k, l)])
-			}
-		}
+		copy(f, j.U[j.idx(0, 0, l):])
 	}
-	return out
+	return f
 }
 
 // Run implements runtime.Program.
@@ -161,49 +161,52 @@ func (j *Jacobi) Run(ctx *runtime.Ctx) error {
 		neighbour[5] = g + px*py
 	}
 	opposite := [6]int{1, 0, 3, 2, 5, 4}
+	// Fixed for the incarnation: who sits across each face, and how many
+	// faces one iteration receives.
+	var across [6]runtime.Addr
+	faces := 0
+	for d, nb := range neighbour {
+		if nb >= 0 {
+			across[d] = ctx.AddrOfGlobal(nb)
+			faces++
+		}
+	}
 
 	var pending []runtime.Message
-	halos := [6][]float64{}
-	recvHalos := func(iter int) error {
-		need := 0
-		got := [6]bool{}
-		for d := 0; d < 6; d++ {
-			if neighbour[d] >= 0 {
-				need++
-			} else {
-				got[d] = true
-			}
-		}
-		take := func(m runtime.Message) bool {
-			f := m.Data.(faceMsg)
-			if f.Iter != iter {
-				return false
-			}
-			for d := 0; d < 6; d++ {
-				// My halo d arrives from neighbour[d], which sent its
-				// opposite face.
-				if !got[d] && neighbour[d] >= 0 && m.From == ctx.AddrOfGlobal(neighbour[d]) && f.Dir == opposite[d] {
-					halos[d] = f.Vals
-					got[d] = true
-					need--
-					return true
-				}
-			}
+	var halos [6][]float64
+	// take files m as a halo of iteration it if it is one still missing: my
+	// halo d arrives from the neighbour across face d, which sent its
+	// opposite face.
+	take := func(m runtime.Message, it int) bool {
+		f := m.Data.(faceMsg)
+		d := opposite[f.Dir]
+		if f.Iter != it || neighbour[d] < 0 || m.From != across[d] || halos[d] != nil {
 			return false
 		}
-		for i := 0; i < len(pending); {
-			if take(pending[i]) {
-				pending = append(pending[:i], pending[i+1:]...)
+		halos[d] = f.Vals
+		return true
+	}
+	recvHalos := func(it int) error {
+		halos = [6][]float64{}
+		need := faces
+		kept := pending[:0]
+		for _, m := range pending {
+			if take(m, it) {
+				need--
 			} else {
-				i++
+				kept = append(kept, m)
 			}
 		}
+		clear(pending[len(kept):]) // drop the payloads the queue no longer holds
+		pending = kept
 		for need > 0 {
 			m, err := ctx.Recv()
 			if err != nil {
 				return err
 			}
-			if !take(m) {
+			if take(m, it) {
+				need--
+			} else {
 				pending = append(pending, m)
 			}
 		}
@@ -212,12 +215,12 @@ func (j *Jacobi) Run(ctx *runtime.Ctx) error {
 
 	for j.Iter < j.Iters {
 		it := j.Iter
-		for d := 0; d < 6; d++ {
-			if neighbour[d] < 0 {
+		for d, nb := range neighbour {
+			if nb < 0 {
 				continue
 			}
 			msg := faceMsg{Iter: it, Dir: d, Vals: j.faceVals(d)}
-			if err := ctx.Send(ctx.AddrOfGlobal(neighbour[d]), 0, msg); err != nil {
+			if err := ctx.Send(across[d], 0, msg); err != nil {
 				return err
 			}
 		}
@@ -236,56 +239,82 @@ func (j *Jacobi) Run(ctx *runtime.Ctx) error {
 	return nil
 }
 
-// relax performs one 7-point sweep using the received halos (nil or empty
-// halo faces act as zero boundaries).
+// relax performs one 7-point sweep using the received halos (a nil halo
+// face acts as a zero boundary) and swaps the result into U.
 func (j *Jacobi) relax(halos [6][]float64) {
-	next := make([]float64, len(j.U))
-	at := func(h []float64, i int) float64 {
-		if h == nil {
-			return 0
+	relax7(fit(&j.next, len(j.U)), j.U, fit(&j.zero, j.BX), j.BX, j.BY, j.BZ, &halos)
+	j.U, j.next = j.next, j.U
+}
+
+// relax7 writes one 7-point sweep of the bx*by*bz block u into next, a row
+// at a time: each (k, l) row takes its centre, ±Y and ±Z input rows as
+// slices once — a row of u, a row of the halo face where the block ends,
+// the shared all-zero row where the domain ends (c + 0.0 is what the
+// boundary branch added) — and relaxRow runs over them. Faces are indexed
+// as faceVals lays them out; the X faces hold one value per row.
+func relax7(next, u, zero []float64, bx, by, bz int, halos *[6][]float64) {
+	plane := bx * by
+	// haloRow is row r of halo face d, or the zero row without one.
+	haloRow := func(d, r int) []float64 {
+		if h := halos[d]; h != nil {
+			return h[r*bx : (r+1)*bx]
 		}
-		return h[i]
+		return zero
 	}
-	for l := 0; l < j.BZ; l++ {
-		for k := 0; k < j.BY; k++ {
-			for i := 0; i < j.BX; i++ {
-				var xm, xp, ym, yp, zm, zp float64
-				if i > 0 {
-					xm = j.U[j.idx(i-1, k, l)]
-				} else {
-					xm = at(halos[0], l*j.BY+k)
-				}
-				if i < j.BX-1 {
-					xp = j.U[j.idx(i+1, k, l)]
-				} else {
-					xp = at(halos[1], l*j.BY+k)
-				}
-				if k > 0 {
-					ym = j.U[j.idx(i, k-1, l)]
-				} else {
-					ym = at(halos[2], l*j.BX+i)
-				}
-				if k < j.BY-1 {
-					yp = j.U[j.idx(i, k+1, l)]
-				} else {
-					yp = at(halos[3], l*j.BX+i)
-				}
-				if l > 0 {
-					zm = j.U[j.idx(i, k, l-1)]
-				} else {
-					zm = at(halos[4], k*j.BX+i)
-				}
-				if l < j.BZ-1 {
-					zp = j.U[j.idx(i, k, l+1)]
-				} else {
-					zp = at(halos[5], k*j.BX+i)
-				}
-				c := j.U[j.idx(i, k, l)]
-				next[j.idx(i, k, l)] = (c + xm + xp + ym + yp + zm + zp) / 7
+	for l := 0; l < bz; l++ {
+		for k := 0; k < by; k++ {
+			r := l*by + k
+			o := r * bx
+			var ym, yp, zm, zp []float64
+			if k > 0 {
+				ym = u[o-bx : o]
+			} else {
+				ym = haloRow(2, l)
 			}
+			if k < by-1 {
+				yp = u[o+bx : o+2*bx]
+			} else {
+				yp = haloRow(3, l)
+			}
+			if l > 0 {
+				zm = u[o-plane : o-plane+bx]
+			} else {
+				zm = haloRow(4, k)
+			}
+			if l < bz-1 {
+				zp = u[o+plane : o+plane+bx]
+			} else {
+				zp = haloRow(5, k)
+			}
+			var xm, xp float64
+			if h := halos[0]; h != nil {
+				xm = h[r]
+			}
+			if h := halos[1]; h != nil {
+				xp = h[r]
+			}
+			relaxRow(next[o:o+bx], u[o:o+bx], ym, yp, zm, zp, xm, xp)
 		}
 	}
-	j.U = next
+}
+
+// relaxRow writes one row of a 7-point sweep with the operation order every
+// result bit depends on, (c + xm + xp + ym + yp + zm + zp) / 7, where xm
+// and xp stand in for the cells before c[0] and after c[len(c)-1]. Only
+// those two cells keep the boundary form; the loop between them has no
+// index arithmetic and no branch.
+func relaxRow(out, c, ym, yp, zm, zp []float64, xm, xp float64) {
+	last := len(out) - 1
+	c, ym, yp, zm, zp = c[:last+1], ym[:last+1], yp[:last+1], zm[:last+1], zp[:last+1]
+	if last == 0 {
+		out[0] = (c[0] + xm + xp + ym[0] + yp[0] + zm[0] + zp[0]) / 7
+		return
+	}
+	out[0] = (c[0] + xm + c[1] + ym[0] + yp[0] + zm[0] + zp[0]) / 7
+	for i := 1; i < last; i++ {
+		out[i] = (c[i] + c[i-1] + c[i+1] + ym[i] + yp[i] + zm[i] + zp[i]) / 7
+	}
+	out[last] = (c[last] + c[last-1] + xp + ym[last] + yp[last] + zm[last] + zp[last]) / 7
 }
 
 // JacobiAMPI is the MPI-style Jacobi3D: a 1D slab decomposition along Z
@@ -299,6 +328,11 @@ type JacobiAMPI struct {
 	BX, BY, BZ  int
 	U           []float64
 	Residual    float64
+
+	// Scratch, as in Jacobi: not checkpointed, built on first use.
+	next   []float64
+	zero   []float64
+	planes planeRing // outgoing halo planes
 }
 
 // JacobiAMPIFactory builds AMPI Jacobi3D tasks with an 8^3 slab.
@@ -331,8 +365,6 @@ func (j *JacobiAMPI) Pup(p *pup.PUPer) {
 	p.Float64(&j.Residual)
 }
 
-func (j *JacobiAMPI) idx(i, k, l int) int { return (l*j.BY+k)*j.BX + i }
-
 // Norm returns the L1 norm of the slab.
 func (j *JacobiAMPI) Norm() float64 {
 	s := 0.0
@@ -345,48 +377,20 @@ func (j *JacobiAMPI) Norm() float64 {
 // Run implements runtime.Program.
 func (j *JacobiAMPI) Run(ctx *runtime.Ctx) error {
 	r := ampi.New(ctx)
-	rank, size := r.Rank(), r.Size()
 	if j.U == nil {
 		j.U = make([]float64, j.BX*j.BY*j.BZ)
 		for c := range j.U {
-			j.U[c] = jacobiInit(rank, c)
+			j.U[c] = jacobiInit(r.Rank(), c)
 		}
 	}
 	spans := pup.FieldSpans(j)
 	written := []pup.Range{spans["u"], spans["iter"], spans["residual"]}
-	plane := j.BX * j.BY
 	const tagDown, tagUp = 1, 2
 	for j.Iter < j.Iters {
-		// Halo exchange along Z: send the bottom plane down / top plane
-		// up, receive the matching halos. Boundary ranks skip.
-		var below, above []float64
-		bottom := make([]float64, plane)
-		copy(bottom, j.U[:plane])
-		top := make([]float64, plane)
-		copy(top, j.U[len(j.U)-plane:])
-		if rank > 0 {
-			if err := r.Send(rank-1, tagDown, bottom); err != nil {
-				return err
-			}
-		}
-		if rank < size-1 {
-			if err := r.Send(rank+1, tagUp, top); err != nil {
-				return err
-			}
-		}
-		if rank > 0 {
-			d, _, err := r.Recv(rank-1, tagUp)
-			if err != nil {
-				return err
-			}
-			below = d.([]float64)
-		}
-		if rank < size-1 {
-			d, _, err := r.Recv(rank+1, tagDown)
-			if err != nil {
-				return err
-			}
-			above = d.([]float64)
+		// Halo exchange along Z: bottom plane down, top plane up.
+		below, above, err := j.planes.exchange(r, j.Iter, j.U, j.BX*j.BY, tagDown, tagUp)
+		if err != nil {
+			return err
 		}
 		local := j.sweep(below, above)
 		res, err := r.Allreduce(ampi.Sum, local)
@@ -405,49 +409,15 @@ func (j *JacobiAMPI) Run(ctx *runtime.Ctx) error {
 	return nil
 }
 
-// sweep relaxes the slab and returns the local squared-update residual.
+// sweep relaxes the slab, swaps the result into U and returns the local
+// squared-update residual, accumulated in cell order.
 func (j *JacobiAMPI) sweep(below, above []float64) float64 {
-	next := make([]float64, len(j.U))
+	relax7(fit(&j.next, len(j.U)), j.U, fit(&j.zero, j.BX), j.BX, j.BY, j.BZ, &[6][]float64{4: below, 5: above})
 	res := 0.0
-	at := func(h []float64, i int) float64 {
-		if h == nil {
-			return 0
-		}
-		return h[i]
+	for i, v := range j.next {
+		c := j.U[i]
+		res += (v - c) * (v - c)
 	}
-	for l := 0; l < j.BZ; l++ {
-		for k := 0; k < j.BY; k++ {
-			for i := 0; i < j.BX; i++ {
-				var xm, xp, ym, yp, zm, zp float64
-				if i > 0 {
-					xm = j.U[j.idx(i-1, k, l)]
-				}
-				if i < j.BX-1 {
-					xp = j.U[j.idx(i+1, k, l)]
-				}
-				if k > 0 {
-					ym = j.U[j.idx(i, k-1, l)]
-				}
-				if k < j.BY-1 {
-					yp = j.U[j.idx(i, k+1, l)]
-				}
-				if l > 0 {
-					zm = j.U[j.idx(i, k, l-1)]
-				} else {
-					zm = at(below, k*j.BX+i)
-				}
-				if l < j.BZ-1 {
-					zp = j.U[j.idx(i, k, l+1)]
-				} else {
-					zp = at(above, k*j.BX+i)
-				}
-				c := j.U[j.idx(i, k, l)]
-				v := (c + xm + xp + ym + yp + zm + zp) / 7
-				next[j.idx(i, k, l)] = v
-				res += (v - c) * (v - c)
-			}
-		}
-	}
-	j.U = next
+	j.U, j.next = j.next, j.U
 	return res
 }

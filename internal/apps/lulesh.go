@@ -21,7 +21,13 @@ import (
 // Each task owns E elements and the E nodes on their left; the global
 // right wall is owned by the last task. Boundary conditions are rigid
 // walls (v = 0).
+//
+// Write-tracked, and the one port whose honest dirty set is a strict subset
+// of its bulk state: a sweep rewrites Pos, Vel, Energy and the iteration
+// counter, while NodeMass and Mass — two of the five checkpointed arrays —
+// are written only in setup and splice from the previous checkpoint.
 type Lulesh struct {
+	pup.WriteSet
 	Iter, Iters int
 	E           int // elements per task
 	Dt          float64
@@ -32,6 +38,8 @@ type Lulesh struct {
 	// Element-centred (E entries).
 	Energy, Mass []float64
 	Init         bool
+
+	press []float64 // per-sweep element pressures: scratch, not checkpointed
 }
 
 // LuleshElems is the default per-task element count for live runs.
@@ -127,6 +135,10 @@ func (l *Lulesh) Run(ctx *runtime.Ctx) error {
 	if !l.Init {
 		l.setup(g, n)
 	}
+	// The layout is fixed once setup has sized the arrays.
+	spans := pup.FieldSpans(l)
+	written := []pup.Range{spans["pos"], spans["vel"], spans["energy"], spans["iter"]}
+	p := fit(&l.press, l.E)
 	var pending []runtime.Message
 	recvPhase := func(iter, phase, fromTask int) (hydroMsg, error) {
 		match := func(m runtime.Message) (hydroMsg, bool) {
@@ -158,7 +170,6 @@ func (l *Lulesh) Run(ctx *runtime.Ctx) error {
 		it := l.Iter
 		// Stage 1: element pressures; ship my last element's pressure to
 		// the right neighbour (it needs it for its node 0 force).
-		p := make([]float64, l.E)
 		for e := 0; e < l.E; e++ {
 			p[e] = l.pressure(e)
 		}
@@ -232,6 +243,9 @@ func (l *Lulesh) Run(ctx *runtime.Ctx) error {
 			l.Energy[e] -= l.Dt * p[e] * dv
 		}
 		l.Iter++
+		for _, span := range written {
+			l.MarkSpan(span)
+		}
 		if err := ctx.Progress(l.Iter - 1); err != nil {
 			return err
 		}

@@ -71,6 +71,33 @@ type posMsg struct {
 	XS, YS []float64
 }
 
+// mdScratch is the per-incarnation scratch of an MD task (DESIGN.md §18):
+// not checkpointed, sized on first use. The outgoing position payloads are
+// two deep for planeRing's reason — every neighbour sends its positions of
+// it+1 only after it has finished computing forces against mine of it.
+type mdScratch struct {
+	xs, ys [2][]float64
+	fx, fy []float64
+}
+
+// positions copies the atoms' positions into the ring slot of iteration it.
+func (s *mdScratch) positions(it int, atoms []Atom) (xs, ys []float64) {
+	xs, ys = fit(&s.xs[it&1], len(atoms)), fit(&s.ys[it&1], len(atoms))
+	for i := range atoms {
+		xs[i] = atoms[i].X
+		ys[i] = atoms[i].Y
+	}
+	return xs, ys
+}
+
+// forces returns the zeroed force accumulators for n atoms.
+func (s *mdScratch) forces(n int) (fx, fy []float64) {
+	fx, fy = fit(&s.fx, n), fit(&s.fy, n)
+	clear(fx)
+	clear(fy)
+	return fx, fy
+}
+
 // initAtoms places k atoms deterministically inside the unit cell at
 // (cx, cy) of a gx*gy cell grid, with small deterministic velocities.
 func initAtoms(k, cell, cx, cy, gx, gy int) []Atom {
@@ -138,6 +165,8 @@ type LeanMD struct {
 	Iter, Iters int
 	K           int // atoms per cell
 	Atoms       []Atom
+
+	scratch mdScratch
 }
 
 // LeanMDAtoms is the default per-task atom count for live runs.
@@ -193,12 +222,14 @@ func (m *LeanMD) Run(ctx *runtime.Ctx) error {
 	}
 
 	var pending []runtime.Message
-	recvAll := func(iter int) (map[int]posMsg, error) {
-		got := make(map[int]posMsg, len(neighbours))
-		want := make(map[runtime.Addr]int, len(neighbours))
-		for _, nb := range neighbours {
-			want[ctx.AddrOfGlobal(nb)] = nb
-		}
+	got := make(map[int]posMsg, len(neighbours))
+	want := make(map[runtime.Addr]int, len(neighbours))
+	for _, nb := range neighbours {
+		want[ctx.AddrOfGlobal(nb)] = nb
+	}
+	// recvAll fills got with every neighbour's positions of iteration iter.
+	recvAll := func(iter int) error {
+		clear(got)
 		take := func(msg runtime.Message) bool {
 			pm, ok := msg.Data.(posMsg)
 			if !ok || pm.Iter != iter {
@@ -224,34 +255,27 @@ func (m *LeanMD) Run(ctx *runtime.Ctx) error {
 		for len(got) < len(neighbours) {
 			msg, err := ctx.Recv()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !take(msg) {
 				pending = append(pending, msg)
 			}
 		}
-		return got, nil
+		return nil
 	}
 
 	for m.Iter < m.Iters {
 		it := m.Iter
-		xs := make([]float64, len(m.Atoms))
-		ys := make([]float64, len(m.Atoms))
-		for i := range m.Atoms {
-			xs[i] = m.Atoms[i].X
-			ys[i] = m.Atoms[i].Y
-		}
+		xs, ys := m.scratch.positions(it, m.Atoms)
 		for _, nb := range neighbours {
 			if err := ctx.Send(ctx.AddrOfGlobal(nb), 0, posMsg{Iter: it, XS: xs, YS: ys}); err != nil {
 				return err
 			}
 		}
-		ext, err := recvAll(it)
-		if err != nil {
+		if err := recvAll(it); err != nil {
 			return err
 		}
-		fx := make([]float64, len(m.Atoms))
-		fy := make([]float64, len(m.Atoms))
+		fx, fy := m.scratch.forces(len(m.Atoms))
 		for i := range m.Atoms {
 			a := &m.Atoms[i]
 			for j := range m.Atoms {
@@ -264,7 +288,7 @@ func (m *LeanMD) Run(ctx *runtime.Ctx) error {
 			}
 			// Deterministic neighbour order: ascending cell index.
 			for _, nb := range neighbours {
-				pm := ext[nb]
+				pm := got[nb]
 				for j := range pm.XS {
 					dfx, dfy := softForce(a.X, a.Y, pm.XS[j], pm.YS[j])
 					fx[i] += dfx
@@ -293,6 +317,8 @@ type MiniMD struct {
 	K           int
 	Atoms       []Atom
 	TotalKE     float64
+
+	scratch mdScratch
 }
 
 // MiniMDAtoms is the default per-task atom count for live runs.
@@ -334,12 +360,7 @@ func (m *MiniMD) Run(ctx *runtime.Ctx) error {
 	}
 	const tagLeft, tagRight = 5, 6
 	for m.Iter < m.Iters {
-		xs := make([]float64, len(m.Atoms))
-		ys := make([]float64, len(m.Atoms))
-		for i := range m.Atoms {
-			xs[i] = m.Atoms[i].X
-			ys[i] = m.Atoms[i].Y
-		}
+		xs, ys := m.scratch.positions(m.Iter, m.Atoms)
 		payload := posMsg{Iter: m.Iter, XS: xs, YS: ys}
 		var left, right posMsg
 		if rank > 0 {
@@ -366,8 +387,7 @@ func (m *MiniMD) Run(ctx *runtime.Ctx) error {
 			}
 			right = d.(posMsg)
 		}
-		fx := make([]float64, len(m.Atoms))
-		fy := make([]float64, len(m.Atoms))
+		fx, fy := m.scratch.forces(len(m.Atoms))
 		for i := range m.Atoms {
 			a := &m.Atoms[i]
 			for j := range m.Atoms {

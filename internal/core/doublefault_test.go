@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"acr/internal/chaos/pacing"
 	"acr/internal/chaos/point"
 )
 
@@ -17,7 +18,7 @@ import (
 // recovery source itself is lost mid-recovery.
 type recoveryKiller struct {
 	ctrl  *Controller
-	pacer *commitPacer
+	pacer *pacing.Pacer
 
 	commits atomic.Int64
 	fired   atomic.Bool
@@ -35,7 +36,7 @@ func (k *recoveryKiller) fire(id point.ID, info *point.Info) {
 	switch id {
 	case point.CoreCommit:
 		if k.commits.Add(1) == 1 {
-			k.pacer.stop()
+			k.pacer.Stop()
 			k.ctrl.KillNode(0, 1)
 		}
 	case point.CoreRecovery:

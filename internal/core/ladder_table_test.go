@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"acr/internal/chaos/pacing"
 	"acr/internal/chaos/point"
 	"acr/internal/ckptstore"
 )
@@ -16,7 +17,7 @@ import (
 // exact rung each restore lands on and the depth it books.
 //
 // Every row is commit-paced (a round every 500 of its 6,000 iterations, see
-// commitPacer), flushes each tier every 2nd commit with the default
+// pacing.Pacer), flushes each tier every 2nd commit with the default
 // retention of 2 and loses a buddy pair at commit killAt, so (no round aborts
 // before the kill — epochs equal commit numbers):
 //
@@ -87,7 +88,7 @@ func TestLadderRungs(t *testing.T) {
 			}
 			var ctrl *Controller
 			var commits atomic.Int64
-			var pacer *commitPacer
+			var pacer *pacing.Pacer
 			kill := killPairAtCommit(&ctrl, 1, row.killAt)
 			pacer = pace(&cfg, &ctrl, 500, point.HookFunc(func(id point.ID, info *point.Info) {
 				if id == point.CoreCommit && commits.Add(1) == int64(row.killAt) {
@@ -105,7 +106,7 @@ func TestLadderRungs(t *testing.T) {
 							d.Evict(math.MaxUint64)
 						}
 					}
-					pacer.stop() // recovery must find no task held by the pacer
+					pacer.Stop() // recovery must find no task held by the pacer
 				}
 				kill.Fire(id, info)
 			}))

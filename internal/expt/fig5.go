@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"acr/internal/apps"
+	"acr/internal/chaos/pacing"
 	"acr/internal/chaos/point"
 	"acr/internal/core"
 	"acr/internal/trace"
@@ -45,9 +46,13 @@ func Fig5() ([]Fig5Run, error) {
 	for _, sc := range Fig5Scenarios() {
 		tl := &trace.Timeline{}
 		var ctrl *core.Controller
+		var pacer *pacing.Pacer
 		var crashed atomic.Bool
 		crash := func() {
 			if crashed.CompareAndSwap(false, true) {
+				if pacer != nil {
+					pacer.Stop() // recovery must find no task held by the pacer
+				}
 				ctrl.KillNode(1, 0) // replica 2 crashes, as in the figure
 			}
 		}
@@ -61,23 +66,29 @@ func Fig5() ([]Fig5Run, error) {
 			HeartbeatInterval: time.Millisecond,
 			HeartbeatTimeout:  8 * time.Millisecond,
 			Timeline:          tl,
-			// The crash follows the first checkpoint, as in the figure, and
-			// failing one (panel a takes none; a loaded host may be late) it
-			// comes when the node's first task is three quarters through —
-			// an iteration, not a duration the job may not last.
-			Chaos: point.HookFunc(func(id point.ID, info *point.Info) {
-				switch id {
-				case point.CoreCommit:
-					crash()
-				case point.RuntimeProgress:
-					if info.Replica == 1 && info.Node == 0 && info.Task == 0 && info.Iter == 3*iters/4 {
-						crash()
-					}
-				}
-			}),
 		}
+		// The crash follows the first checkpoint, as in the figure, and
+		// failing one (panel a takes none) it comes when the node's first
+		// task is three quarters through — an iteration, not a duration the
+		// job may not last.
+		cfg.Chaos = point.HookFunc(func(id point.ID, info *point.Info) {
+			switch id {
+			case point.CoreCommit:
+				crash()
+			case point.RuntimeProgress:
+				if info.Replica == 1 && info.Node == 0 && info.Task == 0 && info.Iter == 3*iters/4 {
+					crash()
+				}
+			}
+		})
 		if sc.Periodic {
+			// The interval is the figure's periodic checkpoint (the weak
+			// panel recovers at the next one), but 500 iterations of an 8^3
+			// block can end inside their first 8 ms: the pacer makes a
+			// round happen every fifth of the job whatever the timer does.
 			cfg.CheckpointInterval = 8 * time.Millisecond
+			pacer = pacing.New(func() { ctrl.PredictFailure() }, iters/5, cfg.Chaos)
+			cfg.Chaos = pacer
 		}
 		ctrl, err := core.New(cfg)
 		if err != nil {

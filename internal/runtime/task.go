@@ -63,9 +63,14 @@ func (c *Ctx) checkLive() error {
 }
 
 // Send delivers an asynchronous message to another task in the same
-// replica. Messages to dead nodes vanish (fail-stop); the data value is
-// shared by reference, so senders must not mutate it afterwards. Send only
-// returns an error when the *sender* can no longer run.
+// replica. Messages to dead nodes vanish (fail-stop). The data value is
+// shared by reference, which makes a send a hand-off: whatever the payload
+// points at belongs to the receiver until the receiver has shown, by a later
+// message of its own, that it is done reading it. A sender that recycles
+// payload buffers must be able to name that message (the apps' two-deep
+// rings wait for the neighbour's payload of the next iteration, DESIGN.md
+// §18); one that cannot must send a fresh copy. Send only returns an error
+// when the *sender* can no longer run.
 func (c *Ctx) Send(to Addr, tag int, data any) error {
 	if to.Replica != c.addr.Replica {
 		return fmt.Errorf("runtime: cross-replica application sends are not allowed (%v -> %v)", c.addr, to)
