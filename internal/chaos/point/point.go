@@ -69,7 +69,8 @@ const (
 	// NetFrame fires per simulated link frame of the hardened checkpoint
 	// exchange, before the frame enters the lossy link model. Info.Epoch /
 	// Node / Task address the transfer, Info.Iter is the chunk index (-1
-	// for control frames); a hook may set Info.Drop to force-drop the
+	// for the compare-result message, -2 for a checksum digest); a hook
+	// may set Info.Drop to force-drop the
 	// frame regardless of the link's loss probability.
 	NetFrame ID = "net.frame"
 	// StoreWrite fires after a checkpoint is accepted by Store.Put; a hook

@@ -186,11 +186,33 @@ func (r CompareResult) String() string {
 	return "mismatch"
 }
 
+// Digest is everything the two-phase comparison reads of a checkpoint — its
+// chunk geometry, length, root and per-chunk sums — without the bytes. It is
+// what checksum mode sends a buddy instead of the checkpoint itself. Sums
+// aliases the checkpoint's slice: read-only.
+type Digest struct {
+	ChunkSize int
+	Len       int
+	Root      uint64
+	Sums      []uint64
+}
+
+// Digest returns the checkpoint's digest.
+func (c *Checkpoint) Digest() Digest {
+	return Digest{ChunkSize: c.ChunkSize, Len: c.Len(), Root: c.Root, Sums: c.Sums}
+}
+
 // CompareCheckpoints runs the two-phase comparison on two captured
 // checkpoints: roots first (cheap, what the buddies actually exchange),
 // then per-chunk sums to localize the first corrupted chunk.
 func CompareCheckpoints(a, b *Checkpoint) CompareResult {
-	if a.ChunkSize != b.ChunkSize || len(a.Sums) != len(b.Sums) || a.Len() != b.Len() {
+	return CompareDigests(a.Digest(), b.Digest())
+}
+
+// CompareDigests is CompareCheckpoints on digests: the structural check,
+// then the roots, then the first differing chunk sum.
+func CompareDigests(a, b Digest) CompareResult {
+	if a.ChunkSize != b.ChunkSize || len(a.Sums) != len(b.Sums) || a.Len != b.Len {
 		return CompareResult{Chunk: -1, Structural: true}
 	}
 	if a.Root == b.Root {

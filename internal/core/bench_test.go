@@ -26,6 +26,15 @@ func dirtyConfig(tracked bool) Config {
 // It is the local microscope: absolute ns/op, allocs/op and the mean stage
 // spans of one shape. What a change bought end to end is bench/'s to say.
 func BenchmarkRound(b *testing.B) {
+	// 8 tasks of 256 KB rewriting a quarter of their state, every round
+	// shipped over a 2 ms / 1 %-loss link: the exchange stage runs 32 wide
+	// and overlaps capture and compare. Checksum mode sends one digest frame
+	// per task; the -full twin ships the checkpoint bytes.
+	link := func(comparison Comparison) Config {
+		return Config{NodesPerReplica: 4, TasksPerNode: 2, Comparison: comparison,
+			Factory:  benchDirtyFactory(32768, 25, true),
+			Exchange: &ExchangeConfig{Latency: 2 * time.Millisecond, Loss: 0.01, Seed: 42, ShipCheckpoints: true}}
+	}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -35,12 +44,8 @@ func BenchmarkRound(b *testing.B) {
 		{"96KB", Config{NodesPerReplica: 2, TasksPerNode: 2, Factory: benchFactory(2048)}},
 		{"16MB-dirty10-tracked", dirtyConfig(true)},
 		{"16MB-dirty10-untracked", dirtyConfig(false)},
-		// 8 tasks of 256 KB rewriting a quarter of their state, every
-		// checkpoint shipped over a 2 ms / 1 %-loss link: the exchange stage
-		// runs 32 wide and overlaps capture and compare.
-		{"2MB-link2ms-dirty25", Config{NodesPerReplica: 4, TasksPerNode: 2, Comparison: ChecksumCompare,
-			Factory:  benchDirtyFactory(32768, 25, true),
-			Exchange: &ExchangeConfig{Latency: 2 * time.Millisecond, Loss: 0.01, Seed: 42, ShipCheckpoints: true}}},
+		{"2MB-link2ms-dirty25", link(ChecksumCompare)},
+		{"2MB-link2ms-dirty25-full", link(FullCompare)},
 		// Every commit uploads its epoch to a 2 ms-per-op object store on
 		// the background remote writer: clone barrier on the path, puts off it.
 		{"96KB-remote2ms", Config{NodesPerReplica: 2, TasksPerNode: 2, Comparison: ChecksumCompare,

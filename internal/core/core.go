@@ -232,7 +232,8 @@ type Config struct {
 	// callback must not block on the controller itself.
 	OnFold func()
 	// Exchange, when non-nil, routes the recovery-checkpoint mirror and
-	// the per-round compare-result message through a lossy netsim link
+	// the per-round compare-result message (and, with ShipCheckpoints, each
+	// live round's buddy data) through a lossy netsim link
 	// with per-chunk acknowledgements, bounded-retry resend with capped
 	// exponential backoff, and idempotent receive. Nil keeps the direct
 	// in-process store path.
@@ -326,8 +327,9 @@ type Stats struct {
 	// CaptureTimes / ExchangeTimes / CompareTimes are each committed round's
 	// stage spans (parallel arrays with CheckpointTimes): first task
 	// entering the stage to last task leaving it — packing+checksumming the
-	// replicas, moving checkpoints over the link (live-round shipping or the
-	// recovery mirror; zero when the round has no exchange stage), and
+	// replicas, moving checkpoints or their digests over the link (live-round
+	// shipping or the recovery mirror; zero when the round has no exchange
+	// stage), and
 	// deciding match/mismatch. At stage width 1 the spans follow one another;
 	// wider, they overlap, so their sum can exceed the round's wall time.
 	CaptureTimes  []time.Duration `json:"capture_times_ns"`
@@ -360,10 +362,11 @@ type Stats struct {
 	// round, the quantity the incremental path's cost is proportional to.
 	// 1 when no capture ever spliced (all-dirty fallback throughout).
 	DirtyRatio float64 `json:"dirty_ratio"`
-	// ExchangeChunksShipped / ExchangeChunksReused count recovery-mirror
-	// chunks that crossed the hardened exchange versus chunks the receiver
-	// spliced from its retained base checkpoint (same chunk sum). Zero when
-	// Config.Exchange is nil.
+	// ExchangeChunksShipped / ExchangeChunksReused count checkpoint chunks
+	// (recovery mirrors, full-compare live rounds) that crossed the
+	// hardened exchange versus chunks the receiver spliced from its
+	// retained base checkpoint (same chunk sum). Checksum digests count in
+	// neither. Zero when Config.Exchange is nil.
 	ExchangeChunksShipped int64 `json:"exchange_chunks_shipped"`
 	ExchangeChunksReused  int64 `json:"exchange_chunks_reused"`
 	// Pool is the checkpoint-recycling pool's counter snapshot (zero when
@@ -374,7 +377,12 @@ type Stats struct {
 	StoreName string `json:"store_name"`
 	// Store is the checkpoint store's counter snapshot at run end: bytes
 	// written/read, chunks stored, cumulative compare time, and the last
-	// localized corrupted chunk.
+	// localized corrupted chunk. Its Compares / Mismatches count only the
+	// verdicts reached inside the store: a checksum round whose digests
+	// cross a link (ExchangeConfig.ShipCheckpoints) decides on the received
+	// digest and costs the store a Get, not a Compare — zero compares there
+	// does not mean no comparisons; SDCDetected and LocalizedChunks count
+	// every verdict.
 	Store ckptstore.Counters `json:"store"`
 	// LocalizedChunks records, per detected SDC, the chunk index the
 	// two-phase comparison attributed the corruption to (-1 when the
@@ -442,8 +450,11 @@ type Controller struct {
 	commitLog []uint64
 
 	// exch is the hardened exchange protocol driver; nil when
-	// Config.Exchange is nil.
-	exch *exchanger
+	// Config.Exchange is nil. digests holds, per dense (node, task), the
+	// buddy digest the last checksum-mode exchange delivered (nil without
+	// a link).
+	exch    *exchanger
+	digests []digestSlot
 
 	// clocks time the current round's capture / exchange / compare stages
 	// (wall span and summed per-task busy time); roundFetch totals the store
@@ -569,6 +580,7 @@ func New(cfg Config) (*Controller, error) {
 	}
 	if cfg.Exchange != nil {
 		ctrl.exch = newExchanger(ctrl, *cfg.Exchange)
+		ctrl.digests = make([]digestSlot, len(ctrl.outcomes))
 	}
 	return ctrl, nil
 }

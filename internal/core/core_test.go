@@ -3,9 +3,11 @@ package core
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
+	"acr/internal/chaos/point"
 	"acr/internal/pup"
 	"acr/internal/runtime"
 	"acr/internal/trace"
@@ -351,20 +353,71 @@ func TestHardErrorOnlyMode(t *testing.T) {
 	verifyFinalState(t, ctrl, 2, 1, 20000)
 }
 
+// TestMultipleFailures: one hard error in each replica, each landing at a
+// commit — r0/n0 at the first, r1/n1 at the second — and the strong scheme
+// rolls each crashed replica back. The hook asks for both rounds and holds
+// tasks in their progress reports until the round they wait for has opened,
+// so both faults hit a running job however fast it iterates: the first
+// progress report asks for round 1 and every task waits for it; after the
+// first kill replica 1 waits for round 2, which replica 0's restart asks
+// for. Nothing of a replica about to be stopped is ever held.
 func TestMultipleFailures(t *testing.T) {
 	cfg := baseConfig(2, 2, 12000)
 	cfg.Scheme = Strong
 	cfg.Spares = 3
+	cfg.CheckpointInterval = 0
+	var ctrl *Controller
+	var mu sync.Mutex
+	opened := sync.NewCond(&mu)
+	rounds, commits, asked := 0, 0, false
+	holdUntil := [2]int{1, 1} // per replica: rounds that must open before its tasks go on
+	cfg.Chaos = point.HookFunc(func(id point.ID, info *point.Info) {
+		switch id {
+		case point.RuntimeProgress:
+			mu.Lock()
+			first := !asked
+			asked = true
+			mu.Unlock()
+			if first {
+				ctrl.PredictFailure()
+			}
+			mu.Lock()
+			for rounds < holdUntil[info.Replica] {
+				opened.Wait()
+			}
+			mu.Unlock()
+		case point.CorePreConsensus:
+			mu.Lock()
+			rounds++
+			mu.Unlock()
+			opened.Broadcast()
+		case point.CoreCommit:
+			mu.Lock()
+			commits++
+			n := commits
+			if n == 1 {
+				holdUntil[1] = 2
+			}
+			mu.Unlock()
+			switch n {
+			case 1:
+				ctrl.KillNode(0, 0)
+			case 2:
+				ctrl.KillNode(1, 1)
+			}
+		case point.CoreRestart:
+			mu.Lock()
+			n := commits
+			mu.Unlock()
+			if info.Replica == 0 && n == 1 {
+				ctrl.PredictFailure()
+			}
+		}
+	})
 	ctrl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		ctrl.KillNode(0, 0)
-		time.Sleep(25 * time.Millisecond)
-		ctrl.KillNode(1, 1)
-	}()
 	stats, err := ctrl.Run()
 	if err != nil {
 		t.Fatal(err)

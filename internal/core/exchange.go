@@ -1,14 +1,17 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"acr/internal/chaos/point"
+	"acr/internal/checksum"
 	"acr/internal/ckptstore"
 	"acr/internal/netsim"
 	"acr/internal/trace"
@@ -25,7 +28,9 @@ import (
 //
 //   - a checkpoint is one frame per chunk, identified by (epoch, node,
 //     task, chunk) and acknowledged per chunk, the acks crossing the same
-//     lossy link; the whole transfer is one selective-repeat window: every
+//     lossy link; a checksum digest (chunk size, length, root and chunk
+//     sums — all checksum comparison needs of the buddy) is one frame;
+//     either transfer is one selective-repeat window: every
 //     unacknowledged frame goes out back to back, then one round trip is
 //     waited for all of them (sendWindow);
 //   - only the frames still unacknowledged after a pass are resent, after
@@ -70,12 +75,15 @@ type ExchangeConfig struct {
 	// latency is what the exchange stage's width overlaps across tasks; at
 	// width 1 it is dead time for every task behind the one in flight.
 	Latency time.Duration
-	// ShipCheckpoints routes every live round's buddy checkpoints through
-	// the link as well — per task, delta-aware against the last committed
-	// epoch — instead of only recovery mirrors and compare-result
-	// messages. The shipped copy is root-verified against the source, so
-	// comparison outcomes are unchanged; the link cost (and its overlap
-	// across the exchange stage's workers) becomes part of every round.
+	// ShipCheckpoints routes every live round's buddy data through the
+	// link as well, per task, instead of only recovery mirrors and
+	// compare-result messages; the link cost (and its overlap across the
+	// exchange stage's workers) becomes part of every round. What crosses
+	// is what the comparison needs: under ChecksumCompare one digest frame
+	// per task, on which the compare stage then decides; under FullCompare
+	// the checkpoint bytes, delta-aware against the last committed epoch
+	// and root-verified against the source, while the byte comparison reads
+	// the store's copy.
 	ShipCheckpoints bool
 }
 
@@ -102,8 +110,8 @@ func (e *ExchangeConfig) validate() error {
 	return nil
 }
 
-// frameID identifies one exchange frame. Chunk -1 marks a control frame
-// (the compare-result message); data frames carry one checkpoint chunk.
+// frameID identifies one exchange frame. Data frames carry one checkpoint
+// chunk (chunk >= 0); a negative chunk marks the frame kinds below.
 type frameID struct {
 	epoch uint64
 	node  int
@@ -111,12 +119,21 @@ type frameID struct {
 	chunk int
 }
 
+// The frame kinds a negative frameID.chunk marks.
+const (
+	resultFrame = -1 // the round's compare-result message (node and task -1)
+	digestFrame = -2 // one task's checksum digest
+)
+
 func (id frameID) String() string {
+	if id.chunk == digestFrame {
+		return fmt.Sprintf("n%d/t%d@e%d digest", id.node, id.task, id.epoch)
+	}
 	return fmt.Sprintf("n%d/t%d@e%d chunk %d", id.node, id.task, id.epoch, id.chunk)
 }
 
-// frame is what crosses the link: a chunk payload (copied at send time)
-// or an acknowledgement for one.
+// frame is what crosses the link: a chunk or digest payload (copied at
+// send time) or an acknowledgement for one.
 type frame struct {
 	id      frameID
 	ack     bool
@@ -124,7 +141,8 @@ type frame struct {
 	off     int // payload offset in the assembled buffer
 }
 
-// assemblyKey addresses one in-flight checkpoint reassembly.
+// assemblyKey addresses one in-flight reassembly: a checkpoint or a
+// digest (a round ships one or the other for a task, never both).
 type assemblyKey struct {
 	epoch uint64
 	node  int
@@ -252,13 +270,74 @@ func (x *exchanger) shipCheckpoint(epoch uint64, node, task int, src, base *ckpt
 	return ck, nil
 }
 
+// digestSlot is one task's buddy digest as it arrived over the link,
+// stamped with the epoch of the transfer that delivered it: the compare
+// stage reads it for that epoch only, so a digest left behind by an aborted
+// round is never used. digest.Sums is reused round to round.
+type digestSlot struct {
+	epoch  uint64 // 0 until a transfer has landed and verified
+	digest ckptstore.Digest
+}
+
+// digestHeader is the encoded digest's fixed part: chunk size, length and
+// root, one little-endian uint64 each; the chunk sums follow.
+const digestHeader = 24
+
+// shipDigest sends one task's checksum digest through the link as a single
+// frame and decodes what arrived into dst. The receiver refolds the root
+// from the received sums, so a digest damaged on its way to the compare
+// fails the round loudly with ErrExchange instead of deciding its verdict.
+func (x *exchanger) shipDigest(epoch uint64, node, task int, d ckptstore.Digest, dst *digestSlot) error {
+	deadline := time.Now().Add(x.cfg.RoundDeadline)
+	// Encoded into a buffer of its own: a duplicate of the frame may be
+	// delivered after the transfer is long gone.
+	payload := make([]byte, 0, digestHeader+8*len(d.Sums))
+	payload = binary.LittleEndian.AppendUint64(payload, uint64(d.ChunkSize))
+	payload = binary.LittleEndian.AppendUint64(payload, uint64(d.Len))
+	payload = binary.LittleEndian.AppendUint64(payload, d.Root)
+	for _, s := range d.Sums {
+		payload = binary.LittleEndian.AppendUint64(payload, s)
+	}
+	f := frame{id: frameID{epoch: epoch, node: node, task: task, chunk: digestFrame}, payload: payload}
+	key := assemblyKey{epoch: epoch, node: node, task: task}
+	w := make([]byte, len(payload))
+	dst.epoch = 0
+	x.mu.Lock()
+	x.assembling[key] = w
+	x.mu.Unlock()
+	resent, err := x.sendWindow([]frame{f}, deadline)
+	x.mu.Lock()
+	delete(x.assembling, key)
+	x.mu.Unlock()
+	if err != nil {
+		return fmt.Errorf("digest transfer: %w", err)
+	}
+	got := &dst.digest
+	got.ChunkSize = int(binary.LittleEndian.Uint64(w))
+	got.Len = int(binary.LittleEndian.Uint64(w[8:]))
+	got.Root = binary.LittleEndian.Uint64(w[16:])
+	n := (len(w) - digestHeader) / 8
+	got.Sums = slices.Grow(got.Sums[:0], n)[:n]
+	for i := range got.Sums {
+		got.Sums[i] = binary.LittleEndian.Uint64(w[digestHeader+8*i:])
+	}
+	if checksum.ChunkRoot(got.Sums) != got.Root {
+		return fmt.Errorf("%w: digest n%d/t%d@e%d: root does not fold from its %d chunk sums", ErrExchange, node, task, epoch, n)
+	}
+	if resent > 0 {
+		x.c.mark(trace.Net, fmt.Sprintf("exchange n%d/t%d@e%d: digest, %d retransmissions", node, task, epoch, resent))
+	}
+	dst.epoch = epoch
+	return nil
+}
+
 // shipResult sends the round's compare-result message reliably through
 // the link. The frame carries agreement, not the verdict: the verdict rides
 // in the controller, and both sides act on it only after this returns, so
 // a lossy link can delay a commit or rollback but never desynchronize the
 // replicas' view of it.
 func (x *exchanger) shipResult(epoch uint64) error {
-	f := frame{id: frameID{epoch: epoch, node: -1, task: -1, chunk: -1}}
+	f := frame{id: frameID{epoch: epoch, node: -1, task: -1, chunk: resultFrame}}
 	if _, err := x.sendWindow([]frame{f}, time.Now().Add(x.cfg.RoundDeadline)); err != nil {
 		return fmt.Errorf("compare-result message e%d: %w", epoch, err)
 	}

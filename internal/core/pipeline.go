@@ -25,15 +25,18 @@ import (
 //     paper's barrier round, with no goroutine or channel per round;
 //   - at any larger width the stages are channel-connected worker pools
 //     and a task enters exchange the moment its capture lands and compare
-//     the moment its shipped copy verifies, so capture CPU, link flight
-//     time and compare CPU of different tasks overlap.
+//     the moment its exchange verifies, so capture CPU, link flight time
+//     and compare CPU of different tasks overlap.
 //
 // The verdict does not depend on the width: there is no early
 // cancellation, every task's outcome lands in a dense array, and the array
 // is resolved in stage order and then (node, task) order, so the lowest
 // failing stage's lowest (node, task) wins exactly as in a serial walk.
-// Shipped checkpoints are root-verified against their source and then
-// discarded; comparison always reads the store's canonical bytes.
+// What a live round's exchange ships is what its comparison needs: under
+// checksum comparison a task's digest, which the compare stage then
+// decides on — the verdict rests on what crossed the link; under full
+// comparison the checkpoint bytes, root-verified against their source and
+// discarded, while the byte comparison reads the store's copy.
 // Semi-blocking (§4.2 [27]) is the same round with an earlier release
 // point: the cut is released when the capture stage has drained.
 
@@ -331,18 +334,27 @@ func (c *Controller) runRound(epoch uint64, scope consensus.Scope, exchange func
 	return "", -1, nil
 }
 
-// shipTask ships one task's freshly captured checkpoint (replica 0's
-// copy, the one compare treats as "shipped over") through the hardened
-// link as one window (one round trip per pass over its unacknowledged
-// frames), delta-aware against the receiver's retained last committed epoch.
-// The reassembled copy is root-verified inside shipCheckpoint and then
-// discarded: the wire cost is fully modeled, while comparison keeps
-// reading the store's canonical bytes, so round verdicts stay
-// bit-identical to the direct path.
+// shipTask is a live round's exchange step for one task: it sends the buddy
+// what the comparison needs of replica 0's fresh checkpoint (the copy
+// compare treats as "shipped over") through the hardened link, as one
+// window — one round trip per pass over its unacknowledged frames.
+//
+// Under ChecksumCompare that is the checkpoint's digest, one frame, decoded
+// into the task's digest slot; compareTask decides on it. Under FullCompare
+// it is the checkpoint, delta-aware against the receiver's retained last
+// committed epoch; the reassembled copy is root-verified inside
+// shipCheckpoint and then discarded, while the byte comparison keeps
+// reading the store's copy.
 func (c *Controller) shipTask(epoch uint64, n, t int) error {
 	src, err := c.store.Get(c.key(0, n, t, epoch))
 	if err != nil {
 		return fmt.Errorf("core: ship checkpoint n%d/t%d@e%d: %w", n, t, epoch, err)
+	}
+	if c.cfg.Comparison == ChecksumCompare {
+		if err := c.exch.shipDigest(epoch, n, t, src.Digest(), &c.digests[n*c.cfg.TasksPerNode+t]); err != nil {
+			return fmt.Errorf("core: ship digest n%d/t%d@e%d: %w", n, t, epoch, err)
+		}
+		return nil
 	}
 	var base *ckptstore.Checkpoint
 	if ce := c.committedEpoch; ce > 0 {

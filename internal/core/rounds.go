@@ -221,14 +221,33 @@ func (c *Controller) awaitReady(ready <-chan int) (bool, error) {
 func (c *Controller) compareTask(n, t int, epoch uint64) (string, int, error) {
 	switch c.cfg.Comparison {
 	case ChecksumCompare:
-		// Two-phase Merkle-style compare inside the store: roots
-		// first (the 32-byte exchange of §4.2), per-chunk sums
-		// only on mismatch, which names the corrupted chunk.
-		exchBegan := time.Now()
-		res, err := c.store.Compare(c.key(0, n, t, epoch), c.key(1, n, t, epoch))
-		c.roundFetch.Add(time.Since(exchBegan))
-		if err != nil {
-			return "", -1, fmt.Errorf("core: checksum compare n%d/t%d: %w", n, t, err)
+		// Two-phase Merkle-style compare: roots first (the 32-byte
+		// exchange of §4.2), per-chunk sums only on mismatch, which
+		// names the corrupted chunk.
+		var res ckptstore.CompareResult
+		if c.exch != nil && c.cfg.Exchange.ShipCheckpoints {
+			// The buddy's digest crossed the link in the exchange stage
+			// (shipTask); the verdict rests on what arrived, held against
+			// replica 1's own checkpoint. The runStages hand-off orders
+			// the slot's write before this read.
+			remote := &c.digests[n*c.cfg.TasksPerNode+t]
+			if remote.epoch != epoch {
+				return "", -1, fmt.Errorf("core: checksum compare n%d/t%d@e%d: no digest arrived for this epoch", n, t, epoch)
+			}
+			local, err := c.store.Get(c.key(1, n, t, epoch))
+			if err != nil {
+				return "", -1, fmt.Errorf("core: checksum compare n%d/t%d: %w", n, t, err)
+			}
+			res = ckptstore.CompareDigests(remote.digest, local.Digest())
+		} else {
+			// Nothing crossed a link: the compare runs inside the store.
+			exchBegan := time.Now()
+			var err error
+			res, err = c.store.Compare(c.key(0, n, t, epoch), c.key(1, n, t, epoch))
+			c.roundFetch.Add(time.Since(exchBegan))
+			if err != nil {
+				return "", -1, fmt.Errorf("core: checksum compare n%d/t%d: %w", n, t, err)
+			}
 		}
 		if !res.Match {
 			return fmt.Sprintf("checksum %v at n%d/t%d", res, n, t), res.Chunk, nil
@@ -345,7 +364,9 @@ func (c *Controller) phaseTimes() (wall, busy [3]time.Duration) {
 	return wall, busy
 }
 
-// markStore emits a trace.Store event carrying the store's counters.
+// markStore emits a trace.Store event carrying the store's counters. Its
+// compares count store-side verdicts only: a checksum round over a link
+// decides on the received digest and asks the store for a Get instead.
 func (c *Controller) markStore() {
 	if c.cfg.Timeline == nil {
 		return

@@ -64,3 +64,34 @@ func TestRunThroughConfiguredStoreBackends(t *testing.T) {
 		})
 	}
 }
+
+// Over a link, checksum rounds decide on the digest that crossed it: the
+// store serves Gets, never a Compare, so Stats.Store's compare counters stay
+// zero while SDCDetected and LocalizedChunks carry the verdicts.
+func TestLinkChecksumVerdictsBypassStoreCompare(t *testing.T) {
+	cfg := baseConfig(2, 2, 3000)
+	cfg.Comparison = ChecksumCompare
+	cfg.Exchange = &ExchangeConfig{Loss: 0.02, Seed: 3, ShipCheckpoints: true}
+	var ctrl *Controller
+	pace(&cfg, &ctrl, 500, nil)
+	ctrl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.InjectSDCAtNextCheckpoint(runtime.Addr{Replica: 1, Node: 0, Task: 1})
+	stats, err := ctrl.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.SDCDetected != 1 || len(stats.LocalizedChunks) != 1 || stats.LocalizedChunks[0] < 0 {
+		t.Fatalf("sdc detected %d, localized chunks %v: want the injected SDC found and localized",
+			stats.SDCDetected, stats.LocalizedChunks)
+	}
+	if stats.Checkpoints == 0 {
+		t.Fatal("no round committed")
+	}
+	if stats.Store.Compares != 0 || stats.Store.Mismatches != 0 || stats.Store.Gets == 0 {
+		t.Fatalf("store counters %+v: link-path verdicts must cost Gets, not Compares", stats.Store)
+	}
+	verifyFinalState(t, ctrl, 2, 2, 3000)
+}

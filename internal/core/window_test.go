@@ -54,9 +54,11 @@ func (w *windowProg) Run(ctx *runtime.Ctx) error {
 // is committed undetected, copied into the crashed replica, and — because
 // both replicas now agree on the wrong value — invisible to every later
 // comparison. The scenario is driven from injection points only: the first
-// progress report requests a compared checkpoint, its commit kills replica
-// 0, the medium scheme's recoveryCheckpoint fires core.recovery, and the
-// hook flips one bit in the healthy replica right there.
+// progress report requests a compared checkpoint and every task waits in
+// its report until that round has opened (so its cut lands on an early
+// iteration, not after the job's end), its commit kills replica 0, the
+// medium scheme's recoveryCheckpoint fires core.recovery, and the hook
+// flips one bit in the healthy replica right there.
 func TestRecoveryWindowEscape(t *testing.T) {
 	const iters = 50000
 	const flip = uint64(1) << 40
@@ -72,12 +74,17 @@ func TestRecoveryWindowEscape(t *testing.T) {
 	}
 	var ctrl *Controller
 	var requested, killed, corrupted atomic.Bool
+	opened := make(chan struct{})
+	var open sync.Once
 	cfg.Chaos = point.HookFunc(func(id point.ID, info *point.Info) {
 		switch id {
 		case point.RuntimeProgress:
 			if requested.CompareAndSwap(false, true) {
 				ctrl.PredictFailure()
 			}
+			<-opened
+		case point.CorePreConsensus:
+			open.Do(func() { close(opened) })
 		case point.CoreCommit:
 			if killed.CompareAndSwap(false, true) {
 				ctrl.KillNode(0, 0)
