@@ -20,8 +20,11 @@ type PoolCounters struct {
 	Puts   int64 `json:"puts"`
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
-	// Drops counts Puts rejected because the pool was full or the
-	// checkpoint was already pooled (mirrored under two keys).
+	// Drops counts Puts rejected because the pool was full, the
+	// checkpoint was already pooled (mirrored under two keys), or it is
+	// retained as a patch-in-place capture base. In a write-tracked steady
+	// state every evicted checkpoint is retained, so Drops == Puts there is
+	// the patch path working, not a leaking pool.
 	Drops int64 `json:"drops"`
 	// BytesRecycled is the total payload capacity handed back out by hits.
 	BytesRecycled int64 `json:"bytes_recycled"`

@@ -95,9 +95,13 @@ func BenchmarkRound(b *testing.B) {
 // timing ratio could only suggest: over committed rounds of a live job, the
 // tracked program re-encodes the chunks its hot window touches and splices
 // the rest from the previous epoch, and the untracked twin never splices.
+// The pool counters pin that the controller patches in place: after the
+// first two rounds a tracked capture re-encodes into the buffer it retained
+// two epochs ago and draws nothing from the pool, so every evicted
+// checkpoint is still retained and dropped; the untracked twin draws one
+// buffer per replica per round.
 func TestDirtyRoundPacksOnlyDirtyChunks(t *testing.T) {
-	const rounds = 4
-	run := func(tracked bool) Stats {
+	run := func(tracked bool, rounds int) Stats {
 		t.Helper()
 		ctrl, err := New(dirtyConfig(tracked)) // CheckpointInterval 0: only the rounds below
 		if err != nil {
@@ -125,22 +129,32 @@ func TestDirtyRoundPacksOnlyDirtyChunks(t *testing.T) {
 		return stats
 	}
 
-	s := run(true)
-	// The first capture of each replica has nothing to splice from and
-	// counts on neither side, so the ratio is the steady state's.
-	chunks := float64(s.CaptureChunksPacked+s.CaptureChunksReused) / (2 * (rounds - 1))
-	// The stream is the vector plus 16 bytes of counter and length.
-	if want := math.Ceil((16<<20 + 16) / float64(checksum.DefaultChunkSize)); chunks != want {
-		t.Fatalf("tracked captures handled %v chunks per task, want %v", chunks, want)
-	}
-	if math.Abs(s.DirtyRatio-0.10) > 1/chunks {
-		t.Errorf("tracked DirtyRatio = %.4f, want 0.10 within one chunk (%.4f)", s.DirtyRatio, 1/chunks)
-	}
-	if s.CaptureBytesReused <= 0 {
-		t.Errorf("tracked CaptureBytesReused = %d, want > 0", s.CaptureBytesReused)
-	}
-	if u := run(false); u.DirtyRatio != 1 || u.CaptureChunksReused != 0 || u.CaptureBytesReused != 0 {
-		t.Errorf("untracked twin: DirtyRatio=%v chunks reused=%d bytes reused=%d, want 1/0/0",
-			u.DirtyRatio, u.CaptureChunksReused, u.CaptureBytesReused)
+	for _, rounds := range []int{4, 8} {
+		s := run(true, rounds)
+		// The first capture of each replica has nothing to splice from and
+		// counts on neither side, so the ratio is the steady state's.
+		chunks := float64(s.CaptureChunksPacked+s.CaptureChunksReused) / float64(2*(rounds-1))
+		// The stream is the vector plus 16 bytes of counter and length.
+		if want := math.Ceil((16<<20 + 16) / float64(checksum.DefaultChunkSize)); chunks != want {
+			t.Fatalf("%d rounds: tracked captures handled %v chunks per task, want %v", rounds, chunks, want)
+		}
+		if math.Abs(s.DirtyRatio-0.10) > 1/chunks {
+			t.Errorf("%d rounds: tracked DirtyRatio = %.4f, want 0.10 within one chunk (%.4f)", rounds, s.DirtyRatio, 1/chunks)
+		}
+		if s.CaptureBytesReused <= 0 {
+			t.Errorf("%d rounds: tracked CaptureBytesReused = %d, want > 0", rounds, s.CaptureBytesReused)
+		}
+		if p := s.Pool; p.Gets != 4 || p.Drops != p.Puts {
+			t.Errorf("%d rounds: tracked pool gets=%d drops=%d puts=%d, want 4 gets (first two rounds x 2 replicas) and drops == puts",
+				rounds, p.Gets, p.Drops, p.Puts)
+		}
+		u := run(false, rounds)
+		if u.DirtyRatio != 1 || u.CaptureChunksReused != 0 || u.CaptureBytesReused != 0 {
+			t.Errorf("%d rounds: untracked twin: DirtyRatio=%v chunks reused=%d bytes reused=%d, want 1/0/0",
+				rounds, u.DirtyRatio, u.CaptureChunksReused, u.CaptureBytesReused)
+		}
+		if u.Pool.Gets != int64(2*rounds) {
+			t.Errorf("%d rounds: untracked pool gets=%d, want %d (one per replica per round)", rounds, u.Pool.Gets, 2*rounds)
+		}
 	}
 }

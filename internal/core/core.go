@@ -26,6 +26,7 @@ import (
 	"acr/internal/failure"
 	"acr/internal/netsim"
 	"acr/internal/runtime"
+	"acr/internal/stages"
 	"acr/internal/trace"
 )
 
@@ -352,7 +353,9 @@ type Stats struct {
 	// CaptureChunksPacked / CaptureChunksReused split the chunks of every
 	// tracked (dirty-spliced) capture into recomputed-and-repacked versus
 	// spliced from the previous epoch; CaptureBytesReused counts the packed
-	// bytes memcpy'd from the previous stream instead of re-encoded.
+	// bytes not re-encoded — copied from the previous stream, or, under
+	// patch-in-place capture (a controller-owned store), left untouched in
+	// the buffer retained from two epochs ago.
 	// Untracked captures contribute to neither side (they never splice).
 	CaptureChunksPacked int64 `json:"capture_chunks_packed"`
 	CaptureChunksReused int64 `json:"capture_chunks_reused"`
@@ -460,11 +463,13 @@ type Controller struct {
 	// (wall span and summed per-task busy time); roundFetch totals the store
 	// fetch time compareTask spends inside the compare stage. Reset as each
 	// round passes its cut (resetPhases), harvested by commit.
-	clocks     [3]stageClock
+	clocks     [3]stages.Clock
 	roundFetch atomicDuration
-	// outcomes is the round body's dense per-(node, task) scratch, reused
-	// by every runStages call on the controller goroutine.
-	outcomes []taskOutcome
+	// outcomes and verdicts are the round body's dense per-(node, task)
+	// scratch — each task's first stage failure and its compare verdict —
+	// reused by every stages.Run call on the controller goroutine.
+	outcomes []stages.Outcome
+	verdicts []verdict
 
 	// committedEpoch is the last verified (or trusted) checkpoint epoch in
 	// the store; 0 = job start, nothing committed. epochSeq is the last
@@ -550,7 +555,8 @@ func New(cfg Config) (*Controller, error) {
 		waitErr:    make(chan error, 1),
 		predictCh:  make(chan struct{}, 8),
 		opCh:       make(chan func()),
-		outcomes:   make([]taskOutcome, cfg.NodesPerReplica*cfg.TasksPerNode),
+		outcomes:   make([]stages.Outcome, cfg.NodesPerReplica*cfg.TasksPerNode),
+		verdicts:   make([]verdict, cfg.NodesPerReplica*cfg.TasksPerNode),
 	}
 	// The two rungs differ only in the data set here: which TierRecoveries
 	// slots a restore books (at the committed epoch / older), the trace

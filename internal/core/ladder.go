@@ -8,6 +8,7 @@ import (
 
 	"acr/internal/chaos/point"
 	"acr/internal/ckptstore"
+	"acr/internal/stages"
 	"acr/internal/trace"
 )
 
@@ -145,7 +146,7 @@ func (c *Controller) settleWriters() {
 
 // cloneEpoch deep-copies every task checkpoint of the epoch out of the hot
 // store, detaching the flush from the commit path's buffer recycling. The
-// copies are independent, so they run through runStages at the capture
+// copies are independent, so they run through stages.Run at the capture
 // stage's width — the clone barrier is commit-path latency over the same
 // bytes. Output order (and therefore the durable Put order downstream) is
 // the serial walk's whatever the width: workers fill a dense pre-indexed
@@ -154,7 +155,7 @@ func (c *Controller) settleWriters() {
 func (c *Controller) cloneEpoch(epoch uint64) ([]flushClone, error) {
 	nodes, tasks := c.cfg.NodesPerReplica, c.cfg.TasksPerNode
 	clones := make([]flushClone, 2*nodes*tasks)
-	runStages(c.outcomes, stage{width: c.stageWidths().capture, run: func(i int) error {
+	stages.Run(c.outcomes, stages.Stage{Width: c.stageWidths().capture, Run: func(i int) error {
 		n, t := i/tasks, i%tasks
 		for rep := 0; rep < 2; rep++ {
 			ck, err := c.store.Get(c.key(rep, n, t, epoch))
@@ -165,8 +166,8 @@ func (c *Controller) cloneEpoch(epoch uint64) ([]flushClone, error) {
 		}
 		return nil
 	}})
-	if f := firstFailure(c.outcomes); f != nil {
-		return nil, f.err
+	if err := stages.FirstFailure(c.outcomes); err != nil {
+		return nil, err
 	}
 	return clones, nil
 }

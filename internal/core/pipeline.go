@@ -2,23 +2,22 @@ package core
 
 import (
 	"fmt"
-	"math"
 	stdruntime "runtime"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"acr/internal/chaos/point"
 	"acr/internal/ckptstore"
 	"acr/internal/consensus"
 	"acr/internal/runtime"
+	"acr/internal/stages"
 	"acr/internal/trace"
 )
 
 // This file is the one checkpoint-round body. Every round — the compared
 // two-replica round and the trusted one-replica recovery round — pushes
 // each (node, task) through capture → exchange → compare (runRound), and
-// the only thing that varies is how wide each stage runs (stageWidths):
+// the only thing that varies is how wide each stage runs (stageWidths).
+// The stages run on internal/stages:
 //
 //   - at width 1 everywhere the stages run inline on the controller
 //     goroutine, one after the other in dense (node, task) order — the
@@ -29,9 +28,10 @@ import (
 //     and compare CPU of different tasks overlap.
 //
 // The verdict does not depend on the width: there is no early
-// cancellation, every task's outcome lands in a dense array, and the array
-// is resolved in stage order and then (node, task) order, so the lowest
-// failing stage's lowest (node, task) wins exactly as in a serial walk.
+// cancellation, every task's outcome and compare verdict lands in a dense
+// slice, and errors are resolved in stage order and then (node, task)
+// order, so the lowest failing stage's lowest (node, task) wins exactly as
+// in a serial walk.
 // What a live round's exchange ships is what its comparison needs: under
 // checksum comparison a task's digest, which the compare stage then
 // decides on — the verdict rests on what crossed the link; under full
@@ -39,49 +39,6 @@ import (
 // discarded, while the byte comparison reads the store's copy.
 // Semi-blocking (§4.2 [27]) is the same round with an earlier release
 // point: the cut is released when the capture stage has drained.
-
-// stageClock accumulates one stage's busy time and wall span from
-// concurrent workers. first/last hold nanosecond offsets from the round
-// base, CAS-min/maxed per observation.
-type stageClock struct {
-	busy  atomicDuration
-	first atomic.Int64
-	last  atomic.Int64
-}
-
-func (s *stageClock) reset() {
-	s.busy.Reset()
-	s.first.Store(math.MaxInt64)
-	s.last.Store(math.MinInt64)
-}
-
-// observe folds one task's stage occupancy [start, now) into the clock.
-func (s *stageClock) observe(base, start time.Time) {
-	end := time.Now()
-	s.busy.Add(end.Sub(start))
-	so, eo := start.Sub(base).Nanoseconds(), end.Sub(base).Nanoseconds()
-	for {
-		cur := s.first.Load()
-		if so >= cur || s.first.CompareAndSwap(cur, so) {
-			break
-		}
-	}
-	for {
-		cur := s.last.Load()
-		if eo <= cur || s.last.CompareAndSwap(cur, eo) {
-			break
-		}
-	}
-}
-
-// wall is the stage's first-entry→last-exit span (0 when nothing ran).
-func (s *stageClock) wall() time.Duration {
-	f, l := s.first.Load(), s.last.Load()
-	if f == math.MaxInt64 || l < f {
-		return 0
-	}
-	return time.Duration(l - f)
-}
 
 // stageWorkerBytes is the payload a CPU-bound stage worker needs to
 // amortize its share of the fan-out (goroutine spin-up, channel hops).
@@ -141,123 +98,11 @@ func (c *Controller) stageWidths() stageWidths {
 	return w
 }
 
-// taskOutcome records one (node, task)'s result across the stages. A task
-// that fails a stage never enters the next one.
-type taskOutcome struct {
-	stage    int   // index of the stage that failed (valid when err != nil)
-	err      error // first stage error
+// verdict is one (node, task)'s compare result: the mismatch description
+// ("" when the buddies agree) and its localized chunk.
+type verdict struct {
 	mismatch string
 	chunk    int
-}
-
-// stage is one step of a round. run(i) processes dense item i (node
-// i/TasksPerNode, task i%TasksPerNode); a non-nil error stops the item.
-type stage struct {
-	width int
-	clock *stageClock // nil = untimed
-	run   func(i int) error
-	// drained, if non-nil, runs once when every item has left the stage.
-	drained func()
-}
-
-// runStages pushes items 0..len(out)-1 through the stages and records each
-// item's first failure in out. With every stage at width 1 it runs inline
-// on the calling goroutine, stage by stage in dense item order, starting
-// no goroutine and making no channel. Otherwise each stage is a pool of
-// width workers fed by a channel: the first stage's channel is pre-filled
-// in dense order, every later one carries the items that survived the
-// stage before it. Nothing is cancelled early — the caller resolves out in
-// stage-then-index order, which is what makes the result independent of
-// the widths.
-func runStages(out []taskOutcome, stages ...stage) {
-	total := len(out)
-	clear(out)
-	base := time.Now()
-	step := func(si int, i int) bool {
-		s, o := &stages[si], &out[i]
-		began := time.Now()
-		err := s.run(i)
-		if s.clock != nil {
-			s.clock.observe(base, began)
-		}
-		if err != nil {
-			o.stage, o.err = si, err
-		}
-		return err == nil
-	}
-	inline := true
-	for _, s := range stages {
-		inline = inline && s.width <= 1
-	}
-	if inline {
-		for si, s := range stages {
-			for i := 0; i < total; i++ {
-				if out[i].err == nil {
-					step(si, i)
-				}
-			}
-			if s.drained != nil {
-				s.drained()
-			}
-		}
-		return
-	}
-	// Every channel is sized to the number of sends it can ever see, so no
-	// stage blocks on its successor and workers need no select.
-	in := make(chan int, total)
-	for i := 0; i < total; i++ {
-		in <- i
-	}
-	close(in)
-	var last sync.WaitGroup
-	for si := range stages {
-		s, src := &stages[si], in
-		var dst chan int
-		wg := &last
-		if si < len(stages)-1 {
-			dst = make(chan int, total)
-			wg = new(sync.WaitGroup)
-		}
-		wg.Add(s.width)
-		for w := 0; w < s.width; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range src {
-					if step(si, i) && dst != nil {
-						dst <- i
-					}
-				}
-			}()
-		}
-		if dst != nil {
-			go func() {
-				wg.Wait()
-				if s.drained != nil {
-					s.drained()
-				}
-				close(dst)
-			}()
-		}
-		in = dst
-	}
-	last.Wait()
-	if d := stages[len(stages)-1].drained; d != nil {
-		d()
-	}
-}
-
-// firstFailure resolves the outcomes the way a serial walk would have
-// met them: the earliest stage that failed anywhere outranks later stages
-// (a capture error aborts the round before any exchange error could
-// matter), and within a stage the lowest (node, task) wins.
-func firstFailure(out []taskOutcome) *taskOutcome {
-	var best *taskOutcome
-	for i := range out {
-		if o := &out[i]; o.err != nil && (best == nil || o.stage < best.stage) {
-			best = o
-		}
-	}
-	return best
 }
 
 // runRound is the round body shared by normalRound and recoveryCheckpoint:
@@ -291,7 +136,7 @@ func (c *Controller) runRound(epoch uint64, scope consensus.Scope, exchange func
 	// task share nothing: a capture worker packs them back to back, and
 	// replica 0's store write always precedes replica 1's for the same
 	// (node, task) — the order Both-mode corruption hooks rely on.
-	stages := []stage{{width: w.capture, clock: &c.clocks[0], drained: captureDrained, run: func(i int) error {
+	run := []stages.Stage{{Width: w.capture, Clock: &c.clocks[0], Drained: captureDrained, Run: func(i int) error {
 		for rep := 0; rep < 2; rep++ {
 			if !scope[rep] {
 				continue
@@ -304,18 +149,19 @@ func (c *Controller) runRound(epoch uint64, scope consensus.Scope, exchange func
 		return nil
 	}}}
 	if exchange != nil {
-		stages = append(stages, stage{width: w.exchange, clock: &c.clocks[1], run: func(i int) error {
+		run = append(run, stages.Stage{Width: w.exchange, Clock: &c.clocks[1], Run: func(i int) error {
 			return exchange(i/tasks, i%tasks)
 		}})
 	}
+	clear(c.verdicts)
 	if scope[0] && scope[1] {
-		stages = append(stages, stage{width: w.compare, clock: &c.clocks[2], run: func(i int) error {
+		run = append(run, stages.Stage{Width: w.compare, Clock: &c.clocks[2], Run: func(i int) error {
 			var err error
-			c.outcomes[i].mismatch, c.outcomes[i].chunk, err = c.compareTask(i/tasks, i%tasks, epoch)
+			c.verdicts[i].mismatch, c.verdicts[i].chunk, err = c.compareTask(i/tasks, i%tasks, epoch)
 			return err
 		}})
 	}
-	runStages(c.outcomes, stages...)
+	stages.Run(c.outcomes, run...)
 	if c.cfg.Timeline != nil {
 		wall, busy := c.phaseTimes()
 		c.mark(trace.Pipeline, fmt.Sprintf(
@@ -323,12 +169,12 @@ func (c *Controller) runRound(epoch uint64, scope consensus.Scope, exchange func
 			epoch, busy[0], wall[0], busy[1], wall[1], busy[2], wall[2],
 			len(c.outcomes), w.capture, w.exchange, w.compare))
 	}
-	if f := firstFailure(c.outcomes); f != nil {
-		return "", -1, f.err
+	if err := stages.FirstFailure(c.outcomes); err != nil {
+		return "", -1, err
 	}
-	for i := range c.outcomes {
-		if o := &c.outcomes[i]; o.mismatch != "" {
-			return o.mismatch, o.chunk, nil
+	for _, v := range c.verdicts {
+		if v.mismatch != "" {
+			return v.mismatch, v.chunk, nil
 		}
 	}
 	return "", -1, nil

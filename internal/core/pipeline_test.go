@@ -105,7 +105,7 @@ func bodyAtWidth(t *testing.T, width, nodes, tasks int, comparison Comparison, r
 	if got := drained.Load(); got != 1 {
 		t.Fatalf("width %d: capture-drained callback ran %d times, want exactly once", width, got)
 	}
-	if ctrl.clocks[0].busy.Load() == 0 {
+	if ctrl.clocks[0].Busy() == 0 {
 		t.Fatalf("width %d: round recorded no capture busy time", width)
 	}
 	for rep := 0; rep < 2; rep++ {

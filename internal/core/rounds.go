@@ -125,7 +125,7 @@ func (c *Controller) normalRound() error {
 // passes its consensus cut.
 func (c *Controller) resetPhases() {
 	for i := range c.clocks {
-		c.clocks[i].reset()
+		c.clocks[i].Reset()
 	}
 	c.roundFetch.Reset()
 }
@@ -228,7 +228,7 @@ func (c *Controller) compareTask(n, t int, epoch uint64) (string, int, error) {
 		if c.exch != nil && c.cfg.Exchange.ShipCheckpoints {
 			// The buddy's digest crossed the link in the exchange stage
 			// (shipTask); the verdict rests on what arrived, held against
-			// replica 1's own checkpoint. The runStages hand-off orders
+			// replica 1's own checkpoint. The stages.Run hand-off orders
 			// the slot's write before this read.
 			remote := &c.digests[n*c.cfg.TasksPerNode+t]
 			if remote.epoch != epoch {
@@ -358,7 +358,7 @@ func (c *Controller) appendPhaseTimes() {
 // and busy sums off the stage clocks.
 func (c *Controller) phaseTimes() (wall, busy [3]time.Duration) {
 	for i := range c.clocks {
-		wall[i], busy[i] = c.clocks[i].wall(), c.clocks[i].busy.Load()
+		wall[i], busy[i] = c.clocks[i].Wall(), c.clocks[i].Busy()
 	}
 	busy[1] += c.roundFetch.Load()
 	return wall, busy

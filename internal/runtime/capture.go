@@ -3,10 +3,9 @@ package runtime
 import (
 	"fmt"
 	stdruntime "runtime"
-	"sync"
-	"sync/atomic"
 
 	"acr/internal/ckptstore"
+	"acr/internal/stages"
 )
 
 // This file routes the machine's state capture and restore through the
@@ -56,64 +55,29 @@ type CaptureOptions struct {
 // checksummed checkpoints under the epoch. The caller must guarantee the
 // replica is quiescent (parked in Progress, completed, or stopped), same
 // as PackTask. Tasks are packed and checksummed concurrently per
-// opts.Workers/opts.ChunkWorkers; each task's buffer comes from opts.Pool
-// when one is attached, and packing skips the Sizing traversal whenever
-// the task's previous packed size still fits (pup.PackInto).
+// opts.Workers and opts.ChunkWorkers, as one stage of a stages.Run; each
+// task's buffer comes from opts.Pool when one is attached, and packing
+// skips the Sizing traversal whenever the task's previous packed size
+// still fits (pup.PackInto). Every task is attempted; when several fail,
+// the error returned is the lowest (node, task)'s, whatever the worker
+// count.
 func (m *Machine) CaptureReplica(rep int, epoch uint64, st ckptstore.Store, opts CaptureOptions) error {
-	nodes, tasks := m.cfg.NodesPerReplica, m.cfg.TasksPerNode
-	total := nodes * tasks
+	tasks := m.cfg.TasksPerNode
+	out := make([]stages.Outcome, m.cfg.NodesPerReplica*tasks)
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = stdruntime.GOMAXPROCS(0)
 	}
-	if workers > total {
-		workers = total
-	}
+	workers = min(workers, len(out))
 	chunkWorkers := opts.ChunkWorkers
 	if chunkWorkers <= 0 {
-		chunkWorkers = stdruntime.GOMAXPROCS(0) / workers
-		if chunkWorkers < 1 {
-			chunkWorkers = 1
-		}
+		chunkWorkers = max(1, stdruntime.GOMAXPROCS(0)/workers)
 	}
-	captureOne := func(i int) error {
+	stages.Run(out, stages.Stage{Width: workers, Run: func(i int) error {
 		addr := Addr{Replica: rep, Node: i / tasks, Task: i % tasks}
 		return m.captureAndStore(addr, epoch, st, opts, chunkWorkers)
-	}
-	if workers == 1 {
-		// Inline fast path: a single worker needs no goroutine, waitgroup,
-		// or atomics, which keeps steady-state capture allocation-free.
-		for i := 0; i < total; i++ {
-			if err := captureOne(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var next atomic.Int64
-	var firstErr atomic.Value
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= total || firstErr.Load() != nil {
-					return
-				}
-				if err := captureOne(i); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := firstErr.Load(); err != nil {
-		return err.(error)
-	}
-	return nil
+	}})
+	return stages.FirstFailure(out)
 }
 
 // CaptureTask packs one task's state and stores its chunked, checksummed
@@ -133,7 +97,7 @@ func (m *Machine) CaptureTask(addr Addr, epoch uint64, st ckptstore.Store, opts 
 }
 
 // captureAndStore is the shared per-task capture body behind
-// CaptureReplica's worker pool and the exported CaptureTask hook.
+// CaptureReplica's stage and the exported CaptureTask hook.
 func (m *Machine) captureAndStore(addr Addr, epoch uint64, st ckptstore.Store, opts CaptureOptions, chunkWorkers int) error {
 	ck, err := m.captureTaskInto(addr, opts.Pool, m.sizeHint(addr), opts.ChunkSize, chunkWorkers, opts.PatchCapture)
 	if err != nil {

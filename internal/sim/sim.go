@@ -142,17 +142,3 @@ func (e *Engine) Run() float64 {
 	}
 	return e.now
 }
-
-// RunUntil advances the clock to at most time t, firing all events scheduled
-// strictly before or at t. It returns the clock value (== t unless the
-// engine was stopped earlier).
-func (e *Engine) RunUntil(t float64) float64 {
-	e.stopped = false
-	for !e.stopped && len(e.queue) > 0 && e.queue[0].Time <= t {
-		e.Step()
-	}
-	if !e.stopped && e.now < t {
-		e.now = t
-	}
-	return e.now
-}

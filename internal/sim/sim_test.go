@@ -154,29 +154,6 @@ func TestHorizon(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var fired []float64
-	for _, tm := range []float64{1, 2, 3, 4} {
-		tm := tm
-		e.At(tm, func(*Engine) { fired = append(fired, tm) })
-	}
-	e.RunUntil(2.5)
-	if len(fired) != 2 {
-		t.Fatalf("fired %v, want 2 events", fired)
-	}
-	if e.Now() != 2.5 {
-		t.Fatalf("now = %v, want 2.5", e.Now())
-	}
-	e.RunUntil(10)
-	if len(fired) != 4 {
-		t.Fatalf("fired %v, want 4 events", fired)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("now = %v, want 10", e.Now())
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
 	e.At(5, func(*Engine) {})

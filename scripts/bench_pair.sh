@@ -6,7 +6,9 @@
 # least 9/10 of the pairs (ties count for neither side) and the medians
 # differ by more than the parent's own inter-quartile range; a regression
 # when the change's median is worse than the parent's by more than the
-# bound BENCHMARK.json fixes.
+# bound BENCHMARK.json fixes. Under the table it prints each side's total
+# attempted and failed operations and flags a higher failed share on the
+# change side.
 #
 # Usage: scripts/bench_pair.sh <parent-ref> <workload> [pairs=10] [seconds=15]
 #
@@ -17,7 +19,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-  sed -n '2,17p' "$0" >&2
+  sed -n '2,18p' "$0" >&2
   exit 2
 fi
 PARENT=$1
@@ -36,8 +38,9 @@ git archive "$PARENT" | tar -x -C "$TMP/parent"
 go build -o "$TMP/bench-change" ./bench
 
 # run <side> <dir> <seed>: one pass; writes "<metric> <value>" lines to
-# $TMP/<side>.<seed>, reports the pass's failed-operation count, and stops
-# on a pass whose correctness checks did not hold.
+# $TMP/<side>.<seed>, reports the pass's failed-operation count (and keeps
+# it in $TMP/<side>.ops), and stops on a pass whose correctness checks did
+# not hold.
 run() {
   local side=$1 dir=$2 seed=$3 line
   line=$(cd "$dir" && "$TMP/bench-$side" --workload "$WORKLOAD" --seed "$seed" --seconds "$SECONDS_PER_RUN" --trace 0 2>"$TMP/log" | tail -n 1) ||
@@ -46,7 +49,7 @@ run() {
   *'"correct":true'*) ;;
   *) cat "$TMP/log" >&2; echo "bench_pair: $side seed $seed: incorrect pass: $line" >&2; exit 1 ;;
   esac
-  echo "$line" | grep -o '"attempted":[0-9]*,"failed":[0-9]*' | sed "s/^/$side seed $seed: /" >&2
+  echo "$line" | grep -o '"attempted":[0-9]*,"failed":[0-9]*' | sed "s/^/$side seed $seed: /" | tee -a "$TMP/$side.ops" >&2
   echo "$line" | grep -o '"[a-z0-9_.]*":{"value":[-+0-9.eE]*' |
     sed 's/"\([^"]*\)":{"value":/\1 /' >"$TMP/$side.$seed"
 }
@@ -94,3 +97,14 @@ while read -r name better bound; do
         wins + 0 "/" n, verdict, gap, iqr
     }'
 done <"$TMP/metrics"
+
+# Failed operations are gated too: a larger failed share on the change side
+# rejects it whatever the metrics say.
+for side in parent change; do
+  sed 's/.*"attempted":\([0-9]*\),"failed":\([0-9]*\)/\1 \2/' "$TMP/$side.ops" |
+    awk '{a += $1; f += $2} END {print a + 0, f + 0}'
+done | paste - - | awk '{
+  ps = $1 ? $2 / $1 : 0; cs = $3 ? $4 / $3 : 0
+  printf "operations: parent %d attempted, %d failed (%.4g%%); change %d attempted, %d failed (%.4g%%)%s\n",
+    $1, $2, 100 * ps, $3, $4, 100 * cs, (cs > ps ? " -- HIGHER FAILED SHARE ON THE CHANGE SIDE" : "")
+}'
