@@ -6,8 +6,10 @@
 // is requested, tasks that are at the progress frontier pause as they
 // report, while stragglers keep running (Phase 2); once the frontier
 // stabilizes, its value is the checkpoint iteration (Phase 3), every task
-// runs exactly up to it and pauses, and when all participants are parked
-// the checkpoint can be taken (Phase 4). Because a task only sends messages
+// runs exactly up to it and pauses, and as each replica's participants are
+// all parked that replica's checkpoint can be taken (Phase 4) — the two
+// replicas exchange no application messages, so neither needs to wait for
+// the other to be captured. Because a task only sends messages
 // for iteration k while *executing* iteration k, a cut at which every task
 // has finished iteration K and not started K+1 has no in-flight messages —
 // the hang scenario described in §2.2 cannot occur.
@@ -36,7 +38,8 @@ const (
 	// Figure 3 merge here because the tracker sees all reports).
 	Deciding
 	// Ready: every participant is parked at the checkpoint iteration
-	// (Phase 4); the caller may capture state, then Release.
+	// (Phase 4) and every replica in scope has been handed to the caller at
+	// it; the caller may finish capturing state, then Release.
 	Ready
 )
 
@@ -67,6 +70,15 @@ func OnlyReplica(rep int) Scope {
 	return s
 }
 
+// Handoff is one replica's readiness: every task of the replica is parked
+// at Target (or done). From the moment it is delivered the replica belongs
+// to the caller — the coordinator does not unpark it until the caller hands
+// it back (HandBack) or the round ends (Release).
+type Handoff struct {
+	Replica int
+	Target  int
+}
+
 // Coordinator tracks progress and coordinates checkpoint cuts. It is safe
 // for concurrent use and implements runtime.Gate.
 //
@@ -90,9 +102,15 @@ type Coordinator struct {
 	scope     Scope
 	target    int             // frontier / decided checkpoint iteration
 	done      []bool          // task completed the whole job
-	parked    []chan struct{} // non-nil while the task is parked; always at target
+	parked    []chan struct{} // non-nil while the task is parked: at target, or at handedAt when handed
 	quiescent [2]int          // per replica: tasks that are done or parked
-	readyCh   chan int
+	// handed[rep] is true from the replica's Handoff until HandBack or
+	// Release; handedAt is the target it was handed at. A handed replica's
+	// tasks stay parked even when an escalation raises the target past
+	// handedAt — it is being captured there.
+	handed   [2]bool
+	handedAt [2]int
+	readyCh  chan Handoff
 }
 
 // New returns a coordinator for a machine with the given shape.
@@ -169,11 +187,17 @@ func (c *Coordinator) Report(addr runtime.Addr, iter int) <-chan struct{} {
 		return nil // straggler: run on toward the cut
 	}
 	// Frontier task: park it. A report beyond the current frontier
-	// raises the target and releases everyone parked below it — which is
-	// everyone, since tasks only ever park at the target.
+	// raises the target and releases everyone parked below it — every
+	// parked task of a replica not yet handed over, since those only ever
+	// park at the target. A handed replica stays parked below the new
+	// target until the caller hands it back.
 	if iter > c.target {
 		c.target = iter
-		c.unparkAllLocked()
+		for rep := 0; rep < 2; rep++ {
+			if !c.handed[rep] {
+				c.unparkLocked(rep)
+			}
+		}
 	}
 	ch := make(chan struct{})
 	c.setLocked(i, c.done[i], ch)
@@ -196,10 +220,11 @@ func (c *Coordinator) setLocked(i int, done bool, parked chan struct{}) {
 	}
 }
 
-// unparkAllLocked resumes every parked task.
-func (c *Coordinator) unparkAllLocked() {
-	for i, ch := range c.parked {
-		if ch != nil {
+// unparkLocked resumes every parked task of a replica.
+func (c *Coordinator) unparkLocked(rep int) {
+	lo, hi := c.replicaRange(rep)
+	for i := lo; i < hi; i++ {
+		if ch := c.parked[i]; ch != nil {
 			close(ch)
 			c.setLocked(i, c.done[i], nil)
 		}
@@ -237,30 +262,40 @@ func (c *Coordinator) ForgetProgress(rep int) {
 	}
 }
 
+// checkReadyLocked hands over every replica in scope whose tasks are all
+// quiescent, and moves the round to Ready once every replica in scope is
+// handed at the current target. A replica handed below it (an escalation
+// overtook its capture) keeps the round Deciding until it is handed back
+// and re-parks at the target.
 func (c *Coordinator) checkReadyLocked() {
-	want, have := 0, 0
+	per := c.nodesPerReplica * c.tasksPerNode
+	all := true
 	for rep := 0; rep < 2; rep++ {
-		if c.scope[rep] {
-			want += c.nodesPerReplica * c.tasksPerNode
-			have += c.quiescent[rep]
+		if !c.scope[rep] {
+			continue
 		}
+		if !c.handed[rep] && c.quiescent[rep] == per {
+			c.handed[rep], c.handedAt[rep] = true, c.target
+			// Never blocks: a replica is handed again only after HandBack,
+			// which the caller can only issue having received this one, so
+			// at most one Handoff per replica is ever buffered.
+			c.readyCh <- Handoff{Replica: rep, Target: c.target}
+		}
+		all = all && c.handed[rep] && c.handedAt[rep] == c.target
 	}
-	if want > 0 && have == want {
+	if all {
 		c.phase = Ready
 		c.deciding.Store(false)
-		ch := c.readyCh
-		c.readyCh = nil
-		if ch != nil {
-			ch <- c.target
-			close(ch)
-		}
 	}
 }
 
 // Request begins a checkpoint round over the scope. The returned channel
-// delivers the decided checkpoint iteration once every participant is
-// parked (Phase 4). Exactly one round may be active at a time.
-func (c *Coordinator) Request(scope Scope) (<-chan int, error) {
+// delivers one Handoff per replica in scope, each the moment that replica's
+// tasks are all parked at the decided checkpoint iteration (Phase 4), in the
+// order the replicas get there; it is closed by Release and delivers
+// nothing after it. A replica is handed again only after HandBack. Exactly
+// one round may be active at a time.
+func (c *Coordinator) Request(scope Scope) (<-chan Handoff, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.phase != Idle {
@@ -284,11 +319,34 @@ func (c *Coordinator) Request(scope Scope) (<-chan int, error) {
 	// iteration; sparse reporting is handled by the escalation path in
 	// Report.)
 	c.target = c.MaxProgress(scope) + 1
-	ch := make(chan int, 1)
+	ch := make(chan Handoff, 2)
 	c.readyCh = ch
 	// Everything may already be quiescent (all tasks done).
 	c.checkReadyLocked()
 	return ch, nil
+}
+
+// HandBack returns a handed replica to the round: the caller is done with
+// it without finishing the round — its capture was overtaken by an
+// escalation (Handoff.Target is below the target the other replica was
+// handed at). Its tasks parked below the current target resume, and the
+// replica is handed again once they park there. A replica not handed, or
+// with no round active, is left alone.
+func (c *Coordinator) HandBack(rep int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.phase == Idle || !c.handed[rep] {
+		return
+	}
+	c.handed[rep] = false
+	// Deciding again before any task resumes, so the resumed tasks' reports
+	// take the round's slow path and park at the target.
+	c.phase = Deciding
+	c.deciding.Store(true)
+	if c.handedAt[rep] < c.target {
+		c.unparkLocked(rep)
+	}
+	c.checkReadyLocked()
 }
 
 // Release ends the round: every parked task resumes and the coordinator
@@ -297,11 +355,14 @@ func (c *Coordinator) Request(scope Scope) (<-chan int, error) {
 func (c *Coordinator) Release() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.unparkAllLocked()
+	for rep := 0; rep < 2; rep++ {
+		c.unparkLocked(rep)
+	}
 	if c.readyCh != nil {
 		close(c.readyCh)
 		c.readyCh = nil
 	}
+	c.handed = [2]bool{}
 	c.phase = Idle
 	c.deciding.Store(false)
 }

@@ -91,6 +91,53 @@ func waitProgress(t *testing.T, c *Coordinator, addr runtime.Addr, iter int) {
 	}
 }
 
+// awaitCut receives one Handoff per replica in scope and returns their
+// common target. It fails the test on a timeout, a closed channel, a replica
+// handed twice, or two different targets.
+func awaitCut(t *testing.T, ready <-chan Handoff, scope Scope) int {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	target := -1
+	var seen [2]bool
+	for want := 0; want < 2; want++ {
+		if !scope[want] {
+			continue
+		}
+		select {
+		case h, ok := <-ready:
+			if !ok {
+				t.Fatal("ready channel closed before the cut completed")
+			}
+			if !scope[h.Replica] || seen[h.Replica] {
+				t.Fatalf("handoff %+v: replica out of scope %v or handed twice", h, scope)
+			}
+			if target >= 0 && h.Target != target {
+				t.Fatalf("replicas handed at different targets: %d and %d", target, h.Target)
+			}
+			seen[h.Replica], target = true, h.Target
+		case <-deadline:
+			t.Fatalf("cut never completed (handed %v)", seen)
+		}
+	}
+	return target
+}
+
+// drain returns the handoffs delivered so far without waiting.
+func drain(ready <-chan Handoff) []Handoff {
+	var out []Handoff
+	for {
+		select {
+		case h, ok := <-ready:
+			if !ok {
+				return out
+			}
+			out = append(out, h)
+		default:
+			return out
+		}
+	}
+}
+
 func TestIdlePassthrough(t *testing.T) {
 	c := New(2, 2)
 	m := machineWith(t, c, 2, 2, 50)
@@ -133,12 +180,7 @@ func TestConsistentCut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var target int
-		select {
-		case target = <-ready:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("trial %d: cut never completed (parked %d)", trial, c.ParkedCount())
-		}
+		target := awaitCut(t, ready, BothReplicas)
 		if c.Phase() != Ready {
 			t.Fatal("phase should be Ready")
 		}
@@ -196,11 +238,7 @@ func TestSingleReplicaScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-ready:
-	case <-time.After(10 * time.Second):
-		t.Fatal("single-replica cut never completed")
-	}
+	awaitCut(t, ready, OnlyReplica(1))
 	// Replica 0 tasks are not parked; they keep making progress.
 	// (waitProgress fails the test if it does not.)
 	a0 := runtime.Addr{Replica: 0, Node: 0, Task: 0}
@@ -223,11 +261,7 @@ func TestRequestValidation(t *testing.T) {
 	if _, err := c.Request(BothReplicas); err == nil {
 		t.Fatal("second concurrent round must fail")
 	}
-	select {
-	case <-ready:
-	case <-time.After(10 * time.Second):
-		t.Fatal("cut never completed")
-	}
+	awaitCut(t, ready, BothReplicas)
 	c.Release()
 }
 
@@ -242,16 +276,11 @@ func TestRequestAfterCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case target := <-ready:
-		// The cut is one past the maximum reported progress (the job
-		// finished at iteration 4, so the label is 5); all tasks are
-		// done, which satisfies the cut trivially.
-		if target != 5 {
-			t.Fatalf("target = %d, want 5", target)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("completed job should be instantly ready")
+	// The cut is one past the maximum reported progress (the job finished
+	// at iteration 4, so the label is 5); all tasks are done, which
+	// satisfies the cut trivially — both replicas are handed at once.
+	if hs := drain(ready); len(hs) != 2 || hs[0] != (Handoff{0, 5}) || hs[1] != (Handoff{1, 5}) {
+		t.Fatalf("handoffs = %+v, want replicas 0 and 1 at 5 instantly", hs)
 	}
 	c.Release()
 }
@@ -297,10 +326,8 @@ func TestForgetAndUndone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-ready:
-	case <-time.After(5 * time.Second):
-		t.Fatal("replica 1 (all done) should be instantly ready")
+	if hs := drain(ready); len(hs) != 1 || hs[0].Replica != 1 {
+		t.Fatalf("handoffs = %+v, want replica 1 (all done) instantly", hs)
 	}
 	c.Release()
 }
@@ -328,15 +355,11 @@ func TestRepeatedCuts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		select {
-		case target := <-ready:
-			if target < lastTarget {
-				t.Fatalf("cut target moved backwards: %d after %d", target, lastTarget)
-			}
-			lastTarget = target
-		case <-time.After(10 * time.Second):
-			t.Fatalf("round %d never completed", round)
+		target := awaitCut(t, ready, BothReplicas)
+		if target < lastTarget {
+			t.Fatalf("cut target moved backwards: %d after %d", target, lastTarget)
 		}
+		lastTarget = target
 		c.Release()
 	}
 }
@@ -372,11 +395,7 @@ func TestCutWithPartialCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-ready:
-	case <-time.After(10 * time.Second):
-		t.Fatal("cut with completed tasks never converged")
-	}
+	awaitCut(t, ready, BothReplicas)
 	c.Release()
 }
 
@@ -426,13 +445,8 @@ func TestSparseReportingEscalation(t *testing.T) {
 	if ch1 == nil {
 		t.Fatal("task 1 should park at 6")
 	}
-	select {
-	case target := <-ready:
-		if target != 6 {
-			t.Fatalf("escalated target = %d, want 6", target)
-		}
-	default:
-		t.Fatal("cut should be ready once both parked at 6")
+	if hs := drain(ready); len(hs) != 2 || hs[0] != (Handoff{0, 6}) || hs[1] != (Handoff{1, 6}) {
+		t.Fatalf("handoffs = %+v, want both replicas at the escalated target 6", hs)
 	}
 	c.Release()
 	select {
@@ -443,8 +457,54 @@ func TestSparseReportingEscalation(t *testing.T) {
 }
 
 // TestMixedCadenceEscalation: one frontier task beyond the target releases
-// a task already parked below it.
+// a task already parked below it, in a replica not yet handed over.
 func TestMixedCadenceEscalation(t *testing.T) {
+	c := New(1, 2)
+	a00 := runtime.Addr{Replica: 0, Node: 0, Task: 0}
+	a01 := runtime.Addr{Replica: 0, Node: 0, Task: 1}
+	a10 := runtime.Addr{Replica: 1, Node: 0, Task: 0}
+	a11 := runtime.Addr{Replica: 1, Node: 0, Task: 1}
+	for _, a := range []runtime.Addr{a00, a01, a10, a11} {
+		c.Report(a, 2)
+	}
+	ready, err := c.Request(BothReplicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Target 3. Task a00 parks exactly there; its replica is not complete.
+	ch0 := c.Report(a00, 3)
+	if ch0 == nil {
+		t.Fatal("task a00 should park at target")
+	}
+	// Task a10 (sparse) reports 4: target escalates, a00 is released.
+	if c.Report(a10, 4) == nil {
+		t.Fatal("task a10 should park at 4")
+	}
+	select {
+	case <-ch0:
+	default:
+		t.Fatal("escalation must release tasks parked below the new target")
+	}
+	// Everyone catches up to 4 and parks; the cut completes at 4.
+	for _, a := range []runtime.Addr{a00, a01, a11} {
+		if a != a00 && c.Report(a, 3) != nil {
+			t.Fatalf("%v is a straggler at 3, must not park", a)
+		}
+		if c.Report(a, 4) == nil {
+			t.Fatalf("%v should park at 4", a)
+		}
+	}
+	if got := awaitCut(t, ready, BothReplicas); got != 4 {
+		t.Fatalf("target = %d, want 4", got)
+	}
+	c.Release()
+}
+
+// TestEscalationKeepsHandedReplicaParked: a sparse reporter that overshoots
+// after the other replica was handed over does not unpark that replica —
+// it is being captured — until the caller hands it back; both replicas are
+// then handed at the raised target, and the round is Ready only then.
+func TestEscalationKeepsHandedReplicaParked(t *testing.T) {
 	c := New(1, 1)
 	a0 := runtime.Addr{Replica: 0, Node: 0, Task: 0}
 	a1 := runtime.Addr{Replica: 1, Node: 0, Task: 0}
@@ -454,32 +514,95 @@ func TestMixedCadenceEscalation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Target 3. Task 0 parks exactly there.
 	ch0 := c.Report(a0, 3)
 	if ch0 == nil {
-		t.Fatal("task 0 should park at target")
+		t.Fatal("task 0 should park at target 3")
 	}
-	// Task 1 (sparse) reports 4: target escalates, task 0 is released.
+	if hs := drain(ready); len(hs) != 1 || hs[0] != (Handoff{0, 3}) {
+		t.Fatalf("handoffs = %+v, want replica 0 at 3", hs)
+	}
+	// Replica 0 is handed. Task 1 (sparse) reports 4: the target rises, but
+	// replica 0 stays parked at 3.
 	ch1 := c.Report(a1, 4)
 	if ch1 == nil {
 		t.Fatal("task 1 should park at 4")
 	}
 	select {
 	case <-ch0:
+		t.Fatal("escalation unparked a replica handed to capture")
 	default:
-		t.Fatal("escalation must release tasks parked below the new target")
 	}
-	// Task 0 catches up to 4 and parks; the cut completes at 4.
+	if hs := drain(ready); len(hs) != 1 || hs[0] != (Handoff{1, 4}) {
+		t.Fatalf("handoffs = %+v, want replica 1 at 4", hs)
+	}
+	if c.Phase() != Deciding {
+		t.Fatalf("phase = %v with replica 0 handed below the target, want deciding", c.Phase())
+	}
+	// Handed back, replica 0 resumes, parks at 4 and is handed again.
+	c.HandBack(0)
+	select {
+	case <-ch0:
+	default:
+		t.Fatal("HandBack must release the replica parked below the target")
+	}
 	if c.Report(a0, 4) == nil {
 		t.Fatal("task 0 should re-park at 4")
 	}
-	select {
-	case target := <-ready:
-		if target != 4 {
-			t.Fatalf("target = %d, want 4", target)
-		}
-	default:
-		t.Fatal("cut should be ready")
+	if hs := drain(ready); len(hs) != 1 || hs[0] != (Handoff{0, 4}) {
+		t.Fatalf("handoffs = %+v, want replica 0 again at 4", hs)
+	}
+	if c.Phase() != Ready {
+		t.Fatalf("phase = %v, want ready", c.Phase())
 	}
 	c.Release()
+	select {
+	case <-ch1:
+	default:
+		t.Fatal("release must free parked tasks")
+	}
+}
+
+// TestHandoffOncePerReplica: in a round without escalation each replica in
+// scope is handed exactly once, at the target, and the channel delivers
+// nothing after Release. A one-replica scope hands only that replica.
+func TestHandoffOncePerReplica(t *testing.T) {
+	for _, scope := range []Scope{BothReplicas, OnlyReplica(0), OnlyReplica(1)} {
+		c := New(2, 1)
+		var addrs []runtime.Addr
+		for rep := 0; rep < 2; rep++ {
+			for n := 0; n < 2; n++ {
+				a := runtime.Addr{Replica: rep, Node: n}
+				addrs = append(addrs, a)
+				c.Report(a, 7)
+			}
+		}
+		ready, err := c.Request(scope)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Handoff
+		for _, a := range addrs {
+			parked := c.Report(a, 8) != nil
+			if parked != scope[a.Replica] {
+				t.Fatalf("scope %v: %v parked=%v", scope, a, parked)
+			}
+			got = append(got, drain(ready)...)
+		}
+		var want []Handoff
+		for rep := 0; rep < 2; rep++ {
+			if scope[rep] {
+				want = append(want, Handoff{rep, 8})
+			}
+		}
+		if len(got) != len(want) || (len(want) > 0 && got[0] != want[0]) || (len(want) > 1 && got[1] != want[1]) {
+			t.Fatalf("scope %v: handoffs %+v, want %+v", scope, got, want)
+		}
+		if c.Phase() != Ready {
+			t.Fatalf("scope %v: phase %v, want ready", scope, c.Phase())
+		}
+		c.Release()
+		if h, ok := <-ready; ok {
+			t.Fatalf("scope %v: handoff %+v after Release", scope, h)
+		}
+	}
 }

@@ -91,7 +91,12 @@ func coordinatorFuzzDriver(seed int64, nodesRaw, tasksRaw uint8) bool {
 			ok = false
 			break
 		}
-		target := <-ready // invariant 1: must terminate
+		// Invariant 1: must terminate — both replicas handed, at one target.
+		h0, h1 := <-ready, <-ready
+		target := h0.Target
+		if h0.Replica == h1.Replica || h1.Target != target {
+			ok = false
+		}
 		if target < before {
 			ok = false // invariant 2
 		}
@@ -146,15 +151,22 @@ func TestCoordinatorTargetMonotone(t *testing.T) {
 		// Drive every task to the cut synchronously, respecting the gate
 		// contract: a parked task reports nothing further.
 		parked := make([]bool, len(addrs))
+		handed := 0
 		for {
 			select {
-			case target := <-ready:
-				if target < last {
-					t.Fatalf("target regressed: %d after %d", target, last)
+			case h := <-ready:
+				if h.Target < last {
+					t.Fatalf("target regressed: %d after %d", h.Target, last)
 				}
-				last = target
-				c.Release()
-				goto next
+				if handed++; handed == 2 {
+					if h.Target != last {
+						t.Fatalf("replicas handed at %d and %d", last, h.Target)
+					}
+					c.Release()
+					goto next
+				}
+				last = h.Target
+				continue
 			default:
 			}
 			for k, a := range addrs {

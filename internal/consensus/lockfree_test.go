@@ -11,10 +11,11 @@ import (
 // TestReportersNeverPassTheCut hammers the lock-free Report from one
 // goroutine per task while a driver runs Request → ready → Release 2,000
 // times. The reporters honour the gate contract (report every iteration, stop
-// while parked), so each decided cut must be met exactly: the target Request
-// picked is the target the cut completes at — a reporter that slipped past it
-// unseen would have escalated it — every participant is parked with its last
-// report equal to the target, and targets strictly increase.
+// while parked), so each decided cut must be met exactly: each replica is
+// handed exactly once, at the target Request picked — a reporter that
+// slipped past it unseen would have escalated it — every participant is
+// parked with its last report equal to the target, targets strictly
+// increase, and nothing is handed after Release.
 func TestReportersNeverPassTheCut(t *testing.T) {
 	const nodes, tasks, rounds = 2, 2, 2000
 	c := New(nodes, tasks)
@@ -66,10 +67,18 @@ func TestReportersNeverPassTheCut(t *testing.T) {
 		c.mu.Lock()
 		decided := c.target
 		c.mu.Unlock()
-		target := <-ready
-		if target != decided {
-			t.Fatalf("round %d: cut decided at %d completed at %d: a reporter ran past the target", round, decided, target)
+		var handed [2]int
+		for range 2 {
+			h := <-ready
+			if h.Target != decided {
+				t.Fatalf("round %d: cut decided at %d handed replica %d at %d: a reporter ran past the target", round, decided, h.Replica, h.Target)
+			}
+			handed[h.Replica]++
 		}
+		if handed != [2]int{1, 1} {
+			t.Fatalf("round %d: handoffs per replica %v, want one each", round, handed)
+		}
+		target := decided
 		if target <= last {
 			t.Fatalf("round %d: target %d after %d, want strictly increasing", round, target, last)
 		}
@@ -86,6 +95,9 @@ func TestReportersNeverPassTheCut(t *testing.T) {
 			}
 		}
 		c.Release()
+		if h, ok := <-ready; ok {
+			t.Fatalf("round %d: handoff %+v after Release", round, h)
+		}
 	}
 }
 
@@ -97,7 +109,7 @@ func TestQuiescentAccounting(t *testing.T) {
 	c := New(1, 2)
 	a0 := runtime.Addr{Replica: 0, Node: 0, Task: 0}
 	a1 := runtime.Addr{Replica: 0, Node: 0, Task: 1}
-	isReady := func(ready <-chan int) bool {
+	isReady := func(ready <-chan Handoff) bool {
 		select {
 		case <-ready:
 			return true

@@ -333,6 +333,8 @@ type Stats struct {
 	// stage), and
 	// deciding match/mismatch. At stage width 1 the spans follow one another;
 	// wider, they overlap, so their sum can exceed the round's wall time.
+	// A replica is captured as soon as its own tasks park, so the spans can
+	// begin before the other replica reaches the cut.
 	CaptureTimes  []time.Duration `json:"capture_times_ns"`
 	ExchangeTimes []time.Duration `json:"exchange_times_ns"`
 	CompareTimes  []time.Duration `json:"compare_times_ns"`
@@ -467,9 +469,18 @@ type Controller struct {
 	roundFetch atomicDuration
 	// outcomes and verdicts are the round body's dense per-(node, task)
 	// scratch — each task's first stage failure and its compare verdict —
-	// reused by every stages.Run call on the controller goroutine.
+	// reused by every round body and stages.Run call. capErrs holds each
+	// replica's capture error per task (the two replicas of a task can be
+	// captured concurrently), folded into outcomes when the round finishes;
+	// need counts the prerequisites of each task's compare still to land.
 	outcomes []stages.Outcome
 	verdicts []verdict
+	capErrs  [2][]error
+	need     []atomic.Int32
+	// sender is the current round's sending replica: the one whose data the
+	// exchange ships and whose digest the compare holds against the other's
+	// checkpoint. Set as the round body starts its first replica.
+	sender int
 
 	// committedEpoch is the last verified (or trusted) checkpoint epoch in
 	// the store; 0 = job start, nothing committed. epochSeq is the last
@@ -557,6 +568,10 @@ func New(cfg Config) (*Controller, error) {
 		opCh:       make(chan func()),
 		outcomes:   make([]stages.Outcome, cfg.NodesPerReplica*cfg.TasksPerNode),
 		verdicts:   make([]verdict, cfg.NodesPerReplica*cfg.TasksPerNode),
+		need:       make([]atomic.Int32, cfg.NodesPerReplica*cfg.TasksPerNode),
+	}
+	for rep := range ctrl.capErrs {
+		ctrl.capErrs[rep] = make([]error, len(ctrl.outcomes))
 	}
 	// The two rungs differ only in the data set here: which TierRecoveries
 	// slots a restore books (at the committed epoch / older), the trace
@@ -617,7 +632,11 @@ func (c *Controller) Store() ckptstore.Store { return c.store }
 // recovery checkpoint in between does not consume the injection: that round
 // is trusted without comparison, so firing there would be the §2.3 escape
 // by construction rather than a test of detection. The address stays queued
-// until a round that compares buddies.
+// until a round that compares buddies, and is applied when that round is
+// handed the address's replica — so an address scheduled after its replica
+// was captured waits for the next compared round. An injection applied in a
+// round that then does not complete is flipped back and queued again, so it
+// lands in exactly one compared round's capture.
 func (c *Controller) InjectSDCAtNextCheckpoint(addr runtime.Addr) {
 	c.sdcMu.Lock()
 	c.pendingSDC = append(c.pendingSDC, addr)

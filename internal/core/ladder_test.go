@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"acr/internal/chaos/pacing"
 	"acr/internal/chaos/point"
 	"acr/internal/ckptstore"
 	"acr/internal/netsim"
@@ -41,8 +42,18 @@ func TestLadderDiskFallback(t *testing.T) {
 	cfg.FlushEvery = 2 // durable epochs: 2, 4, ...
 	var ctrl *Controller
 	// Kill at commit 3: committed epoch 3 is in memory only, the durable
-	// tier holds epoch 2 — recovery must land on tier 2 with depth 1.
-	cfg.Chaos = killPairAtCommit(&ctrl, 1, 3)
+	// tier holds epoch 2 — recovery must land on tier 2 with depth 1. The
+	// rounds are paced in iterations (a round every 500 of the 8,000), so
+	// the job cannot finish before its third commit.
+	kill := killPairAtCommit(&ctrl, 1, 3)
+	var commits atomic.Int64
+	var pacer *pacing.Pacer
+	pacer = pace(&cfg, &ctrl, 500, point.HookFunc(func(id point.ID, info *point.Info) {
+		if id == point.CoreCommit && commits.Add(1) == 3 {
+			pacer.Stop() // recovery must find no task held by the pacer
+		}
+		kill.Fire(id, info)
+	}))
 	ctrl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -57,23 +57,12 @@ func (c *Controller) normalRound() error {
 	if err != nil {
 		return fmt.Errorf("core: checkpoint request: %w", err)
 	}
-	ok, err := c.awaitReady(ready)
-	if err != nil || !ok {
-		return err
-	}
-	// All tasks are parked (or done): apply any scheduled SDC
-	// injections, then run both replicas through the round body under a
-	// fresh epoch — chunked, checksummed, one key per task.
-	c.fire(point.CorePostConsensus, point.Info{Replica: -1, Node: -1, Task: -1})
-	c.applyPendingSDC()
-	c.resetPhases()
-	epoch := c.nextEpoch()
 	semi := c.cfg.SemiBlocking
 	var blocked time.Duration
 	var captureDrained func()
 	if semi {
 		// Asynchronous checkpointing (§4.2 [27]): the application resumes
-		// as soon as the local capture is done; exchange and comparison
+		// as soon as the local captures are done; exchange and comparison
 		// overlap with execution. The tolerance-aware live-state comparison
 		// is unavailable then (the state is moving again), so compareTask
 		// compares the captured bytes directly.
@@ -82,11 +71,21 @@ func (c *Controller) normalRound() error {
 			c.coord.Release()
 		}
 	}
+	// Each replica enters the round body — scheduled SDC injections applied,
+	// then chunked, checksummed, one key per task under the round's fresh
+	// epoch — as soon as its own tasks are parked.
+	var b *roundBody
 	var exchange func(n, t int) error
 	if c.exch != nil && c.cfg.Exchange.ShipCheckpoints {
-		exchange = func(n, t int) error { return c.shipTask(epoch, n, t) }
+		exchange = func(n, t int) error { return c.shipTask(b.epoch, n, t) }
 	}
-	mismatch, chunk, err := c.runRound(epoch, consensus.BothReplicas, exchange, captureDrained)
+	b = c.openRound(0, consensus.BothReplicas, exchange, captureDrained)
+	ok, err := c.awaitReady(ready, b)
+	if err != nil || !ok {
+		return err
+	}
+	epoch := b.epoch
+	mismatch, chunk, err := b.finish()
 	if !semi {
 		blocked = time.Since(began)
 	}
@@ -151,13 +150,6 @@ func (c *Controller) recoveryCheckpoint(crashed int) error {
 	if err != nil {
 		return fmt.Errorf("core: recovery checkpoint request: %w", err)
 	}
-	ok, err := c.awaitReady(ready)
-	if err != nil || !ok {
-		return err
-	}
-	defer c.coord.Release()
-	c.resetPhases()
-	epoch := c.nextEpoch()
 	// The healthy node's local checkpoint is simultaneously the remote
 	// checkpoint of its buddy in the crashed replica: "sends the
 	// checkpoint to the crashed replica" (§2.3). The exchange stage mirrors
@@ -165,8 +157,16 @@ func (c *Controller) recoveryCheckpoint(crashed int) error {
 	// path the chunked capture is shared, not recomputed, while the
 	// hardened exchange ships it chunk-by-chunk through the lossy link and
 	// stores the reassembled copy.
-	mirror := func(n, t int) error { return c.mirrorTask(crashed, epoch, n, t) }
-	if _, _, err := c.runRound(epoch, consensus.OnlyReplica(healthy), mirror, nil); err != nil {
+	var b *roundBody
+	mirror := func(n, t int) error { return c.mirrorTask(crashed, b.epoch, n, t) }
+	b = c.openRound(0, consensus.OnlyReplica(healthy), mirror, nil)
+	ok, err := c.awaitReady(ready, b)
+	if err != nil || !ok {
+		return err
+	}
+	defer c.coord.Release()
+	epoch := b.epoch
+	if _, _, err := b.finish(); err != nil {
 		return err
 	}
 	// This checkpoint is trusted without comparison: SDC that struck the
@@ -183,19 +183,34 @@ func (c *Controller) recoveryCheckpoint(crashed int) error {
 	return nil
 }
 
-// awaitReady waits for the consensus cut while staying responsive to
-// failures and job completion. It returns ok=false when the round was
-// aborted (a failure won the race and was handled).
-func (c *Controller) awaitReady(ready <-chan int) (bool, error) {
+// awaitReady feeds the round body the replicas the consensus hands over
+// while it waits for the cut, staying responsive to failures and job
+// completion. It returns ok=true once every replica in scope is handed at
+// one target, and ok=false when the round was aborted (a failure won the
+// race and was handled). An abort joins the body's in-flight work before
+// it releases the cut.
+func (c *Controller) awaitReady(ready <-chan consensus.Handoff, b *roundBody) (bool, error) {
 	wait := c.waitErr
 	for {
 		select {
-		case <-ready:
-			return true, nil
+		case h := <-ready:
+			// A replica whose handoff is already waiting behind this one
+			// was ready together with it: they start together.
+			select {
+			case h2 := <-ready:
+				if b.take(h, h2) {
+					return true, nil
+				}
+			default:
+				if b.take(h) {
+					return true, nil
+				}
+			}
 		case f := <-c.machine.Failures():
 			// A hard error interrupts the round: abort, recover, retry
 			// at the next period.
 			c.stats.AbortedRounds++
+			b.abort()
 			c.coord.Release()
 			if err := c.handleFailure(f); err != nil {
 				return false, err
@@ -203,6 +218,7 @@ func (c *Controller) awaitReady(ready <-chan int) (bool, error) {
 			return false, nil
 		case err := <-wait:
 			if err != nil {
+				b.abort()
 				c.coord.Release()
 				return false, err
 			}
@@ -226,15 +242,16 @@ func (c *Controller) compareTask(n, t int, epoch uint64) (string, int, error) {
 		// names the corrupted chunk.
 		var res ckptstore.CompareResult
 		if c.exch != nil && c.cfg.Exchange.ShipCheckpoints {
-			// The buddy's digest crossed the link in the exchange stage
+			// The sender's digest crossed the link in the exchange stage
 			// (shipTask); the verdict rests on what arrived, held against
-			// replica 1's own checkpoint. The stages.Run hand-off orders
-			// the slot's write before this read.
+			// the other replica's own checkpoint. The round body's hand-off
+			// from exchange to compare orders the slot's write before this
+			// read.
 			remote := &c.digests[n*c.cfg.TasksPerNode+t]
 			if remote.epoch != epoch {
 				return "", -1, fmt.Errorf("core: checksum compare n%d/t%d@e%d: no digest arrived for this epoch", n, t, epoch)
 			}
-			local, err := c.store.Get(c.key(1, n, t, epoch))
+			local, err := c.store.Get(c.key(1-c.sender, n, t, epoch))
 			if err != nil {
 				return "", -1, fmt.Errorf("core: checksum compare n%d/t%d: %w", n, t, err)
 			}
@@ -343,7 +360,12 @@ func (c *Controller) commit(epoch uint64, began time.Time, trusted bool) {
 // split from the stage clocks, keeping the phase arrays parallel with
 // CheckpointTimes. compareTask's store fetches — the bytes a real machine
 // ships between buddies — happen inside the compare stage's span and are
-// billed to exchange busy as well.
+// billed to exchange busy as well. The spans start at the round's first
+// handoff, which can precede the cut's completion by the leader's lead:
+// the leader's capture and exchange overlap the laggard's catch-up, so the
+// spans can cover time the consensus wait also covers, and a derived
+// "round minus the spans" (bench's core.other_ms_p50) can read low or
+// negative.
 func (c *Controller) appendPhaseTimes() {
 	wall, busy := c.phaseTimes()
 	c.stats.CaptureTimes = append(c.stats.CaptureTimes, wall[0])
@@ -517,24 +539,73 @@ func emptySet(nodes, tasks int) [][][]byte {
 	return out
 }
 
-// applyPendingSDC flips one random bit in each scheduled task's user data.
-// Injection happens at the quiescent point just before packing, emulating
-// the paper's injector (§6.1) without racing the application.
-func (c *Controller) applyPendingSDC() {
+// sdcFlip is one applied injection: the task and the bit of its packed
+// state that was flipped.
+type sdcFlip struct {
+	addr      runtime.Addr
+	byte, bit int
+}
+
+// applyPendingSDCTo flips one random bit in the user data of each scheduled
+// task of the marked replicas, in the order they were scheduled; addresses
+// of other replicas stay queued. Injection happens at the quiescent point
+// just before packing — each replica's own handoff — emulating the paper's
+// injector (§6.1) without racing the application. It returns the flips it
+// applied, for withdrawSDC.
+func (c *Controller) applyPendingSDCTo(reps [2]bool) []sdcFlip {
 	c.sdcMu.Lock()
-	pending := c.pendingSDC
-	c.pendingSDC = nil
-	c.sdcMu.Unlock()
-	for _, addr := range pending {
-		c.corruptTask(addr)
+	var apply []runtime.Addr
+	keep := c.pendingSDC[:0]
+	for _, addr := range c.pendingSDC {
+		if reps[addr.Replica] {
+			apply = append(apply, addr)
+		} else {
+			keep = append(keep, addr)
+		}
 	}
+	c.pendingSDC = keep
+	c.sdcMu.Unlock()
+	var flips []sdcFlip
+	for _, addr := range apply {
+		if f, ok := c.corruptTask(addr); ok {
+			flips = append(flips, f)
+		}
+	}
+	return flips
+}
+
+// withdrawSDC undoes injections applied in a round that then aborted,
+// while their replicas are still parked, and queues their addresses again
+// ahead of any newer ones: an injection lands in the capture of exactly one
+// compared round, as InjectSDCAtNextCheckpoint promises, whether or not the
+// round it first met completed its cut.
+func (c *Controller) withdrawSDC(flips []sdcFlip) {
+	if len(flips) == 0 {
+		return
+	}
+	addrs := make([]runtime.Addr, len(flips))
+	for i, f := range flips {
+		addrs[i] = f.addr
+		c.machine.CorruptTask(f.addr, func(p pup.Pupable) {
+			data, err := pup.Pack(p)
+			if err != nil || f.byte >= len(data) {
+				return
+			}
+			data[f.byte] ^= 1 << f.bit
+			_ = pup.Unpack(data, p)
+		})
+		c.mark(trace.Progress, fmt.Sprintf("sdc injection at %v withdrawn: its round did not complete", f.addr))
+	}
+	c.sdcMu.Lock()
+	c.pendingSDC = append(addrs, c.pendingSDC...)
+	c.sdcMu.Unlock()
 }
 
 // corruptTask flips one random non-structural bit in the task's pup'd
 // state: pack, flip, verify the flip still unpacks (retrying bits that land
 // in length prefixes), then write the corrupted state back into the live
-// program.
-func (c *Controller) corruptTask(addr runtime.Addr) {
+// program. ok is false when no bit could be flipped.
+func (c *Controller) corruptTask(addr runtime.Addr) (flip sdcFlip, ok bool) {
 	rng := rand.New(rand.NewSource(c.injectSeed))
 	c.injectSeed++
 	c.machine.CorruptTask(addr, func(p pup.Pupable) {
@@ -548,9 +619,11 @@ func (c *Controller) corruptTask(addr runtime.Addr) {
 			if pup.Unpack(data, probe) == nil {
 				_ = pup.Unpack(data, p)
 				c.mark(trace.Progress, fmt.Sprintf("sdc injected at %v byte %d bit %d", addr, i, b))
+				flip, ok = sdcFlip{addr: addr, byte: i, bit: b}, true
 				return
 			}
 			data[i] ^= 1 << b // structural hit: restore and retry
 		}
 	})
+	return flip, ok
 }

@@ -73,25 +73,25 @@ func TestPackDirtyPatchTable(t *testing.T) {
 		{
 			// Disjoint writes: the base buffer is stale at element 3 (epoch
 			// 1's write) and element 9 (epoch 2's); both must re-encode.
-			name: "disjoint-elements",
-			mut1: func(tp *trackedProg, spans map[string]Range) { mark(tp, spans, 3, -1) },
-			mut2: func(tp *trackedProg, spans map[string]Range) { mark(tp, spans, 9, -2) },
+			name:        "disjoint-elements",
+			mut1:        func(tp *trackedProg, spans map[string]Range) { mark(tp, spans, 3, -1) },
+			mut2:        func(tp *trackedProg, spans map[string]Range) { mark(tp, spans, 9, -2) },
 			wantSpliced: true,
 		},
 		{
 			// The same element written in both epochs: the union collapses.
-			name: "overlapping-elements",
-			mut1: func(tp *trackedProg, spans map[string]Range) { mark(tp, spans, 5, 10) },
-			mut2: func(tp *trackedProg, spans map[string]Range) { mark(tp, spans, 5, 20) },
+			name:        "overlapping-elements",
+			mut1:        func(tp *trackedProg, spans map[string]Range) { mark(tp, spans, 5, 10) },
+			mut2:        func(tp *trackedProg, spans map[string]Range) { mark(tp, spans, 5, 20) },
 			wantSpliced: true,
 		},
 		{
 			// An unmarked scalar change in epoch 2 must be self-detected and
 			// land in the result's dirty set even though the scalar's offset
 			// is nowhere in the marks.
-			name: "unmarked-scalar",
-			mut1: func(tp *trackedProg, spans map[string]Range) { mark(tp, spans, 1, 7) },
-			mut2: func(tp *trackedProg, spans map[string]Range) { tp.Scale = 9.75 },
+			name:        "unmarked-scalar",
+			mut1:        func(tp *trackedProg, spans map[string]Range) { mark(tp, spans, 1, 7) },
+			mut2:        func(tp *trackedProg, spans map[string]Range) { tp.Scale = 9.75 },
 			wantSpliced: true,
 		},
 		{
@@ -101,7 +101,7 @@ func TestPackDirtyPatchTable(t *testing.T) {
 				tp.Blob[4] ^= 0xaa
 				tp.MarkSpan(spans["blob"].Slice(4, 5, 1))
 			},
-			mut2: func(tp *trackedProg, spans map[string]Range) { mark(tp, spans, 0, 123) },
+			mut2:        func(tp *trackedProg, spans map[string]Range) { mark(tp, spans, 0, 123) },
 			wantSpliced: true,
 		},
 		{

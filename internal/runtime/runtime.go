@@ -315,8 +315,10 @@ type taskSlot struct {
 	// lastCap is the checkpoint this slot produced at its most recent
 	// capture — the splice base for the next capture's dirty path. Its
 	// lifetime is guaranteed by the commit protocol: eviction only drops
-	// strictly older epochs, and every restore/rollback funnels through
-	// RestartReplica, which clears it (a fresh incarnation is blind).
+	// strictly older epochs, every restore/rollback funnels through
+	// RestartReplica, which clears it (a fresh incarnation is blind), and a
+	// replica captured for a round that then aborts or is recaptured keeps
+	// running only after ResetCaptureBases has cleared it too.
 	lastCap *ckptstore.Checkpoint
 	// dirtyScratch is the reusable range buffer handed to the program's
 	// DirtyTracker at capture time.
@@ -328,8 +330,9 @@ type taskSlot struct {
 	// anyone else. patchDirty is the dirty set of the most recent capture —
 	// exactly the ranges by which patchCap's stream differs from lastCap's —
 	// and is valid whenever patchCap is non-nil. patchScratch is the
-	// reusable union buffer. All three are cleared by RestartReplica along
-	// with lastCap and by any capture that could not splice.
+	// reusable union buffer. All three are cleared by RestartReplica and
+	// ResetCaptureBases along with lastCap, and by any capture that could
+	// not splice.
 	patchCap     *ckptstore.Checkpoint
 	patchDirty   []pup.Range
 	patchScratch []pup.Range

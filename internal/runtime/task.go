@@ -542,12 +542,39 @@ func (m *Machine) RestartReplica(rep int, ckpts [][][]byte) error {
 			// slow path. The splice base is dropped for the same reason —
 			// a fresh incarnation is blind until its next capture.
 			s.sizeHint = len(ckpts[n][t])
-			s.lastCap = nil
-			s.patchCap = nil
-			s.patchDirty = s.patchDirty[:0]
+			s.dropCaptureBasesLocked()
 			s.mu.Unlock()
 		}
 	}
 	m.startReplicaLocked(rep)
 	return nil
+}
+
+// ResetCaptureBases drops every task slot's splice and patch bases in the
+// replica (lastCap, patchCap, patchDirty), as RestartReplica does, without
+// touching the live state: the replica's next capture is a full pack. Call
+// it when a replica was captured for a round that then did not commit and
+// the replica keeps running — its slots would otherwise take the burnt
+// capture as the splice base and the committed epoch's checkpoint, still
+// live in the store, as the buffer to patch in place. The replica must not
+// be captured concurrently.
+func (m *Machine) ResetCaptureBases(rep int) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for n := 0; n < m.cfg.NodesPerReplica; n++ {
+		for t := 0; t < m.cfg.TasksPerNode; t++ {
+			s := m.slots[rep][n][t]
+			s.mu.Lock()
+			s.dropCaptureBasesLocked()
+			s.mu.Unlock()
+		}
+	}
+}
+
+// dropCaptureBasesLocked forgets the slot's capture ladder: the next
+// capture is blind. The caller holds s.mu.
+func (s *taskSlot) dropCaptureBasesLocked() {
+	s.lastCap = nil
+	s.patchCap = nil
+	s.patchDirty = s.patchDirty[:0]
 }

@@ -1,9 +1,10 @@
-// Package stages is the checkpoint path's one stage runner: it pushes a
-// dense range of items through a sequence of worker-pool stages, each as
-// wide as its caller asks, and records per item the first stage that
-// failed. The
-// checkpoint round body in internal/core (capture → exchange → compare),
-// its durable-tier clone, and runtime.Machine.CaptureReplica all run on it.
+// Package stages is the checkpoint path's stage runner: it pushes a dense
+// range of items through a sequence of worker-pool stages, each as wide as
+// its caller asks, and records per item the first stage that failed. The
+// durable-tier clone in internal/core and runtime.Machine.CaptureReplica
+// run on it; the checkpoint round body in internal/core, whose compare
+// waits on two replicas' captures rather than one predecessor stage,
+// schedules its own items and shares Clock, Outcome and FirstFailure.
 //
 // The result never depends on the widths: nothing is cancelled early, every
 // item's outcome lands in a dense slice, and FirstFailure resolves that
@@ -36,8 +37,11 @@ func (c *Clock) Reset() {
 	c.last.Store(math.MinInt64)
 }
 
-// observe folds one item's stage occupancy [start, now) into the clock.
-func (c *Clock) observe(base, start time.Time) {
+// Observe folds one item's stage occupancy [start, now) into the clock. base
+// is the run's reference instant: the same for every observation between
+// two Resets (Run uses its own start; a caller scheduling items itself
+// passes its own).
+func (c *Clock) Observe(base, start time.Time) {
 	end := time.Now()
 	c.busy.Add(int64(end.Sub(start)))
 	so, eo := start.Sub(base).Nanoseconds(), end.Sub(base).Nanoseconds()
@@ -81,8 +85,6 @@ type Stage struct {
 	Width int
 	Clock *Clock // nil = untimed
 	Run   func(i int) error
-	// Drained, if non-nil, runs once when every item has left the stage.
-	Drained func()
 }
 
 // Run pushes items 0..len(out)-1 through the stages and records each item's
@@ -103,7 +105,7 @@ func Run(out []Outcome, stages ...Stage) {
 		began := time.Now()
 		err := s.Run(i)
 		if s.Clock != nil {
-			s.Clock.observe(base, began)
+			s.Clock.Observe(base, began)
 		}
 		if err != nil {
 			out[i] = Outcome{Stage: si, Err: err}
@@ -115,14 +117,11 @@ func Run(out []Outcome, stages ...Stage) {
 		inline = inline && s.Width <= 1
 	}
 	if inline {
-		for si, s := range stages {
+		for si := range stages {
 			for i := 0; i < total; i++ {
 				if out[i].Err == nil {
 					step(si, i)
 				}
-			}
-			if s.Drained != nil {
-				s.Drained()
 			}
 		}
 		return
@@ -157,18 +156,12 @@ func Run(out []Outcome, stages ...Stage) {
 		if dst != nil {
 			go func() {
 				wg.Wait()
-				if s.Drained != nil {
-					s.Drained()
-				}
 				close(dst)
 			}()
 		}
 		in = dst
 	}
 	last.Wait()
-	if d := stages[len(stages)-1].Drained; d != nil {
-		d()
-	}
 }
 
 // FirstFailure returns the error a serial walk would have met first: the

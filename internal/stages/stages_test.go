@@ -21,8 +21,6 @@ type harness struct {
 	mu      sync.Mutex
 	entered [3][]int // items that entered each stage, in call order
 	ran     [3]atomic.Int32
-	drained [3]atomic.Int32
-	early   [3]atomic.Bool // a Drained that saw its stage unfinished
 }
 
 func newHarness(total int, p plan) *harness {
@@ -51,7 +49,6 @@ func (h *harness) want() [3]int32 {
 }
 
 func (h *harness) run(widths [3]int) []Outcome {
-	want := h.want()
 	var ss []Stage
 	for s := 0; s < 3; s++ {
 		ss = append(ss, Stage{
@@ -62,12 +59,6 @@ func (h *harness) run(widths [3]int) []Outcome {
 				h.mu.Unlock()
 				defer h.ran[s].Add(1)
 				return h.errs[[2]int{s, i}]
-			},
-			Drained: func() {
-				if h.ran[s].Load() != want[s] {
-					h.early[s].Store(true)
-				}
-				h.drained[s].Add(1)
 			},
 		})
 	}
@@ -80,10 +71,9 @@ func (h *harness) run(widths [3]int) []Outcome {
 }
 
 // TestRunIsWidthIndependent pins the runner's contract over a width table:
-// every width yields the same outcomes and the same first failure, each
-// Drained runs exactly once after its stage's last item, an item that fails
-// never enters a later stage, and the lowest stage, then the lowest index,
-// wins.
+// every width yields the same outcomes and the same first failure, an item
+// that fails never enters a later stage, and the lowest stage, then the
+// lowest index, wins.
 func TestRunIsWidthIndependent(t *testing.T) {
 	const total = 13
 	plans := []struct {
@@ -107,12 +97,6 @@ func TestRunIsWidthIndependent(t *testing.T) {
 					h := newHarness(total, pc.plan)
 					out := h.run(widths)
 					for s := 0; s < 3; s++ {
-						if n := h.drained[s].Load(); n != 1 {
-							t.Fatalf("widths %v: stage %d drained %d times, want 1", widths, s, n)
-						}
-						if h.early[s].Load() {
-							t.Fatalf("widths %v: stage %d drained before its last item", widths, s)
-						}
 						if got, want := h.ran[s].Load(), h.want()[s]; got != want {
 							t.Fatalf("widths %v: stage %d ran %d items, want %d", widths, s, got, want)
 						}
@@ -158,19 +142,18 @@ func describe(out []Outcome) []string {
 }
 
 // TestRunInlineOrder pins the width-1 path: stage by stage, each in item
-// order, every Drained before the next stage's first item.
+// order.
 func TestRunInlineOrder(t *testing.T) {
 	var log []string
 	var ss []Stage
 	for s := 0; s < 2; s++ {
 		ss = append(ss, Stage{
-			Width:   1,
-			Run:     func(i int) error { log = append(log, fmt.Sprintf("%d/%d", s, i)); return nil },
-			Drained: func() { log = append(log, fmt.Sprintf("drained %d", s)) },
+			Width: 1,
+			Run:   func(i int) error { log = append(log, fmt.Sprintf("%d/%d", s, i)); return nil },
 		})
 	}
 	Run(make([]Outcome, 3), ss...)
-	want := []string{"0/0", "0/1", "0/2", "drained 0", "1/0", "1/1", "1/2", "drained 1"}
+	want := []string{"0/0", "0/1", "0/2", "1/0", "1/1", "1/2"}
 	if !slices.Equal(log, want) {
 		t.Fatalf("inline order %v, want %v", log, want)
 	}
