@@ -2,6 +2,7 @@ package acrd
 
 import (
 	"fmt"
+	"slices"
 
 	"acr/internal/ckptstore"
 )
@@ -23,7 +24,7 @@ import (
 //     salvaged — including ones whose flush record was torn off the
 //     journal tail by the crash.
 //  3. Payload verification — salvaged epochs are only candidates. The
-//     core's warm start (resumeFromDurable → adoptEpoch) re-reads every
+//     core's warm start (Controller.resume walking adopt) re-reads every
 //     task checkpoint, and the disk tier re-verifies each payload against
 //     its stored root on Get, walking to the next-older epoch on any
 //     corruption. A job whose every candidate fails verification cold
@@ -114,7 +115,10 @@ func (s *Server) replay(recs []record, torn int) error {
 
 	for _, id := range s.order {
 		rec := s.jobs[id]
-		jr := ResumeJobReport{ID: id, Name: rec.req.Name, Claimed: dedupSortUint64(claimed[id])}
+		// Sort and dedupe a copy: nil stays nil (no claims, no JSON key).
+		claims := slices.Clone(claimed[id])
+		slices.Sort(claims)
+		jr := ResumeJobReport{ID: id, Name: rec.req.Name, Claimed: slices.Compact(claims)}
 		if rec.prior != nil {
 			jr.State = "finished"
 			report.Finished++

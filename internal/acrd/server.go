@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -540,20 +539,4 @@ func (s *Server) Statuses() []JobStatus {
 		}
 	}
 	return out
-}
-
-func dedupSortUint64(in []uint64) []uint64 {
-	if len(in) == 0 {
-		return nil
-	}
-	out := append([]uint64(nil), in...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	w := 1
-	for i := 1; i < len(out); i++ {
-		if out[i] != out[w-1] {
-			out[w] = out[i]
-			w++
-		}
-	}
-	return out[:w]
 }

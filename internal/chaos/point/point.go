@@ -50,8 +50,12 @@ const (
 	// healthy replica's trusted checkpoint is requested — the medium/weak
 	// recovery window of §2.3.
 	CoreRecovery ID = "core.recovery"
-	// CoreRestart fires in restartReplicaFromEpoch before the crashed
-	// replica is restored from a stored epoch.
+	// CoreRestart fires on every replica restart — ladder rollback, mirror
+	// restart, RestoreEpoch and the Config.ResumeEpochs warm start — once
+	// the stopped replica is quiescent and before it is relaunched.
+	// Info.Replica is the restarting replica; Info.Epoch is the epoch it
+	// restarts from (the committed one for a ladder walk, 0 for factory
+	// state). Task progress of that replica may legitimately regress after it.
 	CoreRestart ID = "core.restart"
 	// CoreCommit fires after a checkpoint epoch is committed (verified or
 	// trusted). Info.Epoch is the committed epoch.

@@ -670,7 +670,7 @@ func (c *Controller) fire(id point.ID, info point.Info) point.Info {
 func (c *Controller) Run() (Stats, error) {
 	c.start = time.Now()
 	c.machine.Start()
-	err := c.resumeFromDurable()
+	err := c.resume()
 	go func() { c.waitErr <- c.machine.Wait() }()
 
 	if err == nil {

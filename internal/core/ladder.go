@@ -155,7 +155,7 @@ func (c *Controller) settleWriters() {
 func (c *Controller) cloneEpoch(epoch uint64) ([]flushClone, error) {
 	nodes, tasks := c.cfg.NodesPerReplica, c.cfg.TasksPerNode
 	clones := make([]flushClone, 2*nodes*tasks)
-	stages.Run(c.outcomes, stages.Stage{Width: c.stageWidths().capture, Run: func(i int) error {
+	stages.Run(c.outcomes, c.stageWidths().capture, func(i int) error {
 		n, t := i/tasks, i%tasks
 		for rep := 0; rep < 2; rep++ {
 			ck, err := c.store.Get(c.key(rep, n, t, epoch))
@@ -165,7 +165,7 @@ func (c *Controller) cloneEpoch(epoch uint64) ([]flushClone, error) {
 			clones[rep*nodes*tasks+i] = flushClone{rep, n, t, ck.Clone()}
 		}
 		return nil
-	}})
+	})
 	if err := stages.FirstFailure(c.outcomes); err != nil {
 		return nil, err
 	}
@@ -198,79 +198,4 @@ func (c *Controller) write(t *tier, epoch uint64, clones []flushClone) error {
 	}
 	c.mark(t.kind, fmt.Sprintf("epoch %d flushed to %s tier (%s)", epoch, t.name, t.store.Name()))
 	return nil
-}
-
-// epochsNewestFirst snapshots the tier's complete epochs at or below the
-// committed epoch, newest first — the ladder's candidates on that tier.
-func (c *Controller) epochsNewestFirst(t *tier) []uint64 {
-	out := t.index()
-	slices.Reverse(out)
-	return slices.DeleteFunc(out, func(e uint64) bool { return e > c.committedEpoch })
-}
-
-// recordLadderRestore books one successful ladder restore: the tier it
-// landed on and how many committed epochs of work the restore point lies
-// behind the newest commit.
-func (c *Controller) recordLadderRestore(tier int, epoch uint64) {
-	c.stats.TierRecoveries[tier]++
-	c.prog.tierRecoveries[tier].Add(1)
-	depth := 0
-	for i := len(c.commitLog) - 1; i >= 0 && c.commitLog[i] > epoch; i-- {
-		depth++
-	}
-	c.stats.RollbackDepths = append(c.stats.RollbackDepths, depth)
-	if depth > c.stats.MaxRollbackDepth {
-		c.stats.MaxRollbackDepth = depth
-	}
-}
-
-// restartFromCommitted launches the replica from the newest usable
-// checkpoint the ladder can find, or from factory state when nothing has
-// committed yet. Restoration reads every task checkpoint back out of a
-// storage tier — the restart path, like commit and compare, goes
-// exclusively through stores.
-func (c *Controller) restartFromCommitted(rep int) error {
-	c.settleWriters()
-	c.fire(point.CoreRestart, point.Info{Replica: rep, Node: -1, Task: -1, Epoch: c.committedEpoch})
-	if c.committedEpoch == 0 {
-		if err := c.machine.RestartReplica(rep, emptySet(c.cfg.NodesPerReplica, c.cfg.TasksPerNode)); err != nil {
-			return fmt.Errorf("core: restart replica %d: %w", rep, err)
-		}
-		return nil
-	}
-	// Tier 0: the buddy in-memory checkpoint at the committed epoch.
-	err0 := c.machine.RestartReplicaFromStore(rep, c.committedEpoch, c.store)
-	if err0 == nil {
-		c.recordLadderRestore(0, c.committedEpoch)
-		return nil
-	}
-	if len(c.tiers) == 0 {
-		// Wrap err0 too: an at-rest corruption verdict (ckptstore.ErrCorrupt)
-		// must stay visible to errors.Is even when the ladder has no lower
-		// tier — detection succeeded even though recovery cannot.
-		return fmt.Errorf("%w: replica %d: committed epoch %d unusable (%w) and no durable tier configured",
-			ErrUnrecoverable, rep, c.committedEpoch, err0)
-	}
-	// Escalate through the configured tiers in ladder order. Each tier's
-	// in-flight writes settle first so its view is complete, then its epochs
-	// are walked newest-first; a corrupt or incomplete epoch is skipped, not
-	// fatal — which is also all a dark or flaky remote can add here.
-	c.mark(trace.Restart, fmt.Sprintf("replica %d escalating past committed epoch %d: %v", rep, c.committedEpoch, err0))
-	lastErr := err0
-	for _, t := range c.tiers {
-		t.wg.Wait()
-		for _, epoch := range c.epochsNewestFirst(t) {
-			if err := c.machine.RestartReplicaFromStore(rep, epoch, t.store); err != nil {
-				lastErr = err
-				c.mark(trace.Restart, fmt.Sprintf("replica %d: %s epoch %d unusable: %v", rep, t.name, epoch, err))
-				continue
-			}
-			rung := t.rung(epoch, c.committedEpoch)
-			c.recordLadderRestore(rung, epoch)
-			c.mark(trace.Restart, fmt.Sprintf("replica %d restored from %s epoch %d (tier %d, rollback depth %d)",
-				rep, t.name, epoch, rung, c.stats.RollbackDepths[len(c.stats.RollbackDepths)-1]))
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: replica %d: recovery ladder exhausted (last tier error: %v)", ErrUnrecoverable, rep, lastErr)
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -13,7 +12,7 @@ import (
 
 // This file is the controller's control plane: the pieces a long-running
 // service (cmd/acrd) needs to observe and steer a job without racing the
-// protocol. Three mechanisms:
+// protocol. Two mechanisms:
 //
 //   - Progress: the protocol counters mirrored into atomics at their
 //     update sites, so pollers get live snapshots without touching the
@@ -21,9 +20,9 @@ import (
 //   - opCh: on-demand operations (forced flush, epoch restore) shipped as
 //     closures onto the controller goroutine, where they run between
 //     rounds with exclusive access to the protocol state.
-//   - resumeFromDurable: Config.ResumeEpochs warm start — the recovery
-//     ladder's newest-first escalation walk applied at job start, against
-//     flush-tier state left behind by an earlier process.
+//
+// The epoch restore, like Config.ResumeEpochs' warm start, is an adoption
+// on the controller's one restart path (restart.go).
 
 // ErrNotRunning reports a control-plane operation that could not reach the
 // controller goroutine: the event loop has exited (job finished or failed)
@@ -188,11 +187,12 @@ func (c *Controller) FlushCommitted(timeout time.Duration) (uint64, error) {
 
 // RestoreEpoch rewinds the running job to a durable epoch on demand: both
 // replicas restart from the flush tier's copy of the epoch, which becomes
-// the committed checkpoint. The epoch must be completely readable from the
-// durable tier before any replica is touched; a partial restore failure
-// falls back to the recovery ladder so the job is never left stopped.
-// Returns ErrNotRunning when the event loop is not accepting operations
-// within the timeout.
+// the committed checkpoint. It is a one-candidate adoption (adopt): the
+// epoch must be completely readable from the durable tier before any
+// replica is touched, and a restore that fails after touching them falls
+// back to the recovery ladder so the job is never left stopped. Returns
+// ErrNotRunning when the event loop is not accepting operations within the
+// timeout.
 func (c *Controller) RestoreEpoch(epoch uint64, timeout time.Duration) error {
 	var opErr error
 	err := c.runOp(timeout, func() {
@@ -201,28 +201,21 @@ func (c *Controller) RestoreEpoch(epoch uint64, timeout time.Duration) error {
 			return
 		}
 		c.flush.wg.Wait()
-		touched, err := c.adoptEpoch(c.flush.store, epoch)
-		if err != nil {
+		cd := candidate{st: c.flush.store, name: c.flush.name, epoch: epoch, rung: c.flush.rung(epoch, c.committedEpoch), depth: c.behind(epoch)}
+		if touched, err := c.adopt(cd); err != nil {
+			opErr = fmt.Errorf("core: restore epoch %d: %w", epoch, err)
+			// Replicas were stopped mid-restore: climb the ladder back to
+			// the committed checkpoint rather than leave them dead.
 			if touched {
-				// Replicas were stopped mid-restore: climb the ladder back
-				// to the committed checkpoint rather than leave them dead.
-				for rep := 0; rep < 2; rep++ {
-					if rerr := c.rollbackReplica(rep); rerr != nil {
-						opErr = fmt.Errorf("core: restore epoch %d failed (%v) and ladder fallback failed: %w", epoch, err, rerr)
-						return
-					}
+				if rerr := c.rollback(0, 1); rerr != nil {
+					opErr = fmt.Errorf("core: restore epoch %d failed (%v) and ladder fallback failed: %w", epoch, err, rerr)
 				}
 			}
-			opErr = fmt.Errorf("core: restore epoch %d: %w", epoch, err)
 			return
 		}
-		c.recordLadderRestore(c.flush.rung(epoch, c.committedEpoch), epoch)
+		c.book(2, &cd)
 		c.committedEpoch = epoch
-		if c.epochSeq < epoch {
-			c.epochSeq = epoch
-		}
-		c.stats.Rollbacks += 2
-		c.prog.rollbacks.Add(2)
+		c.epochSeq = max(c.epochSeq, epoch)
 		c.prog.committedEpoch.Store(epoch)
 		c.mark(trace.Restart, fmt.Sprintf("both replicas restored from durable epoch %d on demand", epoch))
 	})
@@ -230,112 +223,4 @@ func (c *Controller) RestoreEpoch(epoch uint64, timeout time.Duration) error {
 		return err
 	}
 	return opErr
-}
-
-// adoptEpoch restores both replicas from a durable store's copy of the
-// epoch. Verification comes first: every task checkpoint of both replicas
-// must read back intact (payload root re-verified by the store) before any
-// replica is touched, so an incomplete or corrupt epoch fails with
-// touched=false and the job keeps running. The verified checkpoints are
-// mirrored into the hot store under the same epoch, making them the
-// ladder's tier-0 copy for later failures.
-func (c *Controller) adoptEpoch(st ckptstore.Store, epoch uint64) (touched bool, err error) {
-	clones := make([]flushClone, 0, 2*c.cfg.NodesPerReplica*c.cfg.TasksPerNode)
-	for rep := 0; rep < 2; rep++ {
-		for n := 0; n < c.cfg.NodesPerReplica; n++ {
-			for t := 0; t < c.cfg.TasksPerNode; t++ {
-				ck, gerr := st.Get(c.key(rep, n, t, epoch))
-				if gerr != nil {
-					return false, fmt.Errorf("durable checkpoint r%d/n%d/t%d@%d: %w", rep, n, t, epoch, gerr)
-				}
-				clones = append(clones, flushClone{rep, n, t, ck.Clone()})
-			}
-		}
-	}
-	for _, cl := range clones {
-		if perr := c.store.Put(c.key(cl.rep, cl.n, cl.t, epoch), cl.ck); perr != nil {
-			return false, fmt.Errorf("mirror into hot store: %w", perr)
-		}
-	}
-	for rep := 0; rep < 2; rep++ {
-		c.machine.StopReplica(rep)
-		c.coord.ForgetProgress(rep)
-		c.coord.Undone(rep)
-		if rerr := c.machine.RestartReplicaFromStore(rep, epoch, c.store); rerr != nil {
-			return true, fmt.Errorf("restart replica %d from epoch %d: %w", rep, epoch, rerr)
-		}
-	}
-	return true, nil
-}
-
-// resumeFromDurable implements Config.ResumeEpochs: a warm start from the
-// newest usable durable epoch, walking to older candidates when one turns
-// out corrupt or incomplete — the recovery ladder's escalation applied at
-// job start, against state a previous process left behind. Run calls it
-// after the machine starts (cold, factory state) and before the event
-// loop; when every candidate is unusable the job falls back to the cold
-// start it already has.
-func (c *Controller) resumeFromDurable() error {
-	if len(c.cfg.ResumeEpochs) == 0 {
-		return nil
-	}
-	epochs := append([]uint64(nil), c.cfg.ResumeEpochs...)
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i] < epochs[j] })
-	epochs = dedupeUint64(epochs)
-	// Burn the whole candidate range: fresh captures must never collide
-	// with stray mirrored keys from a failed adoption attempt.
-	c.epochSeq = epochs[len(epochs)-1]
-	for i := len(epochs) - 1; i >= 0; i-- {
-		epoch := epochs[i]
-		// A failed adoption may leave replicas stopped; older candidates (or
-		// the cold fallback) restart them.
-		if _, err := c.adoptEpoch(c.flush.store, epoch); err != nil {
-			c.mark(trace.Restart, fmt.Sprintf("resume: durable epoch %d unusable: %v", epoch, err))
-			continue
-		}
-		c.committedEpoch = epoch
-		c.commitLog = append(c.commitLog, epoch)
-		c.stats.ResumedEpoch = epoch
-		depth := len(epochs) - 1 - i
-		// The newest candidate stands in for the committed epoch.
-		tier := c.flush.rung(epoch, epochs[len(epochs)-1])
-		c.stats.TierRecoveries[tier]++
-		c.stats.RollbackDepths = append(c.stats.RollbackDepths, depth)
-		if depth > c.stats.MaxRollbackDepth {
-			c.stats.MaxRollbackDepth = depth
-		}
-		c.prog.tierRecoveries[tier].Add(1)
-		c.prog.committedEpoch.Store(epoch)
-		c.prog.resumedEpoch.Store(epoch)
-		// Seed the flush tier's index with the epochs at or below the resume
-		// point: a later buddy-pair double fault can then land on the
-		// pre-resume flushes.
-		c.flush.mu.Lock()
-		c.flush.epochs = append([]uint64(nil), epochs[:i+1]...)
-		c.flush.mu.Unlock()
-		c.mark(trace.Restart, fmt.Sprintf("warm resume from durable epoch %d (tier %d, %d newer epoch(s) skipped)", epoch, tier, depth))
-		return nil
-	}
-	// Every candidate unusable: cold start. Adoption attempts may have
-	// left replicas stopped, so restart both from factory state explicitly.
-	c.mark(trace.Restart, fmt.Sprintf("resume: all %d durable epoch(s) unusable, cold start", len(epochs)))
-	for rep := 0; rep < 2; rep++ {
-		c.machine.StopReplica(rep)
-		c.coord.ForgetProgress(rep)
-		c.coord.Undone(rep)
-		if err := c.machine.RestartReplica(rep, emptySet(c.cfg.NodesPerReplica, c.cfg.TasksPerNode)); err != nil {
-			return fmt.Errorf("core: cold-start fallback replica %d: %w", rep, err)
-		}
-	}
-	return nil
-}
-
-func dedupeUint64(sorted []uint64) []uint64 {
-	out := sorted[:0]
-	for i, e := range sorted {
-		if i == 0 || e != sorted[i-1] {
-			out = append(out, e)
-		}
-	}
-	return out
 }

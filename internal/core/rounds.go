@@ -27,7 +27,7 @@ func (c *Controller) checkpointRound() error {
 		// previous checkpoint (§2.3, weak scheme's failure case).
 		c.pendingWeak[0], c.pendingWeak[1] = false, false
 		c.mark(trace.Restart, "double failure: rollback to previous checkpoint")
-		return c.rollbackBoth()
+		return c.rollback(0, 1)
 	case c.pendingWeak[0]:
 		return c.recoveryCheckpoint(0)
 	case c.pendingWeak[1]:
@@ -115,7 +115,7 @@ func (c *Controller) normalRound() error {
 		c.coord.Release()
 	}
 	if err == nil && mismatch != "" {
-		return c.rollbackBoth()
+		return c.rollback(0, 1)
 	}
 	return err
 }
@@ -175,9 +175,12 @@ func (c *Controller) recoveryCheckpoint(crashed int) error {
 	c.commit(epoch, began, true)
 	c.mark(trace.Checkpoint, fmt.Sprintf("recovery checkpoint by replica %d", healthy))
 	// Restore the crashed replica from the fresh checkpoint.
-	if err := c.restartReplicaFromEpoch(crashed, epoch); err != nil {
-		return err
+	if err := c.relaunch(crashed, epoch, false, func() error {
+		return c.machine.RestartReplicaFromStore(crashed, epoch, c.store)
+	}); err != nil {
+		return fmt.Errorf("core: restart replica %d: %w", crashed, err)
 	}
+	c.book(1, nil)
 	c.mark(trace.Restart, fmt.Sprintf("replica %d restored from replica %d's checkpoint", crashed, healthy))
 	c.pendingWeak[crashed] = false
 	return nil
@@ -463,7 +466,7 @@ func (c *Controller) handleFailure(f runtime.Failure) error {
 		// roll everything back to the previous checkpoint (§2.3).
 		c.pendingWeak[other] = false
 		c.mark(trace.Restart, "failure in healthy replica during pending recovery")
-		return c.rollbackBoth()
+		return c.rollback(0, 1)
 	}
 
 	switch c.cfg.Scheme {
@@ -474,7 +477,7 @@ func (c *Controller) handleFailure(f runtime.Failure) error {
 		// replica keeps running and waits at the next checkpoint for
 		// the crashed replica to catch up (Figure 4a).
 		c.mark(trace.Restart, fmt.Sprintf("strong: replica %d rolls back", f.Replica))
-		return c.rollbackReplica(f.Replica)
+		return c.rollback(f.Replica)
 	case Medium:
 		// Force an immediate checkpoint in the healthy replica and
 		// restart the crashed replica from it (Figure 4b).
@@ -488,55 +491,6 @@ func (c *Controller) handleFailure(f runtime.Failure) error {
 		return nil
 	}
 	return fmt.Errorf("core: unknown scheme %v", c.cfg.Scheme)
-}
-
-// rollbackReplica restarts one replica from the committed checkpoint
-// epoch in the store (or from the beginning when none exists).
-func (c *Controller) rollbackReplica(rep int) error {
-	c.machine.StopReplica(rep)
-	c.coord.ForgetProgress(rep)
-	c.coord.Undone(rep)
-	if err := c.restartFromCommitted(rep); err != nil {
-		return err
-	}
-	c.stats.Rollbacks++
-	c.prog.rollbacks.Add(1)
-	return nil
-}
-
-// restartReplicaFromEpoch restarts a replica from a specific stored epoch
-// (the medium/weak recovery transfer).
-func (c *Controller) restartReplicaFromEpoch(rep int, epoch uint64) error {
-	c.machine.StopReplica(rep)
-	// Fire only once the replica is quiescent: hooks use this firing as the
-	// boundary after which task progress legitimately regresses, so no
-	// stale pre-stop progress report may follow it.
-	c.fire(point.CoreRestart, point.Info{Replica: rep, Node: -1, Task: -1, Epoch: epoch})
-	c.coord.ForgetProgress(rep)
-	c.coord.Undone(rep)
-	if err := c.machine.RestartReplicaFromStore(rep, epoch, c.store); err != nil {
-		return fmt.Errorf("core: restart replica %d: %w", rep, err)
-	}
-	c.stats.Rollbacks++
-	c.prog.rollbacks.Add(1)
-	return nil
-}
-
-func (c *Controller) rollbackBoth() error {
-	for rep := 0; rep < 2; rep++ {
-		if err := c.rollbackReplica(rep); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func emptySet(nodes, tasks int) [][][]byte {
-	out := make([][][]byte, nodes)
-	for n := range out {
-		out[n] = make([][]byte, tasks)
-	}
-	return out
 }
 
 // sdcFlip is one applied injection: the task and the bit of its packed

@@ -55,7 +55,7 @@ type CaptureOptions struct {
 // checksummed checkpoints under the epoch. The caller must guarantee the
 // replica is quiescent (parked in Progress, completed, or stopped), same
 // as PackTask. Tasks are packed and checksummed concurrently per
-// opts.Workers and opts.ChunkWorkers, as one stage of a stages.Run; each
+// opts.Workers and opts.ChunkWorkers, through stages.Run; each
 // task's buffer comes from opts.Pool when one is attached, and packing
 // skips the Sizing traversal whenever the task's previous packed size
 // still fits (pup.PackInto). Every task is attempted; when several fail,
@@ -73,10 +73,10 @@ func (m *Machine) CaptureReplica(rep int, epoch uint64, st ckptstore.Store, opts
 	if chunkWorkers <= 0 {
 		chunkWorkers = max(1, stdruntime.GOMAXPROCS(0)/workers)
 	}
-	stages.Run(out, stages.Stage{Width: workers, Run: func(i int) error {
+	stages.Run(out, workers, func(i int) error {
 		addr := Addr{Replica: rep, Node: i / tasks, Task: i % tasks}
 		return m.captureAndStore(addr, epoch, st, opts, chunkWorkers)
-	}})
+	})
 	return stages.FirstFailure(out)
 }
 

@@ -1,12 +1,12 @@
 // Package stages is the checkpoint path's stage runner: it pushes a dense
-// range of items through a sequence of worker-pool stages, each as wide as
-// its caller asks, and records per item the first stage that failed. The
-// durable-tier clone in internal/core and runtime.Machine.CaptureReplica
-// run on it; the checkpoint round body in internal/core, whose compare
-// waits on two replicas' captures rather than one predecessor stage,
-// schedules its own items and shares Clock, Outcome and FirstFailure.
+// range of items through one worker-pool stage, as wide as its caller
+// asks, and records each item's failure. The durable-tier clone in
+// internal/core and runtime.Machine.CaptureReplica run on it; the
+// checkpoint round body in internal/core, whose compare waits on two
+// replicas' captures rather than one predecessor stage, schedules its own
+// items across its three stages and shares Clock, Outcome and FirstFailure.
 //
-// The result never depends on the widths: nothing is cancelled early, every
+// The result never depends on the width: nothing is cancelled early, every
 // item's outcome lands in a dense slice, and FirstFailure resolves that
 // slice the way a serial walk would have met it — the earliest stage that
 // failed anywhere outranks later stages, and within a stage the lowest item
@@ -39,8 +39,7 @@ func (c *Clock) Reset() {
 
 // Observe folds one item's stage occupancy [start, now) into the clock. base
 // is the run's reference instant: the same for every observation between
-// two Resets (Run uses its own start; a caller scheduling items itself
-// passes its own).
+// two Resets.
 func (c *Clock) Observe(base, start time.Time) {
 	end := time.Now()
 	c.busy.Add(int64(end.Sub(start)))
@@ -79,89 +78,42 @@ type Outcome struct {
 	Err   error
 }
 
-// Stage is one step of a run. Run(i) processes item i; a non-nil error
-// stops the item.
-type Stage struct {
-	Width int
-	Clock *Clock // nil = untimed
-	Run   func(i int) error
-}
-
-// Run pushes items 0..len(out)-1 through the stages and records each item's
-// first failure in out. With every stage at width 1 it runs inline on the
-// calling goroutine, stage by stage in item order, starting no goroutine
-// and making no channel. Otherwise each stage is a pool of Width workers
-// fed by a channel: the first stage's channel is pre-filled in item order,
-// every later one carries the items that survived the stage before it.
-// Nothing is cancelled early — FirstFailure resolves out in
-// stage-then-index order, which is what makes the result independent of
-// the widths.
-func Run(out []Outcome, stages ...Stage) {
-	total := len(out)
+// Run runs run(i) for the items 0..len(out)-1 on width workers and records
+// each item's failure in out, as stage 0. At width 1 it runs inline on the
+// calling goroutine in item order, starting no goroutine and making no
+// channel. Otherwise width workers drain a channel pre-filled in item
+// order. Nothing is cancelled early — FirstFailure resolves out lowest
+// index first, which is what makes the result independent of the width.
+func Run(out []Outcome, width int, run func(i int) error) {
 	clear(out)
-	base := time.Now()
-	step := func(si int, i int) bool {
-		s := &stages[si]
-		began := time.Now()
-		err := s.Run(i)
-		if s.Clock != nil {
-			s.Clock.Observe(base, began)
+	step := func(i int) {
+		if err := run(i); err != nil {
+			out[i] = Outcome{Err: err}
 		}
-		if err != nil {
-			out[i] = Outcome{Stage: si, Err: err}
-		}
-		return err == nil
 	}
-	inline := true
-	for _, s := range stages {
-		inline = inline && s.Width <= 1
-	}
-	if inline {
-		for si := range stages {
-			for i := 0; i < total; i++ {
-				if out[i].Err == nil {
-					step(si, i)
-				}
-			}
+	if width <= 1 {
+		for i := range out {
+			step(i)
 		}
 		return
 	}
-	// Every channel is sized to the number of sends it can ever see, so no
-	// stage blocks on its successor and workers need no select.
-	in := make(chan int, total)
-	for i := 0; i < total; i++ {
+	// The channel holds every item, so filling it never blocks.
+	in := make(chan int, len(out))
+	for i := range out {
 		in <- i
 	}
 	close(in)
-	var last sync.WaitGroup
-	for si := range stages {
-		s, src := &stages[si], in
-		var dst chan int
-		wg := &last
-		if si < len(stages)-1 {
-			dst = make(chan int, total)
-			wg = new(sync.WaitGroup)
-		}
-		wg.Add(s.Width)
-		for w := 0; w < s.Width; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range src {
-					if step(si, i) && dst != nil {
-						dst <- i
-					}
-				}
-			}()
-		}
-		if dst != nil {
-			go func() {
-				wg.Wait()
-				close(dst)
-			}()
-		}
-		in = dst
+	var wg sync.WaitGroup
+	wg.Add(width)
+	for w := 0; w < width; w++ {
+		go func() {
+			defer wg.Done()
+			for i := range in {
+				step(i)
+			}
+		}()
 	}
-	last.Wait()
+	wg.Wait()
 }
 
 // FirstFailure returns the error a serial walk would have met first: the
