@@ -134,9 +134,6 @@ type Config struct {
 	Scheme Scheme
 	// Comparison is the SDC-detection method.
 	Comparison Comparison
-	// RelTol is the relative float tolerance for FullCompare (§4.1);
-	// ignored by ChecksumCompare, which is exact by construction.
-	RelTol float64
 	// CheckpointInterval is the base period between automatic
 	// checkpoints. Zero disables periodic checkpointing (hard-error-only
 	// mode, Figure 5a).
@@ -254,8 +251,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: Factory is required")
 	case c.Scheme < Strong || c.Scheme > Weak:
 		return fmt.Errorf("core: unknown scheme %d", c.Scheme)
-	case c.RelTol < 0:
-		return fmt.Errorf("core: negative RelTol")
 	}
 	if c.MinInterval <= 0 {
 		c.MinInterval = c.CheckpointInterval / 8

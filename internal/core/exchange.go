@@ -35,7 +35,7 @@ import (
 //     waited for all of them (sendWindow);
 //   - only the frames still unacknowledged after a pass are resent, after
 //     a capped exponential backoff plus deterministic jitter, bounded by
-//     MaxAttempts per frame and a per-round deadline;
+//     an attempt count per frame and a per-transfer deadline (retryPolicy);
 //   - the receive side is idempotent: duplicate or late deliveries are
 //     deduplicated by frame id, and payload bytes are copied into the
 //     frame at send time, so a straggler delivered after its transfer
@@ -58,16 +58,6 @@ type ExchangeConfig struct {
 	// Seed drives the link's fault draws and the backoff jitter; the
 	// whole exchange schedule is a pure function of it.
 	Seed int64
-	// MaxAttempts bounds transmissions per frame (<= 0 selects 16).
-	MaxAttempts int
-	// BaseBackoff / MaxBackoff bound the capped exponential backoff
-	// between retransmissions (<= 0 selects 50µs / 1ms).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// RoundDeadline bounds one transfer's total wall time (<= 0 selects
-	// 5s). It exists so a pathological link fails the round visibly
-	// rather than tripping the campaign watchdog.
-	RoundDeadline time.Duration
 	// Latency is the modeled one-way frame propagation delay: a transfer
 	// costs one full round trip (data frames out, acks back) per pass over
 	// its unacknowledged frames — one, on a clean link. Zero keeps the link
@@ -95,19 +85,24 @@ func (e *ExchangeConfig) validate() error {
 	if e.Latency < 0 {
 		return fmt.Errorf("core: negative exchange latency %v", e.Latency)
 	}
-	if e.MaxAttempts <= 0 {
-		e.MaxAttempts = 16
-	}
-	if e.BaseBackoff <= 0 {
-		e.BaseBackoff = 50 * time.Microsecond
-	}
-	if e.MaxBackoff <= 0 {
-		e.MaxBackoff = time.Millisecond
-	}
-	if e.RoundDeadline <= 0 {
-		e.RoundDeadline = 5 * time.Second
-	}
 	return nil
+}
+
+// The exchange's retry bounds. roundDeadline bounds one transfer's total
+// wall time, so a pathological link fails the round visibly rather than
+// tripping the campaign watchdog.
+const (
+	maxAttempts   = 16                    // transmissions per frame
+	baseBackoff   = 50 * time.Microsecond // first resend's backoff, doubling per pass
+	maxBackoff    = time.Millisecond      // the backoff's cap
+	roundDeadline = 5 * time.Second
+)
+
+// retryPolicy is an exchanger's copy of the retry bounds; tests shrink it.
+type retryPolicy struct {
+	attempts  int
+	base, max time.Duration
+	deadline  time.Duration
 }
 
 // frameID identifies one exchange frame. Data frames carry one checkpoint
@@ -155,9 +150,10 @@ type assemblyKey struct {
 // frame arbitration serialize on mu (the wire is serial), while propagation
 // delay and backoff sleeps happen outside it (flight time is concurrent).
 type exchanger struct {
-	c    *Controller
-	cfg  ExchangeConfig
-	link *netsim.Link
+	c     *Controller
+	cfg   ExchangeConfig
+	retry retryPolicy
+	link  *netsim.Link
 	// mu guards seen/acked/assembling, the rng, and transmit's worklist
 	// loop. Acquiring it on the final ack check also publishes every
 	// assembly-buffer write (they happen under the same mutex) to the
@@ -195,6 +191,7 @@ func newExchanger(c *Controller, cfg ExchangeConfig) *exchanger {
 	return &exchanger{
 		c:          c,
 		cfg:        cfg,
+		retry:      retryPolicy{maxAttempts, baseBackoff, maxBackoff, roundDeadline},
 		link:       netsim.NewLink(netsim.LinkParams{Loss: cfg.Loss, Dup: cfg.Dup, Reorder: cfg.Reorder, Seed: cfg.Seed}),
 		rng:        rand.New(rand.NewSource(cfg.Seed ^ 0x657863)),
 		seen:       make(map[frameID]bool),
@@ -212,7 +209,7 @@ func newExchanger(c *Controller, cfg ExchangeConfig) *exchanger {
 // everything. The returned checkpoint owns its buffer — it never aliases
 // src or base, so the receiver's copy is safe against later recycling.
 func (x *exchanger) shipCheckpoint(epoch uint64, node, task int, src, base *ckptstore.Checkpoint) (*ckptstore.Checkpoint, error) {
-	deadline := time.Now().Add(x.cfg.RoundDeadline)
+	deadline := time.Now().Add(x.retry.deadline)
 	key := assemblyKey{epoch: epoch, node: node, task: task}
 	buf := make([]byte, src.Len())
 	baseOK := base != nil && base.ChunkSize == src.ChunkSize &&
@@ -288,7 +285,7 @@ const digestHeader = 24
 // from the received sums, so a digest damaged on its way to the compare
 // fails the round loudly with ErrExchange instead of deciding its verdict.
 func (x *exchanger) shipDigest(epoch uint64, node, task int, d ckptstore.Digest, dst *digestSlot) error {
-	deadline := time.Now().Add(x.cfg.RoundDeadline)
+	deadline := time.Now().Add(x.retry.deadline)
 	// Encoded into a buffer of its own: a duplicate of the frame may be
 	// delivered after the transfer is long gone.
 	payload := make([]byte, 0, digestHeader+8*len(d.Sums))
@@ -338,7 +335,7 @@ func (x *exchanger) shipDigest(epoch uint64, node, task int, d ckptstore.Digest,
 // replicas' view of it.
 func (x *exchanger) shipResult(epoch uint64) error {
 	f := frame{id: frameID{epoch: epoch, node: -1, task: -1, chunk: resultFrame}}
-	if _, err := x.sendWindow([]frame{f}, time.Now().Add(x.cfg.RoundDeadline)); err != nil {
+	if _, err := x.sendWindow([]frame{f}, time.Now().Add(x.retry.deadline)); err != nil {
 		return fmt.Errorf("compare-result message e%d: %w", epoch, err)
 	}
 	return nil
@@ -354,9 +351,9 @@ func (x *exchanger) shipResult(epoch uint64) error {
 // number is its attempt count. resent counts retransmitted frames (for the
 // caller's trace mark); the exchanger-wide total lands in x.retries.
 func (x *exchanger) sendWindow(pending []frame, deadline time.Time) (resent int64, err error) {
-	backoff := x.cfg.BaseBackoff
+	backoff := x.retry.base
 	for pass := 0; len(pending) > 0; pass++ {
-		if pass >= x.cfg.MaxAttempts {
+		if pass >= x.retry.attempts {
 			return resent, fmt.Errorf("%w: frame %v unacknowledged after %d attempts", ErrExchange, pending[0].id, pass)
 		}
 		if !time.Now().Before(deadline) {
@@ -371,7 +368,7 @@ func (x *exchanger) sendWindow(pending []frame, deadline time.Time) (resent int6
 			jitter := time.Duration(x.rng.Int63n(int64(backoff/2) + 1))
 			x.mu.Unlock()
 			time.Sleep(backoff/2 + jitter)
-			backoff = min(2*backoff, x.cfg.MaxBackoff)
+			backoff = min(2*backoff, x.retry.max)
 		}
 		x.passes.Add(1)
 		for _, f := range pending {

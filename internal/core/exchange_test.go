@@ -61,13 +61,11 @@ func (l *frameLog) Fire(id point.ID, info *point.Info) {
 // and hook to an idle one-task controller.
 func newTestExchanger(t *testing.T, cfg ExchangeConfig, hook point.Hook) *exchanger {
 	t.Helper()
-	if cfg.BaseBackoff == 0 {
-		cfg.BaseBackoff, cfg.MaxBackoff = time.Microsecond, time.Microsecond
-	}
 	ctrl, err := New(Config{NodesPerReplica: 1, TasksPerNode: 1, Factory: benchFactory(1), Exchange: &cfg, Chaos: hook})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctrl.exch.retry.base, ctrl.exch.retry.max = time.Microsecond, time.Microsecond
 	return ctrl.exch
 }
 
@@ -283,20 +281,22 @@ func TestWindowGivesUpNamingLowestPendingChunk(t *testing.T) {
 		hook := point.HookFunc(func(id point.ID, info *point.Info) {
 			info.Drop = id == point.NetFrame && (info.Iter == 5 || info.Iter == 9)
 		})
-		x := newTestExchanger(t, ExchangeConfig{MaxAttempts: 3}, hook)
+		x := newTestExchanger(t, ExchangeConfig{}, hook)
+		x.retry.attempts = 3
 		_, err := x.shipCheckpoint(2, 0, 0, testCheckpoint(16, 1), nil)
 		if !errors.Is(err, ErrExchange) || !strings.Contains(err.Error(), "n0/t0@e2 chunk 5 unacknowledged after 3 attempts") {
 			t.Fatalf("err = %v, want ErrExchange naming chunk 5 after 3 attempts", err)
 		}
 		if got := x.passes.Load(); got != 3 {
-			t.Errorf("passes = %d, want MaxAttempts = 3", got)
+			t.Errorf("passes = %d, want the 3 attempts allowed", got)
 		}
 		if got := x.retries.Load(); got != 4 {
 			t.Errorf("retries = %d, want 2 chunks resent in each of 2 passes", got)
 		}
 	})
 	t.Run("deadline", func(t *testing.T) {
-		x := newTestExchanger(t, ExchangeConfig{RoundDeadline: time.Nanosecond}, nil)
+		x := newTestExchanger(t, ExchangeConfig{}, nil)
+		x.retry.deadline = time.Nanosecond
 		src := testCheckpoint(16, 2)
 		_, err := x.shipCheckpoint(2, 0, 0, src, differingIn(src, 7, 11))
 		if !errors.Is(err, ErrExchange) || !strings.Contains(err.Error(), "chunk 7 missed the round deadline") {
@@ -364,12 +364,13 @@ func TestWindowShipsOnlyChunksTheBaseLacks(t *testing.T) {
 // late is dropped without touching them or provoking an ack.
 func TestExchangeMapsPrunedAtCommit(t *testing.T) {
 	const tasks, chunks, rounds = 4, 16, 200
-	cfg := ExchangeConfig{Loss: 0.05, Dup: 0.1, Reorder: 0.2, Seed: 6, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond}
+	cfg := ExchangeConfig{Loss: 0.05, Dup: 0.1, Reorder: 0.2, Seed: 6}
 	ctrl, err := New(Config{NodesPerReplica: 1, TasksPerNode: tasks, Factory: benchFactory(1), Exchange: &cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := ctrl.exch
+	x.retry.base, x.retry.max = time.Microsecond, time.Microsecond
 	const roundFrames = tasks*chunks + 1 // every chunk, and the compare-result message
 	for r := 0; r < rounds; r++ {
 		epoch := ctrl.nextEpoch()

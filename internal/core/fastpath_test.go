@@ -13,14 +13,13 @@ import (
 // fastpathController builds an idle controller over the bench workload. The
 // machine is never started: every task sits quiescent at its deterministic
 // factory state, which satisfies the capture/compare quiescence contract.
-func fastpathController(t *testing.T, nodes, tasks int, comparison Comparison, relTol float64) *Controller {
+func fastpathController(t *testing.T, nodes, tasks int, comparison Comparison) *Controller {
 	t.Helper()
 	ctrl, err := New(Config{
 		NodesPerReplica: nodes,
 		TasksPerNode:    tasks,
 		Factory:         benchFactory(64),
 		Comparison:      comparison,
-		RelTol:          relTol,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -41,7 +40,7 @@ func errEq(a, b error) bool {
 // ckptstore.Capture, byte for byte.
 func TestFastCaptureMatchesSerialCapture(t *testing.T) {
 	const nodes, tasks = 3, 2
-	ctrl := fastpathController(t, nodes, tasks, FullCompare, 0)
+	ctrl := fastpathController(t, nodes, tasks, FullCompare)
 	if ctrl.pool == nil {
 		t.Fatalf("controller-owned store did not get a recycling pool")
 	}

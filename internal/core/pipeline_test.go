@@ -77,7 +77,7 @@ type roundOutcome struct {
 // replica 0, and runs one compared round body at the given stage width,
 // shipping every checkpoint through a seeded lossy link in chunkSize-byte
 // frames (0 = the default, one frame per ~3 KB task).
-func bodyAtWidth(t *testing.T, width, nodes, tasks int, comparison Comparison, relTol float64, chunkSize int, semi bool, spots [][2]int) roundOutcome {
+func bodyAtWidth(t *testing.T, width, nodes, tasks int, comparison Comparison, chunkSize int, semi bool, spots [][2]int) roundOutcome {
 	t.Helper()
 	testStageWidth.Store(int32(width)) // the package's unexported scheduling seam
 	ctrl, err := New(Config{
@@ -85,7 +85,6 @@ func bodyAtWidth(t *testing.T, width, nodes, tasks int, comparison Comparison, r
 		TasksPerNode:    tasks,
 		Factory:         benchFactory(64),
 		Comparison:      comparison,
-		RelTol:          relTol,
 		ChunkSize:       chunkSize,
 		SemiBlocking:    semi,
 		Exchange:        &ExchangeConfig{Loss: 0.05, Dup: 0.05, Reorder: 0.1, Seed: 11, ShipCheckpoints: true},
@@ -137,10 +136,8 @@ func TestPipelinedRoundMatchesBarrierVerdict(t *testing.T) {
 	modes := []struct {
 		name       string
 		comparison Comparison
-		relTol     float64
 		chunkSize  int
-	}{{"checksum", ChecksumCompare, 0, 0}, {"full", FullCompare, 0, 0}, {"reltol", FullCompare, 1e-12, 0},
-		{"checksum-multichunk", ChecksumCompare, 0, 256}}
+	}{{"checksum", ChecksumCompare, 0}, {"full", FullCompare, 0}, {"checksum-multichunk", ChecksumCompare, 256}}
 	type spotCase struct {
 		name  string
 		spots [][2]int
@@ -157,7 +154,7 @@ func TestPipelinedRoundMatchesBarrierVerdict(t *testing.T) {
 			for _, sc := range cases {
 				t.Run(sc.name, func(t *testing.T) {
 					for _, semi := range []bool{false, true} {
-						ref := bodyAtWidth(t, 1, nodes, tasks, mode.comparison, mode.relTol, mode.chunkSize, semi, sc.spots)
+						ref := bodyAtWidth(t, 1, nodes, tasks, mode.comparison, mode.chunkSize, semi, sc.spots)
 						if ref.err != nil {
 							t.Fatalf("semi=%v width 1: %v", semi, ref.err)
 						}
@@ -169,7 +166,7 @@ func TestPipelinedRoundMatchesBarrierVerdict(t *testing.T) {
 						}
 						for _, width := range []int{2, 3, 8} {
 							for rerun := 0; rerun < 3; rerun++ { // racy schedules must not leak through
-								got := bodyAtWidth(t, width, nodes, tasks, mode.comparison, mode.relTol, mode.chunkSize, semi, sc.spots)
+								got := bodyAtWidth(t, width, nodes, tasks, mode.comparison, mode.chunkSize, semi, sc.spots)
 								if got.mismatch != ref.mismatch || got.chunk != ref.chunk || !errEq(got.err, ref.err) {
 									t.Fatalf("semi=%v width %d = (%q, %d, %v), width 1 = (%q, %d, %v)",
 										semi, width, got.mismatch, got.chunk, got.err, ref.mismatch, ref.chunk, ref.err)

@@ -63,9 +63,7 @@ func (c *Controller) normalRound() error {
 	if semi {
 		// Asynchronous checkpointing (§4.2 [27]): the application resumes
 		// as soon as the local captures are done; exchange and comparison
-		// overlap with execution. The tolerance-aware live-state comparison
-		// is unavailable then (the state is moving again), so compareTask
-		// compares the captured bytes directly.
+		// overlap with execution.
 		captureDrained = func() {
 			blocked = time.Since(began)
 			c.coord.Release()
@@ -279,33 +277,15 @@ func (c *Controller) compareTask(n, t int, epoch uint64) (string, int, error) {
 		if err != nil {
 			return "", -1, fmt.Errorf("core: fetch remote checkpoint n%d/t%d: %w", n, t, err)
 		}
-		if c.cfg.RelTol == 0 || c.cfg.SemiBlocking {
-			// Exact comparison on the captured bytes. The
-			// tolerance-aware checker needs the live state to
-			// be quiescent, so semi-blocking mode always
-			// compares captures.
-			exchBegan := time.Now()
-			local, err := c.store.Get(c.key(1, n, t, epoch)) // replica 2's local checkpoint
-			c.roundFetch.Add(time.Since(exchBegan))
-			if err != nil {
-				return "", -1, fmt.Errorf("core: fetch local checkpoint n%d/t%d: %w", n, t, err)
-			}
-			if !bytes.Equal(remote.Bytes(), local.Bytes()) {
-				chunk := firstDiffChunk(remote.Bytes(), local.Bytes(), remote.ChunkSize)
-				return fmt.Sprintf("byte mismatch at n%d/t%d chunk %d", n, t, chunk), chunk, nil
-			}
-			return "", -1, nil
-		}
-		// Tolerance-aware comparison via the checker PUPer
-		// against replica 2's live (parked) state.
-		res, err := c.machine.CheckTask(runtime.Addr{Replica: 1, Node: n, Task: t}, remote.Bytes(), c.cfg.RelTol)
+		exchBegan = time.Now()
+		local, err := c.store.Get(c.key(1, n, t, epoch)) // replica 2's local checkpoint
+		c.roundFetch.Add(time.Since(exchBegan))
 		if err != nil {
-			return fmt.Sprintf("structural divergence at n%d/t%d: %v", n, t, err), -1, nil
+			return "", -1, fmt.Errorf("core: fetch local checkpoint n%d/t%d: %w", n, t, err)
 		}
-		if !res.Match {
-			m := res.Mismatches[0]
-			chunk := m.ChunkIndex(remote.ChunkSize)
-			return fmt.Sprintf("mismatch at n%d/t%d chunk %d: %v", n, t, chunk, m), chunk, nil
+		if !bytes.Equal(remote.Bytes(), local.Bytes()) {
+			chunk := firstDiffChunk(remote.Bytes(), local.Bytes(), remote.ChunkSize)
+			return fmt.Sprintf("byte mismatch at n%d/t%d chunk %d", n, t, chunk), chunk, nil
 		}
 	}
 	return "", -1, nil

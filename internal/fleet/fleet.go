@@ -59,9 +59,6 @@ type Config struct {
 	// against its own budget instead of competing with local disk flushes;
 	// <= 0 disables throttling (the arbiter still counts traffic).
 	RemoteBytesPerSec float64
-	// RemoteTransferSlots bounds concurrent remote-tier transfers; <= 0
-	// unlimited.
-	RemoteTransferSlots int
 	// Timeline, if non-nil, receives fleet-level events (admissions,
 	// grants, preemptions) as trace.Fleet annotations.
 	Timeline *trace.Timeline
@@ -269,7 +266,7 @@ func New(cfg Config) (*Scheduler, error) {
 	s := &Scheduler{
 		cfg:        cfg,
 		arb:        NewArbiter(cfg.BytesPerSec, cfg.TransferSlots),
-		remoteArb:  NewArbiter(cfg.RemoteBytesPerSec, cfg.RemoteTransferSlots),
+		remoteArb:  NewArbiter(cfg.RemoteBytesPerSec, 0), // any number of remote transfers at once
 		events:     make(chan event, 64),
 		stop:       make(chan struct{}),
 		stopped:    make(chan struct{}),

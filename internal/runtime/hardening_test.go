@@ -35,9 +35,9 @@ func TestMailboxOverflowSurfaces(t *testing.T) {
 	m := newTestMachine(t, Config{
 		NodesPerReplica: 1,
 		TasksPerNode:    2,
-		MailboxCap:      64,
 		Factory:         factory,
 	})
+	m.mailboxCap = 64
 	m.Start()
 	select {
 	case err := <-errCh:

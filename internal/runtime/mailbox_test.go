@@ -80,10 +80,10 @@ func TestMailboxNoLostWakeup(t *testing.T) {
 		NodesPerReplica: 1,
 		TasksPerNode:    senders + 2,
 		Factory:         factory,
-		// The senders are not flow-controlled; the bound is not an
-		// allocation, so covering the worst backlog costs nothing.
-		MailboxCap: senders * perSender,
 	})
+	// The senders are not flow-controlled; the bound is not an allocation,
+	// so covering the worst backlog costs nothing.
+	m.mailboxCap = senders * perSender
 	m.Start()
 	for i := 0; i < 2; i++ {
 		select {
@@ -255,7 +255,7 @@ func TestInterruptMatrix(t *testing.T) {
 	}
 }
 
-// TestMailboxBoundAndRelease: MailboxCap is the number of queued messages at
+// TestMailboxBoundAndRelease: the mailbox cap is the number of queued messages at
 // which Send fails — exactly — and a drained queue holds no reference to any
 // payload it delivered.
 func TestMailboxBoundAndRelease(t *testing.T) {
@@ -286,7 +286,8 @@ func TestMailboxBoundAndRelease(t *testing.T) {
 			return nil
 		}}
 	}
-	m := newTestMachine(t, Config{NodesPerReplica: 1, TasksPerNode: 2, MailboxCap: bound, Factory: factory})
+	m := newTestMachine(t, Config{NodesPerReplica: 1, TasksPerNode: 2, Factory: factory})
+	m.mailboxCap = bound
 	m.Start()
 	select {
 	case err := <-sent:
@@ -361,7 +362,7 @@ func TestMailboxCompaction(t *testing.T) {
 
 // TestFreshMachineIsSmall pins the eager-mailbox regression: 64 started
 // tasks that have exchanged nothing cost well under 64 KiB of heap. (Each
-// used to allocate MailboxCap message slots up front: 14 MiB for these 64.)
+// used to allocate its mailbox cap's message slots up front: 14 MiB for these 64.)
 func TestFreshMachineIsSmall(t *testing.T) {
 	prog := progFunc{pup: func(*pup.PUPer) {}, run: func(ctx *Ctx) error {
 		_, err := ctx.Recv()

@@ -110,10 +110,10 @@ func (c *Ctx) Send(to Addr, tag int, data any) error {
 	if dst == nil {
 		return nil
 	}
-	if !dst.mbox.push(Message{From: c.addr, Tag: tag, Data: data, epoch: c.epoch}, c.m.cfg.MailboxCap) {
+	if !dst.mbox.push(Message{From: c.addr, Tag: tag, Data: data, epoch: c.epoch}, c.m.mailboxCap) {
 		// A full mailbox means the application violated the bounded
 		// outstanding-message discipline; surface it loudly.
-		return fmt.Errorf("runtime: mailbox overflow at %v (cap %d)", to, c.m.cfg.MailboxCap)
+		return fmt.Errorf("runtime: mailbox overflow at %v (cap %d)", to, c.m.mailboxCap)
 	}
 	return nil
 }
