@@ -30,7 +30,7 @@ type Record struct {
 
 // iterDelay is the per-iteration throttle applied to every task (see
 // Fire's RuntimeProgress handling). It also stretches each run across many
-// heartbeat periods, so heartbeat-triggered faults have room to fire.
+// failure-detector ticks, so heartbeat-triggered faults have room to fire.
 const iterDelay = 50 * time.Microsecond
 
 // armedFault is a resolved fault plus its live trigger state.

@@ -7,7 +7,7 @@
 // A point firing is synchronous: the instrumented code calls Hook.Fire at
 // the point and continues when it returns. Hooks must therefore be fast on
 // the non-injecting path and safe for concurrent use (message delivery and
-// heartbeat points fire from many goroutines).
+// progress points fire from every task's goroutine).
 package point
 
 import "sort"
@@ -33,9 +33,10 @@ const (
 	// RuntimeProgress fires when a task reports iteration progress, before
 	// the consensus gate sees the report. Info.Iter is the iteration.
 	RuntimeProgress ID = "runtime.progress"
-	// RuntimeHeartbeat fires on every heartbeat refresh of a physical
-	// node, before the beat is recorded. Info.Node is the physical node
-	// id; a hook that sleeps here delays the node's heartbeat.
+	// RuntimeHeartbeat fires when a failure-detector tick reaches a live
+	// physical node, once per node per tick and before the tick looks for
+	// dead nodes. Info.Node is the physical node id; a hook that sleeps
+	// here stalls the tick, which delays detection and nothing else.
 	RuntimeHeartbeat ID = "runtime.heartbeat"
 	// CorePreConsensus fires when the controller begins a periodic
 	// checkpoint round, before the consensus cut is requested.

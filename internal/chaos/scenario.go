@@ -44,8 +44,9 @@ const (
 	// BuddyDoubleCrash fail-stops the target node and its buddy (the same
 	// node index in the other replica) in one firing.
 	BuddyDoubleCrash FaultKind = "buddy_double_crash"
-	// HeartbeatDelay stalls the target physical node's heartbeat refresh
-	// by Fault.Delay once (point.RuntimeHeartbeat).
+	// HeartbeatDelay stalls the failure-detector tick that reaches the
+	// target physical node by Fault.Delay, once (point.RuntimeHeartbeat):
+	// detection of any dead node waits out the stall.
 	HeartbeatDelay FaultKind = "heartbeat_delay"
 	// FrameDrop discards one exchange frame before it reaches the link
 	// (point.NetFrame, via Info.Drop) — a targeted loss on top of the
@@ -126,7 +127,7 @@ type Fault struct {
 	// is the oracle-sensitivity mode: it emulates a disabled comparison,
 	// and a correct oracle must report the resulting SDC escape.
 	Both bool `json:"both,omitempty"`
-	// Delay is the heartbeat stall for HeartbeatDelay.
+	// Delay is the detector-tick stall for HeartbeatDelay.
 	Delay Duration `json:"delay,omitempty"`
 	// Count (RemoteDark only) is the failed-op budget of the outage: the
 	// remote self-heals after Count operations fail dark. <= 0 keeps the
