@@ -234,7 +234,7 @@ func BenchmarkLiveCheckpointRound(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := m.CheckTask(runtime.Addr{Replica: 1, Node: 0, Task: 0}, data, 0)
+				res, err := m.CheckTask(runtime.Addr{Replica: 1, Node: 0, Task: 0}, data)
 				if err != nil || !res.Match {
 					b.Fatal("comparison failed")
 				}

@@ -1,7 +1,8 @@
 // Command acrd runs the ACR checkpoint/restart control plane as a
 // long-running service: a fleet scheduler behind an HTTP/JSON API, with
-// every submission, durable flush, and result fsynced into a journal under
-// -data so the daemon itself is crash-restartable.
+// every submission and result fsynced into a journal under -data and every
+// job's checkpoints flushed to disk there, so the daemon itself is
+// crash-restartable.
 //
 // Usage:
 //

@@ -85,7 +85,7 @@ func run(corrupt func(*runtime.Machine)) (msgDivergences int, ckptMatch bool) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := m.CheckTask(runtime.Addr{Replica: 1, Node: 0, Task: 0}, data, 0)
+	res, err := m.CheckTask(runtime.Addr{Replica: 1, Node: 0, Task: 0}, data)
 	if err != nil {
 		log.Fatal(err)
 	}

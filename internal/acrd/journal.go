@@ -1,21 +1,21 @@
 // The acrd control-plane journal: an append-only JSONL file under the
-// daemon's data directory recording every event the daemon must survive a
-// kill -9 to remember — job submissions, durable-flush completions, and
-// final results. Each record is one JSON object on one line, fsynced
+// daemon's data directory recording what the daemon must survive a kill -9
+// to remember and cannot read back from anywhere else — job submissions
+// and final results. Each record is one JSON object on one line, fsynced
 // before the append returns, so a record's presence implies it reached
 // stable storage before anything that observed it.
 //
-// The journal is a *claim log*, not ground truth: a flush record says an
-// epoch was completely written at the time, but retention eviction or
-// partial-file damage can invalidate it later. Resume therefore treats
-// journal claims only as hints and re-derives the usable-epoch set from
-// the on-disk checkpoint store itself (see resume.go).
+// Which epochs a job has durably flushed is deliberately not journaled:
+// the job's checkpoint directory is the only record of that, and resume
+// audits it directly (see resume.go).
 package acrd
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -30,12 +30,6 @@ const (
 	// recSubmit: a job was accepted; carries the external spec and the
 	// daemon-assigned id. Exactly one per job, ever.
 	recSubmit recordKind = "submit"
-	// recFlush: the job's durable tier holds a complete copy of the epoch
-	// (every task checkpoint of both replicas was accepted by the disk).
-	recFlush recordKind = "flush"
-	// recResume: a later daemon life readmitted the job; carries what the
-	// disk scan salvaged and what journaled claims it had to skip.
-	recResume recordKind = "resume"
 	// recDone: the job finished; carries the full fleet result. Jobs
 	// settled by a graceful daemon shutdown are deliberately NOT journaled
 	// done — they are unfinished work the next life must readmit.
@@ -43,15 +37,15 @@ const (
 )
 
 // record is the union journal line. Kind selects which fields are live.
+// Journals written before flush claims were retired also hold "flush" and
+// "resume" lines; they parse (their extra fields are ignored), replay
+// skips them, and the first compaction drops them.
 type record struct {
 	Kind recordKind `json:"kind"`
 	ID   int        `json:"id"`
 
-	Spec     *SubmitRequest   `json:"spec,omitempty"`     // submit
-	Epoch    uint64           `json:"epoch,omitempty"`    // flush
-	Salvaged []uint64         `json:"salvaged,omitempty"` // resume
-	Skipped  []uint64         `json:"skipped,omitempty"`  // resume
-	Result   *fleet.JobResult `json:"result,omitempty"`   // done
+	Spec   *SubmitRequest   `json:"spec,omitempty"`   // submit
+	Result *fleet.JobResult `json:"result,omitempty"` // done
 }
 
 // journal is the append handle. Appends are serialized and fsynced.
@@ -156,8 +150,9 @@ func rewriteJournal(path string, recs []record) error {
 
 // readJournal loads every parseable record from path. A process killed
 // mid-append leaves a torn final line; torn or otherwise unparseable lines
-// are counted and skipped, never fatal — the disk scan downstream decides
-// what is actually usable. A missing file is an empty journal.
+// are counted and skipped, never fatal. Lines have no length cap: a done
+// record carries the job's whole stats, per-round series included. A
+// missing file is an empty journal.
 func readJournal(path string) (recs []record, torn int, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -167,22 +162,22 @@ func readJournal(path string) (recs []record, torn int, err error) {
 		return nil, 0, fmt.Errorf("acrd: read journal: %w", err)
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	rd := bufio.NewReaderSize(f, 1<<16)
+	for {
+		line, err := rd.ReadBytes('\n')
+		if line = bytes.TrimSpace(line); len(line) > 0 {
+			var r record
+			if json.Unmarshal(line, &r) != nil {
+				torn++
+			} else {
+				recs = append(recs, r)
+			}
 		}
-		var r record
-		if err := json.Unmarshal(line, &r); err != nil {
-			torn++
-			continue
+		if err == io.EOF {
+			return recs, torn, nil
 		}
-		recs = append(recs, r)
+		if err != nil {
+			return recs, torn, fmt.Errorf("acrd: read journal: %w", err)
+		}
 	}
-	if err := sc.Err(); err != nil {
-		return recs, torn, fmt.Errorf("acrd: scan journal: %w", err)
-	}
-	return recs, torn, nil
 }

@@ -45,7 +45,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	rep := s.ResumeReport()
 	meta("acrd_resume_salvaged_epochs", "gauge", "Durable epochs the last resume audit confirmed usable.")
 	fmt.Fprintf(&b, "acrd_resume_salvaged_epochs %d\n", rep.SalvagedEpochs)
-	meta("acrd_resume_skipped_epochs", "gauge", "Journal-claimed epochs the last resume audit could not confirm.")
+	meta("acrd_resume_skipped_epochs", "gauge", "Epochs the last resume audit found only partly on disk.")
 	fmt.Fprintf(&b, "acrd_resume_skipped_epochs %d\n", rep.SkippedEpochs)
 	meta("acrd_resume_readmitted_jobs", "gauge", "Jobs readmitted warm by the last resume.")
 	fmt.Fprintf(&b, "acrd_resume_readmitted_jobs %d\n", rep.Readmitted)

@@ -9,28 +9,24 @@ import (
 
 // Resume: rebuilding the control plane after the daemon itself died.
 //
-// The validation ladder has three rungs, each trusting the previous one
-// less:
+// The journal says which jobs existed and which finished; it makes no
+// claim about checkpoints. What a job can restart from is then validated
+// in two rungs, the second trusting the first less:
 //
-//  1. Journal claims — the replayed submit/flush/done records say which
-//     jobs existed, which finished, and which epochs were flushed. Claims
-//     only: an epoch journaled as flushed may since have been evicted by
-//     retention, half-written by a dying flush, or corrupted at rest.
-//  2. Disk audit — each unfinished job's checkpoint directory is reopened
+//  1. Disk audit — each unfinished job's checkpoint directory is reopened
 //     (ckptstore.NewDisk rebuilds its index from the files actually
-//     present) and ckptstore.CompleteEpochs derives the epochs with a full
-//     complement of task checkpoints. Epochs the journal claimed but the
-//     disk cannot fully produce are reported skipped; complete epochs are
-//     salvaged — including ones whose flush record was torn off the
-//     journal tail by the crash.
-//  3. Payload verification — salvaged epochs are only candidates. The
+//     present) and one ckptstore.EpochInventory sorts its epochs: those
+//     with the full 2×nodes×tasks complement are salvaged, those the disk
+//     holds only part of (a torn flush, a damaged epoch, an interrupted
+//     eviction) are reported skipped.
+//  2. Payload verification — salvaged epochs are only candidates. The
 //     core's warm start (Controller.resume walking adopt) re-reads every
 //     task checkpoint, and the disk tier re-verifies each payload against
 //     its stored root on Get, walking to the next-older epoch on any
 //     corruption. A job whose every candidate fails verification cold
 //     starts from factory state.
 //
-// Rung 3 lives in internal/core; this file implements rungs 1 and 2.
+// Rung 2 lives in internal/core; this file implements rung 1.
 
 // ResumeReport is the audit of one resume pass.
 type ResumeReport struct {
@@ -50,9 +46,9 @@ type ResumeReport struct {
 	SalvagedEpochs int `json:"salvaged_epochs"`
 	SkippedEpochs  int `json:"skipped_epochs"`
 	// CompactedRecords counts the records the rewritten (compacted)
-	// journal was reduced to: one submit per job plus only audit-confirmed
-	// flush claims and final results. Stale claims, torn lines, and prior
-	// resume records are dropped by the rewrite.
+	// journal was reduced to: one submit per job plus the final results.
+	// Torn lines and the retired flush and resume kinds are dropped by the
+	// rewrite.
 	CompactedRecords int `json:"compacted_records"`
 
 	Jobs []ResumeJobReport `json:"jobs,omitempty"`
@@ -65,16 +61,14 @@ type ResumeJobReport struct {
 	// State: "readmitted" (warm), "cold" (readmitted with nothing usable),
 	// or "finished" (done record found; not resubmitted).
 	State string `json:"state"`
-	// Claimed lists epochs the journal asserts were flushed; Salvaged the
-	// complete epochs the disk audit confirmed; Skipped the claims the
-	// audit could not confirm (evicted, partial, or unreadable).
-	Claimed  []uint64 `json:"claimed_epochs,omitempty"`
+	// Salvaged lists the complete epochs the disk audit found; Skipped the
+	// epochs the disk holds only part of.
 	Salvaged []uint64 `json:"salvaged_epochs,omitempty"`
 	Skipped  []uint64 `json:"skipped_epochs,omitempty"`
 }
 
 // replay loads journal records into the registry and audits every
-// unfinished job's disk tier (rungs 1 and 2), filling s.report. It writes
+// unfinished job's disk tier (rung 1), filling s.report. It writes
 // nothing: the journal is not even open for appends yet — New compacts it
 // from the replayed state before reopening. Called from New before the API
 // is reachable, so it needs no locking discipline beyond the registry
@@ -82,7 +76,6 @@ type ResumeJobReport struct {
 func (s *Server) replay(recs []record, torn int) error {
 	report := ResumeReport{Resumed: true, JournalRecords: len(recs), TornRecords: torn}
 
-	claimed := make(map[int][]uint64)
 	for _, r := range recs {
 		switch r.Kind {
 		case recSubmit:
@@ -101,11 +94,6 @@ func (s *Server) replay(recs []record, torn int) error {
 			if r.ID >= s.nextID {
 				s.nextID = r.ID + 1
 			}
-		case recFlush:
-			claimed[r.ID] = append(claimed[r.ID], r.Epoch)
-		case recResume:
-			// A previous life's audit; informational only — this life
-			// re-audits the disk from scratch.
 		case recDone:
 			if rec, ok := s.jobs[r.ID]; ok && r.Result != nil {
 				rec.prior = r.Result
@@ -115,10 +103,7 @@ func (s *Server) replay(recs []record, torn int) error {
 
 	for _, id := range s.order {
 		rec := s.jobs[id]
-		// Sort and dedupe a copy: nil stays nil (no claims, no JSON key).
-		claims := slices.Clone(claimed[id])
-		slices.Sort(claims)
-		jr := ResumeJobReport{ID: id, Name: rec.req.Name, Claimed: slices.Compact(claims)}
+		jr := ResumeJobReport{ID: id, Name: rec.req.Name}
 		if rec.prior != nil {
 			jr.State = "finished"
 			report.Finished++
@@ -126,25 +111,12 @@ func (s *Server) replay(recs []record, torn int) error {
 			continue
 		}
 
-		// Rung 2: audit the disk. The reopen rebuilds the index from the
-		// files actually present; CompleteEpochs keeps only epochs with a
-		// full 2×nodes×tasks complement.
-		salvaged, err := auditJobDir(rec.dir, rec.want)
+		var err error
+		jr.Salvaged, jr.Skipped, err = auditJobDir(rec.dir, rec.want)
 		if err != nil {
 			return fmt.Errorf("acrd: resume job %d: %w", id, err)
 		}
-		jr.Salvaged = salvaged
-		onDisk := make(map[uint64]bool, len(salvaged))
-		for _, e := range salvaged {
-			onDisk[e] = true
-		}
-		for _, e := range jr.Claimed {
-			if !onDisk[e] {
-				jr.Skipped = append(jr.Skipped, e)
-			}
-		}
-
-		if len(salvaged) > 0 {
+		if len(jr.Salvaged) > 0 {
 			jr.State = "readmitted"
 			report.Readmitted++
 		} else {
@@ -165,11 +137,9 @@ func (s *Server) replay(recs []record, torn int) error {
 }
 
 // compactedRecords rebuilds the journal's minimal equivalent from the
-// replayed registry: per job, its submit record, then either the final
-// result (finished jobs) or one flush record per audit-confirmed epoch.
-// Everything else — stale claims the audit skipped, prior resume records,
-// flush records for since-evicted epochs — is history the next resume
-// would re-derive anyway, so the rewrite drops it.
+// replayed registry: per job, its submit record and, for finished jobs,
+// the final result. Torn lines and the retired flush and resume kinds are
+// not carried over.
 func (s *Server) compactedRecords() []record {
 	var out []record
 	for _, id := range s.order {
@@ -178,28 +148,20 @@ func (s *Server) compactedRecords() []record {
 		out = append(out, record{Kind: recSubmit, ID: id, Spec: &req})
 		if rec.prior != nil {
 			out = append(out, record{Kind: recDone, ID: id, Result: rec.prior})
-			continue
-		}
-		for _, e := range rec.salvaged {
-			out = append(out, record{Kind: recFlush, ID: id, Epoch: e})
 		}
 	}
 	s.report.CompactedRecords = len(out)
 	return out
 }
 
-// readmit journals a resume record for every unfinished job and relaunches
-// it warm from its salvaged epochs. Runs after the compacted journal has
-// reopened for appends, so a crash between compaction and here replays the
-// same compacted state again.
+// readmit relaunches every unfinished job warm from its salvaged epochs.
+// Runs after the compacted journal has reopened for appends, so a crash
+// between compaction and here replays the same compacted state again.
 func (s *Server) readmit() error {
 	for _, id := range s.order {
 		rec := s.jobs[id]
 		if rec.prior != nil {
 			continue
-		}
-		if err := s.jour.append(record{Kind: recResume, ID: id, Salvaged: rec.salvaged, Skipped: rec.skipped}); err != nil {
-			return err
 		}
 		if err := s.launch(rec, rec.salvaged); err != nil {
 			return fmt.Errorf("acrd: readmit job %d: %w", id, err)
@@ -208,14 +170,24 @@ func (s *Server) readmit() error {
 	return nil
 }
 
-// auditJobDir reopens a job's checkpoint directory and returns its
-// complete (restorable) epochs, ascending. The transient handle is closed
-// again — launch opens its own.
-func auditJobDir(dir string, want int) ([]uint64, error) {
+// auditJobDir reopens a job's checkpoint directory and sorts its resident
+// epochs, ascending: salvaged holds those with all want task checkpoints,
+// skipped those with fewer. The transient handle is closed again — launch
+// opens its own.
+func auditJobDir(dir string, want int) (salvaged, skipped []uint64, err error) {
 	disk, err := ckptstore.NewDisk(dir, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer disk.Close()
-	return ckptstore.CompleteEpochs(disk, want), nil
+	for epoch, n := range ckptstore.EpochInventory(disk) {
+		if n == want {
+			salvaged = append(salvaged, epoch)
+		} else {
+			skipped = append(skipped, epoch)
+		}
+	}
+	slices.Sort(salvaged)
+	slices.Sort(skipped)
+	return salvaged, skipped, nil
 }

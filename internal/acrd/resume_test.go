@@ -34,13 +34,13 @@ func waitDurable(t *testing.T, rec *jobRecord, n int) []uint64 {
 // TestResumeAfterAbruptDeath is the daemon's own checkpoint/restart story
 // end to end: a first daemon life runs a job and dies with the job
 // unfinished; a second life with Resume replays the journal, audits the
-// claims against the bytes actually on disk, readmits the job warm, and
-// the job still finishes bit-identical to the golden serial ring.
+// bytes actually on disk, readmits the job warm, and the job still
+// finishes bit-identical to the golden serial ring.
 //
 // The death is made adversarial before the second life starts:
 //   - a torn half-record is appended to the journal (kill -9 mid-append),
 //   - one task-checkpoint file of the newest flushed epoch is deleted, so
-//     the journal claims an epoch the store cannot restore.
+//     the disk holds only part of that epoch.
 func TestResumeAfterAbruptDeath(t *testing.T) {
 	dir := t.TempDir()
 
@@ -60,11 +60,11 @@ func TestResumeAfterAbruptDeath(t *testing.T) {
 	waitDurable(t, rec1, 2)
 	// Close settles the job with fleet.ErrClosed, which watch deliberately
 	// does NOT journal as done — the journal now looks exactly like a
-	// crash: a submit record, flush records, no outcome.
+	// crash: a submit record, no outcome.
 	s1.Close()
 	// What actually survived on disk (retention kept evicting while the
 	// job ran, so only a post-mortem audit is authoritative).
-	durable, err := auditJobDir(rec1.dir, rec1.want)
+	durable, _, err := auditJobDir(rec1.dir, rec1.want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +85,8 @@ func TestResumeAfterAbruptDeath(t *testing.T) {
 	}
 
 	// Adversarial damage. Deleting one file of the newest flushed epoch
-	// makes that journal claim unrestorable; the audit must skip it and
-	// salvage an older epoch.
+	// leaves it partly on disk; the audit must skip it and salvage an
+	// older epoch.
 	newest := durable[len(durable)-1]
 	victim := filepath.Join(dir, "jobs", fmt.Sprintf("%04d", id), fmt.Sprintf("r0_n0_t0_e%d.ckpt", newest))
 	if err := os.Remove(victim); err != nil {
@@ -96,7 +96,7 @@ func TestResumeAfterAbruptDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := jf.WriteString(`{"kind":"flu`); err != nil {
+	if _, err := jf.WriteString(`{"kind":"do`); err != nil {
 		t.Fatal(err)
 	}
 	jf.Close()
@@ -131,7 +131,7 @@ func TestResumeAfterAbruptDeath(t *testing.T) {
 	if jr.State != "readmitted" {
 		t.Fatalf("job state = %q", jr.State)
 	}
-	// The damaged epoch was claimed but must not be salvaged.
+	// The damaged epoch is on disk but must not be salvaged.
 	for _, e := range jr.Salvaged {
 		if e == newest {
 			t.Fatalf("damaged epoch %d salvaged: %+v", newest, jr)

@@ -4,19 +4,19 @@
 // exposing the protocol's accounting as scrapeable metrics.
 //
 // The daemon applies ACR's own medicine to itself. Every job it runs
-// flushes checkpoints to a per-job on-disk tier, and every submission,
-// completed flush, and final result is fsynced into a JSONL journal before
-// it is acknowledged. When the daemon process itself is the failed
-// component — kill -9, OOM, node crash — a restarted daemon with --resume
-// replays the journal, audits each claim against what actually survived in
-// the checkpoint stores, and re-admits unfinished jobs warm from their
+// flushes checkpoints to a per-job on-disk tier, and every submission and
+// final result is fsynced into a JSONL journal before it is acknowledged.
+// When the daemon process itself is the failed component — kill -9, OOM,
+// node crash — a restarted daemon with --resume replays the journal for
+// the jobs and their outcomes, audits each unfinished job's checkpoint
+// directory for what actually survived, and re-admits it warm from its
 // newest usable durable epoch (core.Config.ResumeEpochs). The job picks up
 // mid-computation and still finishes bit-identical to the golden serial
 // reference.
 //
 // Layout: server.go (state + lifecycle), journal.go (durable record log),
-// tracker.go (flush-completion observer), resume.go (journal-vs-disk
-// audit), handlers.go (HTTP API), metrics.go (Prometheus exposition).
+// resume.go (disk audit + readmission), handlers.go (HTTP API),
+// metrics.go (Prometheus exposition).
 package acrd
 
 import (
@@ -59,7 +59,7 @@ type Config struct {
 // RemoteConfig shapes the daemon's remote checkpoint tier: each job whose
 // spec (or the daemon default) sets a remote cadence gets its own simulated
 // object store wrapped in the ckptstore.Resilient retry/breaker layer. The
-// resilient fallback is the job's tracked disk tier, so a dark or flapping
+// resilient fallback is the job's own disk tier, so a dark or flapping
 // remote degrades uploads to local durability instead of losing them.
 type RemoteConfig struct {
 	// Enabled turns the tier on; without it remote cadences in job specs
@@ -254,10 +254,9 @@ func New(cfg Config) (*Server, error) {
 
 	if cfg.Resume {
 		// Replay and audit BEFORE the journal reopens for appends, then
-		// rewrite it compacted: one submit per job plus only the claims the
-		// disk audit confirmed (or the final result). Stale flush claims,
-		// torn tail lines, and superseded resume records all vanish, so the
-		// journal stays O(live state) instead of O(history) across lives.
+		// rewrite it compacted: one submit per job plus its final result,
+		// if any. A torn tail line vanishes, so this life's appends never
+		// glue onto it.
 		if err := s.replay(recs, torn); err != nil {
 			sched.Close()
 			return nil, err
@@ -383,32 +382,24 @@ func (s *Server) remoteEvery(req SubmitRequest) int {
 	}
 }
 
-// launch opens the job's durable tier, wires the flush tracker and (when
-// configured) the resilient remote tier, and submits to the fleet.
-// resumeEpochs, when non-nil, warm-starts the job from the newest usable
-// of those epochs.
+// launch opens the job's durable tier, wires (when configured) the
+// resilient remote tier, and submits to the fleet. resumeEpochs, when
+// non-nil, warm-starts the job from the newest usable of those epochs.
 func (s *Server) launch(rec *jobRecord, resumeEpochs []uint64) error {
 	disk, err := ckptstore.NewDisk(rec.dir, nil)
 	if err != nil {
 		return fmt.Errorf("acrd: job %d durable tier: %w", rec.id, err)
 	}
-	id := rec.id
-	tracker := newFlushTracker(disk, rec.want, func(epoch uint64) {
-		// Journal errors here are unrecoverable mid-flush; the claim is
-		// simply absent and resume falls back to the disk scan.
-		_ = s.jour.append(record{Kind: recFlush, ID: id, Epoch: epoch})
-	})
 	js := rec.req.toJobSpec()
-	js.FlushStore = tracker
+	js.FlushStore = disk
 	js.ResumeEpochs = resumeEpochs
 	if every := s.remoteEvery(rec.req); every > 0 {
-		// The resilient fallback is the job's own tracked disk tier: when
-		// the breaker opens, uploads degrade to local durability (and their
-		// epochs are journaled as flushed by the tracker), so a dark remote
-		// costs redundancy depth, never checkpoints. The fleet's remote
-		// bandwidth arbiter wraps this store at admission.
-		resil := ckptstore.NewResilient(s.newRemote(id), ckptstore.ResilientOptions{
-			Fallback: tracker,
+		// The resilient fallback is the job's own disk tier: when the
+		// breaker opens, uploads degrade to local durability, so a dark
+		// remote costs redundancy depth, never checkpoints. The fleet's
+		// remote bandwidth arbiter wraps this store at admission.
+		resil := ckptstore.NewResilient(s.newRemote(rec.id), ckptstore.ResilientOptions{
+			Fallback: disk,
 		})
 		js.RemoteEvery = every
 		js.RemoteStore = resil

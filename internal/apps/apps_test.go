@@ -122,7 +122,7 @@ func runClean(t *testing.T, factory runtime.Factory, nodes, tasks int) [][]byte 
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := m.CheckTask(runtime.Addr{Replica: 1, Node: n, Task: tk}, d0, 0)
+			res, err := m.CheckTask(runtime.Addr{Replica: 1, Node: n, Task: tk}, d0)
 			if err != nil {
 				t.Fatal(err)
 			}

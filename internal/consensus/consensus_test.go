@@ -212,7 +212,7 @@ func TestConsistentCut(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := m.CheckTask(runtime.Addr{Replica: 1, Node: n, Task: tk}, d0, 0)
+				res, err := m.CheckTask(runtime.Addr{Replica: 1, Node: n, Task: tk}, d0)
 				if err != nil {
 					t.Fatal(err)
 				}

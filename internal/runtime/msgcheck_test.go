@@ -147,7 +147,7 @@ func TestMsgCheckerBlindToLocalCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.CheckTask(Addr{1, 0, 0}, data, 0)
+	res, err := m.CheckTask(Addr{1, 0, 0}, data)
 	if err != nil {
 		t.Fatal(err)
 	}

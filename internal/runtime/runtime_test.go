@@ -555,7 +555,7 @@ func TestCorruptTask(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Compare against the healthy replica 1 twin: must mismatch.
-	res, err := m.CheckTask(Addr{1, 0, 0}, data, 0)
+	res, err := m.CheckTask(Addr{1, 0, 0}, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +578,7 @@ func TestReplicaTwinsIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := m.CheckTask(Addr{1, n, tk}, c0, 0)
+			res, err := m.CheckTask(Addr{1, n, tk}, c0)
 			if err != nil {
 				t.Fatal(err)
 			}

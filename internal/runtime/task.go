@@ -431,17 +431,17 @@ func (m *Machine) sizeHint(addr Addr) int {
 	return s.sizeHint
 }
 
-// CheckTask compares the live state of a task against a packed remote
-// checkpoint using the checker PUPer (§4.1). Quiescence rules match
-// PackTask.
-func (m *Machine) CheckTask(addr Addr, remote []byte, relTol float64) (pup.CheckResult, error) {
+// CheckTask compares the live state of a task byte for byte against a
+// packed remote checkpoint using the checker PUPer (§4.1). Quiescence
+// rules match PackTask.
+func (m *Machine) CheckTask(addr Addr, remote []byte) (pup.CheckResult, error) {
 	m.mu.RLock()
 	s := m.slots[addr.Replica][addr.Node][addr.Task]
 	m.mu.RUnlock()
 	s.mu.Lock()
 	prog := s.prog
 	s.mu.Unlock()
-	return pup.Check(prog, remote, relTol)
+	return pup.Check(prog, remote, 0)
 }
 
 // TaskCompleted reports whether the task's current incarnation ran to

@@ -2,7 +2,9 @@
 # acrd crash-restart smoke: submit seeded jobs to a live daemon, SIGKILL it
 # mid-run, restart with -resume, and require (a) at least one durable epoch
 # salvaged, (b) every job driven to completion bit-identical to the golden
-# serial ring. Artifacts (loadgen reports, resume audit) land in $OUT_DIR.
+# serial ring, (c) a journal of exactly one submit and one done record per
+# job once the daemon has shut down. Artifacts (loadgen reports, resume
+# audit) land in $OUT_DIR.
 #
 # Usage: scripts/acrd_smoke.sh [out_dir]
 set -euo pipefail
@@ -91,4 +93,19 @@ grep -q "acrd_resume_salvaged_epochs" "$OUT_DIR/metrics-final.txt"
 kill "$ACRD_PID"
 wait "$ACRD_PID" 2>/dev/null || true
 trap - EXIT
+
+# The shutdown has settled every done append: the journal records jobs and
+# their outcomes, nothing about checkpoints.
+python3 - "$DATA/journal.jsonl" <<'EOF'
+import collections, json, sys
+kinds = collections.defaultdict(list)
+for n, line in enumerate(open(sys.argv[1]), 1):
+    r = json.loads(line)
+    assert r["kind"] in ("submit", "done"), f"journal line {n}: kind {r['kind']!r}"
+    kinds[r["id"]].append(r["kind"])
+assert len(kinds) == 4, f"journal names {len(kinds)} jobs, want 4"
+for id, ks in kinds.items():
+    assert sorted(ks) == ["done", "submit"], f"job {id}: journal records {ks}"
+print(f"journal ok: {sum(map(len, kinds.values()))} records, one submit and one done per job")
+EOF
 echo "acrd-smoke: PASS"

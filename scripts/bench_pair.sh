@@ -13,13 +13,20 @@
 # Usage: scripts/bench_pair.sh <parent-ref> <workload> [pairs=10] [seconds=15]
 #
 # The parent is exported with `git archive` into a temporary directory (no
-# worktree is registered in .git) and both sides are built once; each pair
-# runs `bench --workload W --seed <pair index> --seconds 15 --trace 0` on
-# both builds, and which side goes first alternates from pair to pair.
+# worktree is registered in .git) and both sides are built once, the same
+# way: `-trimpath -buildvcs=false`, so neither binary embeds its checkout
+# path or a VCS stamp and one source tree builds byte-identical binaries.
+# Each pair runs `bench --workload W --seed <pair index> --seconds 15
+# --trace 0` on both builds, and which side goes first alternates from
+# pair to pair.
+#
+# A/A control: pass HEAD as the parent on a clean tree. Both sides then
+# run the same code, and the table shows how far the workload's metrics
+# swing between sides with no change at all.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-  sed -n '2,18p' "$0" >&2
+  sed -n '2,27p' "$0" >&2
   exit 2
 fi
 PARENT=$1
@@ -34,8 +41,8 @@ trap 'rm -rf "$TMP"' EXIT
 
 mkdir "$TMP/parent"
 git archive "$PARENT" | tar -x -C "$TMP/parent"
-(cd "$TMP/parent" && go build -o "$TMP/bench-parent" ./bench)
-go build -o "$TMP/bench-change" ./bench
+(cd "$TMP/parent" && go build -trimpath -buildvcs=false -o "$TMP/bench-parent" ./bench)
+go build -trimpath -buildvcs=false -o "$TMP/bench-change" ./bench
 
 # run <side> <dir> <seed>: one pass; writes "<metric> <value>" lines to
 # $TMP/<side>.<seed>, reports the pass's failed-operation count (and keeps
