@@ -6,9 +6,8 @@
 //
 // A Rank is incarnation-scoped: create it inside Program.Run. Blocking
 // receives perform tag/source matching with an unexpected-message queue;
-// collectives (Barrier, Allreduce) are hub-based and use a reserved tag
-// space plus per-collective sequence numbers, so user tags stay fully
-// independent.
+// the one collective, Allreduce, is hub-based and uses a reserved tag space
+// plus per-call sequence numbers, so user tags stay fully independent.
 package ampi
 
 import (
@@ -144,17 +143,6 @@ func (r *Rank) fromRank(m runtime.Message) int {
 	return m.From.Node*r.ctx.TasksPerNode() + m.From.Task
 }
 
-// SendRecv sends to dst and then receives from src with the same tag — the
-// halo-exchange staple. Mailboxes are buffered, so the symmetric pattern
-// cannot deadlock.
-func (r *Rank) SendRecv(dst, src, tag int, data any) (any, error) {
-	if err := r.Send(dst, tag, data); err != nil {
-		return nil, err
-	}
-	got, _, err := r.Recv(src, tag)
-	return got, err
-}
-
 // collective tag layout: two tags (gather, bcast) per collective sequence
 // number.
 func (r *Rank) collTags() (gather, bcast int) {
@@ -228,150 +216,4 @@ func (r *Rank) Allreduce(op Op, value float64) (float64, error) {
 		return 0, err
 	}
 	return m.Data.(float64), nil
-}
-
-// AllreduceInt is Allreduce for int64 values.
-func (r *Rank) AllreduceInt(op Op, value int64) (int64, error) {
-	gatherTag, bcastTag := r.collTags()
-	n := r.Size()
-	if n == 1 {
-		return value, nil
-	}
-	comb := func(a, b int64) int64 {
-		switch op {
-		case Sum:
-			return a + b
-		case Max:
-			if b > a {
-				return b
-			}
-			return a
-		case Min:
-			if b < a {
-				return b
-			}
-			return a
-		}
-		return a
-	}
-	if r.Rank() == 0 {
-		vals := make([]int64, n)
-		vals[0] = value
-		for i := 0; i < n-1; i++ {
-			m, err := r.recvColl(gatherTag)
-			if err != nil {
-				return 0, err
-			}
-			vals[r.fromRank(m)] = m.Data.(int64)
-		}
-		acc := vals[0]
-		for i := 1; i < n; i++ {
-			acc = comb(acc, vals[i])
-		}
-		for dst := 1; dst < n; dst++ {
-			if err := r.sendRaw(dst, bcastTag, acc); err != nil {
-				return 0, err
-			}
-		}
-		return acc, nil
-	}
-	if err := r.sendRaw(0, gatherTag, value); err != nil {
-		return 0, err
-	}
-	m, err := r.recvColl(bcastTag)
-	if err != nil {
-		return 0, err
-	}
-	return m.Data.(int64), nil
-}
-
-// Barrier blocks until every rank has entered it.
-func (r *Rank) Barrier() error {
-	_, err := r.AllreduceInt(Sum, 0)
-	return err
-}
-
-// Bcast distributes root's value to every rank and returns it.
-func (r *Rank) Bcast(root int, value any) (any, error) {
-	gatherTag, bcastTag := r.collTags()
-	_ = gatherTag
-	n := r.Size()
-	if n == 1 {
-		return value, nil
-	}
-	if r.Rank() == root {
-		for dst := 0; dst < n; dst++ {
-			if dst == root {
-				continue
-			}
-			if err := r.sendRaw(dst, bcastTag, value); err != nil {
-				return nil, err
-			}
-		}
-		return value, nil
-	}
-	m, err := r.recvColl(bcastTag)
-	if err != nil {
-		return nil, err
-	}
-	return m.Data, nil
-}
-
-// Reduce combines value across all ranks with op; only root receives the
-// result (other ranks get the zero value). Every rank must call it.
-func (r *Rank) Reduce(root int, op Op, value float64) (float64, error) {
-	gatherTag, _ := r.collTags()
-	n := r.Size()
-	if root < 0 || root >= n {
-		return 0, fmt.Errorf("ampi: reduce root %d out of range", root)
-	}
-	if n == 1 {
-		return value, nil
-	}
-	if r.Rank() == root {
-		vals := make([]float64, n)
-		vals[root] = value
-		for i := 0; i < n-1; i++ {
-			m, err := r.recvColl(gatherTag)
-			if err != nil {
-				return 0, err
-			}
-			vals[r.fromRank(m)] = m.Data.(float64)
-		}
-		acc := vals[0]
-		for i := 1; i < n; i++ {
-			acc = op.combine(acc, vals[i])
-		}
-		return acc, nil
-	}
-	if err := r.sendRaw(root, gatherTag, value); err != nil {
-		return 0, err
-	}
-	return 0, nil
-}
-
-// Gather collects every rank's value at root, indexed by rank; non-root
-// ranks receive nil. Every rank must call it.
-func (r *Rank) Gather(root int, value any) ([]any, error) {
-	gatherTag, _ := r.collTags()
-	n := r.Size()
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("ampi: gather root %d out of range", root)
-	}
-	if r.Rank() == root {
-		out := make([]any, n)
-		out[root] = value
-		for i := 0; i < n-1; i++ {
-			m, err := r.recvColl(gatherTag)
-			if err != nil {
-				return nil, err
-			}
-			out[r.fromRank(m)] = m.Data
-		}
-		return out, nil
-	}
-	if err := r.sendRaw(root, gatherTag, value); err != nil {
-		return nil, err
-	}
-	return nil, nil
 }

@@ -154,7 +154,12 @@ func TestSendRecvExchange(t *testing.T) {
 		n := r.Size()
 		right := (r.Rank() + 1) % n
 		left := (r.Rank() - 1 + n) % n
-		got, err := r.SendRecv(right, left, 3, float64(r.Rank()))
+		// Send before Recv on every rank: mailboxes are buffered, so the
+		// symmetric pattern cannot deadlock.
+		if err := r.Send(right, 3, float64(r.Rank())); err != nil {
+			return 0, err
+		}
+		got, _, err := r.Recv(left, 3)
 		if err != nil {
 			return 0, err
 		}
@@ -188,34 +193,14 @@ func TestAllreduce(t *testing.T) {
 	}
 }
 
-func TestAllreduceInt(t *testing.T) {
-	res := harness(t, 2, 2, func(r *Rank) (float64, error) {
-		v, err := r.AllreduceInt(Max, int64(r.Rank()*100))
-		return float64(v), err
-	})
-	for _, v := range res {
-		if v != 300 {
-			t.Fatalf("got %v, want 300", v)
-		}
-	}
-}
-
 func TestSingleRankCollectives(t *testing.T) {
 	res := harness(t, 1, 1, func(r *Rank) (float64, error) {
 		v, err := r.Allreduce(Sum, 42)
 		if err != nil || v != 42 {
 			return 0, fmt.Errorf("allreduce = %v, %v", v, err)
 		}
-		iv, err := r.AllreduceInt(Min, 7)
-		if err != nil || iv != 7 {
-			return 0, fmt.Errorf("allreduceint = %v, %v", iv, err)
-		}
-		if err := r.Barrier(); err != nil {
-			return 0, err
-		}
-		b, err := r.Bcast(0, 9.0)
-		if err != nil || b.(float64) != 9 {
-			return 0, fmt.Errorf("bcast = %v, %v", b, err)
+		if v, err := r.Allreduce(Min, 7); err != nil || v != 7 {
+			return 0, fmt.Errorf("allreduce min = %v, %v", v, err)
 		}
 		return 1, nil
 	})
@@ -250,39 +235,6 @@ func TestRepeatedCollectivesDoNotCross(t *testing.T) {
 	}
 }
 
-func TestBarrierSynchronizes(t *testing.T) {
-	res := harness(t, 2, 2, func(r *Rank) (float64, error) {
-		if err := r.Barrier(); err != nil {
-			return 0, err
-		}
-		return 1, nil
-	})
-	for _, v := range res {
-		if v != 1 {
-			t.Fatal("barrier failed")
-		}
-	}
-}
-
-func TestBcast(t *testing.T) {
-	res := harness(t, 2, 2, func(r *Rank) (float64, error) {
-		var v any = -1.0
-		if r.Rank() == 2 {
-			v = 123.0
-		}
-		got, err := r.Bcast(2, v)
-		if err != nil {
-			return 0, err
-		}
-		return got.(float64), nil
-	})
-	for i, v := range res {
-		if v != 123 {
-			t.Fatalf("rank %d got %v", i, v)
-		}
-	}
-}
-
 func TestSendValidation(t *testing.T) {
 	res := harness(t, 1, 2, func(r *Rank) (float64, error) {
 		if err := r.Send(0, maxUserTag, 0.0); err == nil {
@@ -304,71 +256,5 @@ func TestSendValidation(t *testing.T) {
 func TestOpString(t *testing.T) {
 	if Sum.String() != "sum" || Max.String() != "max" || Min.String() != "min" || Op(9).String() == "" {
 		t.Fatal("Op.String broken")
-	}
-}
-
-func TestReduce(t *testing.T) {
-	res := harness(t, 2, 2, func(r *Rank) (float64, error) {
-		v, err := r.Reduce(2, Sum, float64(r.Rank()+1))
-		if err != nil {
-			return -1, err
-		}
-		return v, nil
-	})
-	for i, v := range res {
-		if i == 2 && v != 1+2+3+4 {
-			t.Fatalf("root got %v, want 10", v)
-		}
-		if i != 2 && v != 0 {
-			t.Fatalf("non-root %d got %v, want 0", i, v)
-		}
-	}
-}
-
-func TestGather(t *testing.T) {
-	res := harness(t, 2, 2, func(r *Rank) (float64, error) {
-		vals, err := r.Gather(0, float64(r.Rank()*10))
-		if err != nil {
-			return -1, err
-		}
-		if r.Rank() != 0 {
-			if vals != nil {
-				return -1, fmt.Errorf("non-root received data")
-			}
-			return 1, nil
-		}
-		for i, v := range vals {
-			if v.(float64) != float64(i*10) {
-				return -1, fmt.Errorf("slot %d = %v", i, v)
-			}
-		}
-		return 1, nil
-	})
-	for _, v := range res {
-		if v != 1 {
-			t.Fatal("gather failed")
-		}
-	}
-}
-
-func TestReduceGatherValidation(t *testing.T) {
-	res := harness(t, 1, 1, func(r *Rank) (float64, error) {
-		if _, err := r.Reduce(5, Sum, 1); err == nil {
-			return -1, fmt.Errorf("bad reduce root accepted")
-		}
-		if _, err := r.Gather(-1, 1); err == nil {
-			return -1, fmt.Errorf("bad gather root accepted")
-		}
-		// Single-rank fast paths.
-		if v, err := r.Reduce(0, Max, 7); err != nil || v != 7 {
-			return -1, fmt.Errorf("single-rank reduce = %v, %v", v, err)
-		}
-		if vals, err := r.Gather(0, 3.0); err != nil || len(vals) != 1 || vals[0].(float64) != 3 {
-			return -1, fmt.Errorf("single-rank gather broken")
-		}
-		return 1, nil
-	})
-	if res[0] != 1 {
-		t.Fatal("validation failed")
 	}
 }

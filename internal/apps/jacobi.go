@@ -318,7 +318,7 @@ func relaxRow(out, c, ym, yp, zm, zp []float64, xm, xp float64) {
 }
 
 // JacobiAMPI is the MPI-style Jacobi3D: a 1D slab decomposition along Z
-// with blocking SendRecv halo exchange plus a per-iteration residual
+// with blocking Send/Recv halo exchange plus a per-iteration residual
 // Allreduce, run through the AMPI layer (§6.1 runs the MPI codes on AMPI).
 // Write-tracked the same way as Jacobi: U, the iteration counter, and the
 // residual are dirtied every sweep; the slab geometry stays clean.

@@ -606,66 +606,6 @@ func SensitivityScenario() Scenario {
 	}
 }
 
-// BlindTrackerScenario is the incremental-capture counterpart of
-// SensitivityScenario: instead of corrupting stored bytes, it makes the
-// dirty tracker LIE. Both buddies' target task stops marking its pad
-// writes right before the first capture, so every later checkpoint splices
-// stale pad bytes — identically in both replicas, which the comparison is
-// structurally blind to. The crash then forces a restore from a committed
-// stale checkpoint, losing pad increments permanently. A healthy oracle
-// MUST report a golden-result violation here; if this scenario ever comes
-// back clean, the capture path has stopped consulting the tracker (for
-// example by quietly reverting to full packs) and the incremental path has
-// lost its staleness check.
-func BlindTrackerScenario() Scenario {
-	return Scenario{
-		Name: "oracle-sensitivity-blind-tracker", Nodes: 2, Tasks: 2, Spares: 2, Iters: 60,
-		Scheme: "strong", Comparison: "full", Store: "mem", PaceEvery: 40,
-		PadFloats: 8, ChunkSize: 32,
-		Faults: []Fault{
-			{
-				Kind:    TrackerBlind,
-				Target:  Target{Replica: 0, Node: 0, Task: 0},
-				Trigger: Trigger{Point: point.CoreCapture, Occurrence: 1},
-			},
-			{
-				Kind:    Crash,
-				Target:  Target{Replica: 0, Node: 1, Task: -1},
-				Trigger: Trigger{Point: point.CoreCommit, Occurrence: 2},
-			},
-		},
-	}
-}
-
-// CleanChunkSensitivityScenario plants a Both-mode bit flip in the stored
-// checkpoint's trailing bytes — with a pad, that is the never-written
-// sentinel element, bytes the dirty capture has only ever spliced forward,
-// in a chunk the per-round scalar churn never touches. Committing that
-// epoch must still count as an SDC escape: clean-chunk reuse is a capture
-// optimization, never an excuse to stop accounting for resident
-// corruption. The crash then restores from the corrupted epoch, so the
-// golden-pad comparison fires too.
-func CleanChunkSensitivityScenario() Scenario {
-	return Scenario{
-		Name: "oracle-sensitivity-clean-chunk-corrupt", Nodes: 2, Tasks: 2, Spares: 2, Iters: 60,
-		Scheme: "strong", Comparison: "full", Store: "mem", PaceEvery: 40,
-		PadFloats: 8, ChunkSize: 32,
-		Faults: []Fault{
-			{
-				Kind:    CkptCorrupt,
-				Target:  Target{Replica: 0, Node: 0, Task: 0},
-				Trigger: Trigger{Point: point.StoreWrite, Occurrence: 2},
-				Both:    true,
-			},
-			{
-				Kind:    Crash,
-				Target:  Target{Replica: 0, Node: 1, Task: -1},
-				Trigger: Trigger{Point: point.CoreCommit, Occurrence: 2},
-			},
-		},
-	}
-}
-
 // resolvedCopy returns the scenario with its fault schedule pre-resolved
 // for the seed, exactly as NewEngine would resolve it. Minimization uses
 // this so removing faults from the schedule cannot shift the wildcard

@@ -14,14 +14,6 @@ package checksum
 
 import "encoding/binary"
 
-// Fletcher32 computes the Fletcher-32 checksum over the data interpreted as
-// little-endian 16-bit words. Odd-length data is zero-padded.
-func Fletcher32(data []byte) uint32 {
-	var f Fletcher32Writer
-	f.Write(data)
-	return f.Sum32()
-}
-
 // Fletcher64 computes the Fletcher-64 checksum over the data interpreted as
 // little-endian 32-bit words. Trailing bytes are zero-padded. ACR uses the
 // 64-bit variant for checkpoint comparison: a 32-byte checksum message (two
@@ -35,56 +27,6 @@ func Fletcher32(data []byte) uint32 {
 func Fletcher64(data []byte) uint64 {
 	return fletcher64Block(data)
 }
-
-// Fletcher32Writer is an incremental Fletcher-32 accumulator implementing
-// io.Writer. The zero value is ready to use.
-type Fletcher32Writer struct {
-	s1, s2 uint32
-	odd    bool
-	carry  byte
-	empty  bool // tracks explicit init; zero value works because mod starts at 0
-}
-
-const mod16 = 65535
-
-// Write absorbs data into the checksum. It never fails.
-func (f *Fletcher32Writer) Write(p []byte) (int, error) {
-	n := len(p)
-	for len(p) > 0 {
-		var w uint32
-		if f.odd {
-			w = uint32(f.carry) | uint32(p[0])<<8
-			p = p[1:]
-			f.odd = false
-		} else if len(p) >= 2 {
-			w = uint32(binary.LittleEndian.Uint16(p))
-			p = p[2:]
-		} else {
-			f.carry = p[0]
-			f.odd = true
-			p = nil
-			break
-		}
-		f.s1 = (f.s1 + w) % mod16
-		f.s2 = (f.s2 + f.s1) % mod16
-	}
-	return n, nil
-}
-
-// Sum32 returns the checksum of the bytes written so far. A pending odd byte
-// is treated as a zero-padded final word without disturbing further writes.
-func (f *Fletcher32Writer) Sum32() uint32 {
-	s1, s2 := f.s1, f.s2
-	if f.odd {
-		w := uint32(f.carry)
-		s1 = (s1 + w) % mod16
-		s2 = (s2 + s1) % mod16
-	}
-	return s2<<16 | s1
-}
-
-// Reset restores the writer to its initial state.
-func (f *Fletcher32Writer) Reset() { *f = Fletcher32Writer{} }
 
 // Fletcher64Writer is an incremental Fletcher-64 accumulator implementing
 // io.Writer. The zero value is ready to use.

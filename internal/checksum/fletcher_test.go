@@ -6,32 +6,6 @@ import (
 	"testing/quick"
 )
 
-// Known Fletcher-32 vectors (over 16-bit LE words) derived from the
-// classical byte-pair definition.
-func TestFletcher32KnownVectors(t *testing.T) {
-	// "abcde" -> words {0x6261, 0x6463, 0x0065}
-	// s1 = (0x6261+0x6463+0x0065) % 65535 = 0xC729 ... compute directly:
-	naive := func(data []byte) uint32 {
-		var s1, s2 uint32
-		for i := 0; i < len(data); i += 2 {
-			var w uint32
-			if i+1 < len(data) {
-				w = uint32(data[i]) | uint32(data[i+1])<<8
-			} else {
-				w = uint32(data[i])
-			}
-			s1 = (s1 + w) % 65535
-			s2 = (s2 + s1) % 65535
-		}
-		return s2<<16 | s1
-	}
-	for _, s := range []string{"", "a", "ab", "abcde", "abcdef", "abcdefgh"} {
-		if got, want := Fletcher32([]byte(s)), naive([]byte(s)); got != want {
-			t.Errorf("Fletcher32(%q) = %#x, want %#x", s, got, want)
-		}
-	}
-}
-
 func TestFletcher64MatchesNaive(t *testing.T) {
 	naive := func(data []byte) uint64 {
 		var s1, s2 uint64
@@ -66,9 +40,6 @@ func TestPositionDependence(t *testing.T) {
 	if Fletcher64(a) == Fletcher64(b) {
 		t.Error("Fletcher64 failed to distinguish transposed words")
 	}
-	if Fletcher32(a) == Fletcher32(b) {
-		t.Error("Fletcher32 failed to distinguish transposed words")
-	}
 }
 
 // Every single-bit flip must change the checksum: this is exactly the SDC
@@ -78,15 +49,11 @@ func TestSingleBitFlipDetected(t *testing.T) {
 	data := make([]byte, 256)
 	rng.Read(data)
 	orig64 := Fletcher64(data)
-	orig32 := Fletcher32(data)
 	for byteIdx := 0; byteIdx < len(data); byteIdx++ {
 		for bit := 0; bit < 8; bit++ {
 			data[byteIdx] ^= 1 << bit
 			if Fletcher64(data) == orig64 {
 				t.Fatalf("Fletcher64 missed bit flip at byte %d bit %d", byteIdx, bit)
-			}
-			if Fletcher32(data) == orig32 {
-				t.Fatalf("Fletcher32 missed bit flip at byte %d bit %d", byteIdx, bit)
 			}
 			data[byteIdx] ^= 1 << bit
 		}
@@ -104,10 +71,7 @@ func TestIncrementalEqualsOneShot(t *testing.T) {
 		var w64 Fletcher64Writer
 		w64.Write(data[:split])
 		w64.Write(data[split:])
-		var w32 Fletcher32Writer
-		w32.Write(data[:split])
-		w32.Write(data[split:])
-		return w64.Sum64() == Fletcher64(data) && w32.Sum32() == Fletcher32(data)
+		return w64.Sum64() == Fletcher64(data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -118,16 +82,11 @@ func TestIncrementalEqualsOneShot(t *testing.T) {
 func TestByteAtATime(t *testing.T) {
 	data := []byte("the quick brown fox jumps over the lazy dog")
 	var w64 Fletcher64Writer
-	var w32 Fletcher32Writer
 	for _, b := range data {
 		w64.Write([]byte{b})
-		w32.Write([]byte{b})
 	}
 	if w64.Sum64() != Fletcher64(data) {
 		t.Error("Fletcher64 byte-at-a-time mismatch")
-	}
-	if w32.Sum32() != Fletcher32(data) {
-		t.Error("Fletcher32 byte-at-a-time mismatch")
 	}
 }
 
@@ -154,13 +113,6 @@ func TestReset(t *testing.T) {
 	if w64.Sum64() != Fletcher64([]byte("data")) {
 		t.Error("Fletcher64Writer.Reset did not clear state")
 	}
-	var w32 Fletcher32Writer
-	w32.Write([]byte("garbage"))
-	w32.Reset()
-	w32.Write([]byte("data"))
-	if w32.Sum32() != Fletcher32([]byte("data")) {
-		t.Error("Fletcher32Writer.Reset did not clear state")
-	}
 }
 
 func TestWriteReturnsLength(t *testing.T) {
@@ -178,15 +130,5 @@ func BenchmarkFletcher64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Fletcher64(data)
-	}
-}
-
-func BenchmarkFletcher32(b *testing.B) {
-	data := make([]byte, 1<<20)
-	rand.New(rand.NewSource(1)).Read(data)
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Fletcher32(data)
 	}
 }

@@ -61,14 +61,9 @@ type RemoteOptions struct {
 	Latency time.Duration
 	PerKB   time.Duration
 	// TimeoutRate / ThrottleRate are per-op probabilities of a transient
-	// request timeout / throttling rejection (429-style). TornWriteRate is
-	// the probability a Put times out mid-upload leaving a partial object;
-	// ReadCorruptRate the probability a Get discovers sticky at-rest
-	// corruption.
-	TimeoutRate     float64
-	ThrottleRate    float64
-	TornWriteRate   float64
-	ReadCorruptRate float64
+	// request timeout / throttling rejection (429-style).
+	TimeoutRate  float64
+	ThrottleRate float64
 	// Seed drives the fault rng; the same seed and op sequence yield the
 	// same fault schedule.
 	Seed int64
@@ -76,6 +71,12 @@ type RemoteOptions struct {
 	// each operation (Info.Drop force-fails it) and point.RemoteDark on
 	// dark-mode transitions.
 	Hook point.Hook
+
+	// tornWriteRate is the probability a Put times out mid-upload leaving
+	// a partial object; readCorruptRate the probability a Get discovers
+	// sticky at-rest corruption. Only this package's tests set them.
+	tornWriteRate   float64
+	readCorruptRate float64
 }
 
 // Transient remote faults. A Resilient wrapper retries these; permanent
@@ -230,7 +231,7 @@ func (r *Remote) Put(k Key, ck *Checkpoint) error {
 		return fmt.Errorf("%w: put %v", ErrRemoteTimeout, k)
 	case r.roll(r.opts.ThrottleRate):
 		return fmt.Errorf("%w: put %v", ErrRemoteThrottled, k)
-	case r.roll(r.opts.TornWriteRate):
+	case r.roll(r.opts.tornWriteRate):
 		r.mu.Lock()
 		r.objects[k] = &remoteObject{ck: ck.Clone(), torn: true}
 		r.mu.Unlock()
@@ -271,7 +272,7 @@ func (r *Remote) Get(k Key) (*Checkpoint, error) {
 	if obj.torn || obj.corrupt {
 		return nil, fmt.Errorf("ckptstore: remote get %v: %w", k, ErrCorrupt)
 	}
-	if r.roll(r.opts.ReadCorruptRate) {
+	if r.roll(r.opts.readCorruptRate) {
 		r.mu.Lock()
 		obj.corrupt = true
 		r.mu.Unlock()

@@ -46,7 +46,7 @@ func TestRemotePerfectRoundTrip(t *testing.T) {
 // identical op sequence — the property the deterministic soak campaigns
 // lean on.
 func TestRemoteSeededFaultScheduleDeterministic(t *testing.T) {
-	opts := RemoteOptions{TimeoutRate: 0.3, ThrottleRate: 0.2, TornWriteRate: 0.1, Seed: 42}
+	opts := RemoteOptions{TimeoutRate: 0.3, ThrottleRate: 0.2, tornWriteRate: 0.1, Seed: 42}
 	ck := remoteCk(t, 2)
 	schedule := func() []string {
 		r := NewRemote(opts)
@@ -76,7 +76,7 @@ func TestRemoteSeededFaultScheduleDeterministic(t *testing.T) {
 // shadowing the key; the read path must surface it as detected damage
 // (ErrCorrupt), and a successful re-Put must overwrite it.
 func TestRemoteTornWriteShadowsKeyUntilRePut(t *testing.T) {
-	r := NewRemote(RemoteOptions{TornWriteRate: 1})
+	r := NewRemote(RemoteOptions{tornWriteRate: 1})
 	ck := remoteCk(t, 3)
 	k := Key{Epoch: 1}
 	err := r.Put(k, ck)
@@ -86,7 +86,7 @@ func TestRemoteTornWriteShadowsKeyUntilRePut(t *testing.T) {
 	if _, gerr := r.Get(k); !errors.Is(gerr, ErrCorrupt) {
 		t.Fatalf("read of torn object: got %v, want ErrCorrupt", gerr)
 	}
-	r.opts.TornWriteRate = 0 // the retry lands cleanly this time
+	r.opts.tornWriteRate = 0 // the retry lands cleanly this time
 	if err := r.Put(k, ck); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRemoteTornWriteShadowsKeyUntilRePut(t *testing.T) {
 // At-rest corruption discovered by a read is sticky: once damaged, the
 // object stays damaged even if no further corruption rolls hit.
 func TestRemoteReadCorruptionSticky(t *testing.T) {
-	r := NewRemote(RemoteOptions{ReadCorruptRate: 1})
+	r := NewRemote(RemoteOptions{readCorruptRate: 1})
 	k := Key{Epoch: 1}
 	if err := r.Put(k, remoteCk(t, 4)); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestRemoteReadCorruptionSticky(t *testing.T) {
 	if _, err := r.Get(k); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("first read: got %v, want ErrCorrupt", err)
 	}
-	r.opts.ReadCorruptRate = 0
+	r.opts.readCorruptRate = 0
 	if _, err := r.Get(k); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bit rot healed itself: got %v, want sticky ErrCorrupt", err)
 	}

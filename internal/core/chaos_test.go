@@ -2,15 +2,37 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
-	"acr/internal/failure"
 	"acr/internal/runtime"
 )
 
+// chaosEvent is one planned injection: a kill (hard) or an SDC at a
+// uniformly random node of a uniformly random replica.
+type chaosEvent struct {
+	at            float64 // seconds from the start of the run
+	hard          bool
+	replica, node int
+}
+
+// chaosPlan merges hard-error and SDC times into one time-ordered plan,
+// drawing each event's target from rng; equal times keep hard before SDC.
+func chaosPlan(hard, sdc []float64, nodes int, rng *rand.Rand) []chaosEvent {
+	var plan []chaosEvent
+	for _, at := range hard {
+		plan = append(plan, chaosEvent{at, true, rng.Intn(2), rng.Intn(nodes)})
+	}
+	for _, at := range sdc {
+		plan = append(plan, chaosEvent{at, false, rng.Intn(2), rng.Intn(nodes)})
+	}
+	sort.SliceStable(plan, func(i, j int) bool { return plan[i].at < plan[j].at })
+	return plan
+}
+
 // TestChaosPlan drives a full randomized failure plan (merged hard-error
-// and SDC schedules from internal/failure) against a live ACR run and
+// and SDC schedules) against a live ACR run and
 // verifies the final state is still bit-exact. This is the closest live
 // analogue of the paper's injection campaigns (§6.1) at laptop scale.
 func TestChaosPlan(t *testing.T) {
@@ -20,9 +42,9 @@ func TestChaosPlan(t *testing.T) {
 		t.Run(scheme.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(33))
 			// Times in milliseconds of wall clock, scaled to the run.
-			hard := failure.Schedule{12e-3, 40e-3}
-			sdc := failure.Schedule{8e-3, 25e-3, 55e-3}
-			plan := failure.NewPlan(hard, sdc, nodes, rng)
+			hard := []float64{12e-3, 40e-3}
+			sdc := []float64{8e-3, 25e-3, 55e-3}
+			plan := chaosPlan(hard, sdc, nodes, rng)
 
 			cfg := baseConfig(nodes, tasks, iters)
 			cfg.Scheme = scheme
@@ -34,16 +56,15 @@ func TestChaosPlan(t *testing.T) {
 			go func() {
 				start := time.Now()
 				for _, ev := range plan {
-					delay := time.Duration(ev.Time*float64(time.Second)) - time.Since(start)
+					delay := time.Duration(ev.at*float64(time.Second)) - time.Since(start)
 					if delay > 0 {
 						time.Sleep(delay)
 					}
-					switch ev.Kind {
-					case failure.Hard:
-						ctrl.KillNode(ev.Replica, ev.Node)
-					case failure.SDC:
+					if ev.hard {
+						ctrl.KillNode(ev.replica, ev.node)
+					} else {
 						ctrl.InjectSDCAtNextCheckpoint(runtime.Addr{
-							Replica: ev.Replica, Node: ev.Node, Task: rng.Intn(tasks),
+							Replica: ev.replica, Node: ev.node, Task: rng.Intn(tasks),
 						})
 					}
 				}

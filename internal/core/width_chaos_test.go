@@ -56,7 +56,16 @@ func TestChaosCampaignsCleanAtWidthN(t *testing.T) {
 func TestBothModeCorruptionMirrorsAtWidthN(t *testing.T) {
 	core.SetTestStageWidth(3)
 	defer core.SetTestStageWidth(0)
-	for _, scn := range []chaos.Scenario{chaos.SensitivityScenario(), chaos.CleanChunkSensitivityScenario()} {
+	// The clean-chunk variant (internal/chaos's cleanChunkSensitivityScenario):
+	// with a pad, the flip lands in the never-written sentinel element, in a
+	// chunk the dirty capture only ever splices forward.
+	clean := chaos.SensitivityScenario()
+	clean.Name = "oracle-sensitivity-clean-chunk-corrupt"
+	clean.PadFloats, clean.ChunkSize = 8, 32
+	for i := range clean.Faults {
+		clean.Faults[i].Trigger.Occurrence = 2
+	}
+	for _, scn := range []chaos.Scenario{chaos.SensitivityScenario(), clean} {
 		t.Run(scn.Name, func(t *testing.T) {
 			res, err := chaos.RunScenario(scn, 3, 0, nil)
 			if err != nil {

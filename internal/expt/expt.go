@@ -14,6 +14,3 @@ import (
 func writeHeader(w io.Writer, title string) {
 	fmt.Fprintf(w, "=== %s ===\n", title)
 }
-
-// pct formats a fraction as a percentage.
-func pct(f float64) string { return fmt.Sprintf("%.2f%%", f*100) }

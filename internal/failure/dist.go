@@ -1,9 +1,8 @@
 // Package failure models the error processes ACR is built to survive:
-// hard-error and SDC arrival distributions (Poisson/exponential and
-// Weibull), FIT-rate conversions, failure-schedule generation for injection
-// experiments (§6.1), bit-flip SDC injection, and online estimation of the
-// current failure rate from the observed failure stream (§2.2, "Adapting to
-// Failures").
+// the Weibull inter-failure distribution, FIT-rate conversions, the
+// power-law failure schedule of the Figure 12 adaptivity run, bit-flip SDC
+// injection (§6.1), and online estimation of the current failure rate from
+// the observed failure stream (§2.2, "Adapting to Failures").
 package failure
 
 import (
@@ -12,45 +11,6 @@ import (
 	"math/rand"
 	"sort"
 )
-
-// Distribution is a continuous positive distribution of inter-failure times.
-type Distribution interface {
-	// Sample draws one value using the provided source.
-	Sample(rng *rand.Rand) float64
-	// Mean returns the distribution mean.
-	Mean() float64
-	// Hazard returns the instantaneous failure rate at age t.
-	Hazard(t float64) float64
-	fmt.Stringer
-}
-
-// Exponential is the memoryless distribution of a Poisson failure process.
-type Exponential struct {
-	// MTBF is the mean time between failures (1/rate), in seconds.
-	MTBF float64
-}
-
-// NewExponential returns an exponential distribution with the given mean.
-func NewExponential(mtbf float64) (Exponential, error) {
-	if mtbf <= 0 || math.IsNaN(mtbf) {
-		return Exponential{}, fmt.Errorf("failure: MTBF must be positive, got %v", mtbf)
-	}
-	return Exponential{MTBF: mtbf}, nil
-}
-
-// Sample draws an exponential variate by inversion.
-func (e Exponential) Sample(rng *rand.Rand) float64 {
-	// 1-U avoids log(0).
-	return -e.MTBF * math.Log(1-rng.Float64())
-}
-
-// Mean returns the MTBF.
-func (e Exponential) Mean() float64 { return e.MTBF }
-
-// Hazard is constant for the exponential.
-func (e Exponential) Hazard(t float64) float64 { return 1 / e.MTBF }
-
-func (e Exponential) String() string { return fmt.Sprintf("Exponential(MTBF=%.4g s)", e.MTBF) }
 
 // Weibull is the distribution found to fit HPC failure logs best
 // (Schroeder & Gibson [29]); Shape < 1 gives the decreasing failure rate
@@ -66,15 +26,6 @@ func NewWeibull(shape, scale float64) (Weibull, error) {
 		return Weibull{}, fmt.Errorf("failure: Weibull needs positive shape/scale, got k=%v lambda=%v", shape, scale)
 	}
 	return Weibull{Shape: shape, Scale: scale}, nil
-}
-
-// WeibullFromMean returns a Weibull with the given shape whose mean equals
-// mean: lambda = mean / Gamma(1 + 1/k).
-func WeibullFromMean(shape, mean float64) (Weibull, error) {
-	if shape <= 0 || mean <= 0 {
-		return Weibull{}, fmt.Errorf("failure: need positive shape and mean")
-	}
-	return NewWeibull(shape, mean/math.Gamma(1+1/shape))
 }
 
 // Sample draws a Weibull variate by inversion.
@@ -110,14 +61,6 @@ func FITToMTBF(fitPerDevice float64, devices int) float64 {
 	return hours * 3600
 }
 
-// MTBFToFIT is the inverse of FITToMTBF for a single device.
-func MTBFToFIT(mtbfSeconds float64, devices int) float64 {
-	if mtbfSeconds <= 0 || math.IsInf(mtbfSeconds, 1) || devices <= 0 {
-		return 0
-	}
-	return 1e9 / (mtbfSeconds / 3600 * float64(devices))
-}
-
 // SocketYearsToMTBF converts a per-socket MTBF expressed in years (the
 // paper uses 50 years/socket, the Jaguar figure [30]) and a socket count to
 // a system MTBF in seconds.
@@ -132,36 +75,6 @@ func SocketYearsToMTBF(years float64, sockets int) float64 {
 // Schedule is an increasing sequence of absolute failure times (seconds).
 type Schedule []float64
 
-// RenewalSchedule draws failure times on [0, horizon] as a renewal process
-// with i.i.d. inter-failure times from d.
-func RenewalSchedule(d Distribution, horizon float64, rng *rand.Rand) Schedule {
-	var s Schedule
-	t := d.Sample(rng)
-	for t <= horizon {
-		s = append(s, t)
-		t += d.Sample(rng)
-	}
-	return s
-}
-
-// PowerLawSchedule draws failure times on [0, horizon] from a power-law
-// (Crow-AMSAA) non-homogeneous Poisson process with cumulative intensity
-// Lambda(t) = (t/scale)^shape. For shape < 1 the instantaneous rate
-// decreases with time — the "more failures at the beginning" behaviour
-// injected in the Figure 12 adaptivity run.
-func PowerLawSchedule(shape, scale, horizon float64, rng *rand.Rand) Schedule {
-	var s Schedule
-	g := 0.0
-	for {
-		g += -math.Log(1 - rng.Float64()) // unit-rate Poisson arrival increments
-		t := scale * math.Pow(g, 1/shape)
-		if t > horizon {
-			return s
-		}
-		s = append(s, t)
-	}
-}
-
 // FixedCountPowerLawSchedule scales a power-law process so that exactly n
 // failures land on [0, horizon]: it draws arrival fractions from the
 // conditional distribution (order statistics of U^(1/shape)). This mirrors
@@ -174,16 +87,4 @@ func FixedCountPowerLawSchedule(shape float64, n int, horizon float64, rng *rand
 	}
 	sort.Float64s(s)
 	return s
-}
-
-// Interarrivals returns the gaps of the schedule, with the first gap
-// measured from time zero.
-func (s Schedule) Interarrivals() []float64 {
-	out := make([]float64, len(s))
-	prev := 0.0
-	for i, t := range s {
-		out[i] = t - prev
-		prev = t
-	}
-	return out
 }

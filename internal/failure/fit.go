@@ -5,22 +5,6 @@ import (
 	"math"
 )
 
-// FitExponential returns the maximum-likelihood exponential distribution for
-// the observed inter-failure times: MTBF = sample mean.
-func FitExponential(gaps []float64) (Exponential, error) {
-	if len(gaps) == 0 {
-		return Exponential{}, fmt.Errorf("failure: no samples to fit")
-	}
-	sum := 0.0
-	for _, g := range gaps {
-		if g <= 0 {
-			return Exponential{}, fmt.Errorf("failure: non-positive gap %v", g)
-		}
-		sum += g
-	}
-	return NewExponential(sum / float64(len(gaps)))
-}
-
 // FitWeibull returns the maximum-likelihood Weibull distribution for the
 // observed inter-failure times, solving the profile-likelihood equation for
 // the shape by Newton iteration with a bisection fallback.

@@ -1,95 +1,6 @@
 package failure
 
-import (
-	"fmt"
-	"math"
-	"math/rand"
-	"sort"
-)
-
-// Kind distinguishes the two error classes ACR protects against.
-type Kind int
-
-// Error kinds.
-const (
-	// Hard is a fail-stop node crash: the node stops responding to all
-	// communication (§6.1's "no-response scheme").
-	Hard Kind = iota
-	// SDC is a silent data corruption: a bit flip in user data that will
-	// be checkpointed.
-	SDC
-)
-
-func (k Kind) String() string {
-	switch k {
-	case Hard:
-		return "hard"
-	case SDC:
-		return "sdc"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// Event is one planned failure injection.
-type Event struct {
-	Time    float64 // absolute seconds
-	Kind    Kind
-	Replica int // 0 or 1
-	Node    int // node index within the replica
-}
-
-// Plan is a time-ordered list of injections.
-type Plan []Event
-
-// Targeting pins plan events to a fixed replica and/or node; a -1 field
-// keeps the classical uniform-random assignment. Chaos scenarios use pinned
-// targets to aim faults at a specific protocol participant (e.g. always the
-// buddy of the previously crashed node) instead of spraying uniformly.
-type Targeting struct {
-	Replica int // 0 or 1, or -1 for uniform-random
-	Node    int // node index, or -1 for uniform-random
-}
-
-// RandomTarget is the uniform-random assignment NewPlan has always used.
-var RandomTarget = Targeting{Replica: -1, Node: -1}
-
-// resolve draws the event target, consuming rng draws only for wildcard
-// fields so pinned plans stay deterministic under the same seed.
-func (tg Targeting) resolve(nodesPerReplica int, rng *rand.Rand) (replica, node int) {
-	replica, node = tg.Replica, tg.Node
-	if replica < 0 {
-		replica = rng.Intn(2)
-	}
-	if node < 0 {
-		node = rng.Intn(nodesPerReplica)
-	}
-	return replica, node
-}
-
-// NewPlan merges hard-error and SDC schedules into a single injection plan,
-// assigning each event to a uniformly random node of a uniformly random
-// replica.
-func NewPlan(hard, sdc Schedule, nodesPerReplica int, rng *rand.Rand) Plan {
-	return NewPlanTargeted(hard, sdc, nodesPerReplica, RandomTarget, RandomTarget, rng)
-}
-
-// NewPlanTargeted is NewPlan with per-kind targeting: hardTgt aims the
-// fail-stop events, sdcTgt the corruption events. The result is stably
-// time-ordered: events at equal times keep hard-before-SDC schedule order,
-// and the plan is deterministic for a fixed rng seed.
-func NewPlanTargeted(hard, sdc Schedule, nodesPerReplica int, hardTgt, sdcTgt Targeting, rng *rand.Rand) Plan {
-	p := make(Plan, 0, len(hard)+len(sdc))
-	for _, t := range hard {
-		rep, node := hardTgt.resolve(nodesPerReplica, rng)
-		p = append(p, Event{Time: t, Kind: Hard, Replica: rep, Node: node})
-	}
-	for _, t := range sdc {
-		rep, node := sdcTgt.resolve(nodesPerReplica, rng)
-		p = append(p, Event{Time: t, Kind: SDC, Replica: rep, Node: node})
-	}
-	sort.SliceStable(p, func(i, j int) bool { return p[i].Time < p[j].Time })
-	return p
-}
+import "math/rand"
 
 // FlipBit flips one uniformly random bit in data, returning the byte index
 // and bit position. It mimics the paper's fault injector, which "injects a
@@ -104,20 +15,3 @@ func FlipBit(data []byte, rng *rand.Rand) (byteIdx, bit int) {
 	data[byteIdx] ^= 1 << bit
 	return byteIdx, bit
 }
-
-// FlipFloat64Bit flips one random bit in one random element of a float64
-// slice — the typical corruption target in the mini-apps' grids.
-func FlipFloat64Bit(data []float64, rng *rand.Rand) (index, bit int) {
-	if len(data) == 0 {
-		return -1, -1
-	}
-	index = rng.Intn(len(data))
-	bit = rng.Intn(64)
-	bits := floatBits(data[index]) ^ (1 << uint(bit))
-	data[index] = floatFromBits(bits)
-	return index, bit
-}
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }

@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"acr/internal/chaos"
@@ -13,8 +12,8 @@ import (
 
 // This file is the fleet's acceptance campaign: a seeded multi-job failure
 // burst against a fleet with almost no slack — many jobs, one shared spare —
-// verified against the serial golden reference. cmd/acrfleet runs the same
-// campaign body from a JSON spec (the CI fleet-smoke job).
+// verified against the serial golden reference. cmd/acrfleet runs it from a
+// JSON spec (the CI fleet-smoke job).
 
 // BurstKill is one seeded failure: kill physical backing of (Replica, Node)
 // in job Job, After the job has been admitted.
@@ -25,18 +24,6 @@ type BurstKill struct {
 	After   time.Duration `json:"after"`
 }
 
-// BurstSpec shapes a burst campaign.
-type BurstSpec struct {
-	Jobs         int           `json:"jobs"`
-	SharedSpares int           `json:"shared_spares"`
-	NodesPerJob  int           `json:"nodes_per_job"` // logical nodes per replica
-	TasksPerNode int           `json:"tasks_per_node"`
-	Iters        int           `json:"iters"`
-	Interval     time.Duration `json:"interval"`
-	Kills        []BurstKill   `json:"kills"`
-	Watchdog     time.Duration `json:"watchdog"`
-}
-
 // BurstReport is the campaign outcome: fleet stats plus oracle violations
 // (empty means the fleet survived with every job's golden result intact).
 type BurstReport struct {
@@ -45,55 +32,7 @@ type BurstReport struct {
 	Elapsed    time.Duration `json:"elapsed_ns"`
 }
 
-// DefaultBurstSpec is the acceptance shape: a 16-job fleet sharing a single
-// spare, with a seeded failure burst hitting six different jobs — five more
-// failures than the spare pool can absorb, so the brokering, folding, and
-// waiting-list machinery all engage. Kills are derived from the seed so the
-// plan is reproducible.
-func DefaultBurstSpec(seed int64) BurstSpec {
-	spec := BurstSpec{
-		Jobs:         16,
-		SharedSpares: 1,
-		NodesPerJob:  2,
-		TasksPerNode: 2,
-		Iters:        12000,
-		Interval:     2 * time.Millisecond,
-		Watchdog:     2 * time.Minute,
-	}
-	rng := rand.New(rand.NewSource(seed))
-	victims := rng.Perm(spec.Jobs)[:6] // distinct jobs: one kill each, so no
-	// buddy-pair double faults (the ladder, not the fleet, owns those)
-	for _, job := range victims {
-		spec.Kills = append(spec.Kills, BurstKill{
-			Job:     job,
-			Replica: rng.Intn(2),
-			Node:    rng.Intn(spec.NodesPerJob),
-			After:   5*time.Millisecond + time.Duration(rng.Intn(40))*time.Millisecond,
-		})
-	}
-	return spec
-}
-
-// RunBurst expands the homogeneous spec into its jobs and runs them as a
-// campaign on a pool sized to fit them all at once.
-func RunBurst(spec BurstSpec) (BurstReport, error) {
-	jobs := make([]JobSpec, max(spec.Jobs, 0)) // none: New rejects the empty pool
-	for i := range jobs {
-		jobs[i] = JobSpec{
-			Name:     fmt.Sprintf("burst-%02d", i),
-			Priority: i % 4,
-			Nodes:    spec.NodesPerJob,
-			Tasks:    spec.TasksPerNode,
-			Iters:    spec.Iters,
-			Interval: spec.Interval,
-		}
-	}
-	cfg := Config{Nodes: 2 * spec.NodesPerJob * spec.Jobs, Spares: spec.SharedSpares}
-	return RunCampaign(cfg, jobs, spec.Kills, spec.Watchdog)
-}
-
-// RunCampaign is the one campaign body, shared by RunBurst and cmd/acrfleet:
-// check every kill against the job it names, submit every job, arm the kills
+// RunCampaign is the campaign body cmd/acrfleet runs: check every kill against the job it names, submit every job, arm the kills
 // against admitted controllers, drain under the watchdog (<= 0 selects two
 // minutes), and verify each job's final state bit-for-bit against the serial
 // ring reference. A kill the jobs cannot take is an error, returned before

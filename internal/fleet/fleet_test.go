@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"fmt"
+	"math/rand"
 	goruntime "runtime"
 	"strings"
 	"testing"
@@ -197,31 +199,39 @@ func TestLastSpareContention(t *testing.T) {
 	}
 }
 
-// TestBurstCampaign runs the full acceptance campaign at a CI-friendly
-// size: 8 jobs, 1 shared spare, seeded kills, zero oracle violations.
+// TestBurstCampaign runs the acceptance campaign at a CI-friendly size:
+// 8 jobs, 1 shared spare, seeded kills, zero oracle violations.
 func TestBurstCampaign(t *testing.T) {
-	spec := DefaultBurstSpec(7)
-	spec.Jobs = 8
-	spec.Iters = 6000
-	kept := spec.Kills[:0]
-	for _, k := range spec.Kills {
-		if k.Job < spec.Jobs {
-			kept = append(kept, k)
+	const nodes, iters = 2, 6000
+	jobs := make([]JobSpec, 8)
+	for i := range jobs {
+		jobs[i] = JobSpec{Name: fmt.Sprintf("burst-%02d", i), Priority: i % 4,
+			Nodes: nodes, Tasks: 2, Iters: iters, Interval: 2 * time.Millisecond}
+	}
+	// One kill each in six distinct jobs of a 16-job draw, so no buddy-pair
+	// double faults (the ladder, not the fleet, owns those); the kills that
+	// land past job 7 are dropped.
+	rng := rand.New(rand.NewSource(7))
+	var kills []BurstKill
+	for _, job := range rng.Perm(16)[:6] {
+		k := BurstKill{Job: job, Replica: rng.Intn(2), Node: rng.Intn(nodes),
+			After: 5*time.Millisecond + time.Duration(rng.Intn(40))*time.Millisecond}
+		if job < len(jobs) {
+			kills = append(kills, k)
 		}
 	}
-	spec.Kills = kept
-	if len(spec.Kills) < 2 {
-		t.Fatalf("seed produced %d kills under job %d; pick a different seed", len(spec.Kills), spec.Jobs)
+	if len(kills) < 2 {
+		t.Fatalf("seed produced %d kills under job %d; pick a different seed", len(kills), len(jobs))
 	}
-	report, err := RunBurst(spec)
+	report, err := RunCampaign(Config{Nodes: 2 * nodes * len(jobs), Spares: 1}, jobs, kills, 2*time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range report.Violations {
 		t.Error(v)
 	}
-	if report.Stats.Completed != spec.Jobs {
-		t.Fatalf("completed = %d, want %d", report.Stats.Completed, spec.Jobs)
+	if report.Stats.Completed != len(jobs) {
+		t.Fatalf("completed = %d, want %d", report.Stats.Completed, len(jobs))
 	}
 }
 

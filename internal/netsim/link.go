@@ -6,7 +6,7 @@ import (
 )
 
 // This file adds a live link-fault model to netsim: where the analytic
-// model (netsim.go) and the packet DES (des.go) predict transfer *cost*,
+// model (netsim.go) and the packet DES (des_test.go) predict transfer *cost*,
 // Link perturbs transfer *delivery* — frames are lost, duplicated, or
 // reordered with configured probabilities, deterministically per seed.
 // The hardened checkpoint-exchange protocol in internal/core drives its

@@ -75,27 +75,6 @@ func (p *PUPer) Strings(v *[]string) {
 	}
 }
 
-// Objects pipes a slice of nested Pupables, using mk to allocate elements
-// on unpack.
-func Objects[T Pupable](p *PUPer, v *[]T, mk func() T) {
-	n := p.length(len(*v))
-	if n < 0 {
-		return
-	}
-	if p.Mode() == Unpacking && len(*v) != n {
-		*v = make([]T, n)
-		for i := range *v {
-			(*v)[i] = mk()
-		}
-	}
-	for i := range *v {
-		if p.Err() != nil {
-			return
-		}
-		p.Object((*v)[i])
-	}
-}
-
 // MapStringFloat64 pipes a map[string]float64 in sorted key order, so two
 // replicas holding equal maps always produce byte-identical checkpoints
 // regardless of Go's map iteration order.

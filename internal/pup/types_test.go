@@ -14,7 +14,6 @@ type extended struct {
 	Names   []string
 	Metrics map[string]float64
 	Counts  map[string]int64
-	Kids    []*inner
 }
 
 func (e *extended) Pup(p *PUPer) {
@@ -30,8 +29,6 @@ func (e *extended) Pup(p *PUPer) {
 	p.MapStringFloat64(&e.Metrics)
 	p.Label("counts")
 	p.MapStringInt64(&e.Counts)
-	p.Label("kids")
-	Objects(p, &e.Kids, func() *inner { return &inner{} })
 }
 
 func sampleExtended() *extended {
@@ -42,7 +39,6 @@ func sampleExtended() *extended {
 		Names:   []string{"alpha", "", "gamma"},
 		Metrics: map[string]float64{"x": 1.5, "y": -2, "z": 0},
 		Counts:  map[string]int64{"a": 1, "b": -9},
-		Kids:    []*inner{{A: 1, B: 2}, {A: -3, B: 4}},
 	}
 }
 
@@ -70,9 +66,6 @@ func TestExtendedRoundTrip(t *testing.T) {
 	}
 	if len(back.Counts) != 2 || back.Counts["b"] != -9 {
 		t.Fatalf("counts = %v", back.Counts)
-	}
-	if len(back.Kids) != 2 || *back.Kids[1] != (inner{A: -3, B: 4}) {
-		t.Fatalf("kids = %v", back.Kids)
 	}
 }
 
@@ -113,7 +106,6 @@ func TestExtendedCheckDetectsMutations(t *testing.T) {
 		"names":   func(e *extended) { e.Names[2] = "delta" },
 		"metrics": func(e *extended) { e.Metrics["x"] = 9 },
 		"counts":  func(e *extended) { e.Counts["a"] = 2 },
-		"kids":    func(e *extended) { e.Kids[0].A = 42 },
 	}
 	for label, mutate := range mutations {
 		e := sampleExtended()
@@ -200,7 +192,7 @@ func TestEmptyCollections(t *testing.T) {
 	if err := Unpack(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.F32s) != 0 || len(back.Names) != 0 || len(back.Metrics) != 0 || len(back.Kids) != 0 {
+	if len(back.F32s) != 0 || len(back.Names) != 0 || len(back.Metrics) != 0 {
 		t.Fatal("empty collections should stay empty")
 	}
 }

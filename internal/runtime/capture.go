@@ -21,10 +21,6 @@ type CaptureOptions struct {
 	// ChunkSize is the checksum chunk granularity (<= 0 selects
 	// checksum.DefaultChunkSize).
 	ChunkSize int
-	// Workers is the outer task-parallel worker count (<= 0 selects
-	// GOMAXPROCS, capped at the task count). Serialization of one task's
-	// state is inherently serial, but nothing couples distinct tasks.
-	Workers int
 	// ChunkWorkers is the inner per-checkpoint checksum parallelism. The
 	// two levels split the same cores: when the outer pool already
 	// saturates GOMAXPROCS (many tasks per replica, the common case),
@@ -49,13 +45,19 @@ type CaptureOptions struct {
 	// (a caller-supplied store, a delta tier retaining anchors) must leave
 	// it off, or captures would scribble over retained views.
 	PatchCapture bool
+
+	// workers is CaptureReplica's outer task-parallel worker count (<= 0
+	// selects GOMAXPROCS, capped at the task count). Serialization of one
+	// task's state is inherently serial, but nothing couples distinct
+	// tasks. Only this package's tests set it.
+	workers int
 }
 
 // CaptureReplica packs every task of the replica and stores the chunked,
 // checksummed checkpoints under the epoch. The caller must guarantee the
 // replica is quiescent (parked in Progress, completed, or stopped), same
 // as PackTask. Tasks are packed and checksummed concurrently per
-// opts.Workers and opts.ChunkWorkers, through stages.Run; each
+// opts.workers and opts.ChunkWorkers, through stages.Run; each
 // task's buffer comes from opts.Pool when one is attached, and packing
 // skips the Sizing traversal whenever the task's previous packed size
 // still fits (pup.PackInto). Every task is attempted; when several fail,
@@ -64,7 +66,7 @@ type CaptureOptions struct {
 func (m *Machine) CaptureReplica(rep int, epoch uint64, st ckptstore.Store, opts CaptureOptions) error {
 	tasks := m.cfg.TasksPerNode
 	out := make([]stages.Outcome, m.cfg.NodesPerReplica*tasks)
-	workers := opts.Workers
+	workers := opts.workers
 	if workers <= 0 {
 		workers = stdruntime.GOMAXPROCS(0)
 	}

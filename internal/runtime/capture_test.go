@@ -38,7 +38,7 @@ func TestCaptureReplicaLowestFailureWins(t *testing.T) {
 		for run := 0; run < 20; run++ {
 			mem := ckptstore.NewMem()
 			st := failingPuts{Store: mem, fail: map[ckptstore.Key]error{low: lowErr, high: highErr}}
-			err := m.CaptureReplica(0, epoch, st, CaptureOptions{Workers: workers})
+			err := m.CaptureReplica(0, epoch, st, CaptureOptions{workers: workers})
 			if !errors.Is(err, lowErr) {
 				t.Fatalf("workers %d run %d: err = %v, want the %v error", workers, run, err, low)
 			}

@@ -55,7 +55,7 @@ func TestCaptureReplicaDirtySplice(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := ckptstore.NewMem()
-	opts := CaptureOptions{ChunkSize: chunkSize, Workers: 1, ChunkWorkers: 1}
+	opts := CaptureOptions{ChunkSize: chunkSize, workers: 1, ChunkWorkers: 1}
 	addr := Addr{Replica: 0, Node: 0, Task: 0}
 
 	if err := m.CaptureReplica(0, 1, st, opts); err != nil {
@@ -148,7 +148,7 @@ func TestRestartResetsSizeHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := ckptstore.NewMem()
-	opts := CaptureOptions{ChunkSize: 256, Workers: 1, ChunkWorkers: 1}
+	opts := CaptureOptions{ChunkSize: 256, workers: 1, ChunkWorkers: 1}
 	addr := Addr{Replica: 0, Node: 0, Task: 0}
 
 	// Epoch 1: the large state.

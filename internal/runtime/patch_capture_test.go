@@ -30,7 +30,7 @@ func TestCaptureReplicaPatchInPlace(t *testing.T) {
 	st := ckptstore.NewMem()
 	pool := ckptstore.NewPool(0)
 	st.SetPool(pool)
-	opts := CaptureOptions{ChunkSize: chunkSize, Workers: 1, ChunkWorkers: 1, Pool: pool, PatchCapture: true}
+	opts := CaptureOptions{ChunkSize: chunkSize, workers: 1, ChunkWorkers: 1, Pool: pool, PatchCapture: true}
 	addr := Addr{Replica: 0, Node: 0, Task: 0}
 	key := func(epoch uint64) ckptstore.Key {
 		return ckptstore.Key{Replica: 0, Node: 0, Task: 0, Epoch: epoch}
@@ -116,7 +116,7 @@ func TestRestartDropsPatchState(t *testing.T) {
 	st := ckptstore.NewMem()
 	pool := ckptstore.NewPool(0)
 	st.SetPool(pool)
-	opts := CaptureOptions{ChunkSize: 128, Workers: 1, ChunkWorkers: 1, Pool: pool, PatchCapture: true}
+	opts := CaptureOptions{ChunkSize: 128, workers: 1, ChunkWorkers: 1, Pool: pool, PatchCapture: true}
 	addr := Addr{Replica: 0, Node: 0, Task: 0}
 
 	mark := func(el int) {

@@ -51,19 +51,3 @@ func NewAllocation(coresPerReplica int) (Allocation, error) {
 	}
 	return Allocation{Torus: t, CoresPerReplica: coresPerReplica, NodesPerReplica: nodesPerReplica}, nil
 }
-
-// KnownAllocations returns the cores-per-replica values for which a BG/P
-// partition shape is known, in increasing order.
-func KnownAllocations() []int {
-	var out []int
-	for total := range bgpShapes {
-		out = append(out, total/2*CoresPerNode)
-	}
-	// Insertion sort: the list is tiny.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}

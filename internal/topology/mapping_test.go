@@ -204,21 +204,10 @@ func TestAllocation(t *testing.T) {
 	if _, err := NewAllocation(3 * 4); err == nil {
 		t.Error("unknown shape should fail")
 	}
-}
-
-func TestKnownAllocationsSorted(t *testing.T) {
-	ks := KnownAllocations()
-	if len(ks) == 0 {
-		t.Fatal("no known allocations")
-	}
-	for i := 1; i < len(ks); i++ {
-		if ks[i] <= ks[i-1] {
-			t.Fatalf("not sorted: %v", ks)
-		}
-	}
-	for _, k := range ks {
-		if _, err := NewAllocation(k); err != nil {
-			t.Errorf("known allocation %d fails: %v", k, err)
+	// Every listed BG/P shape is an allocation.
+	for total := range bgpShapes {
+		if _, err := NewAllocation(total / 2 * CoresPerNode); err != nil {
+			t.Errorf("shape of %d nodes fails: %v", total, err)
 		}
 	}
 }

@@ -7,7 +7,6 @@ package trace
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -110,16 +109,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// ParseKind inverts Kind.String.
-func ParseKind(s string) (Kind, error) {
-	for k := Work; k <= Remote; k++ {
-		if k.String() == s {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("trace: unknown event kind %q", s)
-}
-
 // Event is one timestamped occurrence.
 type Event struct {
 	Time   float64 // seconds
@@ -213,20 +202,4 @@ func (tl *Timeline) Render(horizon float64, width int) string {
 		}
 	}
 	return string(row)
-}
-
-// Summary returns a human-readable digest: counts per kind and the
-// checkpoint interval trend (first and last gap between checkpoints),
-// mirroring the Figure 12 caption.
-func (tl *Timeline) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "checkpoints=%d failures=%d restarts=%d",
-		tl.Count(Checkpoint), tl.Count(Failure), tl.Count(Restart))
-	cks := tl.OfKind(Checkpoint)
-	if len(cks) >= 3 {
-		first := cks[1].Time - cks[0].Time
-		last := cks[len(cks)-1].Time - cks[len(cks)-2].Time
-		fmt.Fprintf(&b, " first-interval=%.1fs last-interval=%.1fs", first, last)
-	}
-	return b.String()
 }

@@ -77,22 +77,6 @@ func TestRenderDegenerate(t *testing.T) {
 	}
 }
 
-func TestSummaryIntervals(t *testing.T) {
-	var tl Timeline
-	// Checkpoints at 0, 6, 12, then widening to 29: first gap 6, last 17.
-	for _, ts := range []float64{0, 6, 12, 29} {
-		tl.Add(ts, Checkpoint, "")
-	}
-	tl.Add(3, Failure, "")
-	s := tl.Summary()
-	if !strings.Contains(s, "checkpoints=4") || !strings.Contains(s, "failures=1") {
-		t.Fatalf("summary = %q", s)
-	}
-	if !strings.Contains(s, "first-interval=6.0s") || !strings.Contains(s, "last-interval=17.0s") {
-		t.Fatalf("summary = %q", s)
-	}
-}
-
 func TestConcurrentAdd(t *testing.T) {
 	var tl Timeline
 	var wg sync.WaitGroup
@@ -123,5 +107,14 @@ func TestKindStrings(t *testing.T) {
 	}
 	if Checkpoint.Glyph() != '|' || Failure.Glyph() != 'X' || Restart.Glyph() != 'R' {
 		t.Fatal("glyphs broken")
+	}
+}
+
+func TestNewKindGlyphs(t *testing.T) {
+	if Inject.String() != "inject" || Oracle.String() != "oracle" {
+		t.Fatal("new kind names broken")
+	}
+	if Inject.Glyph() != '!' || Oracle.Glyph() != '?' {
+		t.Fatal("new kind glyphs broken")
 	}
 }

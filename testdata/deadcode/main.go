@@ -1,0 +1,7 @@
+package main
+
+import "fixture/lib"
+
+func main() {
+	lib.ViaMain()
+}
