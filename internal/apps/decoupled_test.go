@@ -14,9 +14,9 @@ import (
 
 // TestDecoupledRoundsUnderFaults runs stencil-link's shape — message-driven
 // Jacobi3D on 2x2 tasks, checksum comparison, digests over a lossy 0.5 ms
-// link — with no chaos hook attached, so every round takes the schedule
-// production runs: each replica is captured the moment its own tasks park,
-// the first one's digests cross the link while the other catches up. Over
+// link — with no chaos hook attached, on the schedule production runs:
+// each replica is captured the moment its own tasks park, the first one's
+// digests cross the link while the other catches up. Over
 // twenty seeds a seeded plan of two kills and two SDCs is fired from the
 // job's Progress() counts, each fault once the previous one was absorbed and
 // another round committed, so kills land wherever the interval timer's
@@ -24,7 +24,7 @@ import (
 // or in a body. Every run must end bit-identical to a bare run with every
 // injected SDC detected and every kill recovered.
 func TestDecoupledRoundsUnderFaults(t *testing.T) {
-	const iters, seeds = 3000, 20
+	const iters, seeds = 8000, 20
 	factory := JacobiFactorySized(iters, 6, 6, 6)
 	clean := runClean(t, factory, 2, 2)
 	for seed := int64(1); seed <= seeds; seed++ {

@@ -50,8 +50,9 @@ type flipKey struct {
 // pendingFlip remembers a Both-mode corruption so the buddy's write gets
 // the identical bit flip.
 type pendingFlip struct {
-	offEnd int // byte offset counted back from the payload end (1..8)
-	bit    int
+	offEnd  int // byte offset counted back from the payload end (1..8)
+	bit     int
+	flipped *ckptstore.Checkpoint // the replica-0 copy already flipped
 }
 
 // Engine arms a resolved fault schedule against the injection points and
@@ -89,10 +90,16 @@ type Engine struct {
 	iterGen    map[[3]int]int
 	liveViol   []Violation
 
-	// pending is keyed per buddy write, not a single slot: at capture-stage
-	// width N other tasks' writes interleave between a replica-0 write and
-	// its buddy's.
-	pending map[flipKey]pendingFlip
+	// A Both-mode corruption fires on replica 0's write and is mirrored
+	// onto replica 1's write of the same (node, task, epoch), whichever of
+	// the two lands first: each replica is captured the moment its own
+	// tasks park. buddyWrites holds replica 1's latest write per (node,
+	// task), flipped at once when it already carries the epoch; otherwise
+	// the flip waits in pending, keyed per buddy write because at
+	// capture-stage width N other tasks' writes interleave between a
+	// replica-0 write and its buddy's.
+	buddyWrites map[[2]int]point.Info
+	pending     map[flipKey]pendingFlip
 }
 
 // NewEngine resolves the scenario's fault schedule with the seed and
@@ -106,6 +113,7 @@ func NewEngine(scn *Scenario, seed int64, tl *trace.Timeline) *Engine {
 		rng:           rng,
 		coverage:      make(map[point.ID]int, len(point.All())),
 		corruptEpochs: make(map[uint64]bool),
+		buddyWrites:   make(map[[2]int]point.Info),
 		pending:       make(map[flipKey]pendingFlip),
 		lastIter:      make(map[[3]int]int),
 		iterGen:       make(map[[3]int]int),
@@ -146,10 +154,11 @@ func (e *Engine) Fire(id point.ID, info *point.Info) {
 		// occurrence. The delay runs after unlock, on the task goroutine.
 		actions = append(actions, func() { time.Sleep(iterDelay) })
 	}
-	if id == point.StoreWrite {
+	if id == point.StoreWrite && info.Replica == 1 {
 		if act := e.applyPendingFlip(info); act != nil {
 			actions = append(actions, act)
 		}
+		e.buddyWrites[[2]int{info.Node, info.Task}] = *info
 	}
 	for _, f := range e.faults {
 		if f.executed || f.Trigger.Point != id || !e.matches(f.Target, id, info) {
@@ -334,25 +343,52 @@ func (e *Engine) corruptCheckpoint(f *armedFault, info *point.Info) (func(), boo
 	}
 	offEnd := 1 + e.rng.Intn(8)
 	bit := e.rng.Intn(8)
-	if f.Both {
-		e.pending[flipKey{info.Node, info.Task, info.Epoch}] = pendingFlip{offEnd: offEnd, bit: bit}
-	}
 	e.mark("inject ckpt corruption r%d/n%d/t%d@e%d byte -%d bit %d (both=%v)",
 		info.Replica, info.Node, info.Task, info.Epoch, offEnd, bit, f.Both)
-	return e.flipStored(info, offEnd, bit), true
+	act := e.flipStored(info, offEnd, bit)
+	if !f.Both {
+		return act, true
+	}
+	p := pendingFlip{offEnd: offEnd, bit: bit, flipped: ck}
+	buddy, ok := e.buddyWrites[[2]int{info.Node, info.Task}]
+	if !ok || buddy.Epoch != info.Epoch {
+		e.pending[flipKey{info.Node, info.Task, info.Epoch}] = p
+		return act, true
+	}
+	mirror := e.mirrorFlip(&buddy, p)
+	return func() {
+		if act != nil {
+			act()
+		}
+		if mirror != nil {
+			mirror()
+		}
+	}, true
 }
 
-// applyPendingFlip mirrors a Both-mode corruption onto the buddy write of
-// the same {node, task, epoch}. Engine mutex held.
+// applyPendingFlip mirrors a pending Both-mode corruption onto replica 1's
+// write of the same {node, task, epoch}. Engine mutex held.
 func (e *Engine) applyPendingFlip(info *point.Info) func() {
 	key := flipKey{info.Node, info.Task, info.Epoch}
 	p, ok := e.pending[key]
-	if !ok || info.Replica != 1 {
+	if !ok {
 		return nil
 	}
 	delete(e.pending, key)
+	return e.mirrorFlip(info, p)
+}
+
+// mirrorFlip applies a Both-mode corruption's bit flip to the buddy write
+// info describes. A memory-tier buddy holding the very checkpoint already
+// flipped (a recovery round mirrors one replica's checkpoint under the
+// other's key by reference) is left alone: the one flip reached both keys,
+// and a second would undo it. Engine mutex held.
+func (e *Engine) mirrorFlip(info *point.Info, p pendingFlip) func() {
 	e.mark("mirror ckpt corruption onto buddy r1/n%d/t%d@e%d byte -%d bit %d",
-		key.node, key.task, key.epoch, p.offEnd, p.bit)
+		info.Node, info.Task, info.Epoch, p.offEnd, p.bit)
+	if info.Payload == p.flipped && e.diskTier() == nil {
+		return nil
+	}
 	return e.flipStored(info, p.offEnd, p.bit)
 }
 

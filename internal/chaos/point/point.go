@@ -111,16 +111,6 @@ func All() []ID {
 	return ids
 }
 
-// Quiescent reports whether the point fires while every task in scope is
-// parked, making state mutation race-free.
-func (id ID) Quiescent() bool {
-	switch id {
-	case CorePostConsensus, CoreCapture, CoreRecovery:
-		return true
-	}
-	return false
-}
-
 // Info carries the context of one firing. Field validity depends on the
 // point; unused fields are zero. Replica/Node/Task default to -1 where the
 // firing has no task context.

@@ -369,9 +369,9 @@ func (s *Scenario) resolveFaults(rng *rand.Rand) []Fault {
 			f.Target.Task = rng.Intn(s.Tasks)
 		}
 		if f.Kind == CkptCorrupt && f.Both {
-			// The engine corrupts the replica-0 copy first and mirrors
-			// the flip onto the buddy write that follows it (capture
-			// stores replica 0 before replica 1).
+			// The engine corrupts the replica-0 copy and mirrors the
+			// flip onto replica 1's write of the same epoch, whichever
+			// of the two lands first.
 			f.Target.Replica = 0
 		}
 		if f.Trigger.Occurrence <= 0 {

@@ -7,13 +7,14 @@ import (
 
 // Before the first round commits there is no measured checkpoint cost, so
 // the adaptive path must not invent one: it falls back to the most
-// protective legal interval, MinInterval, until a real measurement exists.
+// protective legal interval, the clamp's lower bound (CheckpointInterval/8),
+// until a real measurement exists.
 func TestAdaptiveIntervalFallsBackToMinIntervalUnmeasured(t *testing.T) {
 	cfg := baseConfig(1, 1, 100)
 	cfg.Adaptive = true
 	cfg.Estimator = MeanEstimator
-	cfg.MinInterval = 2 * time.Millisecond
-	cfg.MaxInterval = 500 * time.Millisecond
+	cfg.CheckpointInterval = 20 * time.Millisecond // clamp [2.5 ms, 160 ms]
+	lo, hi := cfg.intervalBounds()
 	ctrl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -27,15 +28,15 @@ func TestAdaptiveIntervalFallsBackToMinIntervalUnmeasured(t *testing.T) {
 	}
 	ctrl.interval = cfg.CheckpointInterval
 	ctrl.adaptInterval()
-	if ctrl.interval != cfg.MinInterval {
-		t.Fatalf("unmeasured adaptInterval set %v, want MinInterval %v", ctrl.interval, cfg.MinInterval)
+	if ctrl.interval != lo {
+		t.Fatalf("unmeasured adaptInterval set %v, want the lower bound %v", ctrl.interval, lo)
 	}
 
 	// Once a round has committed, Young/Daly takes over: delta = 4 ms,
 	// MTBF = 2 s gives tau = sqrt(2*0.004*2) ~ 126 ms, inside the clamp.
 	ctrl.stats.CheckpointTimes = []time.Duration{4 * time.Millisecond}
 	ctrl.adaptInterval()
-	if ctrl.interval == cfg.MinInterval || ctrl.interval == cfg.MaxInterval {
+	if ctrl.interval == lo || ctrl.interval == hi {
 		t.Fatalf("measured adaptInterval hit a clamp: %v", ctrl.interval)
 	}
 	if got, want := ctrl.interval, 126*time.Millisecond; got < want-5*time.Millisecond || got > want+5*time.Millisecond {

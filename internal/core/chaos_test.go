@@ -94,8 +94,7 @@ func TestEstimators(t *testing.T) {
 			cfg.Adaptive = true
 			cfg.Estimator = est
 			cfg.Spares = 4
-			cfg.MinInterval = time.Millisecond
-			cfg.MaxInterval = 100 * time.Millisecond
+			cfg.CheckpointInterval = 8 * time.Millisecond // adaptive clamp [1 ms, 64 ms]
 			ctrl, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -140,10 +140,9 @@ type Config struct {
 	CheckpointInterval time.Duration
 	// Adaptive re-derives the interval from the observed failure rate
 	// after every failure (§2.2): tau = sqrt(2 * delta * MTBF_current),
-	// clamped to [MinInterval, MaxInterval].
-	Adaptive    bool
-	MinInterval time.Duration
-	MaxInterval time.Duration
+	// clamped to [CheckpointInterval/8, 8*CheckpointInterval] (1 ms and
+	// 1 h where the interval is zero; see intervalBounds).
+	Adaptive bool
 	// Estimator selects how the current MTBF is derived from the failure
 	// history in Adaptive mode.
 	Estimator Estimator
@@ -243,6 +242,20 @@ type Config struct {
 	Chaos point.Hook
 }
 
+// intervalBounds is the adaptive interval's clamp: an eighth of the base
+// interval up to eight times it, with 1 ms and 1 h standing in for a
+// zero bound.
+func (c *Config) intervalBounds() (lo, hi time.Duration) {
+	lo, hi = c.CheckpointInterval/8, 8*c.CheckpointInterval
+	if lo <= 0 {
+		lo = time.Millisecond
+	}
+	if hi <= 0 {
+		hi = time.Hour
+	}
+	return lo, hi
+}
+
 func (c *Config) validate() error {
 	switch {
 	case c.NodesPerReplica <= 0 || c.TasksPerNode <= 0:
@@ -251,18 +264,6 @@ func (c *Config) validate() error {
 		return fmt.Errorf("core: Factory is required")
 	case c.Scheme < Strong || c.Scheme > Weak:
 		return fmt.Errorf("core: unknown scheme %d", c.Scheme)
-	}
-	if c.MinInterval <= 0 {
-		c.MinInterval = c.CheckpointInterval / 8
-		if c.MinInterval <= 0 {
-			c.MinInterval = time.Millisecond
-		}
-	}
-	if c.MaxInterval <= 0 {
-		c.MaxInterval = 8 * c.CheckpointInterval
-		if c.MaxInterval <= 0 {
-			c.MaxInterval = time.Hour
-		}
 	}
 	if c.FlushEvery < 0 {
 		return fmt.Errorf("core: negative FlushEvery")
@@ -808,24 +809,18 @@ func (c *Controller) adaptInterval() {
 	if !ok {
 		return
 	}
+	lo, hi := c.cfg.intervalBounds()
 	delta, measured := c.avgCheckpointSeconds()
 	if !measured {
 		// No committed round yet, so no delta to plug into Young/Daly.
 		// Fall back to the most protective legal interval — checkpoint at
-		// MinInterval until a real measurement exists — instead of
+		// the lower bound until a real measurement exists — instead of
 		// guessing the cost from the configured interval.
-		c.interval = c.cfg.MinInterval
+		c.interval = lo
 		return
 	}
 	tau := math.Sqrt(2 * delta * mtbf)
-	d := time.Duration(tau * float64(time.Second))
-	if d < c.cfg.MinInterval {
-		d = c.cfg.MinInterval
-	}
-	if d > c.cfg.MaxInterval {
-		d = c.cfg.MaxInterval
-	}
-	c.interval = d
+	c.interval = min(max(time.Duration(tau*float64(time.Second)), lo), hi)
 }
 
 // avgCheckpointSeconds returns the mean wall duration of the committed

@@ -248,6 +248,8 @@ func TestSDCDetectionAndRecovery(t *testing.T) {
 		t.Run(cmp.String(), func(t *testing.T) {
 			cfg := baseConfig(2, 2, 4000)
 			cfg.Comparison = cmp
+			var ctrl *Controller
+			pace(&cfg, &ctrl, 500, nil)
 			ctrl, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -331,14 +333,19 @@ func TestHardErrorOnlyMode(t *testing.T) {
 	cfg := baseConfig(2, 1, 20000)
 	cfg.Scheme = Medium
 	cfg.CheckpointInterval = 0
+	// The kill lands a quarter of the way in however fast the tasks run,
+	// from its own goroutine: a task inside a hook cannot be interrupted.
+	var ctrl *Controller
+	var killed sync.Once
+	cfg.Chaos = point.HookFunc(func(id point.ID, info *point.Info) {
+		if id == point.RuntimeProgress && info.Iter >= 5000 {
+			killed.Do(func() { go ctrl.KillNode(0, 1) })
+		}
+	})
 	ctrl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		ctrl.KillNode(0, 1)
-	}()
 	stats, err := ctrl.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -457,8 +464,7 @@ func TestAdaptiveIntervalReactsToFailures(t *testing.T) {
 	cfg.Scheme = Medium
 	cfg.Adaptive = true
 	cfg.Spares = 4
-	cfg.MinInterval = time.Millisecond
-	cfg.MaxInterval = 100 * time.Millisecond
+	cfg.CheckpointInterval = 8 * time.Millisecond // adaptive clamp [1 ms, 64 ms]
 	ctrl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

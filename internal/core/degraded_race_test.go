@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"acr/internal/chaos/pacing"
 	"acr/internal/chaos/point"
 )
 
@@ -15,7 +16,7 @@ import (
 // in-flight recovery restart. Every fold is answered by one asynchronous
 // grant, so the job must end fully re-expanded with a bit-identical result.
 func TestFreeSpareConcurrentWithFailures(t *testing.T) {
-	cfg := baseConfig(3, 2, 8000)
+	cfg := baseConfig(3, 2, 24000)
 	cfg.Spares = 0
 	cfg.Degraded = true
 	var ctrl *Controller
@@ -66,7 +67,7 @@ func TestFreeSpareConcurrentWithFailures(t *testing.T) {
 	if expands := ctrl.Machine().ExpandCount(); expands != int64(stats.Folds) {
 		t.Errorf("expands = %d, want one per fold (%d)", expands, stats.Folds)
 	}
-	verifyFinalState(t, ctrl, 3, 2, 8000)
+	verifyFinalState(t, ctrl, 3, 2, 24000)
 }
 
 // TestFreeSpareStorm hammers FreeSpare from many goroutines while failures
@@ -79,11 +80,13 @@ func TestFreeSpareStorm(t *testing.T) {
 	var ctrl *Controller
 	var commits atomic.Int64
 	var storm sync.WaitGroup
-	cfg.Chaos = point.HookFunc(func(id point.ID, info *point.Info) {
+	var pacer *pacing.Pacer
+	pacer = pace(&cfg, &ctrl, 500, point.HookFunc(func(id point.ID, info *point.Info) {
 		if id != point.CoreCommit {
 			return
 		}
 		if commits.Add(1) == 2 {
+			pacer.Stop() // recovery must find no task held by the pacer
 			ctrl.KillNode(1, 0)
 			for i := 0; i < 8; i++ {
 				storm.Add(1)
@@ -93,7 +96,7 @@ func TestFreeSpareStorm(t *testing.T) {
 				}()
 			}
 		}
-	})
+	}))
 	ctrl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -145,10 +145,10 @@ type assemblyKey struct {
 }
 
 // exchanger drives the ack/retry protocol over one lossy link. At exchange
-// stage width 1 (chaos runs) one transfer is in flight at a time; wider,
-// several are, so the protocol state is mutex-guarded: map mutations and
-// frame arbitration serialize on mu (the wire is serial), while propagation
-// delay and backoff sleeps happen outside it (flight time is concurrent).
+// stage width 1 one transfer is in flight at a time; wider, several are, so
+// the protocol state is mutex-guarded: map mutations and frame arbitration
+// serialize on mu (the wire is serial), while propagation delay and backoff
+// sleeps happen outside it (flight time is concurrent).
 type exchanger struct {
 	c     *Controller
 	cfg   ExchangeConfig

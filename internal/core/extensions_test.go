@@ -12,10 +12,13 @@ import (
 // TestSemiBlockingCheckpointing: the §4.2 asynchronous-checkpointing
 // extension must preserve all correctness properties — SDC detection,
 // rollback, exact recovery — while pausing the application only for the
-// local capture.
+// local capture. Rounds are paced every 500 iterations, so rounds commit
+// after the rollback however fast the tasks run.
 func TestSemiBlockingCheckpointing(t *testing.T) {
 	cfg := baseConfig(2, 2, 4000)
 	cfg.SemiBlocking = true
+	var ctrl *Controller
+	pace(&cfg, &ctrl, 500, nil)
 	ctrl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

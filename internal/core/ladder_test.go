@@ -118,11 +118,13 @@ func TestDegradedFold(t *testing.T) {
 	cfg.Degraded = true
 	var ctrl *Controller
 	var commits atomic.Int64
-	cfg.Chaos = point.HookFunc(func(id point.ID, info *point.Info) {
+	var pacer *pacing.Pacer
+	pacer = pace(&cfg, &ctrl, 500, point.HookFunc(func(id point.ID, info *point.Info) {
 		if id == point.CoreCommit && commits.Add(1) == 2 {
+			pacer.Stop() // recovery must find no task held by the pacer
 			ctrl.KillNode(1, 0)
 		}
-	})
+	}))
 	ctrl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -155,10 +157,12 @@ func TestDegradedReExpand(t *testing.T) {
 	cfg.Degraded = true
 	var ctrl *Controller
 	var commits atomic.Int64
-	cfg.Chaos = point.HookFunc(func(id point.ID, info *point.Info) {
+	var pacer *pacing.Pacer
+	pacer = pace(&cfg, &ctrl, 500, point.HookFunc(func(id point.ID, info *point.Info) {
 		switch id {
 		case point.CoreCommit:
 			if commits.Add(1) == 2 {
+				pacer.Stop() // recovery must find no task held by the pacer
 				ctrl.KillNode(0, 1)
 			}
 		case point.CoreFold:
@@ -166,7 +170,7 @@ func TestDegradedReExpand(t *testing.T) {
 			// restart below it picks up the re-expanded mapping.
 			ctrl.FreeSpare()
 		}
-	})
+	}))
 	ctrl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -236,11 +240,15 @@ func TestExchangeLossyLink(t *testing.T) {
 	cfg.Exchange = &exch
 	var ctrl *Controller
 	var commits atomic.Int64
-	cfg.Chaos = point.HookFunc(func(id point.ID, info *point.Info) {
+	// Rounds are paced in iterations, so the job cannot finish before its
+	// second commit.
+	var pacer *pacing.Pacer
+	pacer = pace(&cfg, &ctrl, 500, point.HookFunc(func(id point.ID, info *point.Info) {
 		if id == point.CoreCommit && commits.Add(1) == 2 {
+			pacer.Stop()        // recovery must find no task held by the pacer
 			ctrl.KillNode(0, 1) // medium recovery ships checkpoints over the link
 		}
-	})
+	}))
 	ctrl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,10 @@ func TestWarmResumeFromDurable(t *testing.T) {
 	cfg.FlushEvery = 1
 	cfg.FlushRetain = 4
 	cfg.FlushStore = d1
-	ctrl, err := New(cfg)
+	// Paced, so the first life flushes several epochs however fast it runs.
+	var ctrl *Controller
+	pace(&cfg, &ctrl, 1000, nil)
+	ctrl, err = New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,11 @@ import (
 // This file is the one checkpoint-round body. Every round — the compared
 // two-replica round and the trusted one-replica recovery round — pushes
 // each (node, task) through capture → exchange → compare (roundBody). Two
-// things vary: how wide each stage runs (stageWidths), and when each
-// replica enters it. The consensus hands the replicas over one at a time,
-// each the moment its own tasks have parked at the round's target
-// (consensus.Handoff), and a replica's captures are enqueued as soon as it
-// is handed:
+// things vary, neither with whether a chaos hook is attached: how wide each
+// stage runs (stageWidths), and when each replica enters it. The consensus
+// hands the replicas over one at a time, each the moment its own tasks have
+// parked at the round's target (consensus.Handoff), and a replica's
+// captures are enqueued as soon as it is handed:
 //
 //   - the first replica handed is the round's sender — under a link the
 //     exchange ships its data — so its captures and the link round trip
@@ -30,8 +30,7 @@ import (
 //     as soon as both its captures and its exchange exist, and once the
 //     last replica is handed only its own captures and the compares remain;
 //   - replicas handed together are walked task-major, replica 0 first, with
-//     replica 0 as the sender — the paper's joint cut, and what every round
-//     under a chaos hook does (see stageWidths);
+//     replica 0 as the sender — the paper's joint cut;
 //   - at width 1 everywhere the stages run inline on the controller
 //     goroutine, a handed replica's captures (and the sender's exchanges)
 //     right away, the compares once the cut is complete, each stage in
@@ -75,25 +74,22 @@ type stageWidths struct {
 	capture, exchange, compare, chunk int
 }
 
-// testStageWidth, when positive, forces every stage to that width, chaos
-// runs included. It is a test seam: nothing outside _test files stores it.
+// testStageWidth, when positive, forces every stage to that width. It is a
+// test seam: nothing outside _test files stores it.
 var testStageWidth atomic.Int32
 
 // stageWidths sizes the round's stages from GOMAXPROCS, the task count and
-// the replica state-size hint. A chaos hook pins every stage to 1, and
-// (roundBody.joint) holds each round's first handoff until the other
-// replica is handed too — the single scheduling pin in the controller:
-// fault campaigns count hook firings per (point, node, task), and the
-// inline dense-order walk of a joint cut is what makes those counts a
-// function of the seed alone.
+// the replica state-size hint. A chaos hook changes nothing here, nor when
+// a replica starts: a fault campaign runs the rounds production runs. Its
+// reports stay a function of the seed because a fault triggers on a count
+// of firings at its (point, replica, node, task), and a report records
+// whether a fault fired, not which concurrent firing it landed on
+// (scripts/chaos_golden.sh checks this at any GOMAXPROCS).
 func (c *Controller) stageWidths() stageWidths {
 	total := c.cfg.NodesPerReplica * c.cfg.TasksPerNode
 	clamp := func(w int) int { return max(1, min(w, total)) }
 	if w := int(testStageWidth.Load()); w > 0 {
 		return stageWidths{clamp(w), clamp(w), clamp(w), 1}
-	}
-	if c.cfg.Chaos != nil {
-		return stageWidths{1, 1, 1, 1}
 	}
 	procs := stdruntime.GOMAXPROCS(0)
 	// Before the first capture the state size is unknown (hint 0) and the
@@ -146,7 +142,6 @@ type roundBody struct {
 	scope    consensus.Scope
 	compare  bool // both replicas in scope: the round has a compare stage
 	w        stageWidths
-	joint    bool // start no replica before every replica in scope is handed
 	inline   bool // every stage at width 1: stages run on the controller goroutine
 	opts     runtime.CaptureOptions
 	exchange func(n, t int) error // the round's exchange step; nil = none
@@ -176,7 +171,6 @@ func (c *Controller) openRound(epoch uint64, scope consensus.Scope, exchange fun
 		scope:    scope,
 		compare:  scope[0] && scope[1],
 		w:        w,
-		joint:    c.cfg.Chaos != nil,
 		inline:   w.capture <= 1 && w.exchange <= 1 && w.compare <= 1,
 		exchange: exchange,
 		drained:  drained,
@@ -226,7 +220,7 @@ func (b *roundBody) take(hs ...consensus.Handoff) bool {
 		all = all && (!b.scope[rep] || b.at[rep] >= 0)
 		reps[rep] = b.at[rep] >= 0 && !b.started[rep]
 	}
-	if reps != [2]bool{} && (all || !b.joint) {
+	if reps != [2]bool{} {
 		b.start(reps, all)
 	}
 	return all
@@ -537,9 +531,9 @@ func (b *roundBody) abort() {
 
 // shipTask is a live round's exchange step for one task: it sends the buddy
 // what the comparison needs of the sender's fresh checkpoint (the copy
-// compare treats as "shipped over"; replica 0 in a joint cut, else the
-// replica handed first) through the hardened link, as one window — one
-// round trip per pass over its unacknowledged frames.
+// compare treats as "shipped over": the replica handed first, replica 0
+// when both are handed together) through the hardened link, as one window
+// — one round trip per pass over its unacknowledged frames.
 //
 // Under ChecksumCompare that is the checkpoint's digest, one frame, decoded
 // into the task's digest slot; compareTask decides on it. Under FullCompare

@@ -16,10 +16,10 @@ import (
 	"acr/internal/runtime"
 )
 
-// TestStageWidths pins the one width function: a chaos hook is the single
-// scheduling pin, an unknown or small state keeps the round inline, a link
-// widens only the latency-bound exchange stage, and CPU-bound stages fan
-// out only when every worker gets stageWorkerBytes of state.
+// TestStageWidths pins the one width function: an unknown or small state
+// keeps the round inline, a link widens only the latency-bound exchange
+// stage, CPU-bound stages fan out only when every worker gets
+// stageWorkerBytes of state, and a chaos hook changes none of it.
 func TestStageWidths(t *testing.T) {
 	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(4))
 	noop := point.HookFunc(func(point.ID, *point.Info) {})
@@ -38,25 +38,32 @@ func TestStageWidths(t *testing.T) {
 			c.NodesPerReplica, c.TasksPerNode = 1, 1
 		}, true, stageWidths{1, 1, 1, 4}},
 		{"a link widens only the exchange stage", small, func(c *Config) { c.Exchange = &ExchangeConfig{} }, true, stageWidths{1, 6, 1, 1}},
-		{"a chaos hook pins every stage", big, func(c *Config) {
-			c.Chaos, c.Exchange = noop, &ExchangeConfig{}
-		}, true, stageWidths{1, 1, 1, 1}},
+		{"a big state with a link fans out every stage", big, func(c *Config) { c.Exchange = &ExchangeConfig{} }, true, stageWidths{4, 6, 4, 1}},
+	}
+	widths := func(t *testing.T, cfg Config, warm bool) stageWidths {
+		t.Helper()
+		ctrl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm {
+			if _, _, err := ctrl.runRound(1, consensus.BothReplicas, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ctrl.stageWidths()
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{NodesPerReplica: 3, TasksPerNode: 2, Factory: benchFactory(tc.particles), Comparison: ChecksumCompare}
 			tc.mut(&cfg)
-			ctrl, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.warm {
-				if _, _, err := ctrl.runRound(1, consensus.BothReplicas, nil, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := ctrl.stageWidths(); got != tc.want {
+			if got := widths(t, cfg, tc.warm); got != tc.want {
 				t.Errorf("stageWidths() = %+v, want %+v", got, tc.want)
+			}
+			// A fault campaign runs the schedule production runs.
+			cfg.Chaos = noop
+			if got := widths(t, cfg, tc.warm); got != tc.want {
+				t.Errorf("with a chaos hook stageWidths() = %+v, want %+v as without one", got, tc.want)
 			}
 		})
 	}

@@ -26,6 +26,8 @@ func TestRunThroughConfiguredStoreBackends(t *testing.T) {
 			cfg := baseConfig(2, 2, 3000)
 			cfg.Comparison = ChecksumCompare
 			cfg.Store = mk(t)
+			var ctrl *Controller
+			pace(&cfg, &ctrl, 500, nil)
 			ctrl, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

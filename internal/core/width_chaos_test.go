@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -10,17 +11,15 @@ import (
 	"acr/internal/core"
 )
 
-// TestChaosCampaignsCleanAtWidthN runs the default, recovery-storm and
-// remote-dark campaigns with every round stage forced three workers wide —
-// the schedule production runs and the chaos pin otherwise keeps the oracle
-// away from — and requires a clean oracle on every scenario. Reports are
-// not compared byte for byte: at width N which firing a fault lands on may
-// legitimately differ; what may not differ is that every run is violation
-// free. Under -race this is also the concurrency check of hooks firing
-// from capture, exchange and compare workers and from the background
-// flush and remote writers at once.
+// TestChaosCampaignsCleanAtWidthN is the width-identity check of the
+// default, recovery-storm and remote-dark campaigns. A chaos hook does not
+// change how a round is scheduled, so for a fixed seed the run report with
+// every round stage forced 2, 3 or 8 workers wide must equal the width-1
+// report byte for byte, and every run must be violation free. Under -race
+// this is also the concurrency check of hooks firing from capture,
+// exchange and compare workers and from the background flush and remote
+// writers at once.
 func TestChaosCampaignsCleanAtWidthN(t *testing.T) {
-	core.SetTestStageWidth(3)
 	defer core.SetTestStageWidth(0)
 	scenarios := chaos.DefaultCampaign()
 	for _, file := range []string{"recovery_storm.json", "remote_dark.json"} {
@@ -34,15 +33,30 @@ func TestChaosCampaignsCleanAtWidthN(t *testing.T) {
 		}
 		scenarios = append(scenarios, more...)
 	}
+	report := func(t *testing.T, scn chaos.Scenario, seed int64, width int) []byte {
+		t.Helper()
+		core.SetTestStageWidth(width)
+		res, err := chaos.RunScenario(scn, seed, 0, nil)
+		if err != nil {
+			t.Fatalf("seed %d width %d: %v", seed, width, err)
+		}
+		if len(res.Report.Violations) > 0 {
+			t.Errorf("seed %d width %d: outcome %s, violations %v", seed, width, res.Report.Outcome, res.Report.Violations)
+		}
+		out, err := json.Marshal(res.Report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 	for _, scn := range scenarios {
 		t.Run(scn.Name, func(t *testing.T) {
 			for seed := int64(1); seed <= 2; seed++ {
-				res, err := chaos.RunScenario(scn, seed, 0, nil)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				if len(res.Report.Violations) > 0 {
-					t.Errorf("seed %d: outcome %s, violations %v", seed, res.Report.Outcome, res.Report.Violations)
+				want := report(t, scn, seed, 1)
+				for _, width := range []int{2, 3, 8} {
+					if got := report(t, scn, seed, width); !bytes.Equal(got, want) {
+						t.Errorf("seed %d: width %d report differs from width 1\n got %s\nwant %s", seed, width, got, want)
+					}
 				}
 			}
 		})
@@ -51,8 +65,9 @@ func TestChaosCampaignsCleanAtWidthN(t *testing.T) {
 
 // TestBothModeCorruptionMirrorsAtWidthN is the oracle's own sensitivity
 // check at width N: a Both-mode corruption must reach the buddy's write of
-// the same (node, task, epoch) even when other tasks' writes interleave, so
-// the planted escape is still reported.
+// the same (node, task, epoch) even when other tasks' writes interleave
+// and whichever replica's write lands first, so the planted escape is
+// still reported.
 func TestBothModeCorruptionMirrorsAtWidthN(t *testing.T) {
 	core.SetTestStageWidth(3)
 	defer core.SetTestStageWidth(0)

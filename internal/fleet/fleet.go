@@ -205,10 +205,6 @@ func (j *Job) Result() (res JobResult, ok bool) {
 	}
 }
 
-// Seq returns the job's submission sequence number — its stable identity
-// within the scheduler (and the acrd job id).
-func (j *Job) Seq() int { return j.seq }
-
 type eventKind int
 
 const (

@@ -269,9 +269,10 @@ func TestRemoteTierThroughFleet(t *testing.T) {
 	}
 	defer s.Close()
 	j := mustSubmit(t, s, JobSpec{
-		// Long enough for several commits whatever the host speed: the
-		// remote cadence needs at least two before anything uploads.
-		Name: "remote", Nodes: 2, Tasks: 1, Iters: 16000,
+		// Long enough for several commits on a fast host (16,000 laps
+		// could end within 11 ms, after one): the remote cadence needs at
+		// least two before anything uploads.
+		Name: "remote", Nodes: 2, Tasks: 1, Iters: 64000,
 		FlushEvery: 2, RemoteEvery: 2,
 	})
 	stats := drain(t, s)

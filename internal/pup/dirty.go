@@ -119,9 +119,6 @@ func (w *WriteSet) ResetDirty() {
 	w.sorted, w.limit = 0, 0
 }
 
-// Tracking reports whether the set has been armed by ResetDirty.
-func (w *WriteSet) Tracking() bool { return w.tracking }
-
 // MarkRange records a write to stream bytes [lo, hi). It is a no-op while
 // blind. Adjacent or overlapping appends merge with the previous mark, so
 // sweeping writes stay O(1) in memory; everything else is bounded by the
