@@ -176,19 +176,19 @@ const diskMagic = "ACRCKPT1"
 
 // Put implements Store: the payload is written to one file per key with a
 // small header (magic, chunk size, sums) so a restart can re-verify the
-// chunk structure without rehashing.
+// chunk structure without rehashing. The header and then the payload go
+// straight to the file; the payload is not staged through a copy.
 func (s *Disk) Put(k Key, ck *Checkpoint) error {
-	buf := make([]byte, 0, len(diskMagic)+8+8+8+8*len(ck.Sums)+ck.Len())
-	buf = append(buf, diskMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(ck.ChunkSize))
-	buf = binary.LittleEndian.AppendUint64(buf, ck.Root)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(ck.Sums)))
+	header := make([]byte, 0, len(diskMagic)+8+8+8+8*len(ck.Sums))
+	header = append(header, diskMagic...)
+	header = binary.LittleEndian.AppendUint64(header, uint64(ck.ChunkSize))
+	header = binary.LittleEndian.AppendUint64(header, ck.Root)
+	header = binary.LittleEndian.AppendUint64(header, uint64(len(ck.Sums)))
 	for _, sum := range ck.Sums {
-		buf = binary.LittleEndian.AppendUint64(buf, sum)
+		header = binary.LittleEndian.AppendUint64(header, sum)
 	}
-	buf = append(buf, ck.Bytes()...)
 	path := s.fileFor(k)
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	if err := writeFile(path, header, ck.Bytes()); err != nil {
 		return fmt.Errorf("ckptstore: disk put %v: %w", k, err)
 	}
 	entry := &diskEntry{
@@ -210,6 +210,24 @@ func (s *Disk) Put(k Key, ck *Checkpoint) error {
 	s.ctrs.bytesWritten.Add(int64(ck.Len()))
 	s.ctrs.chunksStored.Add(int64(ck.NumChunks()))
 	return nil
+}
+
+// writeFile is os.WriteFile of the concatenation of parts, without
+// building it.
+func writeFile(path string, parts ...[]byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	for _, p := range parts {
+		if _, err = f.Write(p); err != nil {
+			break
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (s *Disk) entry(k Key) (*diskEntry, error) {

@@ -22,8 +22,13 @@ func WithHook(inner Store, hook point.Hook) Store {
 }
 
 // Put implements Store: store first, then expose the stored checkpoint to
-// the hook so corruption lands on the at-rest copy.
+// the hook so corruption lands on the at-rest copy. A borrowed checkpoint
+// is copied first, so a flip the hook makes lands on the copy and never
+// reaches the store the borrow came from.
 func (s *Hooked) Put(k Key, ck *Checkpoint) error {
+	if ck.Borrowed() {
+		ck = ck.Clone()
+	}
 	if err := s.Store.Put(k, ck); err != nil {
 		return err
 	}

@@ -24,8 +24,11 @@ func NewMem() *Mem {
 // Name implements Store.
 func (s *Mem) Name() string { return "mem" }
 
-// Put implements Store.
+// Put implements Store. A borrowed checkpoint is stored as a copy.
 func (s *Mem) Put(k Key, ck *Checkpoint) error {
+	if ck.Borrowed() {
+		ck = ck.Clone()
+	}
 	s.mu.Lock()
 	s.m[k] = ck
 	s.mu.Unlock()

@@ -21,10 +21,11 @@ type PoolCounters struct {
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
 	// Drops counts Puts rejected because the pool was full, the
-	// checkpoint was already pooled (mirrored under two keys), or it is
-	// retained as a patch-in-place capture base. In a write-tracked steady
-	// state every evicted checkpoint is retained, so Drops == Puts there is
-	// the patch path working, not a leaking pool.
+	// checkpoint was already pooled (mirrored under two keys), it is
+	// retained as a patch-in-place capture base, or a durable tier writer
+	// still borrows it. In a write-tracked steady state every evicted
+	// checkpoint is retained, so Drops == Puts there is the patch path
+	// working, not a leaking pool.
 	Drops int64 `json:"drops"`
 	// BytesRecycled is the total payload capacity handed back out by hits.
 	BytesRecycled int64 `json:"bytes_recycled"`
@@ -42,8 +43,12 @@ const DefaultPoolCap = 256
 //
 // Ownership protocol: a checkpoint handed to Put must no longer be
 // reachable through any Store (Mem.SetPool wires Evict to do exactly
-// this). A checkpoint returned by Get is exclusively the caller's until it
-// is Put back or re-captured into a store.
+// this). Put drops a checkpoint someone still reads: one retained as a
+// patch-in-place capture base, or one a durable tier writer borrowed
+// (Checkpoint.Borrow) and has not released yet — an evicted epoch may still
+// be flushing. A borrowed checkpoint evicted before its release is left to
+// the garbage collector. A checkpoint returned by Get is exclusively the
+// caller's until it is Put back or re-captured into a store.
 type Pool struct {
 	mu   sync.Mutex
 	free []*Checkpoint
@@ -98,7 +103,8 @@ func (p *Pool) Get(hint int) *Checkpoint {
 
 // Put hands a retired checkpoint back for reuse. Nil checkpoints, retained
 // checkpoints (a capture path still holds the buffer as its patch-in-place
-// splice base), a full pool, and checkpoints already in the pool (the
+// splice base), borrowed checkpoints (a durable tier writer still reads
+// the payload), a full pool, and checkpoints already in the pool (the
 // recovery path mirrors one *Checkpoint under two keys, so one eviction
 // pass can retire the same pointer twice) are dropped — silently creating
 // two captures that alias one buffer would corrupt a later epoch.
@@ -106,7 +112,7 @@ func (p *Pool) Put(ck *Checkpoint) {
 	if ck == nil {
 		return
 	}
-	if ck.retained {
+	if ck.retained || ck.Borrowed() {
 		p.mu.Lock()
 		p.ctrs.Puts++
 		p.ctrs.Drops++

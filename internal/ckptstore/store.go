@@ -80,6 +80,13 @@ type Checkpoint struct {
 	// corrupt both. Every Capture*Into resets the flag; the owner re-arms it
 	// each epoch.
 	retained bool
+	// borrows counts the readers outside the store that still read the
+	// payload: the durable tiers' background writers, which flush the
+	// committed hot-store checkpoints without copying them. While it is
+	// positive the buffer must not change: Pool.Put drops the checkpoint,
+	// a capture path never patches it in place, and a store that keeps a
+	// Put checkpoint past return keeps a copy instead (see Store).
+	borrows atomic.Int32
 }
 
 // SetRetained marks (or clears) the checkpoint as privately retained by a
@@ -88,6 +95,16 @@ func (c *Checkpoint) SetRetained(v bool) { c.retained = v }
 
 // Retained reports whether the checkpoint is excluded from pool recycling.
 func (c *Checkpoint) Retained() bool { return c.retained }
+
+// Borrow registers a reader of the payload outside the store; each Borrow
+// is paired with one Release once the reader is done with the bytes.
+func (c *Checkpoint) Borrow() { c.borrows.Add(1) }
+
+// Release ends one Borrow.
+func (c *Checkpoint) Release() { c.borrows.Add(-1) }
+
+// Borrowed reports whether a reader still holds a Borrow of the payload.
+func (c *Checkpoint) Borrowed() bool { return c.borrows.Load() > 0 }
 
 // Capture chunks data and computes its checksums on up to workers
 // goroutines. The data slice is retained (not copied); the caller must not
@@ -123,9 +140,10 @@ func (c *Checkpoint) Bytes() []byte { return c.data }
 
 // Clone returns a deep copy of the checkpoint: payload and sums live in
 // fresh buffers, so the clone stays valid after the original is evicted
-// and recycled by a pool. The flush path of the recovery ladder clones
-// committed checkpoints before handing them to the asynchronous durable
-// writer.
+// and recycled by a pool. The clone is neither retained nor borrowed. The
+// durable flush borrows instead of cloning; a store that keeps a borrowed
+// checkpoint past Put clones it there, and adopt clones what a durable
+// tier's Get hands out before mirroring it into the hot store.
 func (c *Checkpoint) Clone() *Checkpoint {
 	data := make([]byte, len(c.data))
 	copy(data, c.data)
@@ -233,7 +251,10 @@ func CompareDigests(a, b Digest) CompareResult {
 // pool.
 type Store interface {
 	// Put stores a checkpoint under the key, overwriting any previous
-	// value at the same key.
+	// value at the same key. A borrowed checkpoint (Borrowed) is only lent
+	// for the call: its payload belongs to another store and may be
+	// recycled once the borrower releases it, so a store that keeps the
+	// checkpoint past return keeps a Clone instead.
 	Put(k Key, ck *Checkpoint) error
 	// Get retrieves the checkpoint stored under the key, or ErrNotFound.
 	Get(k Key) (*Checkpoint, error)

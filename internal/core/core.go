@@ -51,7 +51,9 @@ const (
 	Medium
 	// Weak waits for the next periodic checkpoint and recovers the
 	// crashed replica from it: zero recovery overhead, a full checkpoint
-	// period without SDC protection.
+	// period without SDC protection. Without a checkpoint timer
+	// (CheckpointInterval <= 0) there is no next periodic checkpoint to
+	// wait for, and a failure is recovered as Medium recovers it.
 	Weak
 )
 
@@ -172,8 +174,9 @@ type Config struct {
 	// FlushEvery, when positive, flushes every K-th committed epoch to a
 	// durable second tier — the escalation target when a buddy-pair double
 	// fault destroys both in-memory copies of a node's checkpoints. The
-	// flush clones the committed checkpoints synchronously (so the hot
-	// commit path's buffer recycling is unaffected) and writes them on a
+	// flush borrows the committed checkpoints (ckptstore.Checkpoint.Borrow:
+	// the hot commit path's buffer recycling leaves them alone until the
+	// writer is done, and nothing is copied) and writes them on a
 	// background goroutine, joined before any ladder walk and at Run end
 	// (and, under a chaos hook, before the next round starts). Zero
 	// disables the durable tier.
@@ -189,7 +192,7 @@ type Config struct {
 	FlushStore ckptstore.Store
 	// RemoteStore, when non-nil, attaches a remote checkpoint tier — tier 3
 	// of the recovery ladder, below buddy memory and the local durable
-	// flush. Every RemoteFlushEvery-th committed epoch is cloned and
+	// flush. Every RemoteFlushEvery-th committed epoch is borrowed and
 	// written to it; recovery walks its complete epochs newest-first only
 	// after every local tier failed. The store is used as given (wrap it in
 	// ckptstore.NewResilient for retry/backoff/breaker hardening against an
@@ -317,7 +320,7 @@ type Stats struct {
 	// recovery rounds, which park one replica only, add none): the wall time
 	// from the consensus request to the round's verdict — the last stage
 	// draining — or, under SemiBlocking, to the capture stage draining. The
-	// verdict message, commit and the flush clone that follow also keep a
+	// verdict message, commit and the flush borrow that follow also keep a
 	// blocking round's application parked until the cut is released; they
 	// are not counted here.
 	BlockedTimes []time.Duration `json:"blocked_times_ns"`

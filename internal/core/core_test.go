@@ -359,6 +359,52 @@ func TestHardErrorOnlyMode(t *testing.T) {
 	verifyFinalState(t, ctrl, 2, 1, 20000)
 }
 
+// TestWeakWithoutTimerRecoversAtOnce: the weak scheme waits for the next
+// periodic checkpoint to recover a crashed replica, and with no checkpoint
+// timer there is none. The failure is recovered at once instead, through
+// the recovery checkpoint, and the job ends with the bare run's state.
+func TestWeakWithoutTimerRecoversAtOnce(t *testing.T) {
+	cfg := baseConfig(2, 1, 20000)
+	cfg.Scheme = Weak
+	cfg.CheckpointInterval = 0
+	var ctrl *Controller
+	var killed sync.Once
+	cfg.Chaos = point.HookFunc(func(id point.ID, info *point.Info) {
+		if id == point.RuntimeProgress && info.Iter >= 5000 {
+			killed.Do(func() { go ctrl.KillNode(0, 1) }) // a task inside a hook cannot be interrupted
+		}
+	})
+	ctrl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		stats Stats
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		stats, err := ctrl.Run()
+		done <- result{stats, err}
+	}()
+	var res result
+	select {
+	case res = <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the job never ended: the weak recovery waits for a checkpoint no timer starts")
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if res.stats.HardErrors != 1 {
+		t.Fatalf("hard errors = %d, want 1", res.stats.HardErrors)
+	}
+	if res.stats.Checkpoints != 1 {
+		t.Fatalf("checkpoints = %d, want exactly the recovery checkpoint", res.stats.Checkpoints)
+	}
+	verifyFinalState(t, ctrl, 2, 1, 20000)
+}
+
 // TestMultipleFailures: one hard error in each replica, each landing at a
 // commit — r0/n0 at the first, r1/n1 at the second — and the strong scheme
 // rolls each crashed replica back. The hook asks for both rounds and holds

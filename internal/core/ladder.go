@@ -17,10 +17,10 @@ import (
 // buddy-pair double fault destroys both physical copies of a logical
 // node's checkpoints at once. Below tier 0 the ladder is data: c.tiers, the
 // durable rungs New configured, in order. Every tier.every-th committed
-// epoch is cloned and written to each tier's store on a background
-// goroutine, and recovery is tier 0 followed by each configured tier's
-// complete epochs, newest first. Stats.TierRecoveries books where a restore
-// landed:
+// epoch is borrowed from the hot store and written to each tier's store on
+// a background goroutine, and recovery is tier 0 followed by each
+// configured tier's complete epochs, newest first. Stats.TierRecoveries
+// books where a restore landed:
 //
 //	[0]  buddy in-memory checkpoint at the committed epoch
 //	[1]  the durable flush tier's copy of the committed epoch
@@ -88,23 +88,17 @@ func (t *tier) index() []uint64 {
 	return append([]uint64(nil), t.epochs...)
 }
 
-// flushClone carries one cloned task checkpoint to a tier's writer.
-type flushClone struct {
-	rep, n, t int
-	ck        *ckptstore.Checkpoint
-}
-
 // maybeFlush runs on the commit path: it counts the commit toward every
-// tier's flush period and, for each tier that is due, clones the committed
-// epoch's checkpoints and hands them to that tier's writer. Cloning is
-// synchronous — the commit path's buffer recycling (the next commit's
-// Evict) must never race the flush — but the Puts run on a background
+// tier's flush period and, for each tier that is due, borrows the committed
+// epoch's checkpoints and hands them to that tier's writer. Nothing is
+// copied here: while a writer holds its borrows the commit path's buffer
+// recycling leaves those buffers alone (the pool drops them, the capture
+// path does not patch them), and a tier that keeps a checkpoint past its
+// Put keeps a copy (ckptstore.Store). The Puts run on a background
 // goroutine so the hot path does not absorb disk or network latency (see
-// settleWriters for where it is joined). Each due tier takes its own clone:
-// at-rest corruption hooks flip stored bytes in place on memory-backed
-// tiers, so two tiers must never share a payload. A failed flush is booked
-// and traced but never propagates — a dark remote costs remote flush
-// errors, not job progress.
+// settleWriters for where it is joined). A failed flush is booked and
+// traced but never propagates — a dark remote costs remote flush errors,
+// not job progress.
 func (c *Controller) maybeFlush(epoch uint64) {
 	for _, t := range c.tiers {
 		t.since++
@@ -112,7 +106,7 @@ func (c *Controller) maybeFlush(epoch uint64) {
 			continue
 		}
 		t.since = 0
-		clones, err := c.cloneEpoch(epoch)
+		cks, err := c.borrowEpoch(epoch)
 		if err != nil {
 			t.errs.Add(1)
 			c.mark(t.kind, fmt.Sprintf("%s of epoch %d aborted: %v", t.verb, epoch, err))
@@ -121,7 +115,7 @@ func (c *Controller) maybeFlush(epoch uint64) {
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
-			if err := c.write(t, epoch, clones); err != nil {
+			if err := c.write(t, epoch, cks); err != nil {
 				t.errs.Add(1)
 				c.mark(t.kind, fmt.Sprintf("%s of epoch %d failed: %v", t.verb, epoch, err))
 			}
@@ -144,17 +138,15 @@ func (c *Controller) settleWriters() {
 	}
 }
 
-// cloneEpoch deep-copies every task checkpoint of the epoch out of the hot
-// store, detaching the flush from the commit path's buffer recycling. The
-// copies are independent, so they run through stages.Run at the capture
-// stage's width — the clone barrier is commit-path latency over the same
-// bytes. Output order (and therefore the durable Put order downstream) is
-// the serial walk's whatever the width: workers fill a dense pre-indexed
-// slice, first error in index order wins. Runs on the controller goroutine
-// between rounds, so it may reuse the round body's outcome scratch.
-func (c *Controller) cloneEpoch(epoch uint64) ([]flushClone, error) {
+// borrowEpoch borrows every task checkpoint of the epoch out of the hot
+// store, in dense (replica, node, task) order (denseKey). The Gets run
+// through stages.Run at the capture stage's width, because a hot store
+// other than Mem (a Disk) reads and re-sums each payload; first error in
+// index order wins, and on an error nothing stays borrowed. Runs on the controller goroutine between rounds, so it
+// may reuse the round body's outcome scratch.
+func (c *Controller) borrowEpoch(epoch uint64) ([]*ckptstore.Checkpoint, error) {
 	nodes, tasks := c.cfg.NodesPerReplica, c.cfg.TasksPerNode
-	clones := make([]flushClone, 2*nodes*tasks)
+	cks := make([]*ckptstore.Checkpoint, 2*nodes*tasks)
 	stages.Run(c.outcomes, c.stageWidths().capture, func(i int) error {
 		n, t := i/tasks, i%tasks
 		for rep := 0; rep < 2; rep++ {
@@ -162,26 +154,43 @@ func (c *Controller) cloneEpoch(epoch uint64) ([]flushClone, error) {
 			if err != nil {
 				return err
 			}
-			clones[rep*nodes*tasks+i] = flushClone{rep, n, t, ck.Clone()}
+			ck.Borrow()
+			cks[rep*nodes*tasks+i] = ck
 		}
 		return nil
 	})
 	if err := stages.FirstFailure(c.outcomes); err != nil {
+		releaseAll(cks)
 		return nil, err
 	}
-	return clones, nil
+	return cks, nil
 }
 
-// write lands one cloned epoch on the tier, registers it in the tier's
-// complete-epoch index, and applies the retention bound. A resilient wrapper
-// under a remote tier may be degrading Puts to its local fallback — that
-// still counts as landed: the epoch is readable back through the same
-// wrapper.
-func (c *Controller) write(t *tier, epoch uint64, clones []flushClone) error {
-	for _, cl := range clones {
-		if err := t.store.Put(c.key(cl.rep, cl.n, cl.t, epoch), cl.ck); err != nil {
-			return err
+// releaseAll ends the borrows borrowEpoch took.
+func releaseAll(cks []*ckptstore.Checkpoint) {
+	for _, ck := range cks {
+		if ck != nil {
+			ck.Release()
 		}
+	}
+}
+
+// write lands one borrowed epoch on the tier, releases the borrows once
+// the last Put returned (landed or not), registers the epoch in the tier's
+// complete-epoch index, and applies the retention bound. A resilient
+// wrapper under a remote tier may be degrading Puts to its local fallback —
+// that still counts as landed: the epoch is readable back through the same
+// wrapper.
+func (c *Controller) write(t *tier, epoch uint64, cks []*ckptstore.Checkpoint) error {
+	var err error
+	for i, ck := range cks {
+		if err = t.store.Put(c.denseKey(i, epoch), ck); err != nil {
+			break
+		}
+	}
+	releaseAll(cks)
+	if err != nil {
+		return err
 	}
 	t.mu.Lock()
 	if i, found := slices.BinarySearch(t.epochs, epoch); !found {

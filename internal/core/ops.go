@@ -167,12 +167,12 @@ func (c *Controller) FlushCommitted(timeout time.Duration) (uint64, error) {
 		if c.flush.has(epoch) {
 			return
 		}
-		clones, err := c.cloneEpoch(epoch)
+		cks, err := c.borrowEpoch(epoch)
 		if err != nil {
-			opErr = fmt.Errorf("core: clone committed epoch %d: %w", epoch, err)
+			opErr = fmt.Errorf("core: read committed epoch %d: %w", epoch, err)
 			return
 		}
-		if err := c.write(&c.flush, epoch, clones); err != nil {
+		if err := c.write(&c.flush, epoch, cks); err != nil {
 			c.flush.errs.Add(1)
 			opErr = fmt.Errorf("core: flush committed epoch %d: %w", epoch, err)
 			return

@@ -6,6 +6,7 @@ import (
 
 	"acr/internal/chaos/point"
 	"acr/internal/ckptstore"
+	"acr/internal/stages"
 	"acr/internal/trace"
 )
 
@@ -172,25 +173,30 @@ func (c *Controller) ladder(rep int) (*candidate, error) {
 // epoch. Fetch before touch: every task checkpoint of both replicas must
 // read back intact (the store re-verifies the payload root) before either
 // replica stops, so an incomplete or corrupt epoch fails with touched=false
-// and the job keeps running. The verified checkpoints are mirrored into the
-// hot store under the same epoch — the ladder's tier-0 copy for later
-// failures — and the replicas relaunch from there. The mirror holds clones:
-// a memory-backed durable tier hands out its own buffers.
+// and the job keeps running. The fetches are independent, so they run
+// through stages.Run at the capture stage's width; the first error in dense
+// (replica, node, task) order wins whatever the width. The verified
+// checkpoints are mirrored into the hot store under the same epoch — the
+// ladder's tier-0 copy for later failures — and the replicas relaunch from
+// there. The mirror holds clones: a memory-backed durable tier hands out
+// its own buffers.
 func (c *Controller) adopt(cd candidate) (touched bool, err error) {
-	clones := make([]flushClone, 0, 2*c.cfg.NodesPerReplica*c.cfg.TasksPerNode)
-	for rep := 0; rep < 2; rep++ {
-		for n := 0; n < c.cfg.NodesPerReplica; n++ {
-			for t := 0; t < c.cfg.TasksPerNode; t++ {
-				ck, gerr := cd.st.Get(c.key(rep, n, t, cd.epoch))
-				if gerr != nil {
-					return false, fmt.Errorf("durable checkpoint r%d/n%d/t%d@%d: %w", rep, n, t, cd.epoch, gerr)
-				}
-				clones = append(clones, flushClone{rep, n, t, ck.Clone()})
-			}
+	cks := make([]*ckptstore.Checkpoint, 2*c.cfg.NodesPerReplica*c.cfg.TasksPerNode)
+	outcomes := make([]stages.Outcome, len(cks))
+	stages.Run(outcomes, c.stageWidths().capture, func(i int) error {
+		k := c.denseKey(i, cd.epoch)
+		ck, gerr := cd.st.Get(k)
+		if gerr != nil {
+			return fmt.Errorf("durable checkpoint r%d/n%d/t%d@%d: %w", k.Replica, k.Node, k.Task, cd.epoch, gerr)
 		}
+		cks[i] = ck.Clone()
+		return nil
+	})
+	if ferr := stages.FirstFailure(outcomes); ferr != nil {
+		return false, ferr
 	}
-	for _, cl := range clones {
-		if perr := c.store.Put(c.key(cl.rep, cl.n, cl.t, cd.epoch), cl.ck); perr != nil {
+	for i, ck := range cks {
+		if perr := c.store.Put(c.denseKey(i, cd.epoch), ck); perr != nil {
 			return false, fmt.Errorf("mirror into hot store: %w", perr)
 		}
 	}

@@ -48,6 +48,15 @@ func (c *Controller) key(rep, n, t int, epoch uint64) ckptstore.Key {
 	return ckptstore.Key{Replica: rep, Node: n, Task: t, Epoch: epoch}
 }
 
+// denseKey is the key of an epoch's i-th task checkpoint in dense
+// (replica, node, task) order, the order the tiers flush an epoch in and
+// adopt reads one back in.
+func (c *Controller) denseKey(i int, epoch uint64) ckptstore.Key {
+	tasks := c.cfg.TasksPerNode
+	perRep := c.cfg.NodesPerReplica * tasks
+	return c.key(i/perRep, i%perRep/tasks, i%tasks, epoch)
+}
+
 // normalRound checkpoints both replicas and cross-checks buddies.
 func (c *Controller) normalRound() error {
 	c.settleWriters()
@@ -465,9 +474,17 @@ func (c *Controller) handleFailure(f runtime.Failure) error {
 		c.pendingWeak[f.Replica] = true // reuse the recovery path
 		return c.recoveryCheckpoint(f.Replica)
 	case Weak:
+		c.pendingWeak[f.Replica] = true
+		if c.cfg.CheckpointInterval <= 0 {
+			// No timer will ever start the next periodic checkpoint, so
+			// waiting for it could wait forever (the healthy replica may
+			// even have finished): take the recovery checkpoint now, as
+			// the medium scheme does.
+			c.mark(trace.Restart, fmt.Sprintf("weak without a checkpoint timer: immediate checkpoint by replica %d", other))
+			return c.recoveryCheckpoint(f.Replica)
+		}
 		// Do nothing now; the next periodic checkpoint doubles as the
 		// recovery source (Figure 4c).
-		c.pendingWeak[f.Replica] = true
 		return nil
 	}
 	return fmt.Errorf("core: unknown scheme %v", c.cfg.Scheme)

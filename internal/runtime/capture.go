@@ -40,7 +40,8 @@ type CaptureOptions struct {
 	// the previous stream. Only set it when the caller owns the store's
 	// lifecycle exclusively: every epoch older than the newest committed
 	// one must be evicted before the next capture begins, and no reader may
-	// retain Bytes() of an evicted epoch — the controller's commit protocol
+	// retain Bytes() of an evicted epoch without a Checkpoint.Borrow (a
+	// borrowed base is never patched) — the controller's commit protocol
 	// guarantees exactly this. A store whose checkpoints outlive eviction
 	// (a caller-supplied store, a delta tier retaining anchors) must leave
 	// it off, or captures would scribble over retained views.

@@ -321,13 +321,16 @@ func (m *Machine) captureTaskInto(addr Addr, pool *ckptstore.Pool, hint, chunkSi
 	var res pup.DirtyPackResult
 	var err error
 	var into *ckptstore.Checkpoint // the capture target: its struct, buffer and Sums are reused
-	if tracked && patch && base != nil && base != prev && base.Len() == prev.Len() {
+	if tracked && patch && base != nil && base != prev && base.Len() == prev.Len() && !base.Borrowed() {
 		// Patch in place: base still holds the stream from two captures
 		// ago, which differs from prev only on stale (the previous
 		// capture's dirty set). Re-encoding stale ∪ dirty on top of it
 		// yields the current stream without touching a single clean byte.
 		// base left the store when the previous epoch committed, and its
-		// Retained flag kept the pool from handing it to anyone else.
+		// Retained flag kept the pool from handing it to anyone else. A
+		// base a durable tier writer still borrows (its epoch is still
+		// being flushed) is left alone: the capture packs into a pooled
+		// or fresh buffer below and prev becomes the next base.
 		union = append(union[:0], dirty...)
 		union = append(union, stale...)
 		res, err = pup.PackDirtyPatch(prog, base.Scratch(), prevBytes, dirty, union)

@@ -1,10 +1,11 @@
 // Package stages is the checkpoint path's stage runner: it pushes a dense
 // range of items through one worker-pool stage, as wide as its caller
-// asks, and records each item's failure. The durable-tier clone in
-// internal/core and runtime.Machine.CaptureReplica run on it; the
-// checkpoint round body in internal/core, whose compare waits on two
-// replicas' captures rather than one predecessor stage, schedules its own
-// items across its three stages and shares Clock, Outcome and FirstFailure.
+// asks, and records each item's failure. The durable tiers' borrow and the
+// durable restore's fetch in internal/core and runtime.Machine.CaptureReplica
+// run on it; the checkpoint round body in internal/core, whose compare waits
+// on two replicas' captures rather than one predecessor stage, schedules its
+// own items across its three stages and shares Clock, Outcome and
+// FirstFailure.
 //
 // The result never depends on the width: nothing is cancelled early, every
 // item's outcome lands in a dense slice, and FirstFailure resolves that

@@ -22,11 +22,18 @@
 #
 # A/A control: pass HEAD as the parent on a clean tree. Both sides then
 # run the same code, and the table shows how far the workload's metrics
-# swing between sides with no change at all.
+# swing between sides with no change at all. On stencil-link (10 pairs,
+# 2 CPUs) the gain rule did not fire: the best metric won 6/10 pairs and
+# every median gap stayed below 40 % of the parent's IQR (fwd_overhead_pct
+# 11.89 -> 11.96 %, IQR 0.70). With no change a metric still wins >= 9/10
+# pairs with probability 11/1024, about 4 % per batch over the four
+# metrics, and one batch whose code change the workload never executes did
+# read "gain" on fwd_overhead_pct. So claim a stencil-link gain on 20 pairs
+# (>= 18/20 wins; 211/2^20, about 0.02 % per metric by chance), not 10.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-  sed -n '2,27p' "$0" >&2
+  sed -n '2,32p' "$0" >&2
   exit 2
 fi
 PARENT=$1
