@@ -1,66 +1,91 @@
 package acr
 
 // A whole-program reachability gate over the module's non-test code. Every
-// package-level function must be reachable from a root: a main or init
-// function, a method body (interface satisfaction cannot be decided without
-// type information, so every method counts as live), or a package-level
-// var, const or type declaration. A function only tests call does not ship.
+// package-level function and every method must be reachable from a root: a
+// main or init function, or a package-level var, const or type declaration.
+// A function or method is reached when a reached body or a root names it,
+// as go/types resolves the name (a generic instantiation counts as its
+// origin). Interface calls are not traced to their targets; instead a
+// method is reached when its name is in the method set of an interface the
+// module's non-test code declares or names (anonymous ones, and those in
+// the signature of a function it uses, included), or of a standard-library
+// interface a package asserts an `any` argument against (error,
+// fmt.Stringer, json.Marshaler, ...). What only tests reach does not ship.
 //
-// The scan is syntactic (go/parser and go/ast, nothing else): a `pkg.F`
-// selector resolves through the file's imports, a bare identifier within
-// its own package. Shadowing is ignored, so a local name that happens to
-// match a function keeps that function live; the gate can miss dead code,
-// never report live code.
+// Matching interface methods by name keeps a method live although its type
+// never reaches the interface: the gate can miss dead code, never report
+// live code.
 
 import (
 	"bufio"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path"
 	"sort"
-	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/fstest"
 )
 
-// deadcodeAllow names package-level functions that stay although no program
-// reaches them, keyed "import/path.Func", each with the reason it stays.
-var deadcodeAllow = map[string]string{}
-
-// funcKey names one package-level function: the import path of its
-// package and its name.
-type funcKey struct{ pkg, name string }
-
-func (k funcKey) String() string { return k.pkg + "." + k.name }
-
-// funcDecl is one declaration of a package-level function.
-type funcDecl struct {
-	pos  string // file:line
-	body *ast.BlockStmt
-	imps map[string]string // the declaring file's imports: local name -> path
+// deadcodeAllow names functions and methods that stay although no program
+// reaches them, keyed "import/path.Func" or "import/path.Type.Method", each
+// with the reason it stays.
+var deadcodeAllow = map[string]string{
+	"acr/internal/ckptstore.Disk.ModeledWriteTime": "NewDisk's cost parameter, which only a test sets, is in the calls bench/ makes; " +
+		"dropping both goes with the next change to bench/",
+	"acr/internal/consensus.Coordinator.Phase": "core's TestLaggardKilledAfterLeaderCaptured waits on it for a round to open while every task " +
+		"is held short of the cut, and a method declared in consensus's _test.go files is invisible to core's tests",
 }
 
-// deadFuncs lists, as "file:line import/path.Func", every package-level
-// function under fsys that no root reaches and allow does not name. The
-// module's import path is read from fsys's go.mod. It returns an error if
-// allow names a function that does not exist or is reached anyway.
+// dynamicIfaces names, by the standard-library package that asserts an `any`
+// argument against them, the interfaces whose methods that package calls
+// although the module never names the interface. They count once the
+// module imports the package, directly or through another.
+var dynamicIfaces = map[string][][2]string{
+	"fmt": {{"fmt", "Stringer"}, {"fmt", "GoStringer"}, {"fmt", "Formatter"}},
+	"encoding/json": {{"encoding/json", "Marshaler"}, {"encoding/json", "Unmarshaler"},
+		{"encoding", "TextMarshaler"}, {"encoding", "TextUnmarshaler"}},
+}
+
+// std type-checks standard-library packages from source, once per test
+// binary: every deadFuncs call shares it and its file set.
+var std = sync.OnceValues(func() (*token.FileSet, types.Importer) {
+	fset := token.NewFileSet()
+	return fset, importer.ForCompiler(fset, "source", nil)
+})
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// funcDecl is one declared function or method and the package info that
+// resolves the names in it.
+type funcDecl struct {
+	key  string // import/path.Func or import/path.Type.Method
+	pos  string // file:line
+	body *ast.BlockStmt
+	info *types.Info
+}
+
+// deadFuncs lists, as "file:line import/path.Name", every function and
+// method under fsys that no root reaches and allow does not name. The
+// module's import path is read from fsys's go.mod. It returns an error if a
+// package does not type-check, or if allow names a function that does not
+// exist or is reached anyway.
 func deadFuncs(fsys fs.FS, allow map[string]string) ([]string, error) {
 	mod, err := modulePath(fsys)
 	if err != nil {
 		return nil, err
 	}
-	type file struct {
-		dir string
-		f   *ast.File
-	}
-	var files []file
-	pkgName := map[string]string{} // dir -> package name
-	fset := token.NewFileSet()
+	fset, stdImp := std()
+	files := map[string][]*ast.File{} // import path -> its non-test files
 	err = fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -88,158 +113,239 @@ func deadFuncs(fsys fs.FS, allow map[string]string) ([]string, error) {
 		if err != nil {
 			return err
 		}
-		dir := path.Dir(p)
-		pkgName[dir] = f.Name.Name
-		files = append(files, file{dir, f})
+		imp := mod
+		if dir := path.Dir(p); dir != "." {
+			imp += "/" + dir
+		}
+		files[imp] = append(files[imp], f)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	importPath := func(dir string) string {
-		if dir == "." {
-			return mod
-		}
-		return mod + "/" + dir
-	}
-	// The package name each of the module's own import paths declares.
-	nameOf := map[string]string{}
-	for dir, name := range pkgName {
-		nameOf[importPath(dir)] = name
-	}
 
-	funcs := map[funcKey][]funcDecl{}
-	type body struct {
-		pkg  string
+	// Type-check each module package once, its module imports first.
+	pkgs := map[string]*types.Package{}
+	infos := map[string]*types.Info{}
+	var check func(string) (*types.Package, error)
+	imp := importerFunc(func(p string) (*types.Package, error) {
+		if _, ok := files[p]; ok {
+			return check(p)
+		}
+		return stdImp.Import(p)
+	})
+	check = func(p string) (*types.Package, error) {
+		if pkg, ok := pkgs[p]; ok {
+			return pkg, nil
+		}
+		info := &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(p, fset, files[p], info)
+		if err != nil {
+			return nil, err
+		}
+		pkgs[p], infos[p] = pkg, info
+		return pkg, nil
+	}
+	paths := make([]string, 0, len(files))
+	for p := range files {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+
+	funcs := map[*types.Func]*funcDecl{}
+	type root struct {
 		node ast.Node
-		imps map[string]string
+		info *types.Info
 	}
-	var roots []body
-	for _, fl := range files {
-		pkg := importPath(fl.dir)
-		imps := map[string]string{}
-		for _, im := range fl.f.Imports {
-			p, _ := strconv.Unquote(im.Path.Value)
-			local, ok := nameOf[p]
-			if !ok {
-				continue // outside the module
-			}
-			if im.Name != nil {
-				local = im.Name.Name
-			}
-			if local != "_" {
-				imps[local] = p
+	var roots []root
+	ifaceMethods := map[string]bool{} // names in some interface's method set
+	seen := map[types.Type]bool{}
+	for _, p := range paths {
+		if _, err := check(p); err != nil {
+			return nil, err
+		}
+		info := infos[p]
+		for _, f := range files[p] {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil && (d.Name.Name == "init" || d.Name.Name == "main" && f.Name.Name == "main") {
+						roots = append(roots, root{d, info})
+						continue
+					}
+					fn, ok := info.Defs[d.Name].(*types.Func)
+					if !ok || d.Name.Name == "_" {
+						continue
+					}
+					key := p + "." + fn.Name()
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+						key = p + "." + recvName(recv.Type()) + "." + fn.Name()
+					}
+					pos := fset.Position(d.Pos())
+					funcs[fn] = &funcDecl{key, fmt.Sprintf("%s:%d", pos.Filename, pos.Line), d.Body, info}
+				case *ast.GenDecl:
+					if d.Tok != token.IMPORT {
+						roots = append(roots, root{d, info})
+					}
+				}
 			}
 		}
-		for _, d := range fl.f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv != nil || d.Name.Name == "init" ||
-					(d.Name.Name == "main" && fl.f.Name.Name == "main") {
-					if d.Body != nil {
-						roots = append(roots, body{pkg, d.Body, imps})
-					}
-					continue
-				}
-				k := funcKey{pkg, d.Name.Name}
-				pos := fset.Position(d.Pos())
-				funcs[k] = append(funcs[k], funcDecl{
-					pos: fmt.Sprintf("%s:%d", pos.Filename, pos.Line), body: d.Body, imps: imps})
-			case *ast.GenDecl:
-				if d.Tok != token.IMPORT {
-					roots = append(roots, body{pkg, d, imps})
+		for _, tv := range info.Types {
+			addIfaces(tv.Type, ifaceMethods, seen)
+		}
+		for _, objs := range []map[*ast.Ident]types.Object{info.Defs, info.Uses} {
+			for _, obj := range objs {
+				if obj != nil {
+					addIfaces(obj.Type(), ifaceMethods, seen)
 				}
 			}
+		}
+	}
+	addIfaces(types.Universe.Lookup("error").Type(), ifaceMethods, seen)
+	imported := map[string]*types.Package{}
+	var walk func(*types.Package)
+	walk = func(pkg *types.Package) {
+		for _, imp := range pkg.Imports() {
+			if imported[imp.Path()] == nil {
+				imported[imp.Path()] = imp
+				walk(imp)
+			}
+		}
+	}
+	for _, p := range paths {
+		walk(pkgs[p])
+	}
+	for asserter, ifaces := range dynamicIfaces {
+		if imported[asserter] == nil {
+			continue
+		}
+		for _, di := range ifaces {
+			addIfaces(imported[di[0]].Scope().Lookup(di[1]).Type(), ifaceMethods, seen)
 		}
 	}
 
-	live := map[funcKey]bool{}
-	var queue []funcKey
-	mark := func(k funcKey) {
-		if _, ok := funcs[k]; ok && !live[k] {
-			live[k] = true
-			queue = append(queue, k)
+	live := map[*types.Func]bool{}
+	var queue []*types.Func
+	mark := func(fn *types.Func) {
+		if _, ok := funcs[fn]; ok && !live[fn] {
+			live[fn] = true
+			queue = append(queue, fn)
+		}
+	}
+	scan := func(n ast.Node, info *types.Info) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if fn, ok := info.Uses[id].(*types.Func); ok {
+					mark(fn.Origin())
+				}
+			}
+			return true
+		})
+	}
+	for fn := range funcs {
+		if fn.Type().(*types.Signature).Recv() != nil && ifaceMethods[fn.Name()] {
+			mark(fn)
 		}
 	}
 	for _, r := range roots {
-		scanNode(r.pkg, r.node, r.imps, mark)
+		scan(r.node, r.info)
 	}
 	for len(queue) > 0 {
-		k := queue[len(queue)-1]
+		fn := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		for _, d := range funcs[k] {
-			if d.body != nil {
-				scanNode(k.pkg, d.body, d.imps, mark)
-			}
+		if d := funcs[fn]; d.body != nil {
+			scan(d.body, d.info)
 		}
 	}
 
+	byKey := map[string]*types.Func{}
+	for fn, d := range funcs {
+		byKey[d.key] = fn
+	}
 	for name, reason := range allow {
-		var k funcKey
-		if i := strings.LastIndex(name, "."); i > 0 {
-			k = funcKey{name[:i], name[i+1:]}
-		}
+		fn, ok := byKey[name]
 		switch {
 		case strings.TrimSpace(reason) == "":
 			return nil, fmt.Errorf("allowlist entry %s gives no reason", name)
-		case funcs[k] == nil:
-			return nil, fmt.Errorf("allowlist entry %s names no package-level function", name)
-		case live[k]:
+		case !ok:
+			return nil, fmt.Errorf("allowlist entry %s names no function or method", name)
+		case live[fn]:
 			return nil, fmt.Errorf("allowlist entry %s is reached and no longer needs an entry", name)
 		}
 	}
 	var dead []string
-	for k, ds := range funcs {
-		if live[k] || allow[k.String()] != "" {
-			continue
-		}
-		for _, d := range ds {
-			dead = append(dead, d.pos+" "+k.String())
+	for fn, d := range funcs {
+		if !live[fn] && allow[d.key] == "" {
+			dead = append(dead, d.pos+" "+d.key)
 		}
 	}
 	sort.Strings(dead)
 	return dead, nil
 }
 
-// scanNode marks every package-level function n names: `pkg.F` through the
-// file's imports imps, a bare identifier within pkg (and within any
-// dot-imported package).
-func scanNode(pkg string, n ast.Node, imps map[string]string, mark func(funcKey)) {
-	var visit func(ast.Node) bool
-	visit = func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if x, ok := n.X.(*ast.Ident); ok {
-				if p, ok := imps[x.Name]; ok {
-					mark(funcKey{p, n.Sel.Name})
-					return false
-				}
-			}
-			// A field or method selection: only the operand can name
-			// something package-level.
-			ast.Inspect(n.X, visit)
-			return false
-		case *ast.Field:
-			// Field and parameter names declare; only the type refers.
-			ast.Inspect(n.Type, visit)
-			return false
-		case *ast.KeyValueExpr:
-			// A bare key is a struct field or a constant, never a
-			// function: functions cannot be map keys.
-			if _, ok := n.Key.(*ast.Ident); !ok {
-				ast.Inspect(n.Key, visit)
-			}
-			ast.Inspect(n.Value, visit)
-			return false
-		case *ast.Ident:
-			mark(funcKey{pkg, n.Name})
-			if p, ok := imps["."]; ok {
-				mark(funcKey{p, n.Name})
-			}
-		}
-		return true
+// recvName is the name of a method's receiver type, without its pointer.
+func recvName(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
 	}
-	ast.Inspect(n, visit)
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return t.String()
+}
+
+// addIfaces adds to names the method names of every interface t is or is
+// built from: pointers, slices, arrays, maps, channels, unnamed structs,
+// signatures, a named type's type arguments, and the signatures of an
+// interface's own methods. It does not look through a named type to a
+// struct: a field is named where it is used.
+func addIfaces(t types.Type, names map[string]bool, seen map[types.Type]bool) {
+	if t == nil || seen[t] {
+		return
+	}
+	seen[t] = true
+	switch t := t.(type) {
+	case *types.Named:
+		for i := range t.TypeArgs().Len() {
+			addIfaces(t.TypeArgs().At(i), names, seen)
+		}
+		if _, ok := t.Underlying().(*types.Interface); ok {
+			addIfaces(t.Underlying(), names, seen)
+		}
+	case *types.Alias:
+		addIfaces(types.Unalias(t), names, seen)
+	case *types.Interface:
+		for i := range t.NumMethods() {
+			names[t.Method(i).Name()] = true
+			addIfaces(t.Method(i).Type(), names, seen)
+		}
+	case *types.Pointer:
+		addIfaces(t.Elem(), names, seen)
+	case *types.Slice:
+		addIfaces(t.Elem(), names, seen)
+	case *types.Array:
+		addIfaces(t.Elem(), names, seen)
+	case *types.Chan:
+		addIfaces(t.Elem(), names, seen)
+	case *types.Map:
+		addIfaces(t.Key(), names, seen)
+		addIfaces(t.Elem(), names, seen)
+	case *types.Struct:
+		for i := range t.NumFields() {
+			addIfaces(t.Field(i).Type(), names, seen)
+		}
+	case *types.Signature:
+		addIfaces(t.Params(), names, seen)
+		addIfaces(t.Results(), names, seen)
+	case *types.Tuple:
+		for i := range t.Len() {
+			addIfaces(t.At(i).Type(), names, seen)
+		}
+	}
 }
 
 // modulePath reads the module line of fsys's go.mod.
@@ -268,9 +374,9 @@ func TestNoUnreachableFuncs(t *testing.T) {
 	}
 }
 
-// The fixture module plants one function per case: exactly the test-only
-// one and the one only it calls are dead, removing any one call edge flips
-// its callee to dead, and a bad allowlist entry is an error.
+// The fixture module plants one function or method per case. Exactly the
+// ones only a test or a dead body reaches are dead, removing any one edge
+// flips what it alone kept live, and a bad allowlist entry is an error.
 func TestDeadcodeFixture(t *testing.T) {
 	fixture := fstest.MapFS{}
 	err := fs.WalkDir(os.DirFS("testdata/deadcode"), ".", func(p string, d fs.DirEntry, err error) error {
@@ -289,7 +395,13 @@ func TestDeadcodeFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"lib/lib.go:32 fixture/lib.OnlyTest", "lib/lib.go:37 fixture/lib.fromDead"}
+	want := []string{
+		"lib/lib.go:32 fixture/lib.OnlyTest",   // only a test calls it
+		"lib/lib.go:37 fixture/lib.fromDead",   // only a dead function calls it
+		"lib/lib.go:40 fixture/lib.T.TestOnly", // a method only a test calls
+		"lib/lib.go:55 fixture/lib.T.Wide",     // a method nothing calls ...
+		"lib/lib.go:58 fixture/lib.wrapFactor", // ... and the function only it calls
+	}
 	if strings.Join(dead, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("dead = %q, want %q", dead, want)
 	}
@@ -300,8 +412,13 @@ func TestDeadcodeFixture(t *testing.T) {
 	}{
 		{"main.go", "lib.ViaMain()", "", []string{"lib/lib.go:5 fixture/lib.ViaMain", "lib/lib.go:8 fixture/lib.viaLive"}},
 		{"lib/lib.go", "{ viaLive() }", "{}", []string{"lib/lib.go:8 fixture/lib.viaLive"}},
+		{"main.go", "t.M()", "", []string{"lib/lib.go:14 fixture/lib.T.M", "lib/lib.go:17 fixture/lib.viaMethod"}},
 		{"lib/lib.go", "{ viaMethod() }", "{}", []string{"lib/lib.go:17 fixture/lib.viaMethod"}},
 		{"lib/lib.go", "= viaVar()", "= 42", []string{"lib/lib.go:23 fixture/lib.viaVar"}},
+		{"lib/lib.go", "interface{ Asserted() }", "interface{}", []string{"lib/lib.go:43 fixture/lib.T.Asserted"}},
+		{"lib/print.go", "import \"fmt\"\n\n// Print prints a T: the fixture's one call into fmt.\nfunc Print() { fmt.Print(T{}) }",
+			"func Print() {}", []string{"lib/lib.go:52 fixture/lib.T.String"}},
+		{"lib/lib.go", "Box[int]{7}.Get()", "Box[int]{7}.v", []string{"lib/lib.go:64 fixture/lib.Box.Get"}},
 	} {
 		src := string(fixture[tc.file].Data)
 		if strings.Count(src, tc.edge) != 1 {
@@ -327,6 +444,7 @@ func TestDeadcodeFixture(t *testing.T) {
 		{"fixture/lib.Allowed": " "},
 		{"fixture/lib.Allowed": "r", "fixture/lib.Missing": "r"},
 		{"fixture/lib.Allowed": "r", "fixture/lib.ViaMain": "r"},
+		{"fixture/lib.Allowed": "r", "fixture/lib.T.M": "r"},
 	} {
 		if _, err := deadFuncs(fixture, bad); err == nil {
 			t.Errorf("allowlist %v: want an error", bad)

@@ -294,9 +294,6 @@ func (s *Server) Close() {
 	s.jour.Close()
 }
 
-// Scheduler exposes the underlying fleet scheduler (tests, metrics).
-func (s *Server) Scheduler() *fleet.Scheduler { return s.sched }
-
 // ResumeReport returns the audit of the last resume (zero value when the
 // daemon started fresh).
 func (s *Server) ResumeReport() ResumeReport {

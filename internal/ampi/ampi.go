@@ -29,21 +29,13 @@ const maxUserTag = 1 << 20
 // Op is a reduction operator.
 type Op int
 
-// Reduction operators.
-const (
-	Sum Op = iota
-	Max
-	Min
-)
+// Sum is the one reduction operator: the ported apps only sum.
+const Sum Op = 0
 
 func (o Op) String() string {
 	switch o {
 	case Sum:
 		return "sum"
-	case Max:
-		return "max"
-	case Min:
-		return "min"
 	}
 	return fmt.Sprintf("Op(%d)", int(o))
 }
@@ -52,16 +44,6 @@ func (o Op) combine(a, b float64) float64 {
 	switch o {
 	case Sum:
 		return a + b
-	case Max:
-		if b > a {
-			return b
-		}
-		return a
-	case Min:
-		if b < a {
-			return b
-		}
-		return a
 	}
 	return a
 }

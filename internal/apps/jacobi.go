@@ -78,16 +78,6 @@ func jacobiInit(g, local int) float64 {
 	return math.Sin(float64(g)*1.3+float64(local)*0.17) + 2
 }
 
-// Norm returns the L1 norm of the block (a cheap integrity probe for
-// tests).
-func (j *Jacobi) Norm() float64 {
-	s := 0.0
-	for _, v := range j.U {
-		s += math.Abs(v)
-	}
-	return s
-}
-
 // faceVals extracts the face of U in direction dir into the payload ring:
 // iteration it's face lives in slot it&1, so the slot is next written two
 // iterations later — after the neighbour's face of it+1 arrived, which it
@@ -363,15 +353,6 @@ func (j *JacobiAMPI) Pup(p *pup.PUPer) {
 	p.Float64s(&j.U)
 	p.Label("residual")
 	p.Float64(&j.Residual)
-}
-
-// Norm returns the L1 norm of the slab.
-func (j *JacobiAMPI) Norm() float64 {
-	s := 0.0
-	for _, v := range j.U {
-		s += math.Abs(v)
-	}
-	return s
 }
 
 // Run implements runtime.Program.

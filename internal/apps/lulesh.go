@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"math"
-
 	"acr/internal/pup"
 	"acr/internal/runtime"
 )
@@ -251,32 +249,4 @@ func (l *Lulesh) Run(ctx *runtime.Ctx) error {
 		}
 	}
 	return nil
-}
-
-// TotalEnergy returns the task's internal plus kinetic energy (nodes
-// 0..E-1; the global last task adds its wall node).
-func (l *Lulesh) TotalEnergy(lastTask bool) float64 {
-	e := 0.0
-	for i := range l.Energy {
-		e += l.Energy[i]
-	}
-	limit := l.E
-	if lastTask {
-		limit = l.E + 1
-	}
-	for i := 0; i < limit; i++ {
-		e += 0.5 * l.NodeMass[i] * l.Vel[i] * l.Vel[i]
-	}
-	return e
-}
-
-// MaxVel returns the task's maximum absolute nodal velocity.
-func (l *Lulesh) MaxVel() float64 {
-	m := 0.0
-	for _, v := range l.Vel {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }

@@ -197,9 +197,6 @@ func (m *LeanMD) Pup(p *pup.PUPer) {
 	pupAtoms(p, &m.Atoms)
 }
 
-// KineticEnergy returns the cell's kinetic energy.
-func (m *LeanMD) KineticEnergy() float64 { return kinetic(m.Atoms) }
-
 // Run implements runtime.Program.
 func (m *LeanMD) Run(ctx *runtime.Ctx) error {
 	gx, gy := grid2(ctx.NumTasks())

@@ -210,3 +210,56 @@ var _ runtime.Program = (*HPCCG)(nil)
 var _ runtime.Program = (*Lulesh)(nil)
 var _ runtime.Program = (*LeanMD)(nil)
 var _ runtime.Program = (*MiniMD)(nil)
+
+// The apps' integrity probes: only these tests read a norm or an energy
+// off a finished task.
+
+// Norm returns the L1 norm of the block (a cheap integrity probe for
+// tests).
+func (j *Jacobi) Norm() float64 {
+	s := 0.0
+	for _, v := range j.U {
+		s += math.Abs(v)
+	}
+	return s
+}
+
+// Norm returns the L1 norm of the slab.
+func (j *JacobiAMPI) Norm() float64 {
+	s := 0.0
+	for _, v := range j.U {
+		s += math.Abs(v)
+	}
+	return s
+}
+
+// TotalEnergy returns the task's internal plus kinetic energy (nodes
+// 0..E-1; the global last task adds its wall node).
+func (l *Lulesh) TotalEnergy(lastTask bool) float64 {
+	e := 0.0
+	for i := range l.Energy {
+		e += l.Energy[i]
+	}
+	limit := l.E
+	if lastTask {
+		limit = l.E + 1
+	}
+	for i := 0; i < limit; i++ {
+		e += 0.5 * l.NodeMass[i] * l.Vel[i] * l.Vel[i]
+	}
+	return e
+}
+
+// MaxVel returns the task's maximum absolute nodal velocity.
+func (l *Lulesh) MaxVel() float64 {
+	m := 0.0
+	for _, v := range l.Vel {
+		if a := math.Abs(v); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// KineticEnergy returns the cell's kinetic energy.
+func (m *LeanMD) KineticEnergy() float64 { return kinetic(m.Atoms) }

@@ -6,7 +6,6 @@
 package buildinfo
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	rtdebug "runtime/debug"
@@ -69,12 +68,6 @@ func (i Info) String() string {
 		s += " " + i.GoVersion
 	}
 	return s
-}
-
-// WriteJSON emits the record as JSON (the /healthz body).
-func (i Info) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(i)
 }
 
 // HandleFlag implements the shared -version convention: when show is true,

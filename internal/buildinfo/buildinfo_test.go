@@ -20,17 +20,17 @@ func TestGetCarriesNameAndVersion(t *testing.T) {
 }
 
 func TestWriteJSONSchema(t *testing.T) {
-	var sb strings.Builder
-	if err := Get("acrrun").WriteJSON(&sb); err != nil {
+	b, err := json.Marshal(Get("acrrun"))
+	if err != nil {
 		t.Fatal(err)
 	}
 	var m map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &m); err != nil {
+	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []string{"name", "version"} {
 		if _, ok := m[k]; !ok {
-			t.Errorf("healthz JSON missing key %q: %s", k, sb.String())
+			t.Errorf("healthz JSON missing key %q: %s", k, b)
 		}
 	}
 }

@@ -80,6 +80,3 @@ func (f *Fletcher64Writer) Sum64() uint64 {
 	}
 	return s2<<32 | s1
 }
-
-// Reset restores the writer to its initial state.
-func (f *Fletcher64Writer) Reset() { *f = Fletcher64Writer{} }

@@ -105,16 +105,6 @@ func TestSumIsNonDestructive(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	var w64 Fletcher64Writer
-	w64.Write([]byte("garbage"))
-	w64.Reset()
-	w64.Write([]byte("data"))
-	if w64.Sum64() != Fletcher64([]byte("data")) {
-		t.Error("Fletcher64Writer.Reset did not clear state")
-	}
-}
-
 func TestWriteReturnsLength(t *testing.T) {
 	var w Fletcher64Writer
 	n, err := w.Write(make([]byte, 37))

@@ -170,34 +170,34 @@ func TestCaptureDirtyIntoReusesRecycledSums(t *testing.T) {
 	mustMatchFresh(t, ck, next, chunkSize)
 }
 
-// narrowProg has the two scalar widths that once packed without
-// self-checking (float32, uint16) between two bulk fields.
+// narrowProg puts a one-byte scalar (bool) and a word-wide one (float64)
+// between two bulk fields.
 type narrowProg struct {
 	Grid  []float64
-	Gain  float32
-	Step  uint16
-	Field []float32
+	Gain  float64
+	On    bool
+	Field []float64
 }
 
 func (n *narrowProg) Pup(p *pup.PUPer) {
 	p.Label("grid")
 	p.Float64s(&n.Grid)
 	p.Label("gain")
-	p.Float32(&n.Gain)
-	p.Label("step")
-	p.Uint16(&n.Step)
+	p.Float64(&n.Gain)
+	p.Label("on")
+	p.Bool(&n.On)
 	p.Label("field")
-	p.Float32s(&n.Field)
+	p.Float64s(&n.Field)
 }
 
 // Scalars of every width are self-checked (DESIGN.md §12): an unmarked
-// float32/uint16 change must land in the spliced pack's dirty set, or
+// float64/bool change must land in the spliced pack's dirty set, or
 // CaptureDirtyInto carries the previous chunk's sum over the new bytes.
 func TestCaptureDirtyIntoUnmarkedNarrowScalars(t *testing.T) {
 	const chunkSize = 64
-	np := &narrowProg{Grid: make([]float64, 40), Gain: 1.5, Step: 7, Field: make([]float32, 40)}
+	np := &narrowProg{Grid: make([]float64, 40), Gain: 1.5, On: true, Field: make([]float64, 40)}
 	for i := range np.Grid {
-		np.Grid[i], np.Field[i] = float64(i)*0.5, float32(i)*0.25
+		np.Grid[i], np.Field[i] = float64(i)*0.5, float64(i)*0.25
 	}
 	spans := pup.FieldSpans(np)
 	base, err := pup.Pack(np)
@@ -206,10 +206,10 @@ func TestCaptureDirtyIntoUnmarkedNarrowScalars(t *testing.T) {
 	}
 	prev := Capture(base, chunkSize, 1)
 
-	np.Gain, np.Step = -8.25, 0xbeef // no mark
-	np.Field[3] = 99                 // marked: bulk elements are the trusted part
+	np.Gain, np.On = -8.25, false // no mark
+	np.Field[3] = 99              // marked: bulk elements are the trusted part
 	res, err := pup.PackDirtyInto(np, make([]byte, 0, len(base)), base,
-		[]pup.Range{spans["field"].Slice(3, 4, 4)})
+		[]pup.Range{spans["field"].Slice(3, 4, 8)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,9 +148,6 @@ func readDiskHeader(path string) (*diskEntry, error) {
 // Name implements Store.
 func (s *Disk) Name() string { return "disk" }
 
-// Dir returns the backing directory.
-func (s *Disk) Dir() string { return s.dir }
-
 // Close removes the backing directory when the store created it.
 func (s *Disk) Close() error {
 	if s.ownDir {

@@ -123,7 +123,7 @@ func TestPoolPutDropsRetained(t *testing.T) {
 	// owner re-enters the normal lifecycle.
 	ck.SetRetained(true)
 	reborn := CaptureInto(ck, make([]byte, 64), 64, 1)
-	if reborn.Retained() {
+	if reborn.retained {
 		t.Fatal("CaptureInto must clear the retained flag")
 	}
 }

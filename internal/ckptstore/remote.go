@@ -147,13 +147,6 @@ func (r *Remote) SetDarkFor(n int) {
 	}
 }
 
-// Dark reports whether the remote is currently dark.
-func (r *Remote) Dark() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dark
-}
-
 func (r *Remote) fireDark(iter int) {
 	if r.opts.Hook != nil {
 		r.opts.Hook.Fire(point.RemoteDark, &point.Info{Replica: -1, Node: -1, Task: -1, Iter: iter})

@@ -191,3 +191,10 @@ func TestRemoteInjectionHook(t *testing.T) {
 		t.Fatalf("hook log:\n got  %v\n want %v", log, want)
 	}
 }
+
+// Dark reports whether the remote is currently dark.
+func (r *Remote) Dark() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dark
+}

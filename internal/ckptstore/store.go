@@ -93,9 +93,6 @@ type Checkpoint struct {
 // capture path, excluding it from pool recycling. See the field doc.
 func (c *Checkpoint) SetRetained(v bool) { c.retained = v }
 
-// Retained reports whether the checkpoint is excluded from pool recycling.
-func (c *Checkpoint) Retained() bool { return c.retained }
-
 // Borrow registers a reader of the payload outside the store; each Borrow
 // is paired with one Release once the reader is done with the bytes.
 func (c *Checkpoint) Borrow() { c.borrows.Add(1) }

@@ -147,11 +147,6 @@ func (c *Coordinator) Phase() Phase {
 	return c.phase
 }
 
-// Progress returns the last reported iteration of a task (-1 if none).
-func (c *Coordinator) Progress(addr runtime.Addr) int {
-	return int(c.last[c.index(addr)].Load())
-}
-
 // MaxProgress returns the maximum reported progress within the scope (-1 if
 // nothing was reported).
 func (c *Coordinator) MaxProgress(scope Scope) int {
@@ -365,19 +360,6 @@ func (c *Coordinator) Release() {
 	c.handed = [2]bool{}
 	c.phase = Idle
 	c.deciding.Store(false)
-}
-
-// ParkedCount returns how many tasks are currently parked.
-func (c *Coordinator) ParkedCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, ch := range c.parked {
-		if ch != nil {
-			n++
-		}
-	}
-	return n
 }
 
 var _ runtime.Gate = (*Coordinator)(nil)

@@ -386,7 +386,7 @@ func TestCutWithPartialCompletion(t *testing.T) {
 	// Task 0 done, task 1 running.
 	for rep := 0; rep < 2; rep++ {
 		waitProgress(t, c, runtime.Addr{Replica: rep, Task: 0}, 2)
-		for !m.TaskCompleted(runtime.Addr{Replica: rep, Task: 0}) {
+		for !doneReported(c, runtime.Addr{Replica: rep, Task: 0}) {
 			goruntime.Gosched()
 		}
 		waitProgress(t, c, runtime.Addr{Replica: rep, Task: 1}, 10)
@@ -605,4 +605,32 @@ func TestHandoffOncePerReplica(t *testing.T) {
 			t.Fatalf("scope %v: handoff %+v after Release", scope, h)
 		}
 	}
+}
+
+// doneReported reports whether the task's Done has reached the coordinator.
+func doneReported(c *Coordinator, addr runtime.Addr) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.done[c.index(addr)]
+}
+
+// Progress and ParkedCount are the tests' view of the coordinator: no
+// program reads a single task's report or counts the parked tasks.
+
+// Progress returns the last reported iteration of a task (-1 if none).
+func (c *Coordinator) Progress(addr runtime.Addr) int {
+	return int(c.last[c.index(addr)].Load())
+}
+
+// ParkedCount returns how many tasks are currently parked.
+func (c *Coordinator) ParkedCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, ch := range c.parked {
+		if ch != nil {
+			n++
+		}
+	}
+	return n
 }

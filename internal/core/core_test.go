@@ -299,7 +299,7 @@ func TestHardErrorRecoveryAllSchemes(t *testing.T) {
 			if stats.Rollbacks == 0 {
 				t.Fatal("recovery must restart the crashed replica")
 			}
-			if tl.Count(trace.Failure) == 0 || tl.Count(trace.Restart) == 0 {
+			if len(tl.OfKind(trace.Failure)) == 0 || len(tl.OfKind(trace.Restart)) == 0 {
 				t.Error("timeline missing failure/restart events")
 			}
 			verifyFinalState(t, ctrl, 2, 2, 8000)

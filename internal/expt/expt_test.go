@@ -389,7 +389,7 @@ func TestFig12Adaptivity(t *testing.T) {
 	if res.UsefulFraction < 0.5 || res.UsefulFraction > 1 {
 		t.Errorf("useful fraction %v implausible", res.UsefulFraction)
 	}
-	if res.Timeline.Count(trace.Checkpoint) != len(res.CheckpointTimes) {
+	if len(res.Timeline.OfKind(trace.Checkpoint)) != len(res.CheckpointTimes) {
 		t.Error("timeline inconsistent")
 	}
 	var buf bytes.Buffer

@@ -28,15 +28,6 @@ func NewWeibull(shape, scale float64) (Weibull, error) {
 	return Weibull{Shape: shape, Scale: scale}, nil
 }
 
-// Sample draws a Weibull variate by inversion.
-func (w Weibull) Sample(rng *rand.Rand) float64 {
-	u := 1 - rng.Float64()
-	return w.Scale * math.Pow(-math.Log(u), 1/w.Shape)
-}
-
-// Mean returns lambda * Gamma(1 + 1/k).
-func (w Weibull) Mean() float64 { return w.Scale * math.Gamma(1+1/w.Shape) }
-
 // Hazard returns (k/lambda) (t/lambda)^(k-1); decreasing in t for k < 1.
 func (w Weibull) Hazard(t float64) float64 {
 	if t <= 0 {

@@ -203,16 +203,12 @@ func TestHistory(t *testing.T) {
 	if !ok || math.Abs(m-30) > 1e-9 {
 		t.Fatalf("mean MTBF = %v, want 30", m)
 	}
-	if h.Count() != 3 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	ts := h.Times()
-	if len(ts) != 3 || ts[0] != 10 {
+	if ts := h.times; len(ts) != 3 || ts[0] != 10 {
 		t.Fatalf("times = %v", ts)
 	}
 	// Out-of-order record clamps.
 	h.Record(50)
-	if h.Times()[3] != 70 {
+	if h.times[3] != 70 {
 		t.Fatal("out-of-order record should clamp to last time")
 	}
 	// CurrentMTBF returns something positive with a trend fit.
@@ -300,4 +296,23 @@ func TestWeibullMTBFEstimator(t *testing.T) {
 	if early <= 0 {
 		t.Fatalf("nonpositive estimate %v", early)
 	}
+}
+
+// Sample, Mean and CurrentMTBF are the tests' oracles: no program draws
+// Weibull variates or asks a fit for its end-of-window MTBF.
+
+// Sample draws a Weibull variate by inversion.
+func (w Weibull) Sample(rng *rand.Rand) float64 {
+	u := 1 - rng.Float64()
+	return w.Scale * math.Pow(-math.Log(u), 1/w.Shape)
+}
+
+// Mean returns lambda * Gamma(1 + 1/k).
+func (w Weibull) Mean() float64 { return w.Scale * math.Gamma(1+1/w.Shape) }
+
+// CurrentMTBF returns the reciprocal of the fitted intensity at the end of
+// the observation window: the "current observed mean time between
+// failures" used to re-derive the checkpoint interval in Figure 12.
+func (f PowerLawFit) CurrentMTBF() float64 {
+	return 1 / f.Intensity(f.T)
 }

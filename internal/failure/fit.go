@@ -108,13 +108,6 @@ func (f PowerLawFit) Intensity(t float64) float64 {
 	return f.Shape / f.Scale * math.Pow(t/f.Scale, f.Shape-1)
 }
 
-// CurrentMTBF returns the reciprocal of the fitted intensity at the end of
-// the observation window: the "current observed mean time between
-// failures" used to re-derive the checkpoint interval in Figure 12.
-func (f PowerLawFit) CurrentMTBF() float64 {
-	return 1 / f.Intensity(f.T)
-}
-
 // History accumulates observed failure times online and exposes rate
 // estimates. It is the state behind ACR's adaptive checkpointing mode.
 type History struct {
@@ -130,16 +123,6 @@ func (h *History) Record(t float64) {
 		t = h.times[len(h.times)-1]
 	}
 	h.times = append(h.times, t)
-}
-
-// Count returns the number of recorded failures.
-func (h *History) Count() int { return len(h.times) }
-
-// Times returns a copy of the recorded failure times.
-func (h *History) Times() []float64 {
-	out := make([]float64, len(h.times))
-	copy(out, h.times)
-	return out
 }
 
 // MeanMTBF returns the plain average inter-failure time, or +Inf with ok ==

@@ -211,7 +211,6 @@ const (
 	evSubmit eventKind = iota
 	evFold
 	evDone
-	evSpare
 )
 
 type event struct {
@@ -275,12 +274,6 @@ func New(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// Arbiter exposes the fleet's I/O arbiter (for stats and custom stores).
-func (s *Scheduler) Arbiter() *Arbiter { return s.arb }
-
-// RemoteArbiter exposes the fleet's remote-tier bandwidth arbiter.
-func (s *Scheduler) RemoteArbiter() *Arbiter { return s.remoteArb }
-
 func (s *Scheduler) mark(format string, args ...any) {
 	if s.cfg.Timeline == nil {
 		return
@@ -322,19 +315,6 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	s.mu.Unlock()
 	s.notify(event{kind: evSubmit, job: j})
 	return j, nil
-}
-
-// Jobs snapshots every submitted job in submission order.
-func (s *Scheduler) Jobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Job(nil), s.jobs...)
-}
-
-// AddSpare models a repaired physical node rejoining the fleet's shared
-// spare pool; waiting degraded jobs are served immediately.
-func (s *Scheduler) AddSpare() {
-	s.notify(event{kind: evSpare})
 }
 
 // notify delivers an event to the loop unless the scheduler has stopped.
@@ -415,11 +395,6 @@ func (s *Scheduler) loop() {
 				s.brokerSpare(ev.job)
 			case evDone:
 				s.finish(ev.job, ev.stats, ev.err)
-				s.serveWaiting()
-				s.admitReady()
-			case evSpare:
-				s.freeSpares++
-				s.mark("spare pool +1 (repair), free=%d", s.freeSpares)
 				s.serveWaiting()
 				s.admitReady()
 			}

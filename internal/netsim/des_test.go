@@ -119,11 +119,12 @@ func SimulateTransfers(t topology.Torus, p Params, transfers []Transfer, cfg DES
 }
 
 // SimulateBuddyExchange runs the DES for the checkpoint-exchange pattern:
-// every replica-0 node sends bytesPerNode to its buddy.
+// every replica-0 node sends bytesPerNode to its buddy, the member of
+// replica 1 at the same position in rank order.
 func SimulateBuddyExchange(m *topology.Mapping, p Params, bytesPerNode float64, cfg DESConfig) (float64, error) {
 	var transfers []Transfer
-	for _, rank := range m.Members(0) {
-		transfers = append(transfers, Transfer{Src: rank, Dst: m.BuddyOf(rank), Bytes: bytesPerNode})
+	for i, rank := range m.Members(0) {
+		transfers = append(transfers, Transfer{Src: rank, Dst: m.Members(1)[i], Bytes: bytesPerNode})
 	}
 	return SimulateTransfers(m.Torus, p, transfers, cfg)
 }

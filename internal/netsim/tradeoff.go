@@ -1,46 +1,10 @@
 package netsim
 
-// This file quantifies two §4.2 trade-offs:
-//
-//  1. the checksum rule — "using the checksum shows benefits only when
-//     gamma < beta/4": shipping the full checkpoint costs beta per byte on
-//     the bottleneck link, while checksumming costs ~4 arithmetic
-//     operations (gamma each) per byte and ships almost nothing;
-//  2. semi-blocking (asynchronous) checkpointing — the paper's future-work
-//     optimization [27]: overlap the checkpoint transmission with
-//     application execution so only the local capture blocks the
-//     application.
-
-// EffectiveBeta returns the effective communication cost per byte of the
-// full-checkpoint exchange under this model's mapping: the bottleneck link
-// carries MaxBuddyLinkLoad checkpoints, so each byte of a checkpoint
-// occupies the bottleneck for load/bandwidth seconds.
-func (m *Model) EffectiveBeta() float64 {
-	return float64(m.Mapping.MaxBuddyLinkLoad()) / m.Params.LinkBandwidth
-}
-
-// EffectiveGamma returns the per-byte computation cost of one checksum
-// "instruction" in the 4-instructions-per-byte accounting of §4.2:
-// gamma = 1/(4*ChecksumBandwidth).
-func (m *Model) EffectiveGamma() float64 {
-	return 1 / (4 * m.Params.ChecksumBandwidth)
-}
-
-// ChecksumBeneficial applies the paper's rule: the checksum method beats
-// shipping the full checkpoint when gamma < beta/4.
-func (m *Model) ChecksumBeneficial() bool {
-	return m.EffectiveGamma() < m.EffectiveBeta()/4
-}
-
-// ChecksumAdvantage returns the time saved per checkpoint by the checksum
-// method versus the full exchange (negative when the checksum loses). The
-// sign agrees with ChecksumBeneficial for large checkpoints, where the
-// per-byte terms dominate the fixed latencies.
-func (m *Model) ChecksumAdvantage(bytesPerNode float64, scattered bool) float64 {
-	full := m.Checkpoint(bytesPerNode, FullCheckpoint, scattered)
-	ck := m.Checkpoint(bytesPerNode, Checksum, scattered)
-	return full.Total() - ck.Total()
-}
+// This file quantifies the §4.2 semi-blocking (asynchronous) checkpoint,
+// the paper's future-work optimization [27]: overlap the checkpoint
+// transmission with application execution so only the local capture blocks
+// the application. (The §4.2 checksum rule, gamma < beta/4, is checked
+// against the same cost model in tradeoff_test.go.)
 
 // SemiBlockingCheckpoint returns the checkpoint cost when the transfer and
 // comparison are overlapped with application execution: the application
@@ -63,14 +27,4 @@ func (m *Model) SemiBlocking(bytesPerNode float64, method Method, scattered bool
 		Blocking:   c.Local,
 		Background: c.Transfer + c.Compare,
 	}
-}
-
-// SemiBlockingSpeedup returns the ratio of blocking time saved:
-// blocking(semi) / total(blocking variant).
-func (m *Model) SemiBlockingSpeedup(bytesPerNode float64, method Method, scattered bool) float64 {
-	c := m.Checkpoint(bytesPerNode, method, scattered)
-	if c.Total() == 0 {
-		return 1
-	}
-	return m.SemiBlocking(bytesPerNode, method, scattered).Blocking / c.Total()
 }

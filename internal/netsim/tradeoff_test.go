@@ -79,3 +79,48 @@ func TestSemiBlockingSpeedupRange(t *testing.T) {
 		t.Fatalf("degenerate case should return 1, got %v", got)
 	}
 }
+
+// The §4.2 checksum rule and the semi-blocking blocked fraction: no program
+// asks for them, so they live here as the oracles the tests hold the cost
+// model's Checkpoint and SemiBlocking to.
+
+// EffectiveBeta returns the effective communication cost per byte of the
+// full-checkpoint exchange under this model's mapping: the bottleneck link
+// carries MaxBuddyLinkLoad checkpoints, so each byte of a checkpoint
+// occupies the bottleneck for load/bandwidth seconds.
+func (m *Model) EffectiveBeta() float64 {
+	return float64(m.Mapping.MaxBuddyLinkLoad()) / m.Params.LinkBandwidth
+}
+
+// EffectiveGamma returns the per-byte computation cost of one checksum
+// "instruction" in the 4-instructions-per-byte accounting of §4.2:
+// gamma = 1/(4*ChecksumBandwidth).
+func (m *Model) EffectiveGamma() float64 {
+	return 1 / (4 * m.Params.ChecksumBandwidth)
+}
+
+// ChecksumBeneficial applies the paper's rule: the checksum method beats
+// shipping the full checkpoint when gamma < beta/4.
+func (m *Model) ChecksumBeneficial() bool {
+	return m.EffectiveGamma() < m.EffectiveBeta()/4
+}
+
+// ChecksumAdvantage returns the time saved per checkpoint by the checksum
+// method versus the full exchange (negative when the checksum loses). The
+// sign agrees with ChecksumBeneficial for large checkpoints, where the
+// per-byte terms dominate the fixed latencies.
+func (m *Model) ChecksumAdvantage(bytesPerNode float64, scattered bool) float64 {
+	full := m.Checkpoint(bytesPerNode, FullCheckpoint, scattered)
+	ck := m.Checkpoint(bytesPerNode, Checksum, scattered)
+	return full.Total() - ck.Total()
+}
+
+// SemiBlockingSpeedup returns the ratio of blocking time saved:
+// blocking(semi) / total(blocking variant).
+func (m *Model) SemiBlockingSpeedup(bytesPerNode float64, method Method, scattered bool) float64 {
+	c := m.Checkpoint(bytesPerNode, method, scattered)
+	if c.Total() == 0 {
+		return 1
+	}
+	return m.SemiBlocking(bytesPerNode, method, scattered).Blocking / c.Total()
+}

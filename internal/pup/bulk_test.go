@@ -155,12 +155,10 @@ func refBytes(p *PUPer, v *[]byte) {
 		}
 		copy(*v, w)
 	case Checking:
-		if p.skipDepth == 0 {
-			for i := 0; i < n; i++ {
-				if (*v)[i] != w[i] {
-					p.addMismatch(float64((*v)[i]), float64(w[i]))
-					break
-				}
+		for i := 0; i < n; i++ {
+			if (*v)[i] != w[i] {
+				p.addMismatch(float64((*v)[i]), float64(w[i]))
+				break
 			}
 		}
 	}
@@ -262,12 +260,11 @@ var byteKind = bulkKind[byte]{
 // bulkProg puts two bulk fields of one kind among scalars: a range can cut
 // an element, cover a body exactly, or straddle A, Mid and B.
 type bulkProg[T any] struct {
-	pipe  func(*PUPer, *[]T)
-	skipB bool
-	Head  int
-	A     []T
-	Mid   float64
-	B     []T
+	pipe func(*PUPer, *[]T)
+	Head int
+	A    []T
+	Mid  float64
+	B    []T
 }
 
 func (b *bulkProg[T]) Pup(p *PUPer) {
@@ -278,11 +275,7 @@ func (b *bulkProg[T]) Pup(p *PUPer) {
 	p.Label("mid")
 	p.Float64(&b.Mid)
 	p.Label("b")
-	if b.skipB {
-		p.Skip(func(p *PUPer) { b.pipe(p, &b.B) })
-	} else {
-		b.pipe(p, &b.B)
-	}
+	b.pipe(p, &b.B)
 }
 
 // with returns the same state (slices shared) piped through pipe.
@@ -421,18 +414,6 @@ func (k bulkKind[T]) check(t *testing.T, st *bulkProg[T]) {
 				for i := 0; i < n; i += 3 {
 					l.A[i], rm.A[i] = k.val(i), k.far(k.val(i))
 				}
-			}, &[2]bool{false, false}},
-			plan{"under-skip", func(l, rm *bulkProg[T]) {
-				l.skipB = true
-				last := len(l.B) - 1
-				l.B[0], rm.B[0] = k.val(0), k.far(k.val(0))
-				l.B[last], rm.B[last] = k.val(last), k.far(k.val(last))
-			}, &[2]bool{true, true}},
-			plan{"skip-and-body", func(l, rm *bulkProg[T]) {
-				l.skipB = true
-				l.B[0], rm.B[0] = k.val(0), k.far(k.val(0))
-				l.A[n-1], rm.A[n-1] = k.val(3), k.far(k.val(3))
-				l.Mid, rm.Mid = 1, 2
 			}, &[2]bool{false, false}})
 	}
 	for _, pl := range plans {

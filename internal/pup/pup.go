@@ -10,8 +10,7 @@
 //   - Unpacking: restore the state from a buffer (restart).
 //   - Checking:  compare live state against a buddy's checkpoint to detect
 //     silent data corruption — the "checker PUPer" of §4.1, with a
-//     configurable relative tolerance for floating-point data and Skip
-//     regions for replica-variant data that must not be compared.
+//     configurable relative tolerance for floating-point data.
 //
 // Encoding is little-endian with fixed-width scalars and uint32 length
 // prefixes, so packed size is deterministic for a given structure shape.
@@ -68,19 +67,6 @@ func (m Mismatch) String() string {
 	return fmt.Sprintf("%s@%d: local %v != remote %v", m.Label, m.Offset, m.Local, m.Remote)
 }
 
-// ChunkIndex attributes the mismatch to a chunk of the packed stream at
-// the given chunk size, aligning the checker PUPer's field-level
-// diagnostics with the chunked checkpoint store's localization: a
-// FullCompare mismatch and a ChecksumCompare mismatch of the same
-// corruption name the same chunk. Offset points just past the mismatched
-// field, so the chunk is derived from the last byte of the field.
-func (m Mismatch) ChunkIndex(chunkSize int) int {
-	if chunkSize <= 0 || m.Offset <= 0 {
-		return 0
-	}
-	return (m.Offset - 1) / chunkSize
-}
-
 // MaxMismatches bounds how many mismatches a checker records; one is enough
 // to trigger a rollback, more are kept only for diagnostics.
 const MaxMismatches = 16
@@ -99,7 +85,6 @@ type PUPer struct {
 
 	// Checking state.
 	relTol     float64
-	skipDepth  int
 	mismatches []Mismatch
 	label      string
 
@@ -179,16 +164,6 @@ func (p *PUPer) flushSpan() {
 	p.spanLabel = ""
 }
 
-// Skip runs body with comparison disabled: in Checking mode the traversed
-// bytes are consumed but not compared. Use it for data that legitimately
-// differs between replicas (timestamps, RNG state, profiling counters) but
-// must still round-trip through checkpoints. Skip nests.
-func (p *PUPer) Skip(body func(*PUPer)) {
-	p.skipDepth++
-	body(p)
-	p.skipDepth--
-}
-
 func (p *PUPer) fail(format string, args ...any) {
 	if p.err == nil {
 		p.err = fmt.Errorf("pup: "+format, args...)
@@ -261,11 +236,9 @@ func (p *PUPer) Uint64(v *uint64) {
 	case Unpacking:
 		*v = binary.LittleEndian.Uint64(w)
 	case Checking:
-		if p.skipDepth == 0 {
-			r := binary.LittleEndian.Uint64(w)
-			if r != *v {
-				p.addMismatch(float64(*v), float64(r))
-			}
+		r := binary.LittleEndian.Uint64(w)
+		if r != *v {
+			p.addMismatch(float64(*v), float64(r))
 		}
 	}
 }
@@ -288,28 +261,6 @@ func (p *PUPer) Int(v *int) {
 	}
 }
 
-// Uint32 pipes a uint32.
-func (p *PUPer) Uint32(v *uint32) {
-	w := p.raw(4)
-	if w == nil {
-		return
-	}
-	switch p.mode {
-	case Packing:
-		binary.LittleEndian.PutUint32(w, *v)
-		p.noteScalar(4)
-	case Unpacking:
-		*v = binary.LittleEndian.Uint32(w)
-	case Checking:
-		if p.skipDepth == 0 {
-			r := binary.LittleEndian.Uint32(w)
-			if r != *v {
-				p.addMismatch(float64(*v), float64(r))
-			}
-		}
-	}
-}
-
 // Bool pipes a bool as one byte.
 func (p *PUPer) Bool(v *bool) {
 	w := p.raw(1)
@@ -326,14 +277,12 @@ func (p *PUPer) Bool(v *bool) {
 	case Unpacking:
 		*v = w[0] != 0
 	case Checking:
-		if p.skipDepth == 0 {
-			local := byte(0)
-			if *v {
-				local = 1
-			}
-			if w[0] != local {
-				p.addMismatch(float64(local), float64(w[0]))
-			}
+		local := byte(0)
+		if *v {
+			local = 1
+		}
+		if w[0] != local {
+			p.addMismatch(float64(local), float64(w[0]))
 		}
 	}
 }
@@ -351,11 +300,9 @@ func (p *PUPer) Float64(v *float64) {
 	case Unpacking:
 		*v = math.Float64frombits(binary.LittleEndian.Uint64(w))
 	case Checking:
-		if p.skipDepth == 0 {
-			r := math.Float64frombits(binary.LittleEndian.Uint64(w))
-			if !p.floatEqual(*v, r) {
-				p.addMismatch(*v, r)
-			}
+		r := math.Float64frombits(binary.LittleEndian.Uint64(w))
+		if !p.floatEqual(*v, r) {
+			p.addMismatch(*v, r)
 		}
 	}
 }
@@ -439,9 +386,6 @@ func bulk[T numeric](p *PUPer, v *[]T, size int, elem func(*PUPer, *T)) {
 	case Unpacking:
 		copy(view, w)
 	case Checking:
-		if p.skipDepth > 0 {
-			return
-		}
 		for lo := 0; lo < body; lo += checkBlock {
 			hi := min(lo+checkBlock, body)
 			if bytes.Equal(view[lo:hi], w[lo:hi]) {
@@ -458,12 +402,6 @@ func bulk[T numeric](p *PUPer, v *[]T, size int, elem func(*PUPer, *T)) {
 
 // Float64s pipes a []float64, resizing on unpack.
 func (p *PUPer) Float64s(v *[]float64) { bulk(p, v, 8, (*PUPer).Float64) }
-
-// Int64s pipes a []int64, resizing on unpack.
-func (p *PUPer) Int64s(v *[]int64) { bulk(p, v, 8, (*PUPer).Int64) }
-
-// Ints pipes a []int (64-bit on the wire), resizing on unpack.
-func (p *PUPer) Ints(v *[]int) { bulk(p, v, 8, (*PUPer).Int) }
 
 // Bytes pipes a []byte, resizing on unpack.
 func (p *PUPer) Bytes(v *[]byte) {
@@ -487,12 +425,10 @@ func (p *PUPer) Bytes(v *[]byte) {
 		}
 		copy(*v, w)
 	case Checking:
-		if p.skipDepth == 0 {
-			for i := 0; i < n; i++ {
-				if (*v)[i] != w[i] {
-					p.addMismatch(float64((*v)[i]), float64(w[i]))
-					break // one mismatch per byte slice is enough detail
-				}
+		for i := 0; i < n; i++ {
+			if (*v)[i] != w[i] {
+				p.addMismatch(float64((*v)[i]), float64(w[i]))
+				break // one mismatch per byte slice is enough detail
 			}
 		}
 	}

@@ -10,17 +10,16 @@ import (
 
 // demo is a representative application state with every supported kind.
 type demo struct {
-	Iter    int
-	Count   uint64
-	Flag    bool
-	Temp    float64
-	Grid    []float64
-	IDs     []int64
-	Tags    []int
-	Raw     []byte
-	Name    string
-	Nested  inner
-	Scratch float64 // replica-variant; excluded from comparison
+	Iter   int
+	Count  uint64
+	Flag   bool
+	Temp   float64
+	Grid   []float64
+	IDs    []int64
+	Tags   []int
+	Raw    []byte
+	Name   string
+	Nested inner
 }
 
 type inner struct {
@@ -54,25 +53,20 @@ func (d *demo) Pup(p *PUPer) {
 	p.Label("name")
 	p.String(&d.Name)
 	p.Object(&d.Nested)
-	p.Skip(func(p *PUPer) {
-		p.Label("scratch")
-		p.Float64(&d.Scratch)
-	})
 }
 
 func sampleDemo() *demo {
 	return &demo{
-		Iter:    42,
-		Count:   1 << 40,
-		Flag:    true,
-		Temp:    3.14159,
-		Grid:    []float64{1, 2.5, -3, math.Inf(1)},
-		IDs:     []int64{-9, 0, 1 << 50},
-		Tags:    []int{7, -8},
-		Raw:     []byte{0xde, 0xad, 0xbe, 0xef},
-		Name:    "jacobi3d",
-		Nested:  inner{A: 1.5, B: -2.5},
-		Scratch: 99.9,
+		Iter:   42,
+		Count:  1 << 40,
+		Flag:   true,
+		Temp:   3.14159,
+		Grid:   []float64{1, 2.5, -3, math.Inf(1)},
+		IDs:    []int64{-9, 0, 1 << 50},
+		Tags:   []int{7, -8},
+		Raw:    []byte{0xde, 0xad, 0xbe, 0xef},
+		Name:   "jacobi3d",
+		Nested: inner{A: 1.5, B: -2.5},
 	}
 }
 
@@ -90,8 +84,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.Iter != orig.Iter || back.Count != orig.Count || back.Flag != orig.Flag ||
-		back.Temp != orig.Temp || back.Name != orig.Name || back.Nested != orig.Nested ||
-		back.Scratch != orig.Scratch {
+		back.Temp != orig.Temp || back.Name != orig.Name || back.Nested != orig.Nested {
 		t.Fatalf("round trip mismatch: %+v vs %+v", back, orig)
 	}
 	for i := range orig.Grid {
@@ -161,31 +154,6 @@ func TestCheckDetectsEveryFieldKind(t *testing.T) {
 		if res.Mismatches[0].Label != label {
 			t.Errorf("mutation of %s attributed to %s", label, res.Mismatches[0].Label)
 		}
-	}
-}
-
-func TestSkipRegionNotCompared(t *testing.T) {
-	base := sampleDemo()
-	data, err := Pack(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := sampleDemo()
-	d.Scratch = -123456 // differs, but inside Skip
-	res, err := Check(d, data, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Match {
-		t.Fatalf("skip region was compared: %v", res.Mismatches)
-	}
-	// But the skipped field still round-trips.
-	var back demo
-	if err := Unpack(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Scratch != base.Scratch {
-		t.Fatal("skip region did not round trip")
 	}
 }
 
@@ -273,22 +241,13 @@ func TestBitFlipAnywhereDetected(t *testing.T) {
 		bit := byte(1) << rng.Intn(8)
 		data[i] ^= bit
 		res, err := Check(d, data, 0)
-		// Flips in length prefixes produce structural errors; flips in
-		// the Skip region are legitimately invisible; everything else
-		// must surface as a mismatch.
+		// Flips in length prefixes produce structural errors; everything
+		// else must surface as a mismatch.
 		if err == nil && res.Match {
-			if !flipInSkipRegion(d, i) {
-				t.Fatalf("bit flip at byte %d undetected", i)
-			}
+			t.Fatalf("bit flip at byte %d undetected", i)
 		}
 		data[i] ^= bit
 	}
-}
-
-// flipInSkipRegion reports whether byte offset i of the packed demo lies in
-// the Scratch field (the final 8 bytes, inside Skip).
-func flipInSkipRegion(d *demo, i int) bool {
-	return i >= Size(d)-8
 }
 
 func TestMismatchSaturation(t *testing.T) {

@@ -143,22 +143,3 @@ func (mc *MsgChecker) Compare(nodesPerReplica, tasksPerNode int, requireEqualCou
 	}
 	return out
 }
-
-// Reset clears the streams of one replica (call on rollback: the replica
-// will re-send from the checkpoint, so its stream restarts).
-func (mc *MsgChecker) Reset(rep int) {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	for a := range mc.streams {
-		if a.Replica == rep {
-			delete(mc.streams, a)
-		}
-	}
-}
-
-// ResetAll clears every stream.
-func (mc *MsgChecker) ResetAll() {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	mc.streams = make(map[Addr]*msgStream)
-}

@@ -170,21 +170,6 @@ func TestMsgCheckerCountMismatch(t *testing.T) {
 	}
 }
 
-func TestMsgCheckerReset(t *testing.T) {
-	mc := NewMsgChecker(nil)
-	mc.observe(Addr{0, 0, 0}, 1, float64(1))
-	mc.observe(Addr{1, 0, 0}, 1, float64(2))
-	mc.Reset(0)
-	div := mc.Compare(1, 1, true)
-	if len(div) != 1 || div[0].Count0 != 0 || div[0].Count1 != 1 {
-		t.Fatalf("reset semantics wrong: %+v", div)
-	}
-	mc.ResetAll()
-	if div := mc.Compare(1, 1, true); len(div) != 0 {
-		t.Fatalf("ResetAll left streams: %+v", div)
-	}
-}
-
 func TestMsgCheckerUnhashablePayloadsSkipped(t *testing.T) {
 	mc := NewMsgChecker(nil)
 	mc.observe(Addr{0, 0, 0}, 1, struct{ X int }{1})

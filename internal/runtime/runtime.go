@@ -459,12 +459,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// NodesPerReplica returns the logical node count of each replica.
-func (m *Machine) NodesPerReplica() int { return m.cfg.NodesPerReplica }
-
-// TasksPerNode returns the task count per node.
-func (m *Machine) TasksPerNode() int { return m.cfg.TasksPerNode }
-
 // SpareCount returns the number of unused spare nodes.
 func (m *Machine) SpareCount() int {
 	m.mu.RLock()

@@ -511,21 +511,21 @@ func TestGateParksAndReleases(t *testing.T) {
 
 func TestMachineAccessors(t *testing.T) {
 	m := newTestMachine(t, Config{NodesPerReplica: 3, TasksPerNode: 2, Spares: 1, Factory: ringFactory(1)})
-	if m.NodesPerReplica() != 3 || m.TasksPerNode() != 2 || m.SpareCount() != 1 {
+	if m.SpareCount() != 1 {
 		t.Fatal("accessors broken")
 	}
 }
 
 func TestCtxAccessors(t *testing.T) {
 	type probe struct {
-		numNodes, tasksPer, numTasks, global int
-		roundTrip                            Addr
+		tasksPer, numTasks, global int
+		roundTrip                  Addr
 	}
 	ch := make(chan probe, 1)
 	factory := func(addr Addr) Program {
 		return progFunc{pup: func(*pup.PUPer) {}, run: func(ctx *Ctx) error {
 			if addr == (Addr{0, 1, 1}) {
-				ch <- probe{ctx.NumNodes(), ctx.TasksPerNode(), ctx.NumTasks(), ctx.GlobalTask(), ctx.AddrOfGlobal(ctx.GlobalTask())}
+				ch <- probe{ctx.TasksPerNode(), ctx.NumTasks(), ctx.GlobalTask(), ctx.AddrOfGlobal(ctx.GlobalTask())}
 			}
 			return nil
 		}}
@@ -536,7 +536,7 @@ func TestCtxAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := <-ch
-	if p.numNodes != 2 || p.tasksPer != 2 || p.numTasks != 4 || p.global != 3 || p.roundTrip != (Addr{0, 1, 1}) {
+	if p.tasksPer != 2 || p.numTasks != 4 || p.global != 3 || p.roundTrip != (Addr{0, 1, 1}) {
 		t.Fatalf("ctx accessors: %+v", p)
 	}
 }
@@ -587,4 +587,15 @@ func TestReplicaTwinsIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TaskCompleted reports whether the task's current incarnation ran to
+// completion. Only tests ask.
+func (m *Machine) TaskCompleted(addr Addr) bool {
+	m.mu.RLock()
+	s := m.slots[addr.Replica][addr.Node][addr.Task]
+	m.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.completed
 }

@@ -24,9 +24,6 @@ type Ctx struct {
 // Addr returns the task's logical address.
 func (c *Ctx) Addr() Addr { return c.addr }
 
-// NumNodes returns the logical node count of the replica.
-func (c *Ctx) NumNodes() int { return c.m.cfg.NodesPerReplica }
-
 // TasksPerNode returns the task count per node.
 func (c *Ctx) TasksPerNode() int { return c.m.cfg.TasksPerNode }
 
@@ -445,17 +442,6 @@ func (m *Machine) CheckTask(addr Addr, remote []byte) (pup.CheckResult, error) {
 	prog := s.prog
 	s.mu.Unlock()
 	return pup.Check(prog, remote, 0)
-}
-
-// TaskCompleted reports whether the task's current incarnation ran to
-// completion.
-func (m *Machine) TaskCompleted(addr Addr) bool {
-	m.mu.RLock()
-	s := m.slots[addr.Replica][addr.Node][addr.Task]
-	m.mu.RUnlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.completed
 }
 
 // CorruptTask exposes the live program state of a task to an injector

@@ -23,9 +23,6 @@ type Event struct {
 	index int    // heap index; -1 once popped or cancelled
 }
 
-// Cancelled reports whether the event was removed before firing.
-func (e *Event) Cancelled() bool { return e.index == -2 }
-
 type eventQueue []*Event
 
 func (q eventQueue) Len() int { return len(q) }
@@ -65,7 +62,6 @@ type Engine struct {
 	now     float64
 	queue   eventQueue
 	nextSeq uint64
-	stopped bool
 	// Horizon, if positive, stops the run once the clock would pass it.
 	Horizon float64
 }
@@ -77,9 +73,6 @@ func NewEngine() *Engine {
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
-
-// Pending returns the number of scheduled, uncancelled events.
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // At schedules action to run at absolute time t. Scheduling in the past
 // panics: that is always a logic error in the caller.
@@ -111,11 +104,8 @@ func (e *Engine) Cancel(ev *Event) {
 		return
 	}
 	heap.Remove(&e.queue, ev.index)
-	ev.index = -2
+	ev.index = -1
 }
-
-// Stop makes Run return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Step fires the next event, if any, and reports whether one fired.
 func (e *Engine) Step() bool {
@@ -134,11 +124,10 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run dispatches events until the queue drains, Stop is called, or the
-// horizon is reached. It returns the final clock value.
+// Run dispatches events until the queue drains or the horizon is reached.
+// It returns the final clock value.
 func (e *Engine) Run() float64 {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 	return e.now
 }

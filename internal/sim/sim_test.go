@@ -12,8 +12,8 @@ func TestEmptyRun(t *testing.T) {
 	if got := e.Run(); got != 0 {
 		t.Fatalf("empty run ended at %v, want 0", got)
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d, want 0", e.Pending())
+	if len(e.queue) != 0 {
+		t.Fatalf("pending = %d, want 0", len(e.queue))
 	}
 }
 
@@ -85,8 +85,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("event does not report cancelled")
+	if ev.index >= 0 {
+		t.Fatal("cancelled event still queued")
 	}
 	// Double cancel is a no-op.
 	e.Cancel(ev)
@@ -112,29 +112,6 @@ func TestCancelOneOfMany(t *testing.T) {
 		if fired[i] != want[i] {
 			t.Fatalf("fired %v, want %v", fired, want)
 		}
-	}
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(float64(i), func(en *Engine) {
-			count++
-			if count == 3 {
-				en.Stop()
-			}
-		})
-	}
-	end := e.Run()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if end != 3 {
-		t.Fatalf("end = %v, want 3", end)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
 	}
 }
 

@@ -42,7 +42,6 @@ type Mapping struct {
 	// Chunk is the column-chunk width for MixedScheme (ignored otherwise).
 	Chunk int
 
-	replica []int // node rank -> 0 or 1
 	buddy   []int // node rank -> buddy node rank
 	members [2][]int
 }
@@ -52,11 +51,10 @@ type Mapping struct {
 // even DX; MixedScheme needs DX divisible by 2*chunk.
 func NewMapping(t Torus, s Scheme, chunk int) (*Mapping, error) {
 	m := &Mapping{
-		Torus:   t,
-		Scheme:  s,
-		Chunk:   chunk,
-		replica: make([]int, t.Nodes()),
-		buddy:   make([]int, t.Nodes()),
+		Torus:  t,
+		Scheme: s,
+		Chunk:  chunk,
+		buddy:  make([]int, t.Nodes()),
 	}
 	switch s {
 	case DefaultScheme:
@@ -100,7 +98,6 @@ func NewMapping(t Torus, s Scheme, chunk int) (*Mapping, error) {
 				bc = Coord{c.X - 1, c.Y, c.Z}
 			}
 		case MixedScheme:
-			period := 2 * chunk
 			if (c.X/chunk)%2 == 0 {
 				rep = 0
 				bc = Coord{c.X + chunk, c.Y, c.Z}
@@ -108,20 +105,12 @@ func NewMapping(t Torus, s Scheme, chunk int) (*Mapping, error) {
 				rep = 1
 				bc = Coord{c.X - chunk, c.Y, c.Z}
 			}
-			_ = period
 		}
-		m.replica[rank] = rep
 		m.buddy[rank] = t.RankOf(bc)
 		m.members[rep] = append(m.members[rep], rank)
 	}
 	return m, nil
 }
-
-// ReplicaOf returns 0 or 1: the replica that owns the node.
-func (m *Mapping) ReplicaOf(rank int) int { return m.replica[rank] }
-
-// BuddyOf returns the node rank of the buddy in the other replica.
-func (m *Mapping) BuddyOf(rank int) int { return m.buddy[rank] }
 
 // Members returns the node ranks belonging to the given replica, in rank
 // order. The slice is shared; callers must not modify it.

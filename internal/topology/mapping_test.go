@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -22,6 +23,13 @@ func checkMappingInvariants(t *testing.T, m *Mapping) {
 	}
 	if m.NodesPerReplica()*2 != tr.Nodes() {
 		t.Fatalf("replicas do not cover the torus")
+	}
+	// Buddies are a fixed translation of each other, so the members of the
+	// two replicas pair up in rank order (netsim's DES tests rely on it).
+	for i, rank := range m.Members(0) {
+		if m.BuddyOf(rank) != m.Members(1)[i] {
+			t.Fatalf("member %d of replica 0 (node %d) is not paired with member %d of replica 1", i, rank, i)
+		}
 	}
 	for rank := 0; rank < tr.Nodes(); rank++ {
 		b := m.BuddyOf(rank)
@@ -219,4 +227,15 @@ func TestSchemeString(t *testing.T) {
 	if Scheme(99).String() == "" {
 		t.Fatal("unknown scheme should format")
 	}
+}
+
+// BuddyOf returns the node rank of the buddy in the other replica.
+func (m *Mapping) BuddyOf(rank int) int { return m.buddy[rank] }
+
+// ReplicaOf returns 0 or 1: the replica whose members list the node.
+func (m *Mapping) ReplicaOf(rank int) int {
+	if slices.Contains(m.members[1], rank) {
+		return 1
+	}
+	return 0
 }

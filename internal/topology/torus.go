@@ -48,11 +48,6 @@ func (t Torus) CoordOf(rank int) Coord {
 	return Coord{X: x, Y: y, Z: z}
 }
 
-// Contains reports whether the coordinate lies on the torus.
-func (t Torus) Contains(c Coord) bool {
-	return c.X >= 0 && c.X < t.DX && c.Y >= 0 && c.Y < t.DY && c.Z >= 0 && c.Z < t.DZ
-}
-
 // Dim identifies a torus dimension.
 type Dim int
 
@@ -190,32 +185,4 @@ func (l *Loads) Histogram() map[int]int {
 		}
 	}
 	return h
-}
-
-// BisectionLinks returns the number of directional links crossing the
-// bisection of the torus along the given dimension (the plane between
-// index extent/2-1 and extent/2, plus the wraparound plane). These are the
-// links that bottleneck the default replica mapping (§4.2).
-func (t Torus) BisectionLinks(d Dim) int {
-	switch d {
-	case DimX:
-		return 2 * t.DY * t.DZ * wrapFactor(t.DX)
-	case DimY:
-		return 2 * t.DX * t.DZ * wrapFactor(t.DY)
-	case DimZ:
-		return 2 * t.DX * t.DY * wrapFactor(t.DZ)
-	}
-	return 0
-}
-
-// wrapFactor is 2 when the dimension has a distinct wraparound plane
-// (extent > 2), 1 otherwise (extent 2 has a single plane; extent 1 none).
-func wrapFactor(extent int) int {
-	if extent > 2 {
-		return 2
-	}
-	if extent == 2 {
-		return 1
-	}
-	return 0
 }

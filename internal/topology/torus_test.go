@@ -181,29 +181,7 @@ func TestDimString(t *testing.T) {
 	}
 }
 
-func TestBisectionLinks(t *testing.T) {
-	tr := mustTorus(t, 8, 8, 8)
-	// Z bisection: two cut planes (middle + wrap), 8x8 links each, both
-	// directions => 2 * 64 * 2 = 256.
-	if got := tr.BisectionLinks(DimZ); got != 256 {
-		t.Fatalf("Z bisection = %d, want 256", got)
-	}
-	if tr.BisectionLinks(DimX) != tr.BisectionLinks(DimZ) {
-		t.Fatal("cubic torus bisections must match")
-	}
-	small := mustTorus(t, 4, 4, 2)
-	// extent 2: a single plane, no distinct wrap.
-	if got := small.BisectionLinks(DimZ); got != 2*4*4 {
-		t.Fatalf("Z=2 bisection = %d, want 32", got)
-	}
-	line := mustTorus(t, 4, 4, 1)
-	if got := line.BisectionLinks(DimZ); got != 0 {
-		t.Fatalf("Z=1 bisection = %d, want 0", got)
-	}
-	if Dim(9).String() == "" {
-		t.Fatal("unknown dim")
-	}
-	if mustTorus(t, 2, 2, 2).BisectionLinks(Dim(9)) != 0 {
-		t.Fatal("unknown dim bisection should be 0")
-	}
+// Contains reports whether the coordinate lies on the torus.
+func (t Torus) Contains(c Coord) bool {
+	return c.X >= 0 && c.X < t.DX && c.Y >= 0 && c.Y < t.DY && c.Z >= 0 && c.Z < t.DZ
 }

@@ -139,17 +139,6 @@ func (tl *Timeline) Events() []Event {
 	return out
 }
 
-// Count returns the number of recorded events of the kind.
-func (tl *Timeline) Count(k Kind) int {
-	n := 0
-	for _, e := range tl.Events() {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
-}
-
 // OfKind returns the time-sorted events of one kind.
 func (tl *Timeline) OfKind(k Kind) []Event {
 	var out []Event

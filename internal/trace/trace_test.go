@@ -26,7 +26,7 @@ func TestCountAndOfKind(t *testing.T) {
 		tl.Add(float64(i), Checkpoint, "")
 	}
 	tl.Add(10, Failure, "node 3")
-	if tl.Count(Checkpoint) != 4 || tl.Count(Failure) != 1 || tl.Count(Restart) != 0 {
+	if len(tl.OfKind(Checkpoint)) != 4 || len(tl.OfKind(Failure)) != 1 || len(tl.OfKind(Restart)) != 0 {
 		t.Fatal("counts wrong")
 	}
 	f := tl.OfKind(Failure)
@@ -90,7 +90,7 @@ func TestConcurrentAdd(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := tl.Count(Progress); got != 800 {
+	if got := len(tl.OfKind(Progress)); got != 800 {
 		t.Fatalf("count = %d, want 800", got)
 	}
 }
