@@ -227,18 +227,25 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 // tierInventory is one storage tier's epoch census.
 type tierInventory struct {
 	Name string `json:"name"`
-	// Epochs maps epoch → resident task-checkpoint count; Complete lists
-	// epochs holding the full 2×nodes×tasks complement.
+	// Want is the tier's own complement of task checkpoints per complete
+	// epoch: 2×nodes×tasks in the hot tier, which holds both replicas, and
+	// nodes×tasks in a durable tier, which keeps one copy per compared
+	// pair. Epochs maps epoch → resident task-checkpoint count; Complete
+	// lists the epochs holding that complement.
+	Want     int                `json:"want"`
 	Epochs   map[uint64]int     `json:"epochs"`
 	Complete []uint64           `json:"complete_epochs,omitempty"`
 	Counters ckptstore.Counters `json:"counters"`
 }
 
-func tierView(st ckptstore.Store, want int) tierInventory {
+// tierView takes the census of one tier whose complete epochs hold
+// perReplica task checkpoints of each replica below replicas.
+func tierView(st ckptstore.Store, replicas, perReplica int) tierInventory {
 	return tierInventory{
 		Name:     st.Name(),
+		Want:     replicas * perReplica,
 		Epochs:   ckptstore.EpochInventory(st),
-		Complete: ckptstore.CompleteEpochs(st, want),
+		Complete: ckptstore.CompleteEpochs(st, replicas, perReplica),
 		Counters: st.Counters(),
 	}
 }
@@ -252,7 +259,9 @@ func (s *Server) handleInventory(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := struct {
-		ID            int             `json:"id"`
+		ID int `json:"id"`
+		// Want is the durable complement: nodes×tasks task checkpoints,
+		// one copy per compared pair. Each tier reports its own.
 		Want          int             `json:"want"`
 		Tiers         []tierInventory `json:"tiers"`
 		DurableEpochs []uint64        `json:"durable_epochs,omitempty"`
@@ -266,8 +275,14 @@ func (s *Server) handleInventory(w http.ResponseWriter, r *http.Request) {
 		ctrl = job.Controller()
 	}
 	if ctrl != nil {
-		for _, st := range ctrl.LadderStores() {
-			resp.Tiers = append(resp.Tiers, tierView(st, rec.want))
+		// The ladder's first store is the hot tier, which holds both
+		// replicas; the durable tiers below it keep replica 0's copy.
+		for i, st := range ctrl.LadderStores() {
+			replicas := 1
+			if i == 0 {
+				replicas = 2
+			}
+			resp.Tiers = append(resp.Tiers, tierView(st, replicas, rec.want))
 		}
 		resp.DurableEpochs = ctrl.DurableEpochs()
 	} else {
@@ -278,8 +293,8 @@ func (s *Server) handleInventory(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer disk.Close()
-		resp.Tiers = append(resp.Tiers, tierView(disk, rec.want))
-		resp.DurableEpochs = ckptstore.CompleteEpochs(disk, rec.want)
+		resp.Tiers = append(resp.Tiers, tierView(disk, 1, rec.want))
+		resp.DurableEpochs = ckptstore.CompleteEpochs(disk, 1, rec.want)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

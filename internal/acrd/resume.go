@@ -15,10 +15,13 @@ import (
 //
 //  1. Disk audit — each unfinished job's checkpoint directory is reopened
 //     (ckptstore.NewDisk rebuilds its index from the files actually
-//     present) and one ckptstore.EpochInventory sorts its epochs: those
-//     with the full 2×nodes×tasks complement are salvaged, those the disk
-//     holds only part of (a torn flush, a damaged epoch, an interrupted
-//     eviction) are reported skipped.
+//     present) and its epochs are sorted: those with the full nodes×tasks
+//     complement of the one copy a durable tier keeps per compared pair
+//     (replica 0's checkpoints, ckptstore.CompleteEpochs) are salvaged,
+//     those the disk holds only part of (a torn flush, a damaged epoch, an
+//     interrupted eviction) are reported skipped. A directory written when
+//     durable tiers kept both replicas' copies also holds every replica-0
+//     checkpoint, so its epochs stay salvageable.
 //  2. Payload verification — salvaged epochs are only candidates. The
 //     core's warm start (Controller.resume walking adopt) re-reads every
 //     task checkpoint, and the disk tier re-verifies each payload against
@@ -87,7 +90,7 @@ func (s *Server) replay(recs []record, torn int) error {
 				id:   r.ID,
 				req:  req,
 				dir:  s.jobDir(r.ID),
-				want: 2 * req.Nodes * max(1, req.Tasks),
+				want: req.Nodes * max(1, req.Tasks),
 			}
 			s.jobs[r.ID] = rec
 			s.order = append(s.order, r.ID)
@@ -171,23 +174,21 @@ func (s *Server) readmit() error {
 }
 
 // auditJobDir reopens a job's checkpoint directory and sorts its resident
-// epochs, ascending: salvaged holds those with all want task checkpoints,
-// skipped those with fewer. The transient handle is closed again — launch
-// opens its own.
+// epochs, ascending: salvaged holds those with all want replica-0 task
+// checkpoints (ckptstore.CompleteEpochs), skipped every other resident
+// epoch. The transient handle is closed again — launch opens its own.
 func auditJobDir(dir string, want int) (salvaged, skipped []uint64, err error) {
 	disk, err := ckptstore.NewDisk(dir, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer disk.Close()
-	for epoch, n := range ckptstore.EpochInventory(disk) {
-		if n == want {
-			salvaged = append(salvaged, epoch)
-		} else {
+	salvaged = ckptstore.CompleteEpochs(disk, 1, want)
+	for epoch := range ckptstore.EpochInventory(disk) {
+		if _, ok := slices.BinarySearch(salvaged, epoch); !ok {
 			skipped = append(skipped, epoch)
 		}
 	}
-	slices.Sort(salvaged)
 	slices.Sort(skipped)
 	return salvaged, skipped, nil
 }

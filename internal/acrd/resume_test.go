@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -238,5 +239,111 @@ func TestResumeCarriesPriorResults(t *testing.T) {
 	}
 	if id2 != id+1 {
 		t.Fatalf("next id = %d, want %d", id2, id+1)
+	}
+}
+
+// TestResumeTwoCopyDirectory: a job directory written when durable tiers
+// kept both replicas' copies of every epoch (an r1_ file beside each r0_
+// one) stays resumable. The audit counts one replica-0 file per (node,
+// task), so such an epoch is salvaged — even one whose replica-1 copy is
+// missing, since both replicas restore from replica 0's — while an epoch
+// missing a replica-0 file is skipped. The readmitted job warm-starts and
+// finishes golden.
+func TestResumeTwoCopyDirectory(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := New(Config{DataDir: dir, Fleet: fleet.Config{Nodes: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s1.Submit(SubmitRequest{Name: "legacy", Nodes: 2, Tasks: 1, Iters: 300_000, FlushEvery: 1, FlushRetain: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec1, _ := s1.lookup(id)
+	waitDurable(t, rec1, 3)
+	s1.Close()
+	durable, _, err := auditJobDir(rec1.dir, rec1.want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(durable) < 3 {
+		t.Fatalf("need >= 3 surviving durable epochs, have %v", durable)
+	}
+
+	// Rewrite the directory into the two-copy layout: replica 1's copy of
+	// a committed epoch is byte-identical to replica 0's.
+	files, err := filepath.Glob(filepath.Join(rec1.dir, "r0_*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(durable)*rec1.want {
+		t.Fatalf("%d replica-0 files for %d epochs, want %d each", len(files), len(durable), rec1.want)
+	}
+	for _, f := range files {
+		blob, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin := filepath.Join(rec1.dir, "r1_"+strings.TrimPrefix(filepath.Base(f), "r0_"))
+		if err := os.WriteFile(twin, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newest, older := durable[len(durable)-1], durable[len(durable)-2]
+	file := func(rep int, epoch uint64) string {
+		return filepath.Join(rec1.dir, fmt.Sprintf("r%d_n1_t0_e%d.ckpt", rep, epoch))
+	}
+	if err := os.Remove(file(1, newest)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(file(0, older)); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(Config{DataDir: dir, Fleet: fleet.Config{Nodes: 8}, Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s2.Handler())
+	defer func() {
+		ts.Close()
+		s2.Close()
+	}()
+	rep := s2.ResumeReport()
+	if rep.Readmitted != 1 || len(rep.Jobs) != 1 {
+		t.Fatalf("resume report: %+v, want 1 readmitted", rep)
+	}
+	jr := rep.Jobs[0]
+	if !slices.Contains(jr.Salvaged, newest) {
+		t.Fatalf("newest epoch %d, complete in replica 0, not salvaged: %+v", newest, jr)
+	}
+	if slices.Contains(jr.Salvaged, older) || !slices.Contains(jr.Skipped, older) {
+		t.Fatalf("epoch %d, missing a replica-0 file, not skipped: %+v", older, jr)
+	}
+	if want := len(durable) - 1; len(jr.Salvaged) != want {
+		t.Fatalf("salvaged %v, want %d epochs", jr.Salvaged, want)
+	}
+
+	rec2, _ := s2.lookup(id)
+	select {
+	case <-rec2.job.Done():
+	case <-time.After(180 * time.Second):
+		t.Fatal("resumed job did not finish")
+	}
+	res := rec2.job.Wait()
+	if !res.Completed {
+		t.Fatalf("resumed job failed: %s", res.Err)
+	}
+	if res.Stats.ResumedEpoch != newest {
+		t.Fatalf("resumed epoch = %d, want the newest two-copy epoch %d", res.Stats.ResumedEpoch, newest)
+	}
+	resp, err := http.Get(fmt.Sprintf("%s/api/v1/jobs/%d/verify", ts.URL, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(body, `"ok": true`) {
+		t.Fatalf("verify after resume: %d %s", resp.StatusCode, body)
 	}
 }

@@ -167,7 +167,7 @@ type jobRecord struct {
 	id   int
 	req  SubmitRequest
 	dir  string // durable checkpoint directory
-	want int    // task checkpoints per complete epoch: 2 × nodes × tasks
+	want int    // task checkpoints per complete durable epoch: nodes × tasks (one copy per compared pair)
 
 	// job is the live fleet handle; nil for jobs that finished in a prior
 	// daemon life (then prior holds the journaled result).
@@ -323,7 +323,7 @@ func (s *Server) Submit(req SubmitRequest) (int, error) {
 		id:   id,
 		req:  req,
 		dir:  s.jobDir(id),
-		want: 2 * req.Nodes * max(1, req.Tasks),
+		want: req.Nodes * max(1, req.Tasks),
 	}
 	if rec.req.Name == "" {
 		rec.req.Name = fmt.Sprintf("job-%03d", id)

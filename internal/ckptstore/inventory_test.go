@@ -52,13 +52,28 @@ func TestEpochInventory(t *testing.T) {
 			if err := s.Put(Key{Replica: 0, Node: 0, Task: 0, Epoch: 7}, ckptOf(t, 7, 200)); err != nil {
 				t.Fatal(err)
 			}
-			inv := EpochInventory(s)
-			if inv[3] != 8 || inv[5] != 8 || inv[7] != 1 {
-				t.Fatalf("inventory = %v, want 8/8/1 at epochs 3/5/7", inv)
+			// Epoch 9 is a durable tier's epoch: one copy per compared
+			// pair, replica 0's.
+			for n := 0; n < 2; n++ {
+				for tk := 0; tk < 2; tk++ {
+					if err := s.Put(Key{Replica: 0, Node: n, Task: tk, Epoch: 9}, ckptOf(t, 9, 200)); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-			complete := CompleteEpochs(s, 8)
+			inv := EpochInventory(s)
+			if inv[3] != 8 || inv[5] != 8 || inv[7] != 1 || inv[9] != 4 {
+				t.Fatalf("inventory = %v, want 8/8/1/4 at epochs 3/5/7/9", inv)
+			}
+			complete := CompleteEpochs(s, 2, 4)
 			if len(complete) != 2 || complete[0] != 3 || complete[1] != 5 {
-				t.Fatalf("complete epochs = %v, want [3 5]", complete)
+				t.Fatalf("complete epochs of both replicas = %v, want [3 5]", complete)
+			}
+			// Counting replica 0 only, an epoch holding both replicas'
+			// copies is complete as well.
+			complete = CompleteEpochs(s, 1, 4)
+			if len(complete) != 3 || complete[0] != 3 || complete[1] != 5 || complete[2] != 9 {
+				t.Fatalf("complete epochs of replica 0 = %v, want [3 5 9]", complete)
 			}
 		})
 	}
@@ -91,7 +106,7 @@ func TestDiskReopenRebuildsIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	complete := CompleteEpochs(d2, 8)
+	complete := CompleteEpochs(d2, 2, 4)
 	if len(complete) != 2 || complete[0] != 4 || complete[1] != 6 {
 		t.Fatalf("complete epochs after reopen = %v, want [4 6]", complete)
 	}

@@ -21,6 +21,11 @@
 //     internal/model (Disk), and a simulated remote object store (Remote).
 //     Wrappers that change one or two methods embed Layer; As looks
 //     through a wrapper stack for a backend or a capability.
+//   - Only the hot tier holds both replicas. A durable tier receives
+//     committed epochs, whose buddies the compare has shown identical, so
+//     it keeps one copy per compared pair — replica 0's checkpoint, under
+//     replica 0's key — and both replicas restore from it. An epoch there
+//     is complete at nodes × tasks checkpoints (CompleteEpochs).
 //
 // Every backend maintains Counters (bytes written/read, chunks stored,
 // compare time, last localized chunk) that internal/core surfaces through
@@ -245,7 +250,9 @@ func CompareDigests(a, b Digest) CompareResult {
 
 // Store is the pluggable checkpoint tier. Implementations must be safe
 // for concurrent use: capture Puts per-task checkpoints from a worker
-// pool.
+// pool. A store does not interpret keys: the controller's hot store holds
+// every replica's checkpoint of an epoch, and a durable tier is handed one
+// copy per compared pair, under replica 0's key.
 type Store interface {
 	// Put stores a checkpoint under the key, overwriting any previous
 	// value at the same key. A borrowed checkpoint (Borrowed) is only lent
@@ -292,17 +299,26 @@ func EpochInventory(s Store) map[uint64]int {
 }
 
 // CompleteEpochs returns, ascending, the epochs for which the store holds
-// exactly want task checkpoints — the restorable epochs of a job whose
-// machine shape needs want (= 2 replicas × nodes × tasks) checkpoints per
-// epoch. Nil when the store cannot enumerate or nothing is complete.
-func CompleteEpochs(s Store, want int) []uint64 {
-	if want <= 0 {
+// all perReplica (= nodes × tasks) task checkpoints of each replica below
+// replicas; keys of higher replicas are not counted. A running job's hot
+// store holds both replicas of an epoch (replicas = 2). A durable tier
+// keeps one copy per compared pair, replica 0's (replicas = 1), and so a
+// tier written when durable tiers kept both replicas' copies still counts
+// complete. Nil when the store cannot enumerate or nothing is complete.
+func CompleteEpochs(s Store, replicas, perReplica int) []uint64 {
+	e, ok := s.(Enumerator)
+	if !ok || replicas <= 0 || perReplica <= 0 {
 		return nil
 	}
-	inv := EpochInventory(s)
+	inv := make(map[uint64]int)
+	for _, k := range e.Keys() {
+		if k.Replica < replicas {
+			inv[k.Epoch]++
+		}
+	}
 	var out []uint64
 	for epoch, n := range inv {
-		if n == want {
+		if n == replicas*perReplica {
 			out = append(out, epoch)
 		}
 	}

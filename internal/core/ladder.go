@@ -19,8 +19,10 @@ import (
 // durable rungs New configured, in order. Every tier.every-th committed
 // epoch is borrowed from the hot store and written to each tier's store on
 // a background goroutine, and recovery is tier 0 followed by each
-// configured tier's complete epochs, newest first. Stats.TierRecoveries
-// books where a restore landed:
+// configured tier's complete epochs, newest first. A durable tier keeps one
+// copy per compared pair: the commit proved both buddies identical, so it
+// stores replica 0's checkpoints only (pairKey) and both replicas restore
+// from them. Stats.TierRecoveries books where a restore landed:
 //
 //	[0]  buddy in-memory checkpoint at the committed epoch
 //	[1]  the durable flush tier's copy of the committed epoch
@@ -138,25 +140,24 @@ func (c *Controller) settleWriters() {
 	}
 }
 
-// borrowEpoch borrows every task checkpoint of the epoch out of the hot
-// store, in dense (replica, node, task) order (denseKey). The Gets run
-// through stages.Run at the capture stage's width, because a hot store
-// other than Mem (a Disk) reads and re-sums each payload; first error in
-// index order wins, and on an error nothing stays borrowed. Runs on the controller goroutine between rounds, so it
-// may reuse the round body's outcome scratch.
+// borrowEpoch borrows, out of the hot store, the checkpoints a durable
+// tier keeps of the epoch: one per compared pair, replica 0's, in dense
+// (node, task) order (pairKey). The commit has just shown both replicas
+// identical, so replica 1's checkpoints stay unborrowed and the pool may
+// recycle them once they are evicted. The Gets run through stages.Run at
+// the capture stage's width, because a hot store other than Mem (a Disk)
+// reads and re-sums each payload; first error in index order wins, and on
+// an error nothing stays borrowed. Runs on the controller goroutine between
+// rounds, so it may reuse the round body's outcome scratch.
 func (c *Controller) borrowEpoch(epoch uint64) ([]*ckptstore.Checkpoint, error) {
-	nodes, tasks := c.cfg.NodesPerReplica, c.cfg.TasksPerNode
-	cks := make([]*ckptstore.Checkpoint, 2*nodes*tasks)
+	cks := make([]*ckptstore.Checkpoint, len(c.outcomes))
 	stages.Run(c.outcomes, c.stageWidths().capture, func(i int) error {
-		n, t := i/tasks, i%tasks
-		for rep := 0; rep < 2; rep++ {
-			ck, err := c.store.Get(c.key(rep, n, t, epoch))
-			if err != nil {
-				return err
-			}
-			ck.Borrow()
-			cks[rep*nodes*tasks+i] = ck
+		ck, err := c.store.Get(c.pairKey(i, epoch))
+		if err != nil {
+			return err
 		}
+		ck.Borrow()
+		cks[i] = ck
 		return nil
 	})
 	if err := stages.FirstFailure(c.outcomes); err != nil {
@@ -175,16 +176,16 @@ func releaseAll(cks []*ckptstore.Checkpoint) {
 	}
 }
 
-// write lands one borrowed epoch on the tier, releases the borrows once
-// the last Put returned (landed or not), registers the epoch in the tier's
-// complete-epoch index, and applies the retention bound. A resilient
-// wrapper under a remote tier may be degrading Puts to its local fallback —
-// that still counts as landed: the epoch is readable back through the same
-// wrapper.
+// write lands one borrowed epoch (borrowEpoch: one checkpoint per compared
+// pair) on the tier, releases the borrows once the last Put returned
+// (landed or not), registers the epoch in the tier's complete-epoch index,
+// and applies the retention bound. A resilient wrapper under a remote tier
+// may be degrading Puts to its local fallback — that still counts as
+// landed: the epoch is readable back through the same wrapper.
 func (c *Controller) write(t *tier, epoch uint64, cks []*ckptstore.Checkpoint) error {
 	var err error
 	for i, ck := range cks {
-		if err = t.store.Put(c.denseKey(i, epoch), ck); err != nil {
+		if err = t.store.Put(c.pairKey(i, epoch), ck); err != nil {
 			break
 		}
 	}

@@ -36,10 +36,10 @@ func TestLadderRungs(t *testing.T) {
 		name   string
 		tiers  int
 		killAt int
-		// Damage done at the kill commit, before the kill: corrupt one task
-		// checkpoint per replica of the tier's newest epoch at rest; wipe the
-		// tier's store entirely (its index still lists the epochs — every
-		// candidate turns out unusable).
+		// Damage done at the kill commit, before the kill: corrupt one pair
+		// copy of the tier's newest epoch at rest, which both replicas
+		// restore from; wipe the tier's store entirely (its index still
+		// lists the epochs — every candidate turns out unusable).
 		corrupt, wipe int
 		want          [4]int
 		depth         int
@@ -97,8 +97,8 @@ func TestLadderRungs(t *testing.T) {
 					// damage lands on complete epochs.
 					newest := uint64(row.killAt - 1)
 					for bit, d := range stores {
-						for rep := 0; rep < 2 && row.corrupt&bit != 0; rep++ {
-							if err := d.CorruptAtRest(ckptstore.Key{Replica: rep, Node: 0, Task: 1, Epoch: newest}, 16, 2); err != nil {
+						if row.corrupt&bit != 0 {
+							if err := d.CorruptAtRest(ckptstore.Key{Replica: 0, Node: 0, Task: 1, Epoch: newest}, 16, 2); err != nil {
 								t.Errorf("corrupt epoch %d at rest: %v", newest, err)
 							}
 						}

@@ -85,6 +85,78 @@ func TestLadderDiskFallback(t *testing.T) {
 	verifyFinalState(t, ctrl, 2, 2, 8000)
 }
 
+// getLog is a durable tier that counts its Gets per replica key.
+type getLog struct {
+	ckptstore.Layer
+	gets [2]atomic.Int64
+}
+
+func (s *getLog) Get(k ckptstore.Key) (*ckptstore.Checkpoint, error) {
+	s.gets[k.Replica].Add(1)
+	return s.Store.Get(k)
+}
+
+// TestDoubleFaultRestoresReplicaOneFromPairCopy: a buddy-pair double fault
+// at a flushed commit escalates both replicas to the Disk flush tier at the
+// committed epoch (tier 1). The tier keeps one copy per compared pair, so
+// replica 1 launches from replica 0's checkpoints: no Get ever names a
+// replica-1 key, the disk holds none, and the final state is bit-identical
+// to the failure-free run.
+func TestDoubleFaultRestoresReplicaOneFromPairCopy(t *testing.T) {
+	const nodes, tasks, iters = 2, 2, 6000
+	disk, err := ckptstore.NewDisk(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	tier := &getLog{Layer: ckptstore.Layer{Store: disk}}
+	cfg := baseConfig(nodes, tasks, iters)
+	cfg.Spares = 4
+	cfg.FlushEvery, cfg.FlushStore = 2, tier // durable epochs: 2, 4, ...
+	var ctrl *Controller
+	// Kill at commit 4: the committed epoch is itself flushed, and its
+	// writer has settled (a chaos hook joins the writers before each round).
+	kill := killPairAtCommit(&ctrl, 1, 4)
+	var commits atomic.Int64
+	var pacer *pacing.Pacer
+	pacer = pace(&cfg, &ctrl, 500, point.HookFunc(func(id point.ID, info *point.Info) {
+		if id == point.CoreCommit && commits.Add(1) == 4 {
+			// Epoch 2 has landed; epoch 4's flush starts after this firing.
+			if keys := disk.Keys(); len(keys) != nodes*tasks {
+				t.Errorf("disk holds %d checkpoints of one flushed epoch, want %d (N·T)", len(keys), nodes*tasks)
+			}
+			pacer.Stop() // recovery must find no task held by the pacer
+		}
+		kill.Fire(id, info)
+	}))
+	ctrl, err = New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := ctrl.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.BuddyPairLosses != 1 {
+		t.Fatalf("buddy pair losses = %d, want 1", stats.BuddyPairLosses)
+	}
+	if want := [4]int{0, 2, 0, 0}; stats.TierRecoveries != want {
+		t.Errorf("tier recoveries = %v, want %v: both replicas from the flushed committed epoch", stats.TierRecoveries, want)
+	}
+	if got := tier.gets[0].Load(); got != 2*nodes*tasks {
+		t.Errorf("the ladder read %d pair copies, want %d (N·T per replica)", got, 2*nodes*tasks)
+	}
+	if got := tier.gets[1].Load(); got != 0 {
+		t.Errorf("the ladder asked the durable tier for %d replica-1 keys, want 0", got)
+	}
+	for _, k := range disk.Keys() {
+		if k.Replica != 0 {
+			t.Fatalf("the durable tier holds %v: it keeps replica 0's copy only", k)
+		}
+	}
+	verifyFinalState(t, ctrl, nodes, tasks, iters)
+}
+
 // TestLadderEmptyIsUnrecoverable: the same double fault without a durable
 // tier leaves the ladder genuinely empty — the run must fail with
 // ErrUnrecoverable (and not misreport spare exhaustion as the cause).

@@ -34,7 +34,7 @@ func TestWarmResumeFromDurable(t *testing.T) {
 	if _, err := ctrl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := 2 * nodes * tasks
+	want := nodes * tasks // one copy per compared pair
 
 	// A fresh process reopens the directory and rebuilds the inventory
 	// from the files themselves.
@@ -42,9 +42,14 @@ func TestWarmResumeFromDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epochs := ckptstore.CompleteEpochs(d2, want)
+	epochs := ckptstore.CompleteEpochs(d2, 1, want)
 	if len(epochs) < 2 {
 		t.Fatalf("durable epochs after run = %v, want >= 2", epochs)
+	}
+	for epoch, n := range ckptstore.EpochInventory(d2) {
+		if n != want {
+			t.Fatalf("durable epoch %d holds %d checkpoints, want %d (N·T)", epoch, n, want)
+		}
 	}
 
 	// The resumed job reads its candidates from — and keeps flushing to —
@@ -71,7 +76,7 @@ func TestWarmResumeFromDurable(t *testing.T) {
 	// Corrupt the newest durable epoch at rest: the resume walk must skip
 	// it (detection via the payload root) and land on the next candidate.
 	// The second life flushed (and evicted) too, so take the census again.
-	epochs = ckptstore.CompleteEpochs(d2, want)
+	epochs = ckptstore.CompleteEpochs(d2, 1, want)
 	if len(epochs) < 2 {
 		t.Fatalf("durable epochs after resumed run = %v, want >= 2", epochs)
 	}

@@ -123,15 +123,17 @@ func (c *Controller) rollback(reps ...int) error {
 
 // ladder launches the stopped replica from the buddy in-memory checkpoint
 // at the committed epoch (tier 0), else from the newest usable complete
-// epoch of the durable tiers, tier after tier. Each candidate is read back
-// one task at a time in dense (node, task) order and abandoned at the first
-// failed Get (runtime.Machine.RestartReplicaFromStore): the restart path,
-// like commit and compare, goes exclusively through stores.
+// epoch of the durable tiers, tier after tier. A durable tier keeps one
+// copy per compared pair, so either replica launches from replica 0's
+// checkpoints there. Each candidate is read back one task at a time in
+// dense (node, task) order and abandoned at the first failed Get
+// (runtime.Machine.RestartReplicaFromStore): the restart path, like commit
+// and compare, goes exclusively through stores.
 func (c *Controller) ladder(rep int) (*candidate, error) {
 	committed := c.committedEpoch
-	launch := func(cd candidate) error { return c.machine.RestartReplicaFromStore(rep, cd.epoch, cd.st) }
+	launch := func(cd candidate) error { return c.machine.RestartReplicaFromStore(rep, cd.epoch, cd.st, 0) }
 	hot := candidate{st: c.store, epoch: committed, depth: c.behind(committed)}
-	err0 := launch(hot)
+	err0 := c.machine.RestartReplicaFromStore(rep, committed, c.store)
 	if err0 == nil {
 		return &hot, nil
 	}
@@ -170,24 +172,26 @@ func (c *Controller) ladder(rep int) (*candidate, error) {
 }
 
 // adopt relaunches both replicas from cd, a durable store's copy of an
-// epoch. Fetch before touch: every task checkpoint of both replicas must
-// read back intact (the store re-verifies the payload root) before either
-// replica stops, so an incomplete or corrupt epoch fails with touched=false
-// and the job keeps running. The fetches are independent, so they run
-// through stages.Run at the capture stage's width; the first error in dense
-// (replica, node, task) order wins whatever the width. The verified
-// checkpoints are mirrored into the hot store under the same epoch — the
-// ladder's tier-0 copy for later failures — and the replicas relaunch from
-// there. The mirror holds clones: a memory-backed durable tier hands out
-// its own buffers.
+// epoch: one checkpoint per compared pair (pairKey). Fetch before touch:
+// every task checkpoint must read back intact (the store re-verifies the
+// payload root) before either replica stops, so an incomplete or corrupt
+// epoch fails with touched=false and the job keeps running. The fetches are
+// independent, so they run through stages.Run at the capture stage's width;
+// the first error in dense (node, task) order wins whatever the width. Each
+// verified checkpoint is cloned once — a memory-backed durable tier hands
+// out its own buffers — and the clone is mirrored into the hot store under
+// both replicas' keys at the same epoch, by reference, as
+// recoveryCheckpoint's mirror does (Pool.Put dedupes the pointer on
+// eviction): the ladder's tier-0 copy for later failures. The replicas
+// relaunch from there.
 func (c *Controller) adopt(cd candidate) (touched bool, err error) {
-	cks := make([]*ckptstore.Checkpoint, 2*c.cfg.NodesPerReplica*c.cfg.TasksPerNode)
+	cks := make([]*ckptstore.Checkpoint, len(c.outcomes))
 	outcomes := make([]stages.Outcome, len(cks))
 	stages.Run(outcomes, c.stageWidths().capture, func(i int) error {
-		k := c.denseKey(i, cd.epoch)
+		k := c.pairKey(i, cd.epoch)
 		ck, gerr := cd.st.Get(k)
 		if gerr != nil {
-			return fmt.Errorf("durable checkpoint r%d/n%d/t%d@%d: %w", k.Replica, k.Node, k.Task, cd.epoch, gerr)
+			return fmt.Errorf("durable checkpoint n%d/t%d@%d: %w", k.Node, k.Task, cd.epoch, gerr)
 		}
 		cks[i] = ck.Clone()
 		return nil
@@ -196,8 +200,10 @@ func (c *Controller) adopt(cd candidate) (touched bool, err error) {
 		return false, ferr
 	}
 	for i, ck := range cks {
-		if perr := c.store.Put(c.denseKey(i, cd.epoch), ck); perr != nil {
-			return false, fmt.Errorf("mirror into hot store: %w", perr)
+		for k := c.pairKey(i, cd.epoch); k.Replica < 2; k.Replica++ {
+			if perr := c.store.Put(k, ck); perr != nil {
+				return false, fmt.Errorf("mirror into hot store: %w", perr)
+			}
 		}
 	}
 	for rep := 0; rep < 2; rep++ {

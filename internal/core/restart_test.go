@@ -109,9 +109,14 @@ func TestResumeFiresCoreRestart(t *testing.T) {
 	if _, err := ctrl.Run(); err != nil {
 		t.Fatal(err)
 	}
-	epochs := ckptstore.CompleteEpochs(flush, 2*nodes*tasks)
+	epochs := ckptstore.CompleteEpochs(flush, 1, nodes*tasks)
 	if len(epochs) == 0 {
 		t.Fatal("first job left no complete durable epoch")
+	}
+	for epoch, n := range ckptstore.EpochInventory(flush) {
+		if n != nodes*tasks {
+			t.Fatalf("durable epoch %d holds %d checkpoints, want %d (N·T)", epoch, n, nodes*tasks)
+		}
 	}
 	newest := epochs[len(epochs)-1]
 
@@ -158,8 +163,9 @@ func TestRestoreCorruptEpochTouchesNothing(t *testing.T) {
 	}
 	defer disk.Close()
 	ctrl, rec, epoch, done := startPaced(t, nodes, tasks, iters, disk)
-	// The last task of replica 1 is the last one the fetch reads.
-	if err := disk.CorruptAtRest(ckptstore.Key{Replica: 1, Node: nodes - 1, Task: tasks - 1, Epoch: epoch}, 16, 2); err != nil {
+	// The pair copy of the last node's last task is the last one the fetch
+	// reads.
+	if err := disk.CorruptAtRest(ckptstore.Key{Replica: 0, Node: nodes - 1, Task: tasks - 1, Epoch: epoch}, 16, 2); err != nil {
 		t.Fatal(err)
 	}
 	before := ctrl.Progress().Rollbacks

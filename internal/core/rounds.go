@@ -48,13 +48,13 @@ func (c *Controller) key(rep, n, t int, epoch uint64) ckptstore.Key {
 	return ckptstore.Key{Replica: rep, Node: n, Task: t, Epoch: epoch}
 }
 
-// denseKey is the key of an epoch's i-th task checkpoint in dense
-// (replica, node, task) order, the order the tiers flush an epoch in and
-// adopt reads one back in.
-func (c *Controller) denseKey(i int, epoch uint64) ckptstore.Key {
+// pairKey is the key of an epoch's i-th task checkpoint in dense (node,
+// task) order as a durable tier keeps it: one copy per compared pair,
+// under replica 0's key. borrowEpoch and write flush an epoch in this
+// order, and adopt reads one back in it.
+func (c *Controller) pairKey(i int, epoch uint64) ckptstore.Key {
 	tasks := c.cfg.TasksPerNode
-	perRep := c.cfg.NodesPerReplica * tasks
-	return c.key(i/perRep, i%perRep/tasks, i%tasks, epoch)
+	return c.key(0, i/tasks, i%tasks, epoch)
 }
 
 // normalRound checkpoints both replicas and cross-checks buddies.

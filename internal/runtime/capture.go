@@ -115,23 +115,31 @@ func (m *Machine) captureAndStore(addr Addr, epoch uint64, st ckptstore.Store, o
 
 // RestartReplicaFromStore restores every task of the replica from the
 // checkpoints stored under the epoch and launches fresh incarnations. The
-// epoch must be complete: a missing task checkpoint (ErrNotFound) is an
-// error, not factory state — restarting part of a replica from factory
-// state would silently desynchronize it from its buddy. Callers that lose
-// an epoch (buddy-pair double faults dropping the in-memory copies)
-// escalate to an older tier instead. Every checkpoint is fetched before
-// any task restarts, so a failed restore leaves the replica stopped and
-// retryable against another store. The replica must be quiescent
-// (StopReplica).
-func (m *Machine) RestartReplicaFromStore(rep int, epoch uint64, st ckptstore.Store) error {
+// checkpoints are read under the source replica's keys: from, when given,
+// else rep itself. A durable tier keeps one copy per compared pair under
+// replica 0's keys, so a restore from it passes 0 for either replica. (The
+// source is a trailing optional parameter so that callers restoring a
+// replica from its own keys keep the three-argument form.) The epoch must
+// be complete: a missing task checkpoint (ErrNotFound) is an error, not
+// factory state — restarting part of a replica from factory state would
+// silently desynchronize it from its buddy. Callers that lose an epoch
+// (buddy-pair double faults dropping the in-memory copies) escalate to an
+// older tier instead. Every checkpoint is fetched before any task restarts,
+// so a failed restore leaves the replica stopped and retryable against
+// another store. The replica must be quiescent (StopReplica).
+func (m *Machine) RestartReplicaFromStore(rep int, epoch uint64, st ckptstore.Store, from ...int) error {
+	src := rep
+	if len(from) > 0 {
+		src = from[0]
+	}
 	nodes, tasks := m.cfg.NodesPerReplica, m.cfg.TasksPerNode
 	ckpts := make([][][]byte, nodes)
 	for n := 0; n < nodes; n++ {
 		ckpts[n] = make([][]byte, tasks)
 		for t := 0; t < tasks; t++ {
-			ck, err := st.Get(ckptstore.Key{Replica: rep, Node: n, Task: t, Epoch: epoch})
+			ck, err := st.Get(ckptstore.Key{Replica: src, Node: n, Task: t, Epoch: epoch})
 			if err != nil {
-				return fmt.Errorf("runtime: restore r%d/n%d/t%d@e%d: %w", rep, n, t, epoch, err)
+				return fmt.Errorf("runtime: restore r%d/n%d/t%d@e%d: %w", src, n, t, epoch, err)
 			}
 			ckpts[n][t] = ck.Bytes()
 		}

@@ -2,15 +2,24 @@
 # Paired benchmark comparison of a parent commit against the working tree,
 # by the choosing-metrics rule: alternating parent/change pairs of one
 # workload, then per end-to-end metric each side's median and quartiles,
-# the pair wins, and the verdict — a gain only when the change wins at
-# least 9/10 of the pairs (ties count for neither side) and the medians
-# differ by more than the parent's own inter-quartile range; a regression
+# the pair wins, and the verdict — a gain only when, over at least 10
+# pairs, the change wins at least 9/10 of them (ties count for neither
+# side) and the medians differ by more than the parent's own
+# inter-quartile range (a pass of fewer pairs shows no gain); a regression
 # when the change's median is worse than the parent's by more than the
 # bound BENCHMARK.json fixes. Under the table it prints each side's total
 # attempted and failed operations and flags a higher failed share on the
 # change side.
 #
 # Usage: scripts/bench_pair.sh <parent-ref> <workload> [pairs=10] [seconds=15]
+#
+# Every pass also appends one JSON line per end-to-end metric to
+# BENCH_TRAJECTORY.jsonl at the repository root: the checked-in record of
+# paired runs (schema checked by trajectory_test.go). A row names the
+# parent commit, the commit the change was measured on (HEAD) with a dirty
+# flag (Go sources or go.mod differ from HEAD, i.e. the measured change is
+# uncommitted), the workload, the pairs and seconds per run, the host's CPU
+# count, each side's quartiles, the change's pair wins and the verdict.
 #
 # The parent is exported with `git archive` into a temporary directory (no
 # worktree is registered in .git) and both sides are built once, the same
@@ -45,6 +54,13 @@ cd "$(dirname "$0")/.."
 ROOT=$PWD
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
+TRAJECTORY=$ROOT/BENCH_TRAJECTORY.jsonl
+PARENT_SHA=$(git rev-parse "$PARENT^{commit}")
+CHANGE_SHA=$(git rev-parse HEAD)
+DIRTY=false
+[ -z "$(git status --porcelain -- '*.go' go.mod)" ] || DIRTY=true
+NOW=$(date -u +%Y-%m-%dT%H:%M:%SZ)
+CPUS=$(getconf _NPROCESSORS_ONLN)
 
 mkdir "$TMP/parent"
 git archive "$PARENT" | tar -x -C "$TMP/parent"
@@ -90,7 +106,9 @@ while read -r name better bound; do
       awk -v m="$name" '$1==m{print $2}' "$TMP/$side.$i"
     done >"$TMP/$side.col"
   done
-  paste "$TMP/parent.col" "$TMP/change.col" | awk -v name="$name" -v better="$better" -v bound="$bound" '
+  paste "$TMP/parent.col" "$TMP/change.col" | awk -v name="$name" -v better="$better" -v bound="$bound" \
+    -v rows="$TMP/rows" -v parent="$PARENT_SHA" -v change="$CHANGE_SHA" -v dirty="$DIRTY" \
+    -v workload="$WORKLOAD" -v seconds="$SECONDS_PER_RUN" -v now="$NOW" -v cpus="$CPUS" '
     # Quantile by linear interpolation over the sorted sample.
     function q(a, n, p,   h, lo) { h = (n - 1) * p + 1; lo = int(h); return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo]) }
     function sorted(src, dst, n,   i, j, t) { for (i = 1; i <= n; i++) dst[i] = src[i]
@@ -102,15 +120,20 @@ while read -r name better bound; do
       sorted(p, ps, n); sorted(c, cs, n)
       pm = q(ps, n, 0.5); cm = q(cs, n, 0.5); iqr = q(ps, n, 0.75) - q(ps, n, 0.25)
       gap = (better == "lower") ? pm - cm : cm - pm   # > 0: the change is better
-      verdict = "no change shown"
-      if (wins >= 0.9 * n && gap > iqr) verdict = "gain"
-      else if (pm != 0 && -gap / (pm < 0 ? -pm : pm) > bound) verdict = "REGRESSION beyond bound " bound
+      verdict = "no change shown"; v = "none"
+      if (n >= 10 && wins >= 0.9 * n && gap > iqr) { verdict = "gain"; v = "gain" }
+      else if (pm != 0 && -gap / (pm < 0 ? -pm : pm) > bound) { verdict = "REGRESSION beyond bound " bound; v = "regression" }
       printf "%-22s %-32s %-32s %-7s %s (median gap %.4g, parent IQR %.4g)\n", name,
         sprintf("%.4g/%.4g/%.4g", q(ps, n, 0.25), pm, q(ps, n, 0.75)),
         sprintf("%.4g/%.4g/%.4g", q(cs, n, 0.25), cm, q(cs, n, 0.75)),
         wins + 0 "/" n, verdict, gap, iqr
+      printf "{\"date\":\"%s\",\"parent\":\"%s\",\"change\":\"%s\",\"dirty\":%s,\"workload\":\"%s\",\"pairs\":%d,\"seconds\":%d,\"cpus\":%d,", now, parent, change, dirty, workload, n, seconds, cpus >> rows
+      printf "\"metric\":\"%s\",\"better\":\"%s\",\"bound\":%.6g,\"parent_q\":[%.6g,%.6g,%.6g],\"change_q\":[%.6g,%.6g,%.6g],\"wins\":%d,\"verdict\":\"%s\"}\n",
+        name, better, bound, q(ps, n, 0.25), pm, q(ps, n, 0.75), q(cs, n, 0.25), cm, q(cs, n, 0.75), wins, v >> rows
     }'
 done <"$TMP/metrics"
+cat "$TMP/rows" >>"$TRAJECTORY"
+echo "bench_pair: appended $(wc -l <"$TMP/rows") rows to $TRAJECTORY" >&2
 
 # Failed operations are gated too: a larger failed share on the change side
 # rejects it whatever the metrics say.
